@@ -5,9 +5,14 @@ The next evaluation point is chosen among the current particles by
 minimizing the weighted sum, over (pruned) particles, of the expected
 posterior misclassification probability after the candidate evaluation.
 The expectation has a closed form in the posterior mean/variance at the
-integration point, the cross quantity s_n(x, x_new), and the bivariate
-normal CDF; everything is evaluated as one (integration point x candidate)
-matrix so the bivariate CDF is called on flat arrays.
+integration point and the cross quantity s_n(x, x_new). With
+b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
+Phi(b1) + Phi(b2) - 2 Phi2(b1, b2; rho) = 2 T(b2, sqrt(1 - rho^2)/rho), T
+being Owen's T function: in Owen's (1956) T-function form of Phi2 the
+T(b1, .) term has second argument (b2 - rho b1)/(b1 sqrt(1 - rho^2)) = 0.
+Everything is evaluated as one (integration point x candidate) matrix;
+`expected_misclass_after` keeps the Phi2 form as the reference that tests
+compare against.
 
 Degenerate-variance guards: points whose posterior variance is below
 1e-12 * sigma2 count as classified; pairs with s_n^2 below the same floor
@@ -16,10 +21,11 @@ count as uncorrelated (the candidate teaches nothing about that point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, owens_t
 
 from .core import ParticleSystem
 from .gp import GpModel
@@ -106,43 +112,54 @@ def log_misclass_tau(mean, sd, u):
 
 def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
     """Expected post-evaluation misclassification, rows = integration points,
-    columns = candidates. Applies the degenerate-variance guards."""
+    columns = candidates. Applies the degenerate-variance guards.
+
+    Each pair is 2 T(b2, sqrt(1 - rho^2)/rho) (module docstring);
+    `expected_misclass_after` computes the same value through Phi2.
+    """
     sd_floor = np.sqrt(var_floor)
     mean_x = np.asarray(mean_x, dtype=float)
     sd_x = np.asarray(sd_x, dtype=float)
+    row_ok = sd_x > sd_floor
     tau_x = np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor)))
-    tau_x = np.where(sd_x > sd_floor, tau_x, 0.0)
+    tau_x = np.where(row_ok, tau_x, 0.0)
 
-    n_x, n_c = s_mat.shape
-    E = np.tile(tau_x[:, None], (1, n_c))  # default: uninformative candidate
-    row_ok = sd_x > sd_floor
+    # Dense over every pair: cheaper than gathering the valid ones, and the
+    # guarded entries are overwritten below (rho = 0 gives a = inf, T finite).
+    sd_row = np.where(row_ok, sd_x, 1.0)
+    b2 = (u - mean_x) / sd_row
+    rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+    vals = np.clip(2.0 * owens_t(b2[:, None], a), 0.0, 1.0)
+    # uninformative candidate -> tau(x); classified row -> tau(x) = 0
     valid = row_ok[:, None] & (s_mat > sd_floor)
-    if np.any(valid):
-        ix, ic = np.nonzero(valid)
-        num = u - mean_x[ix]
-        b1 = num / s_mat[ix, ic]
-        b2 = num / sd_x[ix]
-        rho = np.clip(s_mat[ix, ic] / sd_x[ix], 0.0, 1.0)
-        vals = ndtr(b2) + ndtr(b1) - 2.0 * binorm_cdf(b1, b2, rho)
-        E[ix, ic] = np.clip(vals, 0.0, 1.0)
-    E[~row_ok, :] = 0.0
-    return E, tau_x
+    return np.where(valid, vals, tau_x[:, None]), tau_x
 
 
 def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
-    """Expected misclassification probability at x after evaluating at x_new."""
+    """Expected misclassification probability at x after evaluating at x_new.
+
+    Computed from the bivariate normal CDF,
+    Phi(b1) + Phi(b2) - 2 Phi2(b1, b2; rho): the reference implementation
+    for the Owen's T form that `select_next_point` uses.
+    """
     x = np.asarray(x, dtype=float)
     mean_x, var_x = model.predict(x)
     var_floor = model_var_floor(model)
     if var_x <= var_floor:
         return 0.0
+    sd_x = math.sqrt(var_x)
+    num = u - mean_x
+    b2 = num / sd_x
     s = model.cross_sd(x, x_new, var_floor=var_floor)
-    E, _ = _expected_misclass_matrix(
-        np.atleast_1d(mean_x), np.sqrt(np.atleast_1d(var_x)),
-        np.atleast_2d(s), u, var_floor,
-    )
-    return float(E[0, 0])
+    if s <= math.sqrt(var_floor):
+        return float(min(ndtr(-b2), ndtr(b2)))
+    b1 = num / s
+    rho = min(s / sd_x, 1.0)
+    val = ndtr(b1) + ndtr(b2) - 2.0 * binorm_cdf(b1, b2, rho)
+    return float(min(max(val, 0.0), 1.0))
 
 
 @dataclass

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from failprob.core import ParticleSystem, substream
 from failprob.gp import CovarianceHyperparams, GpModel
-from failprob.stats import norm_cdf
+from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import (
+    _expected_misclass_matrix,
     coverage_g,
     expected_misclass_after,
     log_coverage_g,
@@ -117,6 +118,66 @@ class TestExpectedMisclassAfter:
             mu, v = m.predict(xa)
             tau = misclass_tau(coverage_g(mu, math.sqrt(v), u))
             assert expected_misclass_after(m, xa, xb, u) <= tau + 1e-10
+
+
+def _bivariate_reference(mean_x, sd_x, s_mat, u):
+    """Phi(b1) + Phi(b2) - 2 Phi2(b1, b2; rho) over a (point x candidate) grid."""
+    num = (u - mean_x)[:, None]
+    b1 = num / s_mat
+    b2 = np.broadcast_to(num / sd_x[:, None], s_mat.shape)
+    rho = np.clip(s_mat / sd_x[:, None], 0.0, 1.0)
+    return norm_cdf(b1) + norm_cdf(b2) - 2.0 * binorm_cdf(b1, b2, rho)
+
+
+class TestExpectedMisclassMatrix:
+    """The Owen's T kernel of select_next_point against its bivariate form."""
+
+    U = 0.7
+    VAR_FLOOR = 1e-40  # sd floor 1e-20: every rho >= 1e-12 below is a valid pair
+
+    def test_matches_bivariate_reference(self):
+        rng = substream(6, "owens-t-grid")
+        b2 = np.concatenate([rng.uniform(-40.0, 40.0, 200), [-40.0, -8.0, 0.0, 1e-3, 8.0, 40.0]])
+        rho = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.75, 0.925, 0.99, 1.0 - 1e-9],
+                              10.0 ** rng.uniform(-12.0, 0.0, 100), rng.uniform(0.9, 1.0, 50),
+                              [1.0]])
+        sd_x = rng.uniform(0.05, 3.0, b2.size)
+        mean_x = self.U - b2 * sd_x
+        sd_floor = math.sqrt(self.VAR_FLOOR)
+        s_mat = np.hstack([rho[None, :] * sd_x[:, None], np.zeros((b2.size, 1)),
+                           np.full((b2.size, 1), sd_floor)])  # uncorrelated: s <= floor
+        # two classified rows: sd_x at and below the floor
+        mean_x = np.append(mean_x, [self.U, self.U - 1.0])
+        sd_x = np.append(sd_x, [sd_floor, 0.0])
+        s_mat = np.vstack([s_mat, np.full((2, s_mat.shape[1]), 0.3)])
+
+        E, tau = _expected_misclass_matrix(mean_x, sd_x, s_mat, self.U, self.VAR_FLOOR)
+        n_rho = rho.size
+        ref = _bivariate_reference(mean_x[:-2], sd_x[:-2], s_mat[:-2, :n_rho], self.U)
+        np.testing.assert_allclose(E[:-2, :n_rho], ref, rtol=0.0, atol=1e-12)
+        assert np.all(E[:-2, n_rho - 1] == 0.0)  # rho = 1: the evaluation resolves x
+        np.testing.assert_array_equal(E[:-2, n_rho:], np.repeat(tau[:-2, None], 2, axis=1))
+        np.testing.assert_allclose(
+            tau[:-2], misclass_tau(coverage_g(mean_x[:-2], sd_x[:-2], self.U)), rtol=0.0, atol=1e-15)
+        assert np.all(E[-2:] == 0.0) and np.all(tau[-2:] == 0.0)
+
+    @given(b2=st.floats(-40.0, 40.0), sd=st.floats(0.05, 3.0),
+           rho_a=st.floats(1e-12, 1.0), rho_b=st.floats(1e-12, 1.0))
+    @settings(max_examples=500, deadline=None)
+    def test_bounded_and_monotone_in_rho(self, b2, sd, rho_a, rho_b):
+        # information never hurts: 0 <= E <= tau(x), and a candidate more
+        # correlated with x leaves less expected misclassification. Owen's T
+        # keeps the order to a relative 1e-12 until its values near the
+        # smallest normal double (|b2| ~ 37.5), where they lose precision.
+        lo, hi = sorted((rho_a, rho_b))
+        mean_x = np.array([self.U - b2 * sd])
+        sd_x = np.array([sd])
+        E, tau = _expected_misclass_matrix(mean_x, sd_x, np.array([[lo * sd, hi * sd]]),
+                                           self.U, self.VAR_FLOOR)
+        e_lo, e_hi = E[0]
+        assert 0.0 <= e_hi and 0.0 <= e_lo
+        assert e_lo <= tau[0] + 1e-15 and e_hi <= tau[0] + 1e-15
+        assert e_hi <= e_lo * (1.0 + 1e-12) + np.finfo(float).tiny
 
 
 def _particles_for(model, pts):
