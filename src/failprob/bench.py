@@ -8,8 +8,11 @@ offers a cheaper subset-simulation sanity check.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +204,25 @@ class RmseTable:
         return "\n".join(lines) + "\n"
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """Set the BLAS / OpenMP thread variables to 1 in os.environ, restoring
+    the previous values (or their absence) on exit."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
                         seed: int, jobs: int = 1, p0: float = 0.1,
                         overrides: dict | None = None) -> RmseTable:
@@ -214,7 +236,11 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
     tasks = [(case.name, method, int(m), r, seed, p0, overrides)
              for m in m_values for r in range(runs)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Spawned workers import numpy afresh under one BLAS thread each;
+        # forked ones keep the BLAS pool size the parent loaded numpy with,
+        # and `jobs` such pools oversubscribe the cores.
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_env(), ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             results = list(pool.map(_run_single_star, tasks, chunksize=1))
     else:
         results = [_run_single_star(t) for t in tasks]

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     EstimationResult,
@@ -30,6 +29,7 @@ from .core import (
     Problem,
     SelectionOrigin,
     StageRecord,
+    log_sum_exp,
     normalize_direction,
     substream,
 )
@@ -102,6 +102,9 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
     posteriors this is the root within 1e-12 of the value scale; in the
     indicator (zero-variance) limit it is the classical order-statistic
     threshold, where the equation holds on a plateau.
+
+    The predicate sums in log space with `core.log_sum_exp`, which returns the
+    same bits as `scipy.special.logsumexp` at a fraction of its per-call cost.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must be in (0, 1)")
@@ -113,11 +116,8 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
     log_p0_m = math.log(p0) + math.log(m)
 
     def lhs_gt(u: float) -> bool:
-        lg = log_coverage_g(mean, sd, u)
-        terms = lg - log_gp
-        if np.all(np.isneginf(terms)):
-            return False
-        return float(logsumexp(terms)) > log_p0_m
+        # all-(-inf) terms give -inf, and NaN compares False, as before
+        return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_gp)) > log_p0_m
 
     scale = max(1.0, float(np.max(np.abs(model.design_values))))
     lo = float(np.min(mean - 6.0 * sd))

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import logsumexp, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "Direction",
@@ -34,9 +34,32 @@ __all__ = [
     "StageRecord",
     "EstimationResult",
     "substream",
+    "log_sum_exp",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def log_sum_exp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) for a 1-D float array, bit for bit as scipy 1.17's
+    `scipy.special.logsumexp(a)` computes it, without its per-call dispatch.
+
+    The k entries equal to the maximum are factored out:
+    log1p(sum of the other exp(a_i - a_max) / k) + log(k) + a_max, on
+    1-element arrays; a non-finite result falls back to log(sum(exp(a))).
+    """
+    a_max = a.max(keepdims=True)
+    at_max = a == a_max
+    k = at_max.sum(keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        e[at_max] = 0.0
+        s = e.sum(keepdims=True)
+        s = np.where(s == 0.0, s, s / k)
+        out = np.log1p(s) + np.log(k) + a_max
+        if not np.isfinite(out[0]):
+            out = np.log(np.exp(a).sum(keepdims=True))
+    return out[0]
 
 
 class Direction(Enum):
@@ -209,7 +232,7 @@ class ParticleSystem:
         return np.exp(self.log_weights)
 
     def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(float(logsumexp(self.log_weights))) <= tol
+        return abs(float(log_sum_exp(self.log_weights))) <= tol
 
     @classmethod
     def initial(cls, dist: InputDistribution, m: int, rng: np.random.Generator) -> "ParticleSystem":

@@ -9,7 +9,10 @@ the log scale, using analytic gradients.
 
 A fixed relative jitter is added to the correlation diagonal for
 factorization stability; interpolation and the posterior-variance floor are
-exact up to that jitter.
+exact up to that jitter. The Cholesky factorization and its solves call
+LAPACK `potrf`/`potrs` directly (the routines inside scipy's `cho_factor`
+and `cho_solve`, so the results are the same bits), with explicit
+finiteness checks in place of scipy's `check_finite`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -91,6 +94,29 @@ def covariance(x, y, hyper: CovarianceHyperparams) -> float:
     return hyper.sigma2 * matern52_corr(h)
 
 
+def _chol(R: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of R, upper triangle left as in R (cho_factor's c)."""
+    if not np.isfinite(R).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(R, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return c
+
+
+def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """R^-1 b from the factor returned by _chol; b is (n,) or (n, k)."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
+
+
 def _corr_matrix(Xa: np.ndarray, Xb: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return matern52_corr(cdist(Xa / ranges, Xb / ranges))
 
@@ -118,12 +144,12 @@ class GpModel:
         n = X.shape[0]
         R = _corr_matrix(X, X, hyper.ranges)
         R[np.diag_indices(n)] += self.jitter
-        self._cho = cho_factor(R, lower=True)
+        self._factor = _chol(R)
         ones = np.ones(n)
-        self._rinv_one = cho_solve(self._cho, ones)
+        self._rinv_one = _chol_solve(self._factor, ones)
         self._one_rinv_one = float(ones @ self._rinv_one)
         self._mu = float(self._rinv_one @ y) / self._one_rinv_one
-        self._alpha = cho_solve(self._cho, y - self._mu)
+        self._alpha = _chol_solve(self._factor, y - self._mu)
 
     @property
     def n(self) -> int:
@@ -144,7 +170,7 @@ class GpModel:
         X = np.atleast_2d(x)
         r = _corr_matrix(X, self.design_points, self.hyper.ranges)
         mean = self._mu + r @ self._alpha
-        rinv_r = cho_solve(self._cho, r.T)
+        rinv_r = _chol_solve(self._factor, r.T)
         quad = np.einsum("ij,ji->i", r, rinv_r)
         defect = 1.0 - r @ self._rinv_one
         var = self.hyper.sigma2 * (1.0 - quad + defect * defect / self._one_rinv_one)
@@ -160,7 +186,7 @@ class GpModel:
         ra = _corr_matrix(Xa, self.design_points, self.hyper.ranges)
         rb = _corr_matrix(Xb, self.design_points, self.hyper.ranges)
         Rab = _corr_matrix(Xa, Xb, self.hyper.ranges)
-        cross = ra @ cho_solve(self._cho, rb.T)
+        cross = ra @ _chol_solve(self._factor, rb.T)
         da = 1.0 - ra @ self._rinv_one
         db = 1.0 - rb @ self._rinv_one
         return self.hyper.sigma2 * (Rab - cross + np.outer(da, db) / self._one_rinv_one)
@@ -200,7 +226,7 @@ class GpModel:
         sigma2 / P_ii.
         """
         n = self.n
-        Rinv = cho_solve(self._cho, np.eye(n))
+        Rinv = _chol_solve(self._factor, np.eye(n))
         P = Rinv - np.outer(self._rinv_one, self._rinv_one) / self._one_rinv_one
         pdiag = np.diag(P)
         resid = (P @ self.design_values) / pdiag
@@ -226,27 +252,28 @@ def reml_objective(design_points, design_values, log_params, jitter: float = DEF
     if ranges.shape[0] != d:
         raise ValueError("log_params must have length 1 + d")
 
-    H = cdist(X / ranges, X / ranges)
+    Z = X / ranges
+    H = cdist(Z, Z)
     R = matern52_corr(H)
     R[np.diag_indices(n)] += jitter
     try:
-        cho = cho_factor(R, lower=True)
+        c = _chol(R)
     except np.linalg.LinAlgError:
         return 1e14, np.zeros(d + 1)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     ones = np.ones(n)
-    v = cho_solve(cho, ones)
+    v = _chol_solve(c, ones)
     oro = float(ones @ v)
     mu = float(v @ y) / oro
     resid = y - mu
-    a = cho_solve(cho, resid)
+    a = _chol_solve(c, resid)
     Q = float(resid @ a)
 
     nll = 0.5 * ((n - 1) * _LOG_2PI + (n - 1) * lp[0] + logdet + math.log(oro) + Q / sigma2)
 
     grad = np.empty(d + 1)
     grad[0] = 0.5 * ((n - 1) - Q / sigma2)
-    Rinv = cho_solve(cho, np.eye(n))
+    Rinv = _chol_solve(c, np.eye(n))
     G = _dcorr_over_h(H)
     for k in range(d):
         Dk2 = (X[:, k, None] - X[None, :, k]) ** 2

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import ParticleSystem
+from .core import ParticleSystem, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
@@ -43,7 +42,7 @@ def reweight(particles: ParticleSystem, log_g_new: np.ndarray,
     if np.any(~np.isfinite(log_g_old)):
         raise ValueError("reweight: log_g_old must be finite at every particle")
     lw = particles.log_weights + log_g_new - log_g_old
-    norm = logsumexp(lw)
+    norm = log_sum_exp(lw)
     if not np.isfinite(norm):
         raise DegenerateWeightsError(
             "all reweighted particles have zero weight; "

@@ -81,6 +81,8 @@ def log_coverage_g(mean, sd, u):
     """log of coverage_g, exact in the deep tail via log_ndtr."""
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
+    if mean.ndim == 1 and mean.shape == sd.shape and sd.size and sd.min() > 0.0:
+        return log_ndtr((mean - u) / sd)  # the masked path below, without the masks
     mean_b, sd_b = np.broadcast_arrays(mean, sd)
     pos = sd_b > 0.0
     z = (mean_b - u) / np.where(pos, sd_b, 1.0)

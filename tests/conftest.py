@@ -3,9 +3,22 @@
 On small hosts a multi-threaded OpenBLAS oversubscribes the cores in the GP
 and SUR kernels and makes the acceptance study markedly slower; results are
 the same either way. Values already set in the environment win.
+
+Also defines `requires_scipy_117`, for tests that compare a result bit for bit
+with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces.
 """
 
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+from importlib.metadata import version  # noqa: E402
+
+import pytest  # noqa: E402
+
+requires_scipy_117 = pytest.mark.skipif(
+    tuple(int(p) for p in version("scipy").split(".")[:2]) != (1, 17),
+    reason="core.log_sum_exp reproduces scipy 1.17's logsumexp formula; "
+           "other scipy versions may round differently",
+)

@@ -1,6 +1,7 @@
 """Benchmark problem definitions and the replication-study harness."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from failprob.bench import (
     run_rmse_experiment,
     run_single,
 )
-from failprob.bench import _cantilever_f, _four_branch_f, _oscillator_f
+from failprob.bench import (
+    _BLAS_THREAD_VARS,
+    _cantilever_f,
+    _four_branch_f,
+    _one_blas_thread_env,
+    _oscillator_f,
+)
 from failprob.core import InputDistribution, Problem, substream
 
 
@@ -165,13 +172,25 @@ class TestRmseExperiment:
         # worker processes re-import the case registry, so use a real case;
         # wall-clock columns are excluded (timing is not deterministic)
         case = cantilever_beam()
-        t1 = run_rmse_experiment(case, "mc", [2000], runs=6, seed=8, jobs=1)
-        t2 = run_rmse_experiment(case, "mc", [2000], runs=6, seed=8, jobs=2)
 
-        def strip_wall(table):
-            return [line.rsplit(",", 1)[0] for line in table.to_csv().splitlines()]
+        def strip_wall(csv):
+            return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
 
-        assert strip_wall(t1) == strip_wall(t2)
+        env = dict(os.environ)
+        for method, m, runs in (("mc", 2000, 6), ("bss", 300, 2)):
+            t1 = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=1)
+            t2 = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=2)
+            assert strip_wall(t1.to_csv()) == strip_wall(t2.to_csv())
+            assert strip_wall(t1.per_run_csv()) == strip_wall(t2.per_run_csv())
+        assert dict(os.environ) == env
+
+    def test_worker_blas_env_is_restored(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        with _one_blas_thread_env():
+            assert [os.environ.get(v) for v in _BLAS_THREAD_VARS] == ["1", "1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_run_failures_are_counted(self):
         CASES["broken"] = lambda: BenchmarkCase(

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from conftest import requires_scipy_117
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp, ndtri
 
+from failprob import bss, gp, smc, sur
+from failprob.bench import cantilever_beam, four_branch
 from failprob.bss import (
     BssConfig,
     ThresholdSolverError,
@@ -272,3 +276,33 @@ class TestRunBss:
             BssConfig(m=100, n_min=-1)
         with pytest.raises(ValueError):
             BssConfig(m=1)
+
+
+@requires_scipy_117
+class TestScipyOracle:
+    """The LAPACK, log-sum-exp and coverage fast paths change no bit of a run:
+    the same seeded run with scipy's cho_factor / cho_solve / logsumexp and
+    the masked coverage path gives the same estimate, budget and SUR trace."""
+
+    @staticmethod
+    def _signature(case, m, seed):
+        res = run_bss(case.problem, BssConfig(m=m), seed, collect_trace=True)
+        return res.alpha_hat.hex(), res.n_total, res.trace
+
+    @pytest.mark.parametrize("make_case,m,seed", [(cantilever_beam, 500, 11),
+                                                  (four_branch, 300, 12)])
+    def test_run_matches_scipy_reference(self, monkeypatch, make_case, m, seed):
+        case = make_case()
+        shipped = self._signature(case, m, seed)
+
+        def masked_log_coverage_g(mean, sd, u):
+            col = sur.log_coverage_g(np.asarray(mean)[:, None], np.asarray(sd)[:, None], u)
+            return col[:, 0]
+
+        monkeypatch.setattr(gp, "_chol", lambda R: cho_factor(R, lower=True)[0])
+        monkeypatch.setattr(gp, "_chol_solve", lambda c, b: cho_solve((c, True), b))
+        monkeypatch.setattr(smc, "log_sum_exp", logsumexp)
+        monkeypatch.setattr(bss, "log_sum_exp", logsumexp)
+        monkeypatch.setattr(bss, "log_coverage_g", masked_log_coverage_g)
+        assert len(shipped[2]) > 0
+        assert self._signature(case, m, seed) == shipped

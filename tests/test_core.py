@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import requires_scipy_117
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from failprob.core import (
     Direction,
@@ -13,6 +17,7 @@ from failprob.core import (
     ParticleSystem,
     Problem,
     SelectionOrigin,
+    log_sum_exp,
     normalize_direction,
     substream,
 )
@@ -174,6 +179,50 @@ class TestEvaluationLedger:
         assert led.n_total == 10
         with pytest.raises(ValueError):
             led.design_arrays()
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.float64(x), np.float64(y)
+    return (np.isnan(x) and np.isnan(y)) or x.tobytes() == y.tobytes()
+
+
+# A few shared values make ties at the maximum common; -inf entries are zero
+# weights; the floats span the log-weight range met in the threshold solve.
+_LSE_ENTRY = st.one_of(
+    st.sampled_from([0.0, -1.5, -700.0, 3.25, -np.inf]),
+    st.floats(-800.0, 50.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@requires_scipy_117
+class TestLogSumExp:
+    @given(st.lists(_LSE_ENTRY, min_size=1, max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_bitwise_equal_to_scipy(self, entries):
+        a = np.array(entries)
+        assert _same_bits(log_sum_exp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("entries", [
+        [0.3],
+        [-np.inf],
+        [-np.inf] * 5,
+        [2.0, 2.0, 2.0],
+        [1.0, -np.inf, 1.0, -3.0],
+        [np.inf, 1.0],
+        [np.nan, 1.0],
+        [-745.2, -745.2, -800.0],
+    ])
+    def test_edge_cases(self, entries):
+        a = np.array(entries)
+        assert _same_bits(log_sum_exp(a), logsumexp(a))
+
+    def test_threshold_sized_inputs(self):
+        rng = substream(5, "lse")
+        for _ in range(50):
+            a = rng.normal(-5.0, 20.0, 2000)
+            a[rng.integers(0, 2000, 40)] = -np.inf
+            a[rng.integers(0, 2000, 3)] = a.max()
+            assert _same_bits(log_sum_exp(a), logsumexp(a))
 
 
 class TestSubstreams:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from failprob.core import substream
 from failprob.gp import (
     CovarianceHyperparams,
     GpModel,
+    _chol,
+    _chol_solve,
+    _corr_matrix,
     covariance,
     fit_reml,
     load_design,
@@ -240,6 +244,77 @@ class TestReml:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_reml(np.zeros((2, 2)) + np.arange(2)[:, None], np.arange(2.0))
+
+
+def _spd_matrices(n):
+    """A Matern correlation matrix with the default jitter (the GP's own
+    kind: ill-conditioned) and a well-conditioned A A' + n I, both seeded."""
+    rng = substream(n, "spd")
+    X = _random_design(rng, n, 3)
+    R = _corr_matrix(X, X, np.array([0.7, 1.1, 1.6]))
+    R[np.diag_indices(n)] += 1e-10
+    A = rng.standard_normal((n, n))
+    return [R, A @ A.T + n * np.eye(n)]
+
+
+class TestLapackHelpers:
+    """_chol / _chol_solve call the LAPACK routines inside scipy's
+    cho_factor / cho_solve: same bits, same error contract."""
+
+    @pytest.mark.parametrize("n", [5, 30, 60])
+    def test_bitwise_equal_to_scipy(self, n):
+        rng = substream(n, "rhs")
+        wide = rng.standard_normal((2000, n))
+        for R in _spd_matrices(n):
+            R_in = R.copy()
+            c = _chol(R)
+            c_ref, lower = cho_factor(R, lower=True)
+            assert lower and c.tobytes() == c_ref.tobytes()
+            assert R.tobytes() == R_in.tobytes()  # the input is not overwritten
+            # a vector, the identity, and 2000 columns in both memory orders
+            # (predict passes the transposed (2000, n) cross-correlations)
+            for b in (rng.standard_normal(n), np.eye(n), wide.T, np.ascontiguousarray(wide.T)):
+                x = _chol_solve(c, b)
+                x_ref = cho_solve((c_ref, True), b)
+                assert x.shape == x_ref.shape
+                assert x.tobytes() == x_ref.tobytes()
+
+    def test_not_positive_definite(self):
+        R = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            _chol(R)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(R, lower=True)
+
+    def test_reml_objective_sentinel_when_not_positive_definite(self):
+        # a jitter of -1 zeroes the correlation diagonal: potrf fails at once
+        rng = substream(11, "gp")
+        X = _random_design(rng, 10, 2)
+        y = np.sin(X[:, 0])
+        nll, grad = reml_objective(X, y, np.zeros(3), jitter=-1.0)
+        assert nll == 1e14
+        assert grad.tobytes() == np.zeros(3).tobytes()
+
+    def test_nonfinite_inputs_raise_value_error(self):
+        R = _spd_matrices(5)[1]
+        c = _chol(R)
+        for bad in (np.nan, np.inf):
+            R_bad = R.copy()
+            R_bad[2, 3] = R_bad[3, 2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _chol(R_bad)
+            b = np.ones(5)
+            b[4] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _chol_solve(c, b)
+
+    def test_nan_in_observations_raises_value_error(self):
+        rng = substream(12, "gp")
+        X = _random_design(rng, 8, 2)
+        y = np.cos(X[:, 1])
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            GpModel(X, y, CovarianceHyperparams(1.0, np.array([1.0, 1.0])))
 
 
 class TestLooDiagnostic:

@@ -47,6 +47,21 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage_g(0.0, -0.1, 0.0)
 
+    def test_log_fast_path_matches_masked_path(self):
+        # 1-D arrays with sd > 0 skip the masks; a (k, 1) column takes the
+        # masked path through the same elementwise arithmetic
+        rng = substream(1, "cov")
+        mean = rng.normal(0.0, 30.0, 500)
+        sd = rng.uniform(1e-8, 3.0, 500)
+        for u in (0.0, 2.5, -40.0):
+            fast = log_coverage_g(mean, sd, u)
+            masked = log_coverage_g(mean[:, None], sd[:, None], u)[:, 0]
+            assert fast.tobytes() == masked.tobytes()
+        sd[7] = 0.0  # one degenerate sd: the masked path on 1-D input
+        out = log_coverage_g(mean, sd, 0.0)
+        assert out[7] == (0.0 if mean[7] > 0.0 else -np.inf)
+        assert out[:7].tobytes() == log_coverage_g(mean[:7], sd[:7], 0.0).tobytes()
+
 
 class TestMisclass:
     def test_endpoints(self):
