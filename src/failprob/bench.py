@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bss import BssConfig, run_bss
-from .core import Direction, EstimationResult, InputDistribution, Normal, Problem
+from .core import (Direction, EstimationResult, InputDistribution, Normal, Problem,
+                   set_kernel_threads)
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 
 __all__ = [
@@ -208,6 +209,22 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 @contextmanager
+def _worker_pool(jobs: int):
+    """`jobs` spawned worker processes, each with one BLAS thread and a
+    one-thread kernel pool, so the study keeps at most `jobs` threads busy.
+
+    Spawned workers import numpy afresh under one BLAS thread each; forked
+    ones keep the BLAS pool size the parent loaded numpy with, and `jobs`
+    such pools oversubscribe the cores.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with _one_blas_thread_env(), ProcessPoolExecutor(
+            max_workers=jobs, mp_context=spawn,
+            initializer=set_kernel_threads, initargs=(1,)) as pool:
+        yield pool
+
+
+@contextmanager
 def _one_blas_thread_env():
     """Set the BLAS / OpenMP thread variables to 1 in os.environ, restoring
     the previous values (or their absence) on exit."""
@@ -236,11 +253,7 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
     tasks = [(case.name, method, int(m), r, seed, p0, overrides)
              for m in m_values for r in range(runs)]
     if jobs > 1:
-        # Spawned workers import numpy afresh under one BLAS thread each;
-        # forked ones keep the BLAS pool size the parent loaded numpy with,
-        # and `jobs` such pools oversubscribe the cores.
-        spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread_env(), ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        with _worker_pool(jobs) as pool:
             results = list(pool.map(_run_single_star, tasks, chunksize=1))
     else:
         results = [_run_single_star(t) for t in tasks]

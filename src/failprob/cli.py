@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bench import CASES, recompute_reference, run_rmse_experiment
 from .bss import BssConfig, run_bss
-from .core import Direction, InputDistribution, Normal, Problem
+from .core import Direction, InputDistribution, Normal, Problem, kernel_threads
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 from .expr import ExprError, compile_limit_state
 
@@ -142,7 +142,8 @@ def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
         "config": {"m": m, "p0": p0},
         "seed": seed,
         "timestamps": {"start": start, "end": end},
-        "host": {"platform": platform.platform(), "python": platform.python_version()},
+        "host": {"platform": platform.platform(), "python": platform.python_version(),
+                 "kernel_threads": kernel_threads()},
         "result": result.to_dict(),
         "_result_obj": result,
     }

@@ -9,12 +9,18 @@ flipped (function and threshold negated) exactly once, at construction.
 Limit-state functions are vectorized: they map an (n, d) array of points to
 an (n,) array of values. All densities are handled in log space so that the
 machinery survives failure probabilities down to ~1e-9.
+
+`_row_blocks` runs elementwise matrix kernels in row blocks on one
+process-wide thread pool, with the same bits at any thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -35,6 +41,8 @@ __all__ = [
     "EstimationResult",
     "substream",
     "log_sum_exp",
+    "kernel_threads",
+    "set_kernel_threads",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -60,6 +68,74 @@ def log_sum_exp(a: np.ndarray) -> np.float64:
         if not np.isfinite(out[0]):
             out = np.log(np.exp(a).sum(keepdims=True))
     return out[0]
+
+
+_BLOCK_PAIRS = 1 << 15  # entries per row block: block temporaries stay ~256 kB
+_kernel_threads: int | None = None
+_kernel_pool = None  # a ThreadPoolExecutor, built by the first call that needs one
+_kernel_lock = threading.Lock()
+
+
+def kernel_threads() -> int:
+    """Threads that `_row_blocks` runs on: the value given to
+    `set_kernel_threads`, else the number of CPUs this process may use."""
+    if _kernel_threads is not None:
+        return _kernel_threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def set_kernel_threads(n: int | None) -> None:
+    """Fix this process's `_row_blocks` thread count (n >= 1); None restores
+    the default, one thread per usable CPU."""
+    global _kernel_threads, _kernel_pool
+    if n is not None and n < 1:
+        raise ValueError("kernel threads must be >= 1")
+    with _kernel_lock:
+        if _kernel_pool is not None:
+            _kernel_pool.shutdown()
+        _kernel_threads, _kernel_pool = None if n is None else int(n), None
+
+
+def _forget_kernel_pool() -> None:
+    # a forked child has no pool threads: it must build its own pool
+    global _kernel_pool, _kernel_lock
+    _kernel_pool, _kernel_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_kernel_pool)
+
+
+def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int) -> None:
+    """Call fn(i, j) on consecutive row ranges [i, j) of an (n_rows, n_cols)
+    matrix, about _BLOCK_PAIRS entries each, on `kernel_threads()` threads.
+
+    fn writes rows i:j of its output and nothing else; it must not print.
+    A single block, or a single thread, runs inline. An exception raised in a
+    block re-raises here once every block has finished.
+    """
+    global _kernel_pool
+    step = max(1, _BLOCK_PAIRS // max(n_cols, 1))
+    bounds = [(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+    threads = kernel_threads()
+    if threads == 1 or len(bounds) <= 1:
+        for i, j in bounds:
+            fn(i, j)
+        return
+    with _kernel_lock:
+        if _kernel_pool is None:
+            # imported here: a process that never needs the pool keeps ~0.2 MB
+            from concurrent.futures import ThreadPoolExecutor
+
+            _kernel_pool = ThreadPoolExecutor(threads, thread_name_prefix="failprob-rows")
+        pool = _kernel_pool
+    futures = [pool.submit(fn, i, j) for i, j in bounds]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 class Direction(Enum):

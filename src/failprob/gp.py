@@ -26,6 +26,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
+from .core import _row_blocks
+
 __all__ = [
     "REGULARITY",
     "DEFAULT_JITTER",
@@ -180,16 +182,33 @@ class GpModel:
         return mean, var
 
     def posterior_cov(self, Xa, Xb) -> np.ndarray:
-        """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term."""
-        Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
-        Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
-        ra = _corr_matrix(Xa, self.design_points, self.hyper.ranges)
-        rb = _corr_matrix(Xb, self.design_points, self.hyper.ranges)
-        Rab = _corr_matrix(Xa, Xb, self.hyper.ranges)
-        cross = ra @ _chol_solve(self._factor, rb.T)
+        """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term.
+
+        The prior term and the sum are built in row blocks on the kernel
+        thread pool (`core._row_blocks`), entry by entry, so the bits do not
+        depend on the split; the cross term stays one matrix product. Passing
+        the same array as Xa and Xb computes the design correlations once.
+        """
+        same = Xb is Xa
+        ranges = self.hyper.ranges
+        za = np.atleast_2d(np.asarray(Xa, dtype=float)) / ranges
+        zb = za if same else np.atleast_2d(np.asarray(Xb, dtype=float)) / ranges
+        zd = self.design_points / ranges
+        ra = matern52_corr(cdist(za, zd))
+        rb = ra if same else matern52_corr(cdist(zb, zd))
+        cov = ra @ _chol_solve(self._factor, rb.T)  # overwritten block by block
         da = 1.0 - ra @ self._rinv_one
-        db = 1.0 - rb @ self._rinv_one
-        return self.hyper.sigma2 * (Rab - cross + np.outer(da, db) / self._one_rinv_one)
+        db = da if same else 1.0 - rb @ self._rinv_one
+        sigma2, one_rinv_one = self.hyper.sigma2, self._one_rinv_one
+
+        def block(i, j):
+            k = matern52_corr(cdist(za[i:j], zb))
+            k -= cov[i:j]
+            k += np.outer(da[i:j], db) / one_rinv_one
+            np.multiply(sigma2, k, out=cov[i:j])
+
+        _row_blocks(block, *cov.shape)
+        return cov
 
     def cross_sd(self, x, x_new, var_floor: float | None = None):
         """s_n(x, x_new) = |k_n(x, x_new)| / sigma_n(x_new).

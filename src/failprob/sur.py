@@ -12,7 +12,10 @@ being Owen's T function: in Owen's (1956) T-function form of Phi2 the
 T(b1, .) term has second argument (b2 - rho b1)/(b1 sqrt(1 - rho^2)) = 0.
 Everything is evaluated as one (integration point x candidate) matrix;
 `expected_misclass_after` keeps the Phi2 form as the reference that tests
-compare against.
+compare against. The pair matrix, and the posterior covariance it is built
+from, are computed in row blocks on every usable core (`core._row_blocks`);
+each entry is computed on its own, so the bits are the same at any thread
+count. `--jobs` workers run one thread each (`core.set_kernel_threads`).
 
 Degenerate-variance guards: points whose posterior variance is below
 1e-12 * sigma2 count as classified; pairs with s_n^2 below the same floor
@@ -22,12 +25,12 @@ count as uncorrelated (the candidate teaches nothing about that point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, owens_t
 
-from .core import ParticleSystem
+from .core import ParticleSystem, _row_blocks
 from .gp import GpModel
 from .stats import binorm_cdf
 
@@ -117,27 +120,36 @@ def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
     columns = candidates. Applies the degenerate-variance guards.
 
     Each pair is 2 T(b2, sqrt(1 - rho^2)/rho) (module docstring);
-    `expected_misclass_after` computes the same value through Phi2.
+    `expected_misclass_after` computes the same value through Phi2. The pairs
+    are evaluated in row blocks on the kernel thread pool
+    (`core._row_blocks`), each into its rows of one output matrix.
     """
     sd_floor = np.sqrt(var_floor)
     mean_x = np.asarray(mean_x, dtype=float)
     sd_x = np.asarray(sd_x, dtype=float)
+    s_mat = np.asarray(s_mat, dtype=float)
     row_ok = sd_x > sd_floor
     tau_x = np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor)))
     tau_x = np.where(row_ok, tau_x, 0.0)
-
-    # Dense over every pair: cheaper than gathering the valid ones, and the
-    # guarded entries are overwritten below (rho = 0 gives a = inf, T finite).
     sd_row = np.where(row_ok, sd_x, 1.0)
     b2 = (u - mean_x) / sd_row
-    rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-    vals = np.clip(2.0 * owens_t(b2[:, None], a), 0.0, 1.0)
-    # uninformative candidate -> tau(x); classified row -> tau(x) = 0
-    valid = row_ok[:, None] & (s_mat > sd_floor)
-    return np.where(valid, vals, tau_x[:, None]), tau_x
+    out = np.empty(s_mat.shape)
+
+    def block(i, j):
+        # Dense over every pair: cheaper than gathering the valid ones, and the
+        # guarded entries are overwritten below (rho = 0 gives a = inf, T finite).
+        s = s_mat[i:j]
+        rho = np.clip(s / sd_row[i:j, None], 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+        vals = out[i:j]
+        np.clip(2.0 * owens_t(b2[i:j, None], a), 0.0, 1.0, out=vals)
+        # uninformative candidate -> tau(x); classified row -> tau(x) = 0
+        np.copyto(vals, tau_x[i:j, None], where=~(row_ok[i:j, None] & (s > sd_floor)))
+
+    _row_blocks(block, *out.shape)
+    return out, tau_x
 
 
 def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
@@ -166,8 +178,9 @@ def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
 
 @dataclass
 class CandidateSet:
-    """Particle-indexed candidates with cached posterior values and the
-    weighted misclassification scores used for pruning."""
+    """Per-particle posterior values and the weighted misclassification
+    scores used for pruning; `indices` lists the particles in the set, and
+    every other array is indexed by particle."""
 
     indices: np.ndarray
     points: np.ndarray
@@ -204,26 +217,20 @@ def build_candidates(particles: ParticleSystem, mean: np.ndarray, sd: np.ndarray
 def prune(candidates: CandidateSet, m0_max: int = 1000, rho: float = 0.99) -> CandidateSet:
     """Keep the smallest score-descending prefix holding a fraction rho of the
     total score mass, capped at m0_max. All-zero scores fall back to the
-    single highest-weight candidate."""
-    scores = candidates.scores
+    single highest-weight candidate. Only `indices` changes; the per-particle
+    arrays are shared, not copied."""
+    idx = candidates.indices
+    scores = candidates.scores[idx]
     total = float(scores.sum())
     if total <= 0.0:
-        keep = np.array([int(np.argmax(candidates.log_weights))])
+        keep = np.array([int(np.argmax(candidates.log_weights[idx]))])
     else:
         order = np.argsort(-scores, kind="stable")
         csum = np.cumsum(scores[order])
         k = int(np.searchsorted(csum, rho * total)) + 1
         k = min(k, m0_max, int(np.count_nonzero(scores)))
         keep = np.sort(order[:k])
-    return CandidateSet(
-        indices=candidates.indices[keep],
-        points=candidates.points[keep],
-        mean=candidates.mean[keep],
-        sd=candidates.sd[keep],
-        log_g_prev=candidates.log_g_prev[keep],
-        log_weights=candidates.log_weights[keep],
-        scores=candidates.scores[keep],
-    )
+    return replace(candidates, indices=idx[keep])
 
 
 @dataclass
@@ -255,25 +262,28 @@ def select_next_point(model: GpModel, particles: ParticleSystem,
     pruned = prune(cands, m0_max=m0_max, rho=rho)
 
     # merge duplicate locations
-    _, first, inverse = np.unique(pruned.points, axis=0, return_index=True, return_inverse=True)
+    keep = pruned.indices
+    _, first, inverse = np.unique(cands.points[keep], axis=0, return_index=True,
+                                  return_inverse=True)
     n_u = first.shape[0]
     rep = np.full(n_u, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(rep, inverse, pruned.indices)
+    np.minimum.at(rep, inverse, keep)
     coeff = np.zeros(n_u)
-    log_c = np.clip(pruned.log_weights - np.maximum(pruned.log_g_prev, _LOG_FLOOR), _LOG_FLOOR, 700.0)
+    log_c = np.clip(cands.log_weights[keep] - np.maximum(cands.log_g_prev[keep], _LOG_FLOOR),
+                    _LOG_FLOOR, 700.0)
     np.add.at(coeff, inverse, np.exp(log_c))
     order = np.argsort(rep, kind="stable")
-    U = pruned.points[first][order]
-    mean_u = pruned.mean[first][order]
-    sd_u = pruned.sd[first][order]
+    u_idx = keep[first][order]
+    U = cands.points[u_idx]
+    mean_u = cands.mean[u_idx]
+    sd_u = cands.sd[u_idx]
     coeff = coeff[order]
     rep = rep[order]
 
     # cross quantities: s_n(x_row, cand_col) = |k_n| / sd(cand)
-    K = model.posterior_cov(U, U)
+    s_mat = np.abs(model.posterior_cov(U, U))
     sd_floor = np.sqrt(var_floor)
-    denom = np.where(sd_u > sd_floor, sd_u, np.inf)
-    s_mat = np.abs(K) / denom[None, :]
+    s_mat /= np.where(sd_u > sd_floor, sd_u, np.inf)[None, :]
 
     E, _ = _expected_misclass_matrix(mean_u, sd_u, s_mat, u_t, var_floor)
     J = coeff @ E

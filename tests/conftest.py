@@ -5,7 +5,9 @@ and SUR kernels and makes the acceptance study markedly slower; results are
 the same either way. Values already set in the environment win.
 
 Also defines `requires_scipy_117`, for tests that compare a result bit for bit
-with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces.
+with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces,
+and the `kernel_threads` fixture, which sets the row-block thread count for
+one test and restores the default afterwards.
 """
 
 import os
@@ -22,3 +24,11 @@ requires_scipy_117 = pytest.mark.skipif(
     reason="core.log_sum_exp reproduces scipy 1.17's logsumexp formula; "
            "other scipy versions may round differently",
 )
+
+
+@pytest.fixture
+def kernel_threads():
+    from failprob.core import set_kernel_threads
+
+    yield set_kernel_threads
+    set_kernel_threads(None)

@@ -6,6 +6,7 @@ module-scoped fixture and shared.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -346,13 +347,15 @@ _STUDY_SEED = 20260809
 
 @pytest.fixture(scope="module")
 def benchmark_study():
+    # per-run seeds make the study identical at any `jobs`
+    jobs = len(os.sched_getaffinity(0))
     study = {}
     study["four-branch"] = run_rmse_experiment(
-        four_branch(), "bss", [500, 1000, 2000], runs=20, seed=_STUDY_SEED)
+        four_branch(), "bss", [500, 1000, 2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     study["cantilever"] = run_rmse_experiment(
-        cantilever_beam(), "bss", [2000], runs=20, seed=_STUDY_SEED)
+        cantilever_beam(), "bss", [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     study["oscillator"] = run_rmse_experiment(
-        nonlinear_oscillator(), "bss", [2000], runs=20, seed=_STUDY_SEED)
+        nonlinear_oscillator(), "bss", [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     return study
 
 

@@ -22,8 +22,9 @@ from failprob.bench import (
     _four_branch_f,
     _one_blas_thread_env,
     _oscillator_f,
+    _worker_pool,
 )
-from failprob.core import InputDistribution, Problem, substream
+from failprob.core import InputDistribution, Problem, kernel_threads, substream
 
 
 class TestFourBranch:
@@ -191,6 +192,11 @@ class TestRmseExperiment:
             assert [os.environ.get(v) for v in _BLAS_THREAD_VARS] == ["1", "1", "1"]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
         assert "OMP_NUM_THREADS" not in os.environ
+
+    def test_spawned_worker_runs_one_kernel_thread(self):
+        # `jobs` workers keep at most `jobs` threads busy
+        with _worker_pool(2) as pool:
+            assert pool.submit(kernel_threads).result(timeout=120) == 1
 
     def test_run_failures_are_counted(self):
         CASES["broken"] = lambda: BenchmarkCase(

@@ -278,6 +278,22 @@ class TestRunBss:
             BssConfig(m=1)
 
 
+def test_kernel_threads_change_no_bit(kernel_threads):
+    # the SUR pair matrix and posterior_cov run in row blocks on the kernel
+    # pool; one thread and two (the default on a 2-CPU host) give the same run
+    case = four_branch()
+
+    def signature():
+        res = run_bss(case.problem, BssConfig(m=300), 12, collect_trace=True)
+        return res.alpha_hat.hex(), res.n_total, res.trace
+
+    kernel_threads(1)
+    one = signature()
+    kernel_threads(2)
+    assert len(one[2]) > 0
+    assert signature() == one
+
+
 @requires_scipy_117
 class TestScipyOracle:
     """The LAPACK, log-sum-exp and coverage fast paths change no bit of a run:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from failprob.cli import main
+from failprob.core import kernel_threads
 from failprob.expr import ExprError, compile_limit_state
 
 
@@ -158,6 +159,20 @@ class TestEstimateCommand:
             "estimate", "--method", "bss", "--problem", "cantilever",
             "--m", "400", "--seed", "11", "--out", str(out_path),
         ])
+        code, _, err = _run(capsys, ["estimate", "--replay", str(out_path)])
+        assert code == 0
+        assert "replay ok" in err
+
+    def test_host_records_kernel_threads_replay_ignores_them(self, capsys, tmp_path):
+        out_path = tmp_path / "m.json"
+        _run(capsys, [
+            "estimate", "--method", "bss", "--problem", "cantilever",
+            "--m", "400", "--seed", "11", "--out", str(out_path),
+        ])
+        doc = json.loads(out_path.read_text())
+        assert doc["host"]["kernel_threads"] == kernel_threads()
+        doc["host"]["kernel_threads"] += 7  # results do not depend on it
+        out_path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, ["estimate", "--replay", str(out_path)])
         assert code == 0
         assert "replay ok" in err

@@ -134,6 +134,30 @@ class TestKrigingPosterior:
             eig = np.linalg.eigvalsh(0.5 * (K + K.T))
             assert eig.min() >= -1e-8 * max(np.trace(K), 1e-300)
 
+    def test_posterior_cov_blocks_change_no_bit(self, kernel_threads):
+        # the whole-matrix formula; the model builds it in row blocks
+        # (300 columns: blocks of 109 rows) and shares one side when Xb is Xa
+        rng = substream(9, "gp-blocks")
+        m = _random_model(rng, d=3, n=40)
+        U = rng.uniform(-2.5, 2.5, (300, 3))
+        V = rng.uniform(-2.5, 2.5, (50, 3))
+
+        def whole(A, B):
+            ranges = m.hyper.ranges
+            ra = _corr_matrix(A, m.design_points, ranges)
+            rb = _corr_matrix(B, m.design_points, ranges)
+            cross = ra @ _chol_solve(m._factor, rb.T)
+            da = 1.0 - ra @ m._rinv_one
+            db = 1.0 - rb @ m._rinv_one
+            return m.hyper.sigma2 * (_corr_matrix(A, B, ranges) - cross
+                                     + np.outer(da, db) / m._one_rinv_one)
+
+        for n in (1, 2):
+            kernel_threads(n)
+            assert m.posterior_cov(U, U).tobytes() == whole(U, U.copy()).tobytes()
+            assert m.posterior_cov(U, V).tobytes() == whole(U, V).tobytes()
+            assert m.posterior_cov(V, U).tobytes() == whole(V, U).tobytes()
+
     def test_one_point_update_consistency(self):
         # conditioning on one more observation is the rank-1 Gaussian update;
         # the observation carries the factorization nugget

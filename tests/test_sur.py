@@ -1,12 +1,16 @@
 """Coverage/misclassification functions and the SUR acquisition rule."""
 
 import math
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, owens_t
 
+from failprob import core, sur
 from failprob.core import ParticleSystem, substream
 from failprob.gp import CovarianceHyperparams, GpModel
 from failprob.stats import binorm_cdf, norm_cdf
@@ -193,6 +197,99 @@ class TestExpectedMisclassMatrix:
         assert 0.0 <= e_hi and 0.0 <= e_lo
         assert e_lo <= tau[0] + 1e-15 and e_hi <= tau[0] + 1e-15
         assert e_hi <= e_lo * (1.0 + 1e-12) + np.finfo(float).tiny
+
+
+def _dense_kernel(mean_x, sd_x, s_mat, u, var_floor):
+    """`_expected_misclass_matrix` as one whole-matrix expression, without
+    row blocks: the form the blocked kernel must reproduce bit for bit."""
+    sd_floor = np.sqrt(var_floor)
+    row_ok = sd_x > sd_floor
+    tau_x = np.where(row_ok, np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
+                                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor))), 0.0)
+    sd_row = np.where(row_ok, sd_x, 1.0)
+    rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+    vals = np.clip(2.0 * owens_t(((u - mean_x) / sd_row)[:, None], a), 0.0, 1.0)
+    return np.where(row_ok[:, None] & (s_mat > sd_floor), vals, tau_x[:, None]), tau_x
+
+
+_BLOCK = core._BLOCK_PAIRS
+_RAGGED = (3 * (_BLOCK // 333) + 14, 333)  # three full row blocks and a short one
+
+
+def _kernel_in_child(args, want):
+    sys.exit(0 if _expected_misclass_matrix(*args)[0].tobytes() == want else 1)
+
+
+class TestRowBlocks:
+    """The pair matrix is built in row blocks on the kernel thread pool; the
+    split and the thread count change no bit of it."""
+
+    U = 0.3
+    VAR_FLOOR = 1e-10  # sd floor 1e-5
+
+    def _case(self, n_rows, n_cols):
+        rng = substream(n_rows, "row-blocks")
+        sd_x = rng.uniform(0.05, 2.0, n_rows)
+        sd_x[::7] = 0.0  # classified rows
+        sd_x[3::11] = math.sqrt(self.VAR_FLOOR)  # at the floor: classified too
+        mean_x = self.U - rng.normal(0.0, 2.0, n_rows) * sd_x
+        s_mat = rng.uniform(0.0, 1.0, (n_rows, n_cols)) * rng.uniform(0.05, 2.0, n_rows)[:, None]
+        s_mat[rng.uniform(size=s_mat.shape) < 0.1] = 0.0  # uncorrelated pairs
+        return mean_x, sd_x, s_mat, self.U, self.VAR_FLOOR
+
+    @pytest.mark.parametrize("n_rows,n_cols", [
+        (20, 30),  # one block
+        _RAGGED,
+        (3, _BLOCK + 7),  # wider than a block: one row per block
+    ])
+    def test_threads_and_blocks_change_no_bit(self, kernel_threads, n_rows, n_cols):
+        args = self._case(n_rows, n_cols)
+        want_E, want_tau = _dense_kernel(*args)
+        assert 0.0 < np.mean(want_E == want_tau[:, None]) < 1.0  # guards hit and missed
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the block threads as often as possible
+        try:
+            for n in (1, 2, 5):  # 5: more threads than a small host has cores
+                kernel_threads(n)
+                E, tau = _expected_misclass_matrix(*args)
+                assert E.tobytes() == want_E.tobytes()
+                assert tau.tobytes() == want_tau.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_block_exception_reaches_caller(self, kernel_threads, monkeypatch):
+        kernel_threads(2)
+        args = self._case(*_RAGGED)
+
+        def broken(h, a):
+            raise RuntimeError("owens_t failed")
+
+        monkeypatch.setattr(sur, "owens_t", broken)
+        with pytest.raises(RuntimeError, match="owens_t failed"):
+            _expected_misclass_matrix(*args)
+        monkeypatch.undo()
+        E, _ = _expected_misclass_matrix(*args)  # the pool still works
+        assert E.tobytes() == _dense_kernel(*args)[0].tobytes()
+
+    def test_forked_child_builds_its_own_pool(self, kernel_threads):
+        # a forked child inherits the pool object but none of its threads
+        kernel_threads(2)
+        args = self._case(*_RAGGED)
+        want = _expected_misclass_matrix(*args)[0].tobytes()  # the pool exists now
+        child = multiprocessing.get_context("fork").Process(
+            target=_kernel_in_child, args=(args, want))
+        child.start()
+        child.join(60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        assert not hung and child.exitcode == 0
+
+    def test_thread_count_validated(self):
+        with pytest.raises(ValueError):
+            core.set_kernel_threads(0)
 
 
 def _particles_for(model, pts):
