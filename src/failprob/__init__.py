@@ -16,9 +16,7 @@ from .core import (
     Normal,
     ParticleSystem,
     Problem,
-    SelectionOrigin,
     StageRecord,
-    normalize_direction,
     substream,
 )
 
@@ -31,8 +29,6 @@ __all__ = [
     "Normal",
     "ParticleSystem",
     "Problem",
-    "SelectionOrigin",
     "StageRecord",
-    "normalize_direction",
     "substream",
 ]

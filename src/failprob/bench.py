@@ -2,7 +2,9 @@
 
 Reference probabilities are the published values for these cases (obtained
 from one hundred subset simulation runs at m = 1e7); `recompute_reference`
-offers a cheaper subset-simulation sanity check.
+offers a cheaper subset-simulation sanity check. `run_estimator` is the one
+place that maps a method name to its estimator, and `csv_table` the one CSV
+writer, for this module and the command line alike.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,6 +33,8 @@ __all__ = [
     "CASES",
     "RmseRow",
     "RmseTable",
+    "csv_table",
+    "run_estimator",
     "run_single",
     "run_rmse_experiment",
     "recompute_reference",
@@ -130,25 +135,42 @@ def per_run_seed(root_seed: int, case: str, method: str, m: int, run: int) -> in
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little") >> 1
 
 
+def run_estimator(problem: Problem, method: str, m: int, seed: int, p0: float = 0.1,
+                  collect_trace: bool = False) -> EstimationResult:
+    """One seeded run of method "mc", "ss" or "bss" at sample size m; bss
+    records its SUR trace when `collect_trace` is set."""
+    if method == "mc":
+        return monte_carlo_estimate(problem, m, seed)
+    if method == "ss":
+        return run_subset_simulation(problem, SubsetSimConfig(m=m, m0=int(round(p0 * m))), seed)
+    if method == "bss":
+        return run_bss(problem, BssConfig(m=m, p0=p0), seed, collect_trace=collect_trace)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def run_single(case_name: str, method: str, m: int, run: int, root_seed: int,
-               p0: float = 0.1, overrides: dict | None = None) -> EstimationResult:
-    """One seeded estimator run on a benchmark case (picklable for pools)."""
-    case = CASES[case_name]()
+               p0: float = 0.1) -> tuple[EstimationResult, float]:
+    """One seeded estimator run on a benchmark case, and the wall time of the
+    estimator call in ms (picklable for pools)."""
+    problem = CASES[case_name]().problem
     seed = per_run_seed(root_seed, case_name, method, m, run)
     t0 = time.perf_counter()
-    if method == "mc":
-        res = monte_carlo_estimate(case.problem, m, seed)
-    elif method == "ss":
-        cfg = SubsetSimConfig(m=m, m0=int(round(p0 * m)))
-        res = run_subset_simulation(case.problem, cfg, seed)
-    elif method == "bss":
-        cfg = BssConfig(m=m, p0=p0, **(overrides or {}))
-        res = run_bss(case.problem, cfg, seed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    res.ledger = None  # keep results light for aggregation across processes
-    res.trace = [{"wall_ms": (time.perf_counter() - t0) * 1e3, "run": run, "m": m}]
-    return res
+    res = run_estimator(problem, method, m, seed, p0)
+    return res, (time.perf_counter() - t0) * 1e3
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    return str(v) if isinstance(v, (int, str)) else repr(float(v))
+
+
+def csv_table(columns, rows) -> str:
+    """CSV text: a header line of `columns`, then one line per row of values.
+    None is written as "", ints and strings with str, and every other value
+    as repr(float(v)), which reads back to the same double."""
+    lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -178,31 +200,18 @@ class RmseTable:
         "method,case,m,runs,mean_est,rel_rmse,rel_abs_bias,cov,"
         "n_evals_mean,n_evals_init,n_evals_intermediate,n_evals_final,wall_ms_median"
     )
+    PER_RUN_COLUMNS = (
+        "method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,"
+        "n_init,n_intermediate,n_final,wall_ms"
+    )
 
     def to_csv(self) -> str:
-        lines = [self.CSV_COLUMNS]
-        for r in self.rows:
-            lines.append(",".join([
-                r.method, r.case, str(r.m), str(r.runs),
-                repr(r.mean_est), repr(r.rel_rmse), repr(r.rel_abs_bias), repr(r.cov),
-                repr(r.n_evals_mean), repr(r.n_evals_init), repr(r.n_evals_intermediate),
-                repr(r.n_evals_final), repr(r.wall_ms_median),
-            ]))
-        return "\n".join(lines) + "\n"
+        cols = self.CSV_COLUMNS.split(",")
+        return csv_table(cols, ([getattr(r, c) for c in cols] for r in self.rows))
 
     def per_run_csv(self) -> str:
-        header = "method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,n_init,n_intermediate,n_final,wall_ms"
-        lines = [header]
-        for row in self.per_run:
-            lines.append(",".join([
-                row["method"], row["case"], str(row["m"]), str(row["run"]),
-                repr(row["alpha_hat"]),
-                repr(row["delta_hat"]) if row["delta_hat"] is not None else "",
-                str(row["n_total"]), repr(row["n_reported"]),
-                str(row["n_init"]), str(row["n_intermediate"]), str(row["n_final"]),
-                repr(row["wall_ms"]),
-            ]))
-        return "\n".join(lines) + "\n"
+        cols = self.PER_RUN_COLUMNS.split(",")
+        return csv_table(cols, ([row[c] for c in cols] for row in self.per_run))
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -241,43 +250,47 @@ def _one_blas_thread_env():
 
 
 def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
-                        seed: int, jobs: int = 1, p0: float = 0.1,
-                        overrides: dict | None = None) -> RmseTable:
+                        seed: int, jobs: int = 1, p0: float = 0.1) -> RmseTable:
     """Seeded replication study: per-m relative RMSE, bias, CoV, eval budgets.
 
     Per-run substreams make parallel and serial execution produce identical
-    statistics; failed runs are excluded and counted.
+    statistics; failed runs are excluded and counted. Warnings raised in a
+    run, in this process or in a worker, are issued again here, in run order.
     """
     if runs < 2:
         raise ValueError("need runs >= 2")
-    tasks = [(case.name, method, int(m), r, seed, p0, overrides)
+    tasks = [(case.name, method, int(m), r, seed, p0)
              for m in m_values for r in range(runs)]
     if jobs > 1:
         with _worker_pool(jobs) as pool:
-            results = list(pool.map(_run_single_star, tasks, chunksize=1))
+            results = list(pool.map(_study_run, tasks, chunksize=1))
     else:
-        results = [_run_single_star(t) for t in tasks]
+        results = [_study_run(t) for t in tasks]
+    for _, _, caught in results:
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=2)
 
     table = RmseTable()
-    by_m: dict[int, list[tuple[int, EstimationResult]]] = {}
-    for (cname, meth, m, r, *_), res in zip(tasks, results):
-        by_m.setdefault(m, []).append((r, res))
+    by_m: dict[int, list[tuple[int, EstimationResult, float]]] = {}
+    for (_, _, m, r, _, _), (res, wall_ms, _) in zip(tasks, results):
+        by_m.setdefault(m, []).append((r, res, wall_ms))
     for m in sorted(by_m):
-        pairs = sorted(by_m[m], key=lambda t: t[0])
-        good = [(r, res) for r, res in pairs if res.error is None and not res.degenerate]
-        failures = len(pairs) - len(good)
-        for r, res in pairs:
+        runs_m = sorted(by_m[m], key=lambda t: t[0])
+        good = [(res, wall_ms) for _, res, wall_ms in runs_m
+                if res.error is None and not res.degenerate]
+        failures = len(runs_m) - len(good)
+        for r, res, wall_ms in runs_m:
             table.per_run.append({
                 "method": method, "case": case.name, "m": m, "run": r,
                 "alpha_hat": res.alpha_hat, "delta_hat": res.delta_hat,
                 "n_total": res.n_total, "n_reported": res.n_reported,
                 "n_init": res.n_initial, "n_intermediate": res.n_intermediate,
-                "n_final": res.n_final, "wall_ms": res.trace[0]["wall_ms"],
+                "n_final": res.n_final, "wall_ms": wall_ms,
             })
         if not good:
             continue
-        est = np.array([res.alpha_hat for _, res in good])
-        walls = np.array([res.trace[0]["wall_ms"] for _, res in good])
+        est = np.array([res.alpha_hat for res, _ in good])
+        walls = np.array([wall_ms for _, wall_ms in good])
         ref = case.alpha_ref
         mean_est = float(est.mean())
         rel_rmse = float(np.sqrt(np.mean((est - ref) ** 2)) / ref)
@@ -286,24 +299,29 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
         table.rows.append(RmseRow(
             method=method, case=case.name, m=m, runs=len(good),
             mean_est=mean_est, rel_rmse=rel_rmse, rel_abs_bias=rel_abs_bias, cov=cov,
-            n_evals_mean=float(np.mean([res.n_reported for _, res in good])),
-            n_evals_init=float(np.mean([res.n_initial for _, res in good])),
-            n_evals_intermediate=float(np.mean([res.n_intermediate for _, res in good])),
-            n_evals_final=float(np.mean([res.n_final for _, res in good])),
+            n_evals_mean=float(np.mean([res.n_reported for res, _ in good])),
+            n_evals_init=float(np.mean([res.n_initial for res, _ in good])),
+            n_evals_intermediate=float(np.mean([res.n_intermediate for res, _ in good])),
+            n_evals_final=float(np.mean([res.n_final for res, _ in good])),
             wall_ms_median=float(np.median(walls)),
             failures=failures,
         ))
     return table
 
 
-def _run_single_star(args) -> EstimationResult:
-    cname, method, m, r, seed, p0, overrides = args
-    try:
-        return run_single(cname, method, m, r, seed, p0=p0, overrides=overrides)
-    except Exception as exc:  # individual run failures are recorded, not fatal
-        res = EstimationResult(method=method, alpha_hat=float("nan"), error=str(exc))
-        res.trace = [{"wall_ms": float("nan"), "run": r, "m": m}]
-        return res
+def _study_run(task) -> tuple[EstimationResult, float, list[tuple[type, str]]]:
+    """`run_single` for one study task, in this process or a worker: the
+    result, its wall time in ms, and the category and message of every
+    warning the run raised. A run that raises gives an error result."""
+    case_name, method, m, run, seed, p0 = task
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res, wall_ms = run_single(case_name, method, m, run, seed, p0)
+        except Exception as exc:  # individual run failures are recorded, not fatal
+            res = EstimationResult(method=method, alpha_hat=float("nan"), error=str(exc))
+            wall_ms = float("nan")
+    return res, wall_ms, [(w.category, str(w.message)) for w in caught]
 
 
 def recompute_reference(case: BenchmarkCase, m: int = 1_000_000, runs: int = 10,

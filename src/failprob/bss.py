@@ -27,10 +27,8 @@ from .core import (
     EvaluationLedger,
     ParticleSystem,
     Problem,
-    SelectionOrigin,
     StageRecord,
     log_sum_exp,
-    normalize_direction,
     substream,
 )
 from .design import maximin_lhs, truncated_box
@@ -43,19 +41,17 @@ from .smc import (
     reweight,
     rwmh_move,
 )
-from .sur import log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
+from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
 
 __all__ = [
     "BssConfig",
     "ThresholdSolverError",
     "solve_threshold",
-    "stopping_check",
+    "misclass_sum",
     "kappa_hat",
     "cov_recursion",
     "run_bss",
 ]
-
-_LOG_G_FLOOR = -700.0
 
 
 class ThresholdSolverError(RuntimeError):
@@ -111,12 +107,12 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
     if mean is None or sd is None:
         mean, var = model.predict(particles.points)
         sd = np.sqrt(var)
-    log_gp = np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_G_FLOOR)
+    log_gp = np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_FLOOR)
     m = particles.m
     log_p0_m = math.log(p0) + math.log(m)
 
     def lhs_gt(u: float) -> bool:
-        # all-(-inf) terms give -inf, and NaN compares False, as before
+        # all-(-inf) terms give -inf, and NaN compares False
         return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_gp)) > log_p0_m
 
     scale = max(1.0, float(np.max(np.abs(model.design_values))))
@@ -150,24 +146,15 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
 
 def misclass_sum(mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
                  u_t: float, var_floor: float) -> float:
-    """sum_j tau(Y_j) / g_prev(Y_j), the stopping-rule left-hand side."""
+    """sum_j tau(Y_j) / g_prev(Y_j), the stopping-rule left-hand side: a stage
+    may stop once this is at most eta * m * p0."""
     sd = np.asarray(sd, dtype=float)
     sd_floor = math.sqrt(var_floor)
     log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
-    log_terms = log_tau - np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_G_FLOOR)
-    terms = np.exp(np.clip(log_terms, _LOG_G_FLOOR, 700.0))
+    log_terms = log_tau - np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_FLOOR)
+    terms = np.exp(np.clip(log_terms, _LOG_FLOOR, 700.0))
     terms = np.where(np.isneginf(log_terms), 0.0, terms)
     return float(terms.sum())
-
-
-def stopping_check(model, particles: ParticleSystem, log_g_prev: np.ndarray,
-                   u_t: float, eta: float, m: int, p0: float, *,
-                   mean: np.ndarray | None = None, sd: np.ndarray | None = None) -> bool:
-    """True when the expected misclassification mass is within eta * m * p0."""
-    if mean is None or sd is None:
-        mean, var = model.predict(particles.points)
-        sd = np.sqrt(var)
-    return misclass_sum(mean, sd, log_g_prev, u_t, model_var_floor(model)) <= eta * m * p0
 
 
 def kappa_hat(ratios: np.ndarray, p_hat: float) -> float:
@@ -206,14 +193,13 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     ReML + ordinary-kriging surrogate (used for the perfect-model limit in
     tests, or for custom priors); refit failures keep the previous model.
     """
-    problem = normalize_direction(problem)
     if model_factory is None:
         model_factory = _default_model_factory
     d = problem.dim
     u = problem.threshold
     m = config.m
     p0 = config.p0
-    ledger = EvaluationLedger(record_points=True)
+    ledger = EvaluationLedger()
     rng_design = substream(seed, "design")
     rng_init = substream(seed, "particle-init")
     rng_resample = substream(seed, "resample")
@@ -224,7 +210,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     n0 = config.n0 if config.n0 is not None else 5 * d
     box = truncated_box(problem.input, config.design_epsilon)
     X = maximin_lhs(n0, box, config.design_candidates, rng_design)
-    y = ledger.evaluate(problem.limit_state, X, stage=0, origin=SelectionOrigin.INITIAL_DESIGN)
+    y = ledger.evaluate(problem.limit_state, X, stage=0)
     model = model_factory(X, y, None, rng_reml, config)
     prev_hyper = model.hyper
 
@@ -247,14 +233,14 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             aborted = True
             break
         log_g_prev = particles.cached_log_g
-        underflows += int(np.count_nonzero(log_g_prev < _LOG_G_FLOOR))
+        underflows += int(np.count_nonzero(log_g_prev < _LOG_FLOOR))
         n_t = 0
         while True:
             u_cand = solve_threshold(model, particles, log_g_prev, p0, mean=mean_p, sd=sd_p)
             is_final = u_cand >= u
             u_t = u if is_final else u_cand
             log_g_t = log_coverage_g(mean_p, sd_p, u_t)
-            ratios = np.exp(np.clip(log_g_t - np.maximum(log_g_prev, _LOG_G_FLOOR), None, 700.0))
+            ratios = np.exp(np.clip(log_g_t - np.maximum(log_g_prev, _LOG_FLOOR), None, 700.0))
             p_prov = float(ratios.mean())
             if is_final:
                 kap_prov = kappa_hat(ratios, p_prov) if p_prov > 0.0 else 0.0
@@ -274,8 +260,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                 model, particles, log_g_prev, u_t,
                 mean=mean_p, sd=sd_p, m0_max=config.m0_max, rho=config.prune_rho,
             )
-            y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :],
-                                    stage=t, origin=SelectionOrigin.SUR)[0]
+            y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
             if collect_trace:
                 trace.append({
                     "n": ledger.n_total,
@@ -313,7 +298,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
 
         # sampling phase: reweight -> residual resample -> move
         try:
-            reweighted = reweight(particles, log_g_t, np.maximum(log_g_prev, _LOG_G_FLOOR))
+            reweighted = reweight(particles, log_g_t, np.maximum(log_g_prev, _LOG_FLOOR))
         except DegenerateWeightsError as exc:
             error = str(exc)
             aborted = True
@@ -362,6 +347,5 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
         degenerate=alpha == 0.0,
         error=error,
         underflow_floors=underflows,
-        ledger=ledger,
         trace=trace,
     )

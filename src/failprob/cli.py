@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -19,10 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import CASES, recompute_reference, run_rmse_experiment
-from .bss import BssConfig, run_bss
+from .bench import CASES, csv_table, recompute_reference, run_estimator, run_rmse_experiment
 from .core import Direction, InputDistribution, Normal, Problem, kernel_threads
-from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
@@ -76,30 +73,11 @@ def _resolve_problem(name: str) -> tuple[Problem, dict]:
     raise ConfigError(f"unknown problem {name!r} (expected a case name or file:<path>)")
 
 
-def _estimate_once(method: str, problem: Problem, m: int, p0: float, seed: int,
-                   want_trace: bool):
-    if method == "mc":
-        return monte_carlo_estimate(problem, m, seed)
-    if method == "ss":
-        cfg = SubsetSimConfig(m=m, m0=int(round(p0 * m)))
-        return run_subset_simulation(problem, cfg, seed)
-    cfg = BssConfig(m=m, p0=p0)
-    return run_bss(problem, cfg, seed, collect_trace=want_trace)
-
-
 def _write_trace(path: str, result, dim: int) -> None:
-    rows = result.trace or []
-    cols = [f"x{i + 1}" for i in range(dim)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n," + ",".join(cols) + ",criterion,u_t,stage\n")
-        for row in rows:
-            if "x_new" not in row:
-                continue
-            fh.write(
-                f"{row['n']},"
-                + ",".join(repr(float(v)) for v in row["x_new"])
-                + f",{row['criterion']!r},{row['u_t']!r},{row['stage']}\n"
-            )
+    cols = ["n", *(f"x{i + 1}" for i in range(dim)), "criterion", "u_t", "stage"]
+    rows = ([row["n"], *row["x_new"], row["criterion"], row["u_t"], row["stage"]]
+            for row in result.trace or [])
+    Path(path).write_text(csv_table(cols, rows), encoding="utf-8")
 
 
 def cmd_estimate(args) -> int:
@@ -130,7 +108,7 @@ def cmd_estimate(args) -> int:
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
                      m: int, p0: float, seed: int, want_trace: bool) -> dict:
     start = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    result = _estimate_once(method, problem, m, p0, seed, want_trace)
+    result = run_estimator(problem, method, m, seed, p0, collect_trace=want_trace)
     end = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {
         "schema": SCHEMA_VERSION,
@@ -156,6 +134,9 @@ def _cmd_replay(args) -> int:
     manifest = json.loads(path.read_text(encoding="utf-8"))
     if manifest.get("schema") != SCHEMA_VERSION:
         raise ConfigError("unsupported manifest schema")
+    if manifest.get("command") != "estimate":
+        raise ConfigError(f"--replay needs a manifest written by 'failprob estimate', "
+                          f"not {manifest.get('command')!r}")
     spec = manifest["problem"]
     if "case" in spec:
         problem, problem_spec = _resolve_problem(spec["case"])
@@ -176,19 +157,11 @@ def _cmd_replay(args) -> int:
     return 0
 
 
-def _worker_cap(jobs: int) -> int:
-    cap = os.environ.get("RARE_EVENT_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError("RARE_EVENT_THREADS must be an integer")
-    return max(1, jobs)
-
-
 def cmd_benchmark(args) -> int:
     if args.case not in CASES:
         raise ConfigError(f"unknown case {args.case!r}")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     case = CASES[args.case]()
     if args.recompute_reference:
         mean, cov = recompute_reference(case, m=args.ref_m, runs=args.ref_runs, seed=args.seed)
@@ -208,7 +181,6 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("--m-list must be a comma-separated list of integers")
     if not m_values or args.runs < 2:
         raise ConfigError("need a non-empty --m-list and --runs >= 2")
-    jobs = _worker_cap(args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_dir = out_dir / "manifests"
@@ -217,7 +189,7 @@ def cmd_benchmark(args) -> int:
     summary_lines: list[str] = []
     run_lines: list[str] = []
     for mi, method in enumerate(methods):
-        table = run_rmse_experiment(case, method, m_values, args.runs, args.seed, jobs=jobs)
+        table = run_rmse_experiment(case, method, m_values, args.runs, args.seed, jobs=args.jobs)
         csv = table.to_csv().splitlines()
         per = table.per_run_csv().splitlines()
         if mi == 0:

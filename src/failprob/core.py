@@ -1,10 +1,10 @@
 """Problem definitions, input distributions, particle containers, and the
-evaluation ledger shared by all estimators.
+evaluation ledger that counts the limit-state calls of every estimator.
 
 Every estimator in this package works on the normalized form of a problem,
 in which failure means the limit-state value exceeds the threshold
-(direction ABOVE). Problems declared with the opposite convention are
-flipped (function and threshold negated) exactly once, at construction.
+(direction ABOVE). `Problem` flips problems declared with the opposite
+convention (function and threshold negated) exactly once, at construction.
 
 Limit-state functions are vectorized: they map an (n, d) array of points to
 an (n,) array of values. All densities are handled in log space so that the
@@ -23,7 +23,7 @@ import threading
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,9 +33,7 @@ __all__ = [
     "Normal",
     "InputDistribution",
     "Problem",
-    "normalize_direction",
     "ParticleSystem",
-    "SelectionOrigin",
     "EvaluationLedger",
     "StageRecord",
     "EstimationResult",
@@ -189,10 +187,6 @@ class InputDistribution:
         return len(self.marginals)
 
     @property
-    def means(self) -> np.ndarray:
-        return np.array([mg.mean for mg in self.marginals])
-
-    @property
     def sds(self) -> np.ndarray:
         return np.array([mg.sd for mg in self.marginals])
 
@@ -260,17 +254,6 @@ class Problem:
         return self.input.dim
 
 
-def normalize_direction(problem: Problem) -> Problem:
-    """Return the ABOVE-convention form of a problem.
-
-    Construction already normalizes, so this is the identity for any
-    `Problem` instance; it exists as the single place the flip is defined.
-    """
-    if problem.direction is Direction.ABOVE:
-        return problem
-    return Problem(problem.limit_state, problem.input, problem.threshold, problem.direction)
-
-
 @dataclass
 class ParticleSystem:
     """A weighted particle population targeting the current stage density.
@@ -307,9 +290,6 @@ class ParticleSystem:
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def is_normalized(self, tol: float = 1e-10) -> bool:
-        return abs(float(log_sum_exp(self.log_weights))) <= tol
-
     @classmethod
     def initial(cls, dist: InputDistribution, m: int, rng: np.random.Generator) -> "ParticleSystem":
         """Stage-0 cloud: i.i.d. from the input distribution, g_0 = 1."""
@@ -323,60 +303,29 @@ class ParticleSystem:
         )
 
 
-class SelectionOrigin(Enum):
-    INITIAL_DESIGN = "initial-design"
-    SUR = "sur"
-    SMC_BASELINE = "smc-baseline"
-
-
-@dataclass
-class _EvalBlock:
-    points: np.ndarray
-    values: np.ndarray
-    stage: int
-    origin: SelectionOrigin
-
-
 class EvaluationLedger:
-    """Counts (and optionally records) every routed limit-state evaluation.
+    """Counts every limit-state evaluation an estimator makes, per stage.
 
-    Conservation invariant: n_total == n_0 + sum over stages t >= 1 of N_t.
-    Benchmarking conventions that differ from the raw call count (the subset
-    simulation reporting rule) are applied by the estimators on top of these
-    counters, never by double-evaluating.
+    Stage 0 is the initial sample or design; in `bss`, stages t >= 1 hold
+    the SUR evaluations, in `ss` the move proposals. Conservation
+    invariant: n_total == n_0 + sum over stages t >= 1 of N_t. Benchmarking
+    conventions that differ from the raw call count (the subset simulation
+    reporting rule) are applied by the estimators on top of these counters,
+    never by double-evaluating.
     """
 
-    def __init__(self, record_points: bool = True) -> None:
-        self.record_points = record_points
-        self._blocks: list[_EvalBlock] = []
-        self._counts: dict[tuple[int, SelectionOrigin], int] = {}
+    def __init__(self) -> None:
+        self._counts: dict[int, int] = {}
 
-    def evaluate(
-        self,
-        fn: Callable[[np.ndarray], np.ndarray],
-        points: np.ndarray,
-        stage: int,
-        origin: SelectionOrigin,
-    ) -> np.ndarray:
+    def evaluate(self, fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+                 stage: int) -> np.ndarray:
+        """fn at an (n, d) batch of points, counted as n evaluations at `stage`."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.asarray(fn(points), dtype=float).reshape(-1)
         if values.shape[0] != points.shape[0]:
             raise ValueError("limit_state returned wrong number of values")
-        key = (int(stage), origin)
-        self._counts[key] = self._counts.get(key, 0) + points.shape[0]
-        if self.record_points:
-            self._blocks.append(_EvalBlock(points.copy(), values.copy(), int(stage), origin))
+        self._counts[stage] = self._counts.get(stage, 0) + points.shape[0]
         return values
-
-    def count(self, stage: int | None = None, origin: SelectionOrigin | None = None) -> int:
-        total = 0
-        for (s, o), c in self._counts.items():
-            if stage is not None and s != stage:
-                continue
-            if origin is not None and o != origin:
-                continue
-            total += c
-        return total
 
     @property
     def n_total(self) -> int:
@@ -385,32 +334,7 @@ class EvaluationLedger:
     @property
     def n_initial(self) -> int:
         """n_0: evaluations at stage 0."""
-        return self.count(stage=0)
-
-    def stage_counts(self) -> dict[int, int]:
-        """N_t per stage (stage 0 = n_0)."""
-        out: dict[int, int] = {}
-        for (s, _), c in self._counts.items():
-            out[s] = out.get(s, 0) + c
-        return dict(sorted(out.items()))
-
-    def iter_records(self) -> Iterator[tuple[np.ndarray, float, int, SelectionOrigin]]:
-        if not self.record_points:
-            raise ValueError("ledger was created with record_points=False")
-        for blk in self._blocks:
-            for i in range(blk.points.shape[0]):
-                yield blk.points[i], float(blk.values[i]), blk.stage, blk.origin
-
-    def design_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All evaluated points and values, in evaluation order."""
-        if not self.record_points:
-            raise ValueError("ledger was created with record_points=False")
-        if not self._blocks:
-            d = 0
-            return np.zeros((0, d)), np.zeros(0)
-        X = np.vstack([blk.points for blk in self._blocks])
-        y = np.concatenate([blk.values for blk in self._blocks])
-        return X, y
+        return self._counts.get(0, 0)
 
 
 @dataclass
@@ -440,7 +364,7 @@ class StageRecord:
 
 @dataclass
 class EstimationResult:
-    """Final estimate plus the stage history and the evaluation ledger summary."""
+    """Final estimate plus the stage history and the evaluation counts."""
 
     method: str
     alpha_hat: float
@@ -455,7 +379,6 @@ class EstimationResult:
     degenerate: bool = False
     error: str | None = None
     underflow_floors: int = 0
-    ledger: EvaluationLedger | None = None
     trace: list[dict] | None = None
 
     def to_dict(self) -> dict:

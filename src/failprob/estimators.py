@@ -7,8 +7,9 @@ statistic of the current population's limit-state values, so each
 intermediate conditional probability estimate equals p0 = m0/m by
 construction, and the final estimate is (m_u / m) * p0^(T-1).
 
-Evaluation counting: the ledger records every actual limit-state call
-(stage 0 sample plus S proposals per particle per move); the benchmarking
+Both take an int root seed and draw from named substreams of it. Every
+limit-state call goes through an `EvaluationLedger` (stage 0 sample plus S
+proposals per particle per move), which gives `n_total`; the benchmarking
 convention reports m + (T-1)(1-p0) m, i.e. one evaluation per particle per
 stage, with the extra adaptive-MCMC evaluations left out.
 """
@@ -24,9 +25,7 @@ from .core import (
     EstimationResult,
     EvaluationLedger,
     Problem,
-    SelectionOrigin,
     StageRecord,
-    normalize_direction,
     substream,
 )
 from .smc import RwmhConfig, RwmhState, residual_resample, rwmh_move
@@ -55,26 +54,27 @@ class SubsetSimConfig:
         return self.m0 / self.m
 
 
-def monte_carlo_estimate(problem: Problem, m: int, rng, *,
-                         batch: int = 1_000_000) -> EstimationResult:
-    """Plain Monte Carlo: fraction of failures among m i.i.d. draws.
+_MC_BATCH = 1_000_000  # draws per limit-state call: bounds memory at large m
+
+
+def monte_carlo_estimate(problem: Problem, m: int, seed: int) -> EstimationResult:
+    """Plain Monte Carlo: fraction of failures among m i.i.d. draws from the
+    "mc" substream of the root seed, in batches of `_MC_BATCH`.
 
     Samples with non-finite limit-state values are rejected with a
     diagnostic count (they do not enter numerator or denominator).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    problem = normalize_direction(problem)
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), "mc")
-    ledger = EvaluationLedger(record_points=False)
+    rng = substream(seed, "mc")
+    ledger = EvaluationLedger()
     failures = 0
     rejected = 0
     done = 0
     while done < m:
-        k = min(batch, m - done)
+        k = min(_MC_BATCH, m - done)
         X = problem.input.sample(k, rng)
-        vals = ledger.evaluate(problem.limit_state, X, stage=0, origin=SelectionOrigin.SMC_BASELINE)
+        vals = ledger.evaluate(problem.limit_state, X, stage=0)
         finite = np.isfinite(vals)
         rejected += int(k - finite.sum())
         failures += int(np.count_nonzero(vals[finite] > problem.threshold))
@@ -94,31 +94,24 @@ def monte_carlo_estimate(problem: Problem, m: int, rng, *,
         n_initial=m,
         degenerate=degenerate,
         error=None if rejected == 0 else f"{rejected} samples rejected (non-finite value)",
-        ledger=ledger,
     )
 
 
-def run_subset_simulation(problem: Problem, config: SubsetSimConfig, rng_or_seed,
-                          record_points: bool = False) -> EstimationResult:
+def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) -> EstimationResult:
     """Subset simulation with adaptive thresholds (order-statistic levels)."""
-    problem = normalize_direction(problem)
     # stream names shared with the Bayesian variant: with a perfect surrogate
     # both algorithms consume identical draws and produce identical trajectories
-    if isinstance(rng_or_seed, (int, np.integer)):
-        seed = int(rng_or_seed)
-        rng_init = substream(seed, "particle-init")
-        rng_resample = substream(seed, "resample")
-        rng_move = substream(seed, "move")
-    else:
-        rng_init = rng_resample = rng_move = rng_or_seed
+    rng_init = substream(seed, "particle-init")
+    rng_resample = substream(seed, "resample")
+    rng_move = substream(seed, "move")
     m, m0 = config.m, config.m0
     p0 = config.p0
     u = problem.threshold
     dist = problem.input
-    ledger = EvaluationLedger(record_points=record_points)
+    ledger = EvaluationLedger()
 
     pts = dist.sample(m, rng_init)
-    vals = ledger.evaluate(problem.limit_state, pts, stage=0, origin=SelectionOrigin.SMC_BASELINE)
+    vals = ledger.evaluate(problem.limit_state, pts, stage=0)
     log_pdf = dist.log_density(pts)
     kernel = RwmhState.initial(dist.sds, config.kernel)
 
@@ -149,8 +142,7 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, rng_or_seed
         log_pdf = log_pdf[idx]
 
         def log_target(X, _u=u_t0, _t=t):
-            fv = ledger.evaluate(problem.limit_state, X, stage=_t,
-                                 origin=SelectionOrigin.SMC_BASELINE)
+            fv = ledger.evaluate(problem.limit_state, X, stage=_t)
             lp = dist.log_density(X)
             logp = np.where(fv > _u, lp, -np.inf)
             return logp, {"f": fv, "log_pdf": lp}
@@ -176,7 +168,6 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, rng_or_seed
         n_intermediate=int(round((T - 1) * (1.0 - p0) * m)),
         n_final=0,
         degenerate=alpha == 0.0,
-        ledger=ledger,
     )
 
 

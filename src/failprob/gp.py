@@ -32,13 +32,10 @@ __all__ = [
     "REGULARITY",
     "DEFAULT_JITTER",
     "matern52_corr",
-    "covariance",
     "CovarianceHyperparams",
     "GpModel",
     "fit_reml",
     "reml_objective",
-    "save_design",
-    "load_design",
 ]
 
 REGULARITY = 2.5
@@ -84,16 +81,6 @@ class CovarianceHyperparams:
     @property
     def dim(self) -> int:
         return self.ranges.shape[0]
-
-
-def covariance(x, y, hyper: CovarianceHyperparams) -> float:
-    """Covariance sigma2 * kappa(scaled distance) between two points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.shape[0] != hyper.dim:
-        raise ValueError("covariance: dimension mismatch")
-    h = math.sqrt(float(np.sum(((x - y) / hyper.ranges) ** 2)))
-    return hyper.sigma2 * matern52_corr(h)
 
 
 def _chol(R: np.ndarray) -> np.ndarray:
@@ -154,10 +141,6 @@ class GpModel:
         self._alpha = _chol_solve(self._factor, y - self._mu)
 
     @property
-    def n(self) -> int:
-        return self.design_points.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.design_points.shape[1]
 
@@ -210,16 +193,13 @@ class GpModel:
         _row_blocks(block, *cov.shape)
         return cov
 
-    def cross_sd(self, x, x_new, var_floor: float | None = None):
+    def cross_sd(self, x, x_new, var_floor: float):
         """s_n(x, x_new) = |k_n(x, x_new)| / sigma_n(x_new).
 
-        Returns 0 when the posterior variance at x_new is at or below the
-        floor (the candidate is already fully known); the default floor sits
-        above the factorization nugget so design points qualify. `x` may be
-        a batch.
+        Returns 0 when the posterior variance at x_new is at or below
+        `var_floor` (the candidate is already fully known; callers pass
+        `sur.model_var_floor`). `x` may be a batch.
         """
-        if var_floor is None:
-            var_floor = max(1e-12, 10.0 * self.jitter) * self.hyper.sigma2
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
@@ -236,23 +216,6 @@ class GpModel:
         X = np.vstack([self.design_points, np.atleast_2d(np.asarray(x_new, dtype=float))])
         y = np.append(self.design_values, float(y_new))
         return GpModel(X, y, self.hyper, jitter=self.jitter)
-
-    def loo(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact leave-one-out predictions and variances (diagnostic only).
-
-        Uses the projected precision P = R^-1 - R^-1 1 1' R^-1 / (1' R^-1 1):
-        the LOO residual at i is (P y)_i / P_ii and the LOO variance is
-        sigma2 / P_ii.
-        """
-        n = self.n
-        Rinv = _chol_solve(self._factor, np.eye(n))
-        P = Rinv - np.outer(self._rinv_one, self._rinv_one) / self._one_rinv_one
-        pdiag = np.diag(P)
-        resid = (P @ self.design_values) / pdiag
-        loo_mean = self.design_values - resid
-        loo_var = self.hyper.sigma2 / pdiag
-        return loo_mean, loo_var
-
 
 def reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
     """Negative restricted log-likelihood and gradient.
@@ -366,25 +329,3 @@ def fit_reml(design_points, design_values, n_starts: int = 5,
     return CovarianceHyperparams(
         sigma2=math.exp(best[0]), ranges=np.exp(best[1:]), converged=any_success
     )
-
-
-def save_design(path, design_points, design_values) -> None:
-    """Write design data as CSV with header x1,...,xd,f (full float round-trip)."""
-    X = np.atleast_2d(np.asarray(design_points, dtype=float))
-    y = np.asarray(design_values, dtype=float).reshape(-1)
-    d = X.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"x{i + 1}" for i in range(d)] + ["f"]) + "\n")
-        for row, val in zip(X, y):
-            fh.write(",".join(repr(float(v)) for v in row) + "," + repr(float(val)) + "\n")
-
-
-def load_design(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read design data written by save_design."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "f" or not all(c == f"x{i + 1}" for i, c in enumerate(header[:-1])):
-            raise ValueError("not a design CSV: bad header")
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=float)
-    return data[:, :-1], data[:, -1]

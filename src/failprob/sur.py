@@ -51,7 +51,7 @@ __all__ = [
 
 VAR_FLOOR_REL = 1e-12
 _TIE_TOL = 1e-12
-_LOG_FLOOR = -700.0
+_LOG_FLOOR = -700.0  # floor of log g_prev and of clipped log terms, here and in bss
 
 
 def model_var_floor(model) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -177,12 +178,22 @@ class TestRmseExperiment:
         def strip_wall(csv):
             return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
 
+        def study(method, m, runs, jobs):
+            # warnings raised in worker processes reach this one, in run order
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=jobs)
+            return table, [(w.category, str(w.message)) for w in caught]
+
         env = dict(os.environ)
         for method, m, runs in (("mc", 2000, 6), ("bss", 300, 2)):
-            t1 = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=1)
-            t2 = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=2)
+            t1, warned1 = study(method, m, runs, 1)
+            t2, warned2 = study(method, m, runs, 2)
             assert strip_wall(t1.to_csv()) == strip_wall(t2.to_csv())
             assert strip_wall(t1.per_run_csv()) == strip_wall(t2.per_run_csv())
+            assert warned1 == warned2
+            if method == "bss":
+                assert warned1, "expected ReML warnings from the bss runs"
         assert dict(os.environ) == env
 
     def test_worker_blas_env_is_restored(self, monkeypatch):
@@ -214,7 +225,8 @@ class TestRmseExperiment:
 
     def test_run_single_dispatch(self):
         CASES["toy"] = _toy_case
-        res = run_single("toy", "mc", 1000, 0, 11)
+        res, wall_ms = run_single("toy", "mc", 1000, 0, 11)
         assert res.method == "mc" and 0.4 < res.alpha_hat < 0.6
+        assert wall_ms > 0.0
         with pytest.raises(ValueError):
             run_single("toy", "nope", 100, 0, 0)

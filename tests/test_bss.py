@@ -16,9 +16,9 @@ from failprob.bss import (
     ThresholdSolverError,
     cov_recursion,
     kappa_hat,
+    misclass_sum,
     run_bss,
     solve_threshold,
-    stopping_check,
 )
 from failprob.core import InputDistribution, ParticleSystem, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
@@ -96,26 +96,26 @@ class TestSolveThreshold:
                             mean=np.zeros(4), sd=np.ones(4))
 
 
+def _stops(mean, sd, eta, m, p0):
+    # run_bss's stopping rule, with g_prev = 1, u_t = 0 and a zero-nugget floor
+    floor = sur.model_var_floor(_FixedPosterior(mean, sd))
+    return misclass_sum(mean, sd, np.zeros(m), 0.0, floor) <= eta * m * p0
+
+
 class TestStoppingCheck:
     def test_fully_classified_stops(self):
         m = 100
         mean = np.linspace(-3, 3, m)
-        model = _FixedPosterior(mean, np.zeros(m))
-        ps = _particles(mean)
-        assert stopping_check(model, ps, np.zeros(m), 0.0, 1e-9, m, 0.1,
-                              mean=mean, sd=np.zeros(m))
+        assert _stops(mean, np.zeros(m), 1e-9, m, 0.1)
 
     def test_boundary_is_inclusive(self):
         # one particle with tau/g exactly eta * m * p0
         m, p0 = 10, 0.1
         mean = np.concatenate([[0.0], np.full(9, 50.0)])  # first: tau = 0.5
         sd = np.concatenate([[1.0], np.zeros(9)])
-        model = _FixedPosterior(mean, sd)
-        ps = _particles(mean)
         eta = 0.5 / (m * p0)
-        assert stopping_check(model, ps, np.zeros(m), 0.0, eta, m, p0, mean=mean, sd=sd)
-        assert not stopping_check(model, ps, np.zeros(m), 0.0, eta * 0.999, m, p0,
-                                  mean=mean, sd=sd)
+        assert _stops(mean, sd, eta, m, p0)
+        assert not _stops(mean, sd, eta * 0.999, m, p0)
 
     def test_expected_misclassified_particle_count_scale(self):
         # eta * m * p0 with m = 1000, p0 = 0.1, eta = 0.5 allows 50 expected
@@ -182,7 +182,7 @@ class _PerfectModel:
     def posterior_cov(self, A, B):
         return np.zeros((np.atleast_2d(A).shape[0], np.atleast_2d(B).shape[0]))
 
-    def cross_sd(self, x, x_new, var_floor=None):
+    def cross_sd(self, x, x_new, var_floor):
         return np.zeros(np.atleast_2d(x).shape[0])
 
 

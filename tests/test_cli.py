@@ -210,11 +210,23 @@ class TestBenchmarkCommand:
         code, _, _ = _run(capsys, ["benchmark", "--methods", "bss"])
         assert code == 2
 
-    def test_worker_env_cap(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("RARE_EVENT_THREADS", "1")
-        code, out, _ = _run(capsys, [
+    def test_jobs_below_one_exit_2(self, capsys, tmp_path):
+        code, _, err = _run(capsys, [
             "benchmark", "--case", "cantilever", "--methods", "mc",
-            "--m-list", "1000", "--runs", "2", "--seed", "0",
-            "--out-dir", str(tmp_path / "c"), "--jobs", "8",
+            "--m-list", "1000", "--runs", "2", "--out-dir", str(tmp_path / "c"),
+            "--jobs", "0",
+        ])
+        assert code == 2
+        assert "--jobs" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_replay_rejects_benchmark_manifest(self, capsys, tmp_path):
+        code, _, _ = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--methods", "mc",
+            "--m-list", "1000", "--runs", "2", "--out-dir", str(tmp_path / "b"),
         ])
         assert code == 0
+        manifest = tmp_path / "b" / "manifests" / "cantilever-mc-m1000-run0.json"
+        code, _, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 2
+        assert "failprob estimate" in err and "'benchmark'" in err

@@ -16,9 +16,7 @@ from failprob.core import (
     Normal,
     ParticleSystem,
     Problem,
-    SelectionOrigin,
     log_sum_exp,
-    normalize_direction,
     substream,
 )
 from failprob.estimators import monte_carlo_estimate
@@ -88,8 +86,8 @@ class TestInputDistribution:
 class TestProblemNormalization:
     def test_above_unchanged(self):
         p = Problem(_linear, InputDistribution.iid_normal(1), 1.5)
-        q = normalize_direction(p)
-        assert q is p
+        assert p.direction is Direction.ABOVE
+        assert p.limit_state is _linear
         assert p.threshold == 1.5
 
     def test_below_flips_sign(self):
@@ -126,7 +124,7 @@ class TestParticleSystem:
         dist = InputDistribution.iid_normal(2)
         ps = ParticleSystem.initial(dist, 100, substream(0, "p"))
         assert ps.m == 100 and ps.dim == 2 and ps.stage == 0
-        assert ps.is_normalized()
+        assert abs(log_sum_exp(ps.log_weights)) <= 1e-10
         np.testing.assert_array_equal(ps.cached_log_g, np.zeros(100))
         np.testing.assert_allclose(ps.cached_log_pdf, dist.log_density(ps.points))
 
@@ -143,14 +141,12 @@ class TestParticleSystem:
 class TestEvaluationLedger:
     def test_conservation(self):
         led = EvaluationLedger()
-        led.evaluate(_linear, np.zeros((7, 1)), stage=0, origin=SelectionOrigin.INITIAL_DESIGN)
-        led.evaluate(_linear, np.zeros((3, 1)), stage=1, origin=SelectionOrigin.SUR)
-        led.evaluate(_linear, np.zeros((2, 1)), stage=2, origin=SelectionOrigin.SUR)
-        led.evaluate(_linear, np.zeros((5, 1)), stage=2, origin=SelectionOrigin.SMC_BASELINE)
-        counts = led.stage_counts()
+        led.evaluate(_linear, np.zeros((7, 1)), stage=0)
+        led.evaluate(_linear, np.zeros((3, 1)), stage=1)
+        led.evaluate(_linear, np.zeros((2, 1)), stage=2)
+        led.evaluate(_linear, np.zeros((5, 1)), stage=2)
         assert led.n_initial == 7
-        assert counts == {0: 7, 1: 3, 2: 7}
-        assert led.n_total == led.n_initial + sum(c for s, c in counts.items() if s >= 1)
+        assert led.n_total == 7 + 3 + 7
 
     def test_every_call_counts_once(self):
         led = EvaluationLedger()
@@ -160,25 +156,8 @@ class TestEvaluationLedger:
             calls.append(X.shape[0])
             return X[:, 0]
 
-        led.evaluate(probe, np.zeros((4, 1)), 0, SelectionOrigin.SMC_BASELINE)
+        led.evaluate(probe, np.zeros((4, 1)), 0)
         assert calls == [4] and led.n_total == 4
-
-    def test_records_and_design_arrays(self):
-        led = EvaluationLedger()
-        X = np.arange(6, dtype=float).reshape(3, 2)
-        led.evaluate(lambda Z: Z.sum(axis=1), X, 0, SelectionOrigin.INITIAL_DESIGN)
-        pts, vals = led.design_arrays()
-        np.testing.assert_array_equal(pts, X)
-        np.testing.assert_array_equal(vals, X.sum(axis=1))
-        recs = list(led.iter_records())
-        assert len(recs) == 3 and recs[0][2] == 0
-
-    def test_count_only_mode(self):
-        led = EvaluationLedger(record_points=False)
-        led.evaluate(_linear, np.zeros((10, 1)), 0, SelectionOrigin.SMC_BASELINE)
-        assert led.n_total == 10
-        with pytest.raises(ValueError):
-            led.design_arrays()
 
 
 def _same_bits(x, y) -> bool:

@@ -13,13 +13,11 @@ from failprob.gp import (
     _chol,
     _chol_solve,
     _corr_matrix,
-    covariance,
     fit_reml,
-    load_design,
     matern52_corr,
     reml_objective,
-    save_design,
 )
+from failprob.sur import model_var_floor
 
 # frozen 40-digit value of (1 + sqrt(10) + 10/3) exp(-sqrt(10))
 _M52_AT_1 = 0.31728336395404380402
@@ -66,32 +64,27 @@ class TestMaternCorrelation:
             matern52_corr(-0.1)
 
 
+def _corr(x, y, ranges):
+    # the scaled-distance correlation between two points, as GpModel builds it
+    return float(_corr_matrix(np.array([x]), np.array([y]), np.asarray(ranges))[0, 0])
+
+
 class TestCovariance:
     def test_variance_at_zero_lag(self):
-        hyper = CovarianceHyperparams(2.5, np.array([1.0, 3.0]))
-        x = np.array([0.3, -0.7])
-        assert covariance(x, x, hyper) == pytest.approx(2.5, abs=1e-14)
+        x = [0.3, -0.7]
+        assert 2.5 * _corr(x, x, [1.0, 3.0]) == pytest.approx(2.5, abs=1e-14)
 
     def test_anisotropic_scaling_invariance(self):
         rng = substream(0, "cov")
         for _ in range(20):
             x, y = rng.normal(size=2)
             c = float(rng.uniform(0.5, 4.0))
-            h1 = CovarianceHyperparams(1.0, np.array([1.3, 0.7]))
-            h2 = CovarianceHyperparams(1.0, np.array([1.3 * c, 0.7]))
-            a = covariance(np.array([x, 0.0]), np.array([y, 0.0]), h1)
-            b = covariance(np.array([x * c, 0.0]), np.array([y * c, 0.0]), h2)
+            a = _corr([x, 0.0], [y, 0.0], [1.3, 0.7])
+            b = _corr([x * c, 0.0], [y * c, 0.0], [1.3 * c, 0.7])
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_1d_reduces_to_matern(self):
-        hyper = CovarianceHyperparams(1.0, np.array([2.0]))
-        got = covariance(np.array([0.0]), np.array([2.0]), hyper)
-        assert got == pytest.approx(_M52_AT_1, abs=1e-14)
-
-    def test_dim_mismatch(self):
-        hyper = CovarianceHyperparams(1.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            covariance(np.array([0.0, 1.0]), np.array([0.0, 1.0]), hyper)
+        assert _corr([0.0], [2.0], [2.0]) == pytest.approx(_M52_AT_1, abs=1e-14)
 
 
 class TestKrigingPosterior:
@@ -182,15 +175,16 @@ class TestKrigingPosterior:
         x = rng.uniform(-2, 2, 2)
         _, v_x = m.predict(x)
         # x_new = x: Cauchy-Schwarz equality
-        assert m.cross_sd(x, x) == pytest.approx(math.sqrt(v_x), rel=1e-8)
+        floor = model_var_floor(m)
+        assert m.cross_sd(x, x, floor) == pytest.approx(math.sqrt(v_x), rel=1e-8)
         # x_new at a design point: no residual information
-        assert m.cross_sd(x, m.design_points[0]) == 0.0
+        assert m.cross_sd(x, m.design_points[0], floor) == 0.0
         # bound s_n <= sigma_n(x)
         for _ in range(50):
             a = rng.uniform(-2.5, 2.5, 2)
             b = rng.uniform(-2.5, 2.5, 2)
             _, va = m.predict(a)
-            assert m.cross_sd(a, b) <= math.sqrt(va) + 1e-10
+            assert m.cross_sd(a, b, floor) <= math.sqrt(va) + 1e-10
 
 
 class TestReml:
@@ -339,37 +333,3 @@ class TestLapackHelpers:
         y[3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             GpModel(X, y, CovarianceHyperparams(1.0, np.array([1.0, 1.0])))
-
-
-class TestLooDiagnostic:
-    def test_matches_explicit_refit(self):
-        rng = substream(10, "gp")
-        X = rng.uniform(-2, 2, (9, 1))
-        y = np.cos(X[:, 0])
-        hyper = CovarianceHyperparams(1.0, np.array([1.0]))
-        m = GpModel(X, y, hyper)
-        loo_mean, loo_var = m.loo()
-        for i in range(9):
-            keep = np.arange(9) != i
-            mi = GpModel(X[keep], y[keep], hyper)
-            mean_i, var_i = mi.predict(X[i])
-            assert loo_mean[i] == pytest.approx(mean_i, abs=1e-8)
-            assert loo_var[i] == pytest.approx(var_i, abs=1e-8)
-
-
-class TestDesignCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = substream(11, "gp")
-        X = rng.standard_normal((7, 3)) * 1e-3
-        y = rng.standard_normal(7) * 1e6
-        path = tmp_path / "design.csv"
-        save_design(path, X, y)
-        X2, y2 = load_design(path)
-        np.testing.assert_array_equal(X, X2)
-        np.testing.assert_array_equal(y, y2)
-
-    def test_header_validated(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            load_design(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failprob.stats import BivariateArgs, binorm_cdf, norm_cdf
+from failprob.stats import binorm_cdf, norm_cdf
 
 # frozen high-precision value (mpmath, 40 digits)
 _PHI_196 = 0.97500210485177956586
@@ -155,11 +155,3 @@ class TestBinormCdf:
     @settings(max_examples=200, deadline=None)
     def test_symmetry_property(self, b1, b2, rho):
         assert binorm_cdf(b1, b2, rho) == pytest.approx(binorm_cdf(b2, b1, rho), abs=1e-13)
-
-    def test_bivariate_args_container(self):
-        args = BivariateArgs(0.0, 0.0, 0.5)
-        assert args.cdf() == pytest.approx(0.25 + math.asin(0.5) / (2 * math.pi), abs=1e-12)
-        with pytest.raises(ValueError):
-            BivariateArgs(0.0, 0.0, 1.1)
-        clamped = BivariateArgs(0.0, 0.0, 1.0 + 1e-13)
-        assert clamped.corr == 1.0
