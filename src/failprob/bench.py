@@ -9,6 +9,8 @@ writer, for this module and the command line alike.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import multiprocessing
 import os
@@ -168,27 +170,34 @@ def _csv_cell(v) -> str:
 def csv_table(columns, rows) -> str:
     """CSV text: a header line of `columns`, then one line per row of values.
     None is written as "", ints and strings with str, and every other value
-    as repr(float(v)), which reads back to the same double."""
-    lines = [",".join(columns)] + [",".join(map(_csv_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    as repr(float(v)), which reads back to the same double; a cell holding a
+    comma, quote or line break is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    return buf.getvalue()
 
 
 @dataclass
 class RmseRow:
+    """Statistics over the `runs` usable runs at one m; `failures` runs
+    raised or were degenerate. With no usable run the statistics are None."""
+
     method: str
     case: str
     m: int
     runs: int
-    mean_est: float
-    rel_rmse: float
-    rel_abs_bias: float
-    cov: float
-    n_evals_mean: float
-    n_evals_init: float
-    n_evals_intermediate: float
-    n_evals_final: float
-    wall_ms_median: float
-    failures: int = 0
+    failures: int
+    mean_est: float | None = None
+    rel_rmse: float | None = None
+    rel_abs_bias: float | None = None
+    cov: float | None = None
+    n_evals_mean: float | None = None
+    n_evals_init: float | None = None
+    n_evals_intermediate: float | None = None
+    n_evals_final: float | None = None
+    wall_ms_median: float | None = None
 
 
 @dataclass
@@ -197,12 +206,12 @@ class RmseTable:
     per_run: list[dict] = field(default_factory=list)
 
     CSV_COLUMNS = (
-        "method,case,m,runs,mean_est,rel_rmse,rel_abs_bias,cov,"
+        "method,case,m,runs,failures,mean_est,rel_rmse,rel_abs_bias,cov,"
         "n_evals_mean,n_evals_init,n_evals_intermediate,n_evals_final,wall_ms_median"
     )
     PER_RUN_COLUMNS = (
         "method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,"
-        "n_init,n_intermediate,n_final,wall_ms"
+        "n_init,n_intermediate,n_final,error,wall_ms"
     )
 
     def to_csv(self) -> str:
@@ -254,7 +263,10 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
     """Seeded replication study: per-m relative RMSE, bias, CoV, eval budgets.
 
     Per-run substreams make parallel and serial execution produce identical
-    statistics; failed runs are excluded and counted. Warnings raised in a
+    statistics. A run that raised or is degenerate is excluded and counted
+    in its row's `failures`, and its per-run `error` says which (the
+    message, or "degenerate"); every m keeps its row, with no statistics
+    when no run is usable. Warnings raised in a
     run, in this process or in a worker, are issued again here, in run order.
     """
     if runs < 2:
@@ -285,9 +297,13 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
                 "alpha_hat": res.alpha_hat, "delta_hat": res.delta_hat,
                 "n_total": res.n_total, "n_reported": res.n_reported,
                 "n_init": res.n_initial, "n_intermediate": res.n_intermediate,
-                "n_final": res.n_final, "wall_ms": wall_ms,
+                "n_final": res.n_final,
+                "error": res.error or ("degenerate" if res.degenerate else None),
+                "wall_ms": wall_ms,
             })
         if not good:
+            table.rows.append(RmseRow(method=method, case=case.name, m=m, runs=0,
+                                      failures=failures))
             continue
         est = np.array([res.alpha_hat for res, _ in good])
         walls = np.array([wall_ms for _, wall_ms in good])
@@ -297,14 +313,13 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
         rel_abs_bias = float(abs(mean_est - ref) / ref)
         cov = float(est.std(ddof=1) / mean_est) if mean_est > 0 else float("nan")
         table.rows.append(RmseRow(
-            method=method, case=case.name, m=m, runs=len(good),
+            method=method, case=case.name, m=m, runs=len(good), failures=failures,
             mean_est=mean_est, rel_rmse=rel_rmse, rel_abs_bias=rel_abs_bias, cov=cov,
             n_evals_mean=float(np.mean([res.n_reported for res, _ in good])),
             n_evals_init=float(np.mean([res.n_initial for res, _ in good])),
             n_evals_intermediate=float(np.mean([res.n_intermediate for res, _ in good])),
             n_evals_final=float(np.mean([res.n_final for res, _ in good])),
             wall_ms_median=float(np.median(walls)),
-            failures=failures,
         ))
     return table
 

@@ -10,8 +10,11 @@ Limit-state functions are vectorized: they map an (n, d) array of points to
 an (n,) array of values. All densities are handled in log space so that the
 machinery survives failure probabilities down to ~1e-9.
 
-`_row_blocks` runs elementwise matrix kernels in row blocks on one
-process-wide thread pool, with the same bits at any thread count.
+One process-wide thread pool, `kernel_threads()` threads wide, runs the
+work that leaves the bits unchanged at any thread count: `_row_blocks` runs
+elementwise matrix kernels in row blocks on it, and `_kernel_submit` runs
+one call on it (the move kernel draws its next sweep's random numbers that
+way). At one thread there is no pool and both run inline.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ _kernel_lock = threading.Lock()
 
 
 def kernel_threads() -> int:
-    """Threads that `_row_blocks` runs on: the value given to
+    """Threads of the kernel pool: the value given to
     `set_kernel_threads`, else the number of CPUs this process may use."""
     if _kernel_threads is not None:
         return _kernel_threads
@@ -86,7 +89,7 @@ def kernel_threads() -> int:
 
 
 def set_kernel_threads(n: int | None) -> None:
-    """Fix this process's `_row_blocks` thread count (n >= 1); None restores
+    """Fix this process's kernel pool thread count (n >= 1); None restores
     the default, one thread per usable CPU."""
     global _kernel_threads, _kernel_pool
     if n is not None and n < 1:
@@ -107,6 +110,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_kernel_pool)
 
 
+def _shared_pool():
+    """The process-wide kernel pool, built on first use; None when
+    `kernel_threads()` is 1, so a one-thread process never starts a thread."""
+    global _kernel_pool
+    threads = kernel_threads()
+    if threads == 1:
+        return None
+    with _kernel_lock:
+        if _kernel_pool is None:
+            # imported here: a process that never needs the pool keeps ~0.2 MB
+            from concurrent.futures import ThreadPoolExecutor
+
+            _kernel_pool = ThreadPoolExecutor(threads, thread_name_prefix="failprob-kernel")
+        return _kernel_pool
+
+
+def _kernel_submit(fn: Callable[[], object]):
+    """A future for fn() running on the kernel pool, or None when there is
+    no pool (one kernel thread): the caller then calls fn itself."""
+    pool = _shared_pool()
+    return None if pool is None else pool.submit(fn)
+
+
 def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int) -> None:
     """Call fn(i, j) on consecutive row ranges [i, j) of an (n_rows, n_cols)
     matrix, about _BLOCK_PAIRS entries each, on `kernel_threads()` threads.
@@ -115,21 +141,13 @@ def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int) -> Non
     A single block, or a single thread, runs inline. An exception raised in a
     block re-raises here once every block has finished.
     """
-    global _kernel_pool
     step = max(1, _BLOCK_PAIRS // max(n_cols, 1))
     bounds = [(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
-    threads = kernel_threads()
-    if threads == 1 or len(bounds) <= 1:
+    pool = _shared_pool() if len(bounds) > 1 else None
+    if pool is None:
         for i, j in bounds:
             fn(i, j)
         return
-    with _kernel_lock:
-        if _kernel_pool is None:
-            # imported here: a process that never needs the pool keeps ~0.2 MB
-            from concurrent.futures import ThreadPoolExecutor
-
-            _kernel_pool = ThreadPoolExecutor(threads, thread_name_prefix="failprob-rows")
-        pool = _kernel_pool
     futures = [pool.submit(fn, i, j) for i, j in bounds]
     wait(futures)
     for f in futures:

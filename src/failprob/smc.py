@@ -8,16 +8,23 @@ and then adapts every coordinate's log step by +-delta/s (s the within-call
 sweep index) according to whether the population-average acceptance
 probability exceeds the target. Step sizes persist across stages; the
 within-stage adaptation index restarts at 1.
+
+A sweep's random numbers do not depend on the particles, so the move draws
+them one sweep ahead on the kernel pool (`core._kernel_submit`) while the
+current sweep evaluates its target. The generator gives the same numbers in
+the same order at any thread count; at one kernel thread (as in `--jobs`
+workers) they are drawn inline.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ParticleSystem, log_sum_exp
+from .core import ParticleSystem, _kernel_submit, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
@@ -140,43 +147,57 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     optionally provides `(logp, aux)` for the starting points so drivers
     with cached values avoid one target evaluation.
 
+    Sweep s takes `rng.standard_normal((m, d))` and then `rng.random(m)`,
+    and nothing else: `rng` must not be used elsewhere while the move runs.
+    The pair for sweep s + 1 is drawn on the kernel pool while sweep s
+    evaluates `log_target`, so results and the generator's final state are
+    the same bits at any thread count, and nothing is drawn beyond sweep S.
+    If `log_target` raises, the pending draw is waited for before the
+    exception propagates, and the generator is then up to one sweep ahead
+    of where a serial move would have left it.
+
     Returns (moved points, final (logp, aux), new state, diagnostics).
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
-    if current is None:
-        logp, aux = log_target(pts)
-        logp = np.asarray(logp, dtype=float)
-        aux = {k: np.asarray(v).copy() for k, v in aux.items()}
-    else:
-        logp, aux = current
-        logp = np.asarray(logp, dtype=float).copy()
-        aux = {k: np.asarray(v).copy() for k, v in aux.items()}
-    if np.any(~np.isfinite(logp)):
-        raise ValueError("rwmh_move: log_target must be finite at the current particles")
-
     cfg = state.config
-    log_sigma = state.log_sigma.copy()
-    diag = MoveDiagnostics()
-    for s in range(1, cfg.sweeps + 1):
-        step = np.exp(log_sigma)
-        proposal = pts + step[None, :] * rng.standard_normal((m, d))
-        logp_prop, aux_prop = log_target(proposal)
-        logp_prop = np.asarray(logp_prop, dtype=float)
-        with np.errstate(over="ignore"):
-            accept_prob = np.minimum(1.0, np.exp(logp_prop - logp))
-        accept_prob = np.where(np.isneginf(logp_prop), 0.0, accept_prob)
-        u = rng.random(m)
-        acc = u < accept_prob
-        pts[acc] = proposal[acc]
-        logp[acc] = logp_prop[acc]
-        for key in aux:
-            aux[key][acc] = np.asarray(aux_prop[key])[acc]
-        abar = float(accept_prob.mean())
-        diag.acceptance.append(abar)
-        if adapt:
-            delta = cfg.log_step_delta / s
-            log_sigma = log_sigma + (delta if abar > cfg.target_acceptance else -delta)
-        diag.step_log_sigma.append(log_sigma.copy())
+
+    def draw():
+        return rng.standard_normal((m, d)), rng.random(m)
+
+    pending = _kernel_submit(draw)
+    try:
+        logp, aux = log_target(pts) if current is None else current
+        logp = np.array(logp, dtype=float)
+        aux = {k: np.array(v) for k, v in aux.items()}
+        if np.any(~np.isfinite(logp)):
+            raise ValueError("rwmh_move: log_target must be finite at the current particles")
+
+        log_sigma = state.log_sigma.copy()
+        diag = MoveDiagnostics()
+        for s in range(1, cfg.sweeps + 1):
+            proposal, u = draw() if pending is None else pending.result()
+            pending = _kernel_submit(draw) if s < cfg.sweeps else None
+            proposal *= np.exp(log_sigma)  # pts + step * z, formed in place
+            proposal += pts
+            logp_prop, aux_prop = log_target(proposal)
+            logp_prop = np.asarray(logp_prop, dtype=float)
+            with np.errstate(over="ignore"):
+                accept_prob = np.minimum(1.0, np.exp(logp_prop - logp))
+            accept_prob = np.where(np.isneginf(logp_prop), 0.0, accept_prob)
+            acc = u < accept_prob
+            pts[acc] = proposal[acc]
+            logp[acc] = logp_prop[acc]
+            for key in aux:
+                aux[key][acc] = np.asarray(aux_prop[key])[acc]
+            abar = float(accept_prob.mean())
+            diag.acceptance.append(abar)
+            if adapt:
+                delta = cfg.log_step_delta / s
+                log_sigma = log_sigma + (delta if abar > cfg.target_acceptance else -delta)
+            diag.step_log_sigma.append(log_sigma.copy())
+    finally:
+        if pending is not None:  # only when raising: let no pool thread hold rng
+            wait((pending,))
     new_state = replace(state, log_sigma=log_sigma, sweeps_done=state.sweeps_done + cfg.sweeps)
     return pts, (logp, aux), new_state, diag

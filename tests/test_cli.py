@@ -1,5 +1,7 @@
 """Command-line interface: manifests, exit codes, determinism, file export."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -192,6 +194,23 @@ class TestBenchmarkCommand:
         assert (tmp_path / "b" / "runs.csv").exists()
         manifests = list((tmp_path / "b" / "manifests").glob("*.json"))
         assert len(manifests) == 4
+
+    def test_method_without_usable_runs_keeps_its_row(self, capsys, tmp_path):
+        # plain Monte Carlo at m = 300 sees no failure of a 3.9e-6 event: both
+        # runs are degenerate, and the summary says so instead of dropping mc
+        code, out, _ = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--methods", "mc,ss",
+            "--m-list", "300", "--runs", "2", "--out-dir", str(tmp_path / "b"),
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["method"] for r in rows] == ["mc", "ss"]
+        mc, ss = rows
+        assert (mc["runs"], mc["failures"]) == ("0", "2")
+        assert mc["mean_est"] == mc["rel_rmse"] == mc["wall_ms_median"] == ""
+        assert int(ss["runs"]) + int(ss["failures"]) == 2
+        runs = list(csv.DictReader(io.StringIO((tmp_path / "b" / "runs.csv").read_text())))
+        assert [r["error"] for r in runs if r["method"] == "mc"] == ["degenerate"] * 2
 
     def test_jobs_determinism(self, capsys, tmp_path):
         argv = lambda d, j: [

@@ -139,3 +139,32 @@ class TestSubsetSimulation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SubsetSimConfig(m=100, m0=100)
+
+
+def test_kernel_threads_change_no_bit(kernel_threads):
+    # the move draws its next sweep's random numbers on the kernel pool; one
+    # thread and two (the default on a 2-CPU host) give the same run
+    from failprob.bench import nonlinear_oscillator
+
+    case = nonlinear_oscillator()
+
+    def signature():
+        res = run_subset_simulation(case.problem, SubsetSimConfig(m=2000, m0=200), 21)
+        return (res.alpha_hat.hex(), res.n_total,
+                [(s.u_t.hex(), s.acceptance) for s in res.stages])
+
+    kernel_threads(1)
+    one = signature()
+    kernel_threads(2)
+    assert len(one[2]) > 2
+    assert signature() == one
+
+
+def test_one_kernel_thread_builds_no_pool(kernel_threads):
+    # a `--jobs` worker runs one kernel thread: it draws inline, on no pool
+    from failprob import core
+
+    kernel_threads(1)
+    assert core._kernel_pool is None
+    run_subset_simulation(_problem(2.0), SubsetSimConfig(m=500, m0=50), 3)
+    assert core._kernel_pool is None

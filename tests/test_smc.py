@@ -1,6 +1,8 @@
 """SMC transitions: reweighting, residual resampling, adaptive RWMH."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -212,3 +214,143 @@ class TestRwmhMove:
         observed = np.histogram(x, bins=np.concatenate([[-1e9], edges[1:-1], [1e9]]))[0]
         chi2 = spstats.chisquare(observed, probs * m)
         assert chi2.pvalue > 0.001
+
+
+def _serial_move(points, log_target, state, rng, current=None, adapt=True):
+    # the move as a plain loop, every draw made where it is used: the
+    # reference for the draw-ahead kernel
+    pts = np.array(points, dtype=float)
+    m, d = pts.shape
+    logp, aux = log_target(pts) if current is None else current
+    logp = np.array(logp, dtype=float)
+    aux = {k: np.array(v) for k, v in aux.items()}
+    cfg = state.config
+    log_sigma = state.log_sigma.copy()
+    acceptance, steps = [], []
+    for s in range(1, cfg.sweeps + 1):
+        proposal = pts + np.exp(log_sigma)[None, :] * rng.standard_normal((m, d))
+        logp_prop, aux_prop = log_target(proposal)
+        with np.errstate(over="ignore"):
+            accept_prob = np.minimum(1.0, np.exp(logp_prop - logp))
+        accept_prob = np.where(np.isneginf(logp_prop), 0.0, accept_prob)
+        acc = rng.random(m) < accept_prob
+        pts[acc] = proposal[acc]
+        logp[acc] = logp_prop[acc]
+        for key in aux:
+            aux[key][acc] = aux_prop[key][acc]
+        acceptance.append(float(accept_prob.mean()))
+        if adapt:
+            delta = cfg.log_step_delta / s
+            log_sigma = log_sigma + (delta if acceptance[-1] > cfg.target_acceptance else -delta)
+        steps.append(log_sigma.copy())
+    return pts, logp, aux, log_sigma, acceptance, steps
+
+
+def _shell_target(X):
+    # a target with a hard edge (rejections at -inf) and an aux array
+    r2 = np.sum(X * X, axis=1)
+    lp = np.where(r2 > 1.0, -0.5 * r2, -np.inf)
+    return lp, {"r2": r2}
+
+
+def _shell_start(m, d, seed):
+    z = substream(seed, "start").standard_normal((m, d))
+    return 2.0 * z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestDrawAhead:
+    """The move draws sweep s + 1's random numbers on the kernel pool while
+    sweep s evaluates its target; that changes no bit of any output nor of
+    the generator's final state, at any kernel thread count."""
+
+    @staticmethod
+    def _assert_same(ref, out, rng_ref, rng):
+        pts, (logp, aux), state, diag = out
+        np.testing.assert_array_equal(pts, ref[0])
+        np.testing.assert_array_equal(logp, ref[1])
+        assert aux.keys() == ref[2].keys()
+        for key in aux:
+            np.testing.assert_array_equal(aux[key], ref[2][key])
+        np.testing.assert_array_equal(state.log_sigma, ref[3])
+        assert diag.acceptance == ref[4]
+        assert len(diag.step_log_sigma) == len(ref[5])
+        for a, b in zip(diag.step_log_sigma, ref[5]):
+            np.testing.assert_array_equal(a, b)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_matches_serial_loop(self, kernel_threads, threads, adapt, m):
+        kernel_threads(threads)
+        d = 3
+        pts = _shell_start(m, d, 11)
+        state = RwmhState.initial(np.ones(d), RwmhConfig(sweeps=6))
+        rng_ref, rng = substream(12, "move"), substream(12, "move")
+        ref = _serial_move(pts, _shell_target, state, rng_ref, adapt=adapt)
+        out = rwmh_move(pts, _shell_target, state, rng, adapt=adapt)
+        self._assert_same(ref, out, rng_ref, rng)
+        assert out[2].sweeps_done == 6 and out[2].config is state.config
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_multi_call_sequence_carries_state(self, kernel_threads, threads):
+        # three stages on one generator, the later ones from cached values,
+        # as the subset simulation driver calls the move; five threads on a
+        # short switch interval stress the hand-over of the generator
+        kernel_threads(threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._three_stages()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _three_stages(self):
+        d = 2
+        pts = _shell_start(200, d, 13)
+        state = RwmhState.initial(np.ones(d), RwmhConfig(sweeps=4))
+        rng_ref, rng = substream(14, "move"), substream(14, "move")
+        pts_ref, current_ref = pts, None
+        log_sigma = state.log_sigma
+        current = None
+        for _ in range(3):
+            ref_state = RwmhState(log_sigma, state.config)
+            ref = _serial_move(pts_ref, _shell_target, ref_state, rng_ref, current_ref)
+            out = rwmh_move(pts, _shell_target, state, rng, current)
+            self._assert_same(ref, out, rng_ref, rng)
+            pts_ref, current_ref, log_sigma = ref[0], (ref[1], ref[2]), ref[3]
+            pts, current, state, _ = out
+        assert state.sweeps_done == 12
+
+    def test_raising_target_leaves_generator_quiescent(self, kernel_threads):
+        kernel_threads(2)
+
+        class SweepTwo(Exception):
+            pass
+
+        raised = SweepTwo("sweep 2")
+        calls = []
+
+        def target(X):
+            calls.append(X.shape)
+            if len(calls) == 2:
+                raise raised
+            return _gaussian_target(X)
+
+        m, d = 100_000, 6
+        pts = np.zeros((m, d))
+        rng = substream(15, "move")
+        with pytest.raises(SweepTwo) as info:
+            rwmh_move(pts, target, RwmhState.initial(np.ones(d)), rng,
+                      current=_gaussian_target(pts))
+        assert info.value is raised
+        before = rng.bit_generator.state
+        time.sleep(0.2)
+        assert rng.bit_generator.state == before
+        # sweep 3's draw was pending when sweep 2 raised: it finished, and
+        # nothing beyond it was drawn
+        rng_ref = substream(15, "move")
+        for _ in range(3):
+            rng_ref.standard_normal((m, d))
+            rng_ref.random(m)
+        assert before == rng_ref.bit_generator.state
