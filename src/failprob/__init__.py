@@ -14,7 +14,6 @@ from .core import (
     EvaluationLedger,
     InputDistribution,
     Normal,
-    ParticleSystem,
     Problem,
     StageRecord,
     substream,
@@ -27,7 +26,6 @@ __all__ = [
     "EvaluationLedger",
     "InputDistribution",
     "Normal",
-    "ParticleSystem",
     "Problem",
     "StageRecord",
     "substream",

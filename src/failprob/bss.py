@@ -9,7 +9,8 @@ eta tied to the estimator's own coefficient of variation at the final
 stage), and otherwise evaluates the limit state at the point chosen by the
 SUR criterion and refits the GP. The sampling phase is the standard
 reweight / residual-resample / move transition with target proportional to
-pdf * g_t under the stage-final model.
+pdf * g_t under the stage-final model. As in `ss`, the cloud of m equally
+weighted particles is three arrays: the points, their log g_t and log pdf.
 
 The final estimate is the product over stages of the mean coverage ratios,
 with its coefficient of variation from the per-stage kappa recursion.
@@ -25,7 +26,6 @@ import numpy as np
 from .core import (
     EstimationResult,
     EvaluationLedger,
-    ParticleSystem,
     Problem,
     StageRecord,
     log_sum_exp,
@@ -88,10 +88,12 @@ class BssConfig:
             raise ValueError("n_min must be >= 0")
 
 
-def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
-                    p0: float, *, mean: np.ndarray | None = None,
-                    sd: np.ndarray | None = None, max_expansions: int = 60) -> float:
+def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
+                    p0: float, *, max_expansions: int = 60) -> float:
     """Solve (1/m) sum_j g(Y_j; u) / g_prev(Y_j) = p0 for u by bisection.
+
+    `mean` and `sd` are the posterior at the m particles Y_j, and
+    `log_g_prev` is log g_prev there, already floored at `_LOG_FLOOR`.
 
     The left-hand side is non-increasing in u, so we bisect on the strict
     predicate LHS(u) > p0 and return the upper bracket end: for continuous
@@ -104,16 +106,11 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must be in (0, 1)")
-    if mean is None or sd is None:
-        mean, var = model.predict(particles.points)
-        sd = np.sqrt(var)
-    log_gp = np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_FLOOR)
-    m = particles.m
-    log_p0_m = math.log(p0) + math.log(m)
+    log_p0_m = math.log(p0) + math.log(len(mean))
 
     def lhs_gt(u: float) -> bool:
         # all-(-inf) terms give -inf, and NaN compares False
-        return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_gp)) > log_p0_m
+        return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_g_prev)) > log_p0_m
 
     scale = max(1.0, float(np.max(np.abs(model.design_values))))
     lo = float(np.min(mean - 6.0 * sd))
@@ -147,11 +144,11 @@ def solve_threshold(model, particles: ParticleSystem, log_g_prev: np.ndarray,
 def misclass_sum(mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
                  u_t: float, var_floor: float) -> float:
     """sum_j tau(Y_j) / g_prev(Y_j), the stopping-rule left-hand side: a stage
-    may stop once this is at most eta * m * p0."""
-    sd = np.asarray(sd, dtype=float)
+    may stop once this is at most eta * m * p0. `log_g_prev` is already
+    floored at `_LOG_FLOOR`."""
     sd_floor = math.sqrt(var_floor)
     log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
-    log_terms = log_tau - np.maximum(np.asarray(log_g_prev, dtype=float), _LOG_FLOOR)
+    log_terms = log_tau - log_g_prev
     terms = np.exp(np.clip(log_terms, _LOG_FLOOR, 700.0))
     terms = np.where(np.isneginf(log_terms), 0.0, terms)
     return float(terms.sum())
@@ -214,8 +211,10 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     model = model_factory(X, y, None, rng_reml, config)
     prev_hyper = model.hyper
 
-    particles = ParticleSystem.initial(problem.input, m, rng_init)
-    mean_p, var_p = model.predict(particles.points)
+    pts = problem.input.sample(m, rng_init)
+    log_g = np.zeros(m)  # g_0 = 1
+    log_pdf = problem.input.log_density(pts)
+    mean_p, var_p = model.predict(pts)
     sd_p = np.sqrt(var_p)
     kernel = RwmhState.initial(problem.input.sds, config.kernel)
 
@@ -232,15 +231,15 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             error = f"max_stages={config.max_stages} exceeded"
             aborted = True
             break
-        log_g_prev = particles.cached_log_g
-        underflows += int(np.count_nonzero(log_g_prev < _LOG_FLOOR))
+        underflows += int(np.count_nonzero(log_g < _LOG_FLOOR))
+        log_g_prev = np.maximum(log_g, _LOG_FLOOR)
         n_t = 0
         while True:
-            u_cand = solve_threshold(model, particles, log_g_prev, p0, mean=mean_p, sd=sd_p)
+            u_cand = solve_threshold(model, mean_p, sd_p, log_g_prev, p0)
             is_final = u_cand >= u
             u_t = u if is_final else u_cand
             log_g_t = log_coverage_g(mean_p, sd_p, u_t)
-            ratios = np.exp(np.clip(log_g_t - np.maximum(log_g_prev, _LOG_FLOOR), None, 700.0))
+            ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
             p_prov = float(ratios.mean())
             if is_final:
                 kap_prov = kappa_hat(ratios, p_prov) if p_prov > 0.0 else 0.0
@@ -257,8 +256,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                 aborted = True
                 break
             sel = select_next_point(
-                model, particles, log_g_prev, u_t,
-                mean=mean_p, sd=sd_p, m0_max=config.m0_max, rho=config.prune_rho,
+                model, pts, mean_p, sd_p, log_g_prev, u_t,
+                m0_max=config.m0_max, rho=config.prune_rho,
             )
             y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
             if collect_trace:
@@ -281,7 +280,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                     model = GpModel(X, y, prev_hyper, jitter=config.jitter)
                 except Exception:
                     pass
-            mean_p, var_p = model.predict(particles.points)
+            mean_p, var_p = model.predict(pts)
             sd_p = np.sqrt(var_p)
             n_t += 1
 
@@ -298,14 +297,14 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
 
         # sampling phase: reweight -> residual resample -> move
         try:
-            reweighted = reweight(particles, log_g_t, np.maximum(log_g_prev, _LOG_FLOOR))
+            weights = reweight(log_g_t, log_g_prev)
         except DegenerateWeightsError as exc:
             error = str(exc)
             aborted = True
             break
-        idx = residual_resample(reweighted.weights(), rng_resample)
-        pts = particles.points[idx]
-        lp_cur = particles.cached_log_pdf[idx]
+        idx = residual_resample(weights, rng_resample)
+        pts = pts[idx]
+        lp_cur = log_pdf[idx]
         lg_cur = log_g_t[idx]
 
         def log_target(Z, _u=u_t, _model=model):
@@ -319,14 +318,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             current=(lp_cur + lg_cur, {"log_pdf": lp_cur, "log_g": lg_cur}),
         )
         rec.acceptance = diag.acceptance
-        particles = ParticleSystem(
-            points=pts,
-            log_weights=np.full(m, -math.log(m)),
-            stage=t,
-            cached_log_g=aux["log_g"],
-            cached_log_pdf=aux["log_pdf"],
-        )
-        mean_p, var_p = model.predict(particles.points)
+        log_g, log_pdf = aux["log_g"], aux["log_pdf"]
+        mean_p, var_p = model.predict(pts)
         sd_p = np.sqrt(var_p)
         t += 1
 

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import CASES, csv_table, recompute_reference, run_estimator, run_rmse_experiment
-from .core import Direction, InputDistribution, Normal, Problem, kernel_threads
+from .bench import (CASES, RmseTable, csv_table, recompute_reference, run_estimator,
+                    run_rmse_experiment)
+from .core import Direction, EstimationResult, InputDistribution, Normal, Problem, kernel_threads
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
@@ -92,12 +93,10 @@ def cmd_estimate(args) -> int:
     if args.m < 1:
         raise ConfigError("m must be >= 1")
     problem, problem_spec = _resolve_problem(args.problem)
-    manifest = _run_to_manifest(args.method, problem, problem_spec,
-                                args.m, args.p0, args.seed, bool(args.trace))
+    manifest, result = _run_to_manifest(args.method, problem, problem_spec,
+                                        args.m, args.p0, args.seed, bool(args.trace))
     if args.trace:
-        _write_trace(args.trace, manifest.pop("_result_obj"), problem.dim)
-    else:
-        manifest.pop("_result_obj")
+        _write_trace(args.trace, result, problem.dim)
     text = json.dumps(manifest, indent=2, default=_json_default)
     print(text)
     if args.out:
@@ -106,7 +105,9 @@ def cmd_estimate(args) -> int:
 
 
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
-                     m: int, p0: float, seed: int, want_trace: bool) -> dict:
+                     m: int, p0: float, seed: int,
+                     want_trace: bool) -> tuple[dict, EstimationResult]:
+    """The run manifest of one seeded estimator run, and the run's result."""
     start = datetime.datetime.now(datetime.timezone.utc).isoformat()
     result = run_estimator(problem, method, m, seed, p0, collect_trace=want_trace)
     end = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -123,8 +124,7 @@ def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
         "host": {"platform": platform.platform(), "python": platform.python_version(),
                  "kernel_threads": kernel_threads()},
         "result": result.to_dict(),
-        "_result_obj": result,
-    }
+    }, result
 
 
 def _cmd_replay(args) -> int:
@@ -132,22 +132,27 @@ def _cmd_replay(args) -> int:
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"manifest must be a JSON object, not {type(manifest).__name__}")
     if manifest.get("schema") != SCHEMA_VERSION:
         raise ConfigError("unsupported manifest schema")
     if manifest.get("command") != "estimate":
         raise ConfigError(f"--replay needs a manifest written by 'failprob estimate', "
                           f"not {manifest.get('command')!r}")
-    spec = manifest["problem"]
-    if "case" in spec:
-        problem, problem_spec = _resolve_problem(spec["case"])
-    else:
-        problem, problem_spec = _load_custom_problem(spec["custom"]), spec
-    new = _run_to_manifest(manifest["method"], problem, problem_spec,
-                           manifest["config"]["m"], manifest["config"]["p0"],
-                           manifest["seed"], False)
-    new.pop("_result_obj")
+    try:
+        spec, method, config, seed = (manifest[k] for k in ("problem", "method", "config", "seed"))
+        m, p0 = config["m"], config["p0"]
+        old_alpha = manifest["result"]["alpha_hat"]
+        if "case" in spec:
+            problem, problem_spec = _resolve_problem(spec["case"])
+        else:
+            problem, problem_spec = _load_custom_problem(spec["custom"]), spec
+    except KeyError as exc:
+        raise ConfigError(f"manifest has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise ConfigError(f"invalid manifest: {exc}") from None
+    new, _ = _run_to_manifest(method, problem, problem_spec, m, p0, seed, False)
     print(json.dumps(new, indent=2, default=_json_default))
-    old_alpha = manifest["result"]["alpha_hat"]
     new_alpha = new["result"]["alpha_hat"]
     if new_alpha != old_alpha:
         print(f"replay mismatch: alpha_hat {new_alpha!r} != recorded {old_alpha!r}",
@@ -164,6 +169,8 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("--jobs must be >= 1")
     case = CASES[args.case]()
     if args.recompute_reference:
+        if args.ref_runs < 2:
+            raise ConfigError("--ref-runs must be >= 2")
         mean, cov = recompute_reference(case, m=args.ref_m, runs=args.ref_runs, seed=args.seed)
         print(json.dumps({
             "case": args.case, "alpha_ref_table": case.alpha_ref,
@@ -186,17 +193,11 @@ def cmd_benchmark(args) -> int:
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(exist_ok=True)
 
-    summary_lines: list[str] = []
-    run_lines: list[str] = []
-    for mi, method in enumerate(methods):
+    study = RmseTable()
+    for method in methods:
         table = run_rmse_experiment(case, method, m_values, args.runs, args.seed, jobs=args.jobs)
-        csv = table.to_csv().splitlines()
-        per = table.per_run_csv().splitlines()
-        if mi == 0:
-            summary_lines.append(csv[0])
-            run_lines.append(per[0])
-        summary_lines.extend(csv[1:])
-        run_lines.extend(per[1:])
+        study.rows.extend(table.rows)
+        study.per_run.extend(table.per_run)
         for row in table.per_run:
             name = f"{args.case}-{method}-m{row['m']}-run{row['run']}.json"
             (manifest_dir / name).write_text(
@@ -209,8 +210,8 @@ def cmd_benchmark(args) -> int:
                 }, indent=2, default=_json_default) + "\n",
                 encoding="utf-8",
             )
-    (out_dir / "rmse.csv").write_text("\n".join(summary_lines) + "\n", encoding="utf-8")
-    (out_dir / "runs.csv").write_text("\n".join(run_lines) + "\n", encoding="utf-8")
+    (out_dir / "rmse.csv").write_text(study.to_csv(), encoding="utf-8")
+    (out_dir / "runs.csv").write_text(study.per_run_csv(), encoding="utf-8")
     print((out_dir / "rmse.csv").read_text(encoding="utf-8"), end="")
     return 0
 

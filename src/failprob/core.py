@@ -1,5 +1,8 @@
-"""Problem definitions, input distributions, particle containers, and the
-evaluation ledger that counts the limit-state calls of every estimator.
+"""Problem definitions, input distributions, and the evaluation ledger that
+counts the limit-state calls of every estimator.
+
+`ss` and `bss` hold a particle cloud as three arrays, the (m, d) points and
+their cached log g_t and log pdf; resampling leaves its m particles 1/m each.
 
 Every estimator in this package works on the normalized form of a problem,
 in which failure means the limit-state value exceeds the threshold
@@ -36,7 +39,6 @@ __all__ = [
     "Normal",
     "InputDistribution",
     "Problem",
-    "ParticleSystem",
     "EvaluationLedger",
     "StageRecord",
     "EstimationResult",
@@ -270,55 +272,6 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.input.dim
-
-
-@dataclass
-class ParticleSystem:
-    """A weighted particle population targeting the current stage density.
-
-    Cached per-particle values (log of the coverage-style weight function
-    g_t and log of the input density) are kept consistent with `points` by
-    the single driver that mutates the system.
-    """
-
-    points: np.ndarray
-    log_weights: np.ndarray
-    stage: int
-    cached_log_g: np.ndarray
-    cached_log_pdf: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.log_weights = np.asarray(self.log_weights, dtype=float)
-        self.cached_log_g = np.asarray(self.cached_log_g, dtype=float)
-        self.cached_log_pdf = np.asarray(self.cached_log_pdf, dtype=float)
-        m = self.points.shape[0]
-        for name in ("log_weights", "cached_log_g", "cached_log_pdf"):
-            if getattr(self, name).shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},)")
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    @classmethod
-    def initial(cls, dist: InputDistribution, m: int, rng: np.random.Generator) -> "ParticleSystem":
-        """Stage-0 cloud: i.i.d. from the input distribution, g_0 = 1."""
-        pts = dist.sample(m, rng)
-        return cls(
-            points=pts,
-            log_weights=np.full(m, -math.log(m)),
-            stage=0,
-            cached_log_g=np.zeros(m),
-            cached_log_pdf=dist.log_density(pts),
-        )
 
 
 class EvaluationLedger:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ParticleSystem, _kernel_submit, log_sum_exp
+from .core import _kernel_submit, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
@@ -41,27 +41,21 @@ class DegenerateWeightsError(RuntimeError):
     """All reweighted particles got zero weight: the new level is unreachable."""
 
 
-def reweight(particles: ParticleSystem, log_g_new: np.ndarray,
-             log_g_old: np.ndarray) -> ParticleSystem:
-    """Change weights only: new weight proportional to old * g_new/g_old."""
+def reweight(log_g_new: np.ndarray, log_g_old: np.ndarray) -> np.ndarray:
+    """Normalized weights of m equally weighted particles moved from target
+    g_old to target g_new: w_j proportional to g_new(x_j) / g_old(x_j)."""
     log_g_new = np.asarray(log_g_new, dtype=float)
     log_g_old = np.asarray(log_g_old, dtype=float)
     if np.any(~np.isfinite(log_g_old)):
         raise ValueError("reweight: log_g_old must be finite at every particle")
-    lw = particles.log_weights + log_g_new - log_g_old
+    lw = -math.log(log_g_new.shape[0]) + log_g_new - log_g_old
     norm = log_sum_exp(lw)
     if not np.isfinite(norm):
         raise DegenerateWeightsError(
             "all reweighted particles have zero weight; "
             "the threshold step chose an unreachable level"
         )
-    return ParticleSystem(
-        points=particles.points,
-        log_weights=lw - norm,
-        stage=particles.stage,
-        cached_log_g=log_g_new,
-        cached_log_pdf=particles.cached_log_pdf,
-    )
+    return np.exp(lw - norm)
 
 
 def residual_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

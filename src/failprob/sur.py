@@ -2,8 +2,10 @@
 reduction acquisition rule.
 
 The next evaluation point is chosen among the current particles by
-minimizing the weighted sum, over (pruned) particles, of the expected
-posterior misclassification probability after the candidate evaluation.
+minimizing the sum over the (pruned) particles, each weighted by
+1 / (m g_prev), of the expected posterior misclassification probability
+after the candidate evaluation. The particles are plain arrays: the m
+points of an equally weighted cloud and the posterior mean and sd there.
 The expectation has a closed form in the posterior mean/variance at the
 integration point and the cross quantity s_n(x, x_new). With
 b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
@@ -25,12 +27,12 @@ count as uncorrelated (the candidate teaches nothing about that point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, owens_t
 
-from .core import ParticleSystem, _row_blocks
+from .core import _row_blocks
 from .gp import GpModel
 from .stats import binorm_cdf
 
@@ -42,8 +44,6 @@ __all__ = [
     "log_misclass_tau",
     "misclass_tau",
     "expected_misclass_after",
-    "CandidateSet",
-    "build_candidates",
     "prune",
     "SurSelection",
     "select_next_point",
@@ -176,61 +176,18 @@ def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-@dataclass
-class CandidateSet:
-    """Per-particle posterior values and the weighted misclassification
-    scores used for pruning; `indices` lists the particles in the set, and
-    every other array is indexed by particle."""
-
-    indices: np.ndarray
-    points: np.ndarray
-    mean: np.ndarray
-    sd: np.ndarray
-    log_g_prev: np.ndarray
-    log_weights: np.ndarray
-    scores: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-def build_candidates(particles: ParticleSystem, mean: np.ndarray, sd: np.ndarray,
-                     log_g_prev: np.ndarray, u_t: float, var_floor: float) -> CandidateSet:
-    """Score every particle: tau-tilde = weight * tau(x) / g_prev(x)."""
-    sd_floor = np.sqrt(var_floor)
-    log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
-    log_c = particles.log_weights - np.maximum(log_g_prev, _LOG_FLOOR)
-    log_score = np.clip(log_c, None, 700.0) + log_tau
-    scores = np.exp(np.clip(log_score, _LOG_FLOOR, 700.0))
-    scores = np.where(np.isneginf(log_score), 0.0, scores)
-    return CandidateSet(
-        indices=np.arange(particles.m),
-        points=particles.points,
-        mean=np.asarray(mean, dtype=float),
-        sd=np.asarray(sd, dtype=float),
-        log_g_prev=np.asarray(log_g_prev, dtype=float),
-        log_weights=particles.log_weights,
-        scores=scores,
-    )
-
-
-def prune(candidates: CandidateSet, m0_max: int = 1000, rho: float = 0.99) -> CandidateSet:
-    """Keep the smallest score-descending prefix holding a fraction rho of the
-    total score mass, capped at m0_max. All-zero scores fall back to the
-    single highest-weight candidate. Only `indices` changes; the per-particle
-    arrays are shared, not copied."""
-    idx = candidates.indices
-    scores = candidates.scores[idx]
+def prune(scores: np.ndarray, m0_max: int = 1000, rho: float = 0.99) -> np.ndarray:
+    """Sorted indices of the smallest score-descending prefix holding a
+    fraction rho of the total score mass, capped at m0_max. All-zero scores
+    fall back to index 0 (the particles weigh the same, so any one would do)."""
     total = float(scores.sum())
     if total <= 0.0:
-        keep = np.array([int(np.argmax(candidates.log_weights[idx]))])
-    else:
-        order = np.argsort(-scores, kind="stable")
-        csum = np.cumsum(scores[order])
-        k = int(np.searchsorted(csum, rho * total)) + 1
-        k = min(k, m0_max, int(np.count_nonzero(scores)))
-        keep = np.sort(order[:k])
-    return replace(candidates, indices=idx[keep])
+        return np.array([0])
+    order = np.argsort(-scores, kind="stable")
+    csum = np.cumsum(scores[order])
+    k = int(np.searchsorted(csum, rho * total)) + 1
+    k = min(k, m0_max, int(np.count_nonzero(scores)))
+    return np.sort(order[:k])
 
 
 @dataclass
@@ -243,46 +200,47 @@ class SurSelection:
     n_candidates: int
 
 
-def select_next_point(model: GpModel, particles: ParticleSystem,
+def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: np.ndarray,
                       log_g_prev: np.ndarray, u_t: float, *,
-                      mean: np.ndarray | None = None, sd: np.ndarray | None = None,
                       m0_max: int = 1000, rho: float = 0.99) -> SurSelection:
     """Exhaustive discrete SUR search over the pruned particle set.
 
-    The pruned set serves both as integration support and as the candidate
-    pool. Duplicate particle locations (resampling copies) are merged: their
-    integration coefficients add exactly, and the merged candidate keeps the
-    lowest original particle index for tie-breaking.
+    `points` is the (m, d) cloud of equally weighted particles, `mean` and
+    `sd` the posterior there, and `log_g_prev` the previous stage's log
+    coverage, already floored at `_LOG_FLOOR`. The set is pruned on the
+    scores tau(x) / (m g_prev(x)) and serves both as integration support and
+    as the candidate pool. Duplicate particle locations (resampling copies)
+    are merged: their integration coefficients add exactly, and the merged
+    candidate keeps the lowest original particle index for tie-breaking.
     """
-    if mean is None or sd is None:
-        mean, var = model.predict(particles.points)
-        sd = np.sqrt(var)
+    m = points.shape[0]
     var_floor = model_var_floor(model)
-    cands = build_candidates(particles, mean, sd, log_g_prev, u_t, var_floor)
-    pruned = prune(cands, m0_max=m0_max, rho=rho)
+    sd_floor = np.sqrt(var_floor)
+    log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
+    log_c = -math.log(m) - log_g_prev  # log of 1 / (m g_prev)
+    log_score = np.clip(log_c, None, 700.0) + log_tau
+    scores = np.exp(np.clip(log_score, _LOG_FLOOR, 700.0))
+    scores = np.where(np.isneginf(log_score), 0.0, scores)
+    keep = prune(scores, m0_max=m0_max, rho=rho)
 
     # merge duplicate locations
-    keep = pruned.indices
-    _, first, inverse = np.unique(cands.points[keep], axis=0, return_index=True,
+    _, first, inverse = np.unique(points[keep], axis=0, return_index=True,
                                   return_inverse=True)
     n_u = first.shape[0]
     rep = np.full(n_u, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(rep, inverse, keep)
     coeff = np.zeros(n_u)
-    log_c = np.clip(cands.log_weights[keep] - np.maximum(cands.log_g_prev[keep], _LOG_FLOOR),
-                    _LOG_FLOOR, 700.0)
-    np.add.at(coeff, inverse, np.exp(log_c))
+    np.add.at(coeff, inverse, np.exp(np.clip(log_c[keep], _LOG_FLOOR, 700.0)))
     order = np.argsort(rep, kind="stable")
     u_idx = keep[first][order]
-    U = cands.points[u_idx]
-    mean_u = cands.mean[u_idx]
-    sd_u = cands.sd[u_idx]
+    U = points[u_idx]
+    mean_u = mean[u_idx]
+    sd_u = sd[u_idx]
     coeff = coeff[order]
     rep = rep[order]
 
     # cross quantities: s_n(x_row, cand_col) = |k_n| / sd(cand)
     s_mat = np.abs(model.posterior_cov(U, U))
-    sd_floor = np.sqrt(var_floor)
     s_mat /= np.where(sd_u > sd_floor, sd_u, np.inf)[None, :]
 
     E, _ = _expected_misclass_matrix(mean_u, sd_u, s_mat, u_t, var_floor)
@@ -293,7 +251,7 @@ def select_next_point(model: GpModel, particles: ParticleSystem,
         x_new=U[pick].copy(),
         criterion=float(J[pick]),
         particle_index=int(rep[pick]),
-        n_scored=len(cands),
-        n_pruned=len(pruned),
+        n_scored=m,
+        n_pruned=keep.shape[0],
         n_candidates=n_u,
     )

@@ -16,7 +16,7 @@ from scipy import stats as spstats
 
 from failprob.bench import cantilever_beam, four_branch, nonlinear_oscillator, run_rmse_experiment
 from failprob.bss import cov_recursion, kappa_hat
-from failprob.core import InputDistribution, ParticleSystem, Problem, substream
+from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, reml_objective
 from failprob.smc import RwmhConfig, RwmhState, residual_resample, rwmh_move
@@ -263,9 +263,10 @@ def test_acceptance_5_sur_oracle():
         yd = np.sin(1.3 * Xd[:, 0]) + 0.3 * rng.standard_normal(5)
         model = GpModel(Xd, yd, CovarianceHyperparams(1.0, np.array([0.8])))
         pts = rng.uniform(-2.5, 2.5, (50, 1))
-        mps = ParticleSystem(pts, np.full(50, -math.log(50)), 0, np.zeros(50), np.zeros(50))
+        mean, var = model.predict(pts)
         u = 0.3
-        sel = select_next_point(model, mps, np.zeros(50), u, rho=1.0, m0_max=10 ** 9)
+        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(50), u,
+                                rho=1.0, m0_max=10 ** 9)
 
         floor = model_var_floor(model)
         c = np.full(50, 1.0 / 50)

@@ -20,7 +20,7 @@ from failprob.bss import (
     run_bss,
     solve_threshold,
 )
-from failprob.core import InputDistribution, ParticleSystem, Problem, substream
+from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 
 
@@ -33,7 +33,9 @@ def _problem(u):
 
 
 class _FixedPosterior:
-    """Stub model with externally prescribed posterior mean/sd per particle."""
+    """Stub model: the hyperparameters, nugget and design values that
+    `solve_threshold` and `model_var_floor` read; the posterior mean and sd
+    at the particles are given to them directly."""
 
     class _H:
         sigma2 = 1.0
@@ -43,28 +45,13 @@ class _FixedPosterior:
     jitter = 0.0
     design_values = np.array([1.0])
 
-    def __init__(self, mean, sd):
-        self.mean = np.asarray(mean, dtype=float)
-        self.sd = np.asarray(sd, dtype=float)
-
-    def predict(self, X):
-        return self.mean, self.sd ** 2
-
-
-def _particles(points_1d):
-    pts = np.asarray(points_1d, dtype=float)[:, None]
-    m = pts.shape[0]
-    return ParticleSystem(pts, np.full(m, -math.log(m)), 0, np.zeros(m), np.zeros(m))
-
 
 class TestSolveThreshold:
     def test_indicator_limit_matches_order_statistic(self):
         rng = substream(0, "thr")
         vals = rng.standard_normal(500)
-        model = _FixedPosterior(vals, np.zeros(500))
-        ps = _particles(vals)
-        u = solve_threshold(model, ps, np.zeros(500), 0.1,
-                            mean=vals, sd=np.zeros(500))
+        model = _FixedPosterior()
+        u = solve_threshold(model, vals, np.zeros(500), np.zeros(500), 0.1)
         order = np.sort(vals)
         assert u == pytest.approx(order[500 - 50 - 1], abs=1e-9)
         # exactly m0 survivors
@@ -73,32 +60,26 @@ class TestSolveThreshold:
     def test_identical_gaussian_posteriors_closed_form(self):
         m = 64
         mu, sd = 0.7, 1.3
-        model = _FixedPosterior(np.full(m, mu), np.full(m, sd))
-        ps = _particles(np.zeros(m))
-        u = solve_threshold(model, ps, np.zeros(m), 0.1,
-                            mean=np.full(m, mu), sd=np.full(m, sd))
+        model = _FixedPosterior()
+        u = solve_threshold(model, np.full(m, mu), np.full(m, sd), np.zeros(m), 0.1)
         assert u == pytest.approx(mu + sd * ndtri(1 - 0.1), abs=1e-9)
 
     def test_p0_bounds_enforced(self):
-        model = _FixedPosterior(np.zeros(4), np.ones(4))
-        ps = _particles(np.zeros(4))
+        model = _FixedPosterior()
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ValueError):
-                solve_threshold(model, ps, np.zeros(4), bad,
-                                mean=np.zeros(4), sd=np.ones(4))
+                solve_threshold(model, np.zeros(4), np.ones(4), np.zeros(4), bad)
 
     def test_unsolvable_equation_raises(self):
         # ratios bounded by e^-10 for every u: the equation has no root
-        model = _FixedPosterior(np.zeros(4), np.ones(4))
-        ps = _particles(np.zeros(4))
+        model = _FixedPosterior()
         with pytest.raises(ThresholdSolverError):
-            solve_threshold(model, ps, np.full(4, 10.0), 0.1,
-                            mean=np.zeros(4), sd=np.ones(4))
+            solve_threshold(model, np.zeros(4), np.ones(4), np.full(4, 10.0), 0.1)
 
 
 def _stops(mean, sd, eta, m, p0):
     # run_bss's stopping rule, with g_prev = 1, u_t = 0 and a zero-nugget floor
-    floor = sur.model_var_floor(_FixedPosterior(mean, sd))
+    floor = sur.model_var_floor(_FixedPosterior())
     return misclass_sum(mean, sd, np.zeros(m), 0.0, floor) <= eta * m * p0
 
 

@@ -179,6 +179,22 @@ class TestEstimateCommand:
         assert code == 0
         assert "replay ok" in err
 
+    def test_replay_manifest_without_problem_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"schema": 1, "command": "estimate"}))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(path)])
+        assert code == 2
+        assert "config error" in err and "'problem'" in err
+        assert out == ""
+
+    def test_replay_manifest_not_an_object_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{"schema": 1, "command": "estimate"}]))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(path)])
+        assert code == 2
+        assert "config error" in err and "JSON object" in err and "list" in err
+        assert out == ""
+
 
 class TestBenchmarkCommand:
     def test_row_count_contract(self, capsys, tmp_path):
@@ -249,3 +265,14 @@ class TestBenchmarkCommand:
         code, _, err = _run(capsys, ["estimate", "--replay", str(manifest)])
         assert code == 2
         assert "failprob estimate" in err and "'benchmark'" in err
+
+    def test_ref_runs_below_two_exit_2(self, capsys):
+        # one run has no CoV and zero runs no mean: NaN is not valid JSON
+        for runs in ("0", "1"):
+            code, out, err = _run(capsys, [
+                "benchmark", "--case", "cantilever", "--recompute-reference",
+                "--ref-m", "2000", "--ref-runs", runs,
+            ])
+            assert code == 2
+            assert "--ref-runs" in err
+            assert out == ""

@@ -14,7 +14,6 @@ from failprob.core import (
     EvaluationLedger,
     InputDistribution,
     Normal,
-    ParticleSystem,
     Problem,
     log_sum_exp,
     substream,
@@ -120,22 +119,16 @@ class TestProblemNormalization:
 
 
 class TestParticleSystem:
-    def test_initial_cloud(self):
-        dist = InputDistribution.iid_normal(2)
-        ps = ParticleSystem.initial(dist, 100, substream(0, "p"))
-        assert ps.m == 100 and ps.dim == 2 and ps.stage == 0
-        assert abs(log_sum_exp(ps.log_weights)) <= 1e-10
-        np.testing.assert_array_equal(ps.cached_log_g, np.zeros(100))
-        np.testing.assert_allclose(ps.cached_log_pdf, dist.log_density(ps.points))
+    """A particle cloud is plain arrays: the points and their cached values."""
 
     def test_cache_consistency_is_reproducible(self):
+        # a cloud's cached log pdf: the batch density of a reproducible draw,
+        # the same bits as the density taken point by point
         dist = InputDistribution.iid_normal(3)
-        ps = ParticleSystem.initial(dist, 64, substream(1, "p"))
-        np.testing.assert_array_equal(ps.cached_log_pdf, dist.log_density(ps.points))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ParticleSystem(np.zeros((3, 1)), np.zeros(2), 0, np.zeros(3), np.zeros(3))
+        pts = dist.sample(64, substream(1, "p"))
+        np.testing.assert_array_equal(pts, dist.sample(64, substream(1, "p")))
+        np.testing.assert_array_equal(dist.log_density(pts),
+                                      [dist.log_density(x) for x in pts])
 
 
 class TestEvaluationLedger:

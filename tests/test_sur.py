@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, owens_t
 
 from failprob import core, sur
-from failprob.core import ParticleSystem, substream
+from failprob.core import substream
 from failprob.gp import CovarianceHyperparams, GpModel
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import (
@@ -292,46 +292,29 @@ class TestRowBlocks:
             core.set_kernel_threads(0)
 
 
-def _particles_for(model, pts):
-    m = pts.shape[0]
-    return ParticleSystem(pts, np.full(m, -math.log(m)), 0, np.zeros(m), np.zeros(m))
-
-
 class TestPrune:
-    def _candidates(self, scores, log_w=None):
-        n = len(scores)
-        from failprob.sur import CandidateSet
-
-        return CandidateSet(
-            indices=np.arange(n),
-            points=np.arange(n, dtype=float)[:, None],
-            mean=np.zeros(n),
-            sd=np.ones(n),
-            log_g_prev=np.zeros(n),
-            log_weights=log_w if log_w is not None else np.full(n, -math.log(n)),
-            scores=np.asarray(scores, dtype=float),
-        )
-
     def test_concentrated_mass(self):
-        c = self._candidates([0.995, 0.003, 0.002])
-        out = prune(c, m0_max=1000, rho=0.99)
-        assert list(out.indices) == [0]
+        keep = prune(np.array([0.995, 0.003, 0.002]), m0_max=1000, rho=0.99)
+        assert list(keep) == [0]
 
     def test_uniform_scores_cap(self):
-        c = self._candidates(np.full(2000, 1.0 / 2000))
-        out = prune(c, m0_max=1000, rho=0.99)
-        assert len(out) == min(math.ceil(0.99 * 2000), 1000) == 1000
+        keep = prune(np.full(2000, 1.0 / 2000), m0_max=1000, rho=0.99)
+        assert len(keep) == min(math.ceil(0.99 * 2000), 1000) == 1000
 
     def test_rho_one_keeps_all_nonzero(self):
-        c = self._candidates([0.4, 0.0, 0.3, 0.3, 0.0])
-        out = prune(c, m0_max=1000, rho=1.0)
-        assert sorted(out.indices) == [0, 2, 3]
+        keep = prune(np.array([0.4, 0.0, 0.3, 0.3, 0.0]), m0_max=1000, rho=1.0)
+        assert list(keep) == [0, 2, 3]
 
-    def test_all_zero_falls_back_to_highest_weight(self):
-        lw = np.log(np.array([0.1, 0.5, 0.2, 0.2]))
-        c = self._candidates([0.0, 0.0, 0.0, 0.0], log_w=lw)
-        out = prune(c, m0_max=1000, rho=0.99)
-        assert list(out.indices) == [1]
+    def test_all_zero_falls_back_to_index_0(self):
+        # equally weighted particles: argmax of the uniform weights is index 0
+        keep = prune(np.zeros(4), m0_max=1000, rho=0.99)
+        assert list(keep) == [0]
+
+
+def _select(model, pts, u, **kw):
+    """select_next_point on a cloud with g_prev = 1, at the model's posterior."""
+    mean, var = model.predict(pts)
+    return select_next_point(model, pts, mean, np.sqrt(var), np.zeros(pts.shape[0]), u, **kw)
 
 
 class TestSelectNextPoint:
@@ -344,8 +327,7 @@ class TestSelectNextPoint:
         g = coverage_g(mu, np.sqrt(v), u)
         tau = np.minimum(g, 1 - g)
         assert tau[0] > 1e-3 and tau[1] < 1e-6
-        ps = _particles_for(model, pts)
-        sel = select_next_point(model, ps, np.zeros(2), u)
+        sel = _select(model, pts, u)
         assert sel.particle_index == 0
 
     def test_symmetric_tie_broken_by_lowest_index(self):
@@ -353,11 +335,10 @@ class TestSelectNextPoint:
         # point duplicated (resampling copies), criterion values identical
         model, u = _toy_model(n=8)
         pts = np.array([[0.4], [0.4], [1.2]])
-        ps = _particles_for(model, pts)
-        sel = select_next_point(model, ps, np.zeros(3), u)
+        sel = _select(model, pts, u)
         assert sel.particle_index in (0, 2)
         # duplicated location must never be reported under its higher index
-        mirror = select_next_point(model, ps, np.zeros(3), u)
+        mirror = _select(model, pts, u)
         assert mirror.particle_index == sel.particle_index
 
     def test_duplicates_merge_exactly(self):
@@ -366,11 +347,9 @@ class TestSelectNextPoint:
         model, u = _toy_model(n=7)
         rng = substream(3, "dups")
         base = rng.uniform(-2, 2, (6, 1))
-        ps1 = _particles_for(model, base)
-        sel1 = select_next_point(model, ps1, np.zeros(6), u)
+        sel1 = _select(model, base, u)
         dup = np.vstack([base, base])  # every point duplicated, weights halved
-        ps2 = _particles_for(model, dup)
-        sel2 = select_next_point(model, ps2, np.zeros(12), u)
+        sel2 = _select(model, dup, u)
         np.testing.assert_allclose(sel1.x_new, sel2.x_new)
         assert sel2.criterion == pytest.approx(sel1.criterion, rel=1e-12)
 
@@ -378,11 +357,9 @@ class TestSelectNextPoint:
         model, u = _toy_model(n=9)
         rng = substream(4, "perm")
         pts = rng.uniform(-2.4, 2.4, (30, 1))
-        ps = _particles_for(model, pts)
-        sel = select_next_point(model, ps, np.zeros(30), u)
+        sel = _select(model, pts, u)
         perm = rng.permutation(30)
-        ps_p = _particles_for(model, pts[perm])
-        sel_p = select_next_point(model, ps_p, np.zeros(30), u)
+        sel_p = _select(model, pts[perm], u)
         np.testing.assert_allclose(sel.x_new, sel_p.x_new)
 
     def test_plain_average_when_g_prev_is_one(self):
@@ -391,8 +368,7 @@ class TestSelectNextPoint:
         model, u = _toy_model(n=7)
         rng = substream(5, "avg")
         pts = rng.uniform(-2, 2, (12, 1))
-        ps = _particles_for(model, pts)
-        sel = select_next_point(model, ps, np.zeros(12), u, rho=1.0, m0_max=10**9)
+        sel = _select(model, pts, u, rho=1.0, m0_max=10**9)
         mu, v = model.predict(pts)
         g = coverage_g(mu, np.sqrt(v), u)
         tau = np.minimum(g, 1 - g)
@@ -416,9 +392,8 @@ class TestSelectNextPoint:
             yd = np.sin(1.3 * Xd[:, 0]) + 0.3 * rng.standard_normal(5)
             model = GpModel(Xd, yd, CovarianceHyperparams(1.0, np.array([0.8])))
             pts = rng.uniform(-2.5, 2.5, (20, 1))
-            ps = _particles_for(model, pts)
             u = 0.3
-            sel = select_next_point(model, ps, np.zeros(20), u, rho=1.0, m0_max=10**9)
+            sel = _select(model, pts, u, rho=1.0, m0_max=10**9)
 
             c = np.full(20, 1.0 / 20)
             floor = model_var_floor(model)
