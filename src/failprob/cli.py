@@ -86,12 +86,7 @@ def cmd_estimate(args) -> int:
         return _cmd_replay(args)
     if args.method is None or args.problem is None or args.m is None or args.seed is None:
         raise ConfigError("--method, --problem, --m and --seed are required")
-    if args.method not in _METHODS:
-        raise ConfigError(f"unknown method {args.method!r}")
-    if not 0.0 < args.p0 < 1.0:
-        raise ConfigError("p0 must be in (0, 1)")
-    if args.m < 1:
-        raise ConfigError("m must be >= 1")
+    _check_run(args.method, args.m, args.p0, args.seed)
     problem, problem_spec = _resolve_problem(args.problem)
     manifest, result = _run_to_manifest(args.method, problem, problem_spec,
                                         args.m, args.p0, args.seed, bool(args.trace))
@@ -102,6 +97,27 @@ def cmd_estimate(args) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     return 0 if manifest["result"]["error"] is None else 3
+
+
+def _check_run(method, m, p0, seed, keys=("method", "m", "p0", "seed")) -> None:
+    """Reject a run configuration of the wrong type or range before it runs.
+
+    The command line and `--replay` share these checks; each message names
+    the offending value by its entry in `keys` (a flag or a manifest key).
+    """
+    k_method, k_m, k_p0, k_seed = keys
+    if not isinstance(method, str) or method not in _METHODS:
+        raise ConfigError(f"{k_method} must be one of {', '.join(_METHODS)}, not {method!r}")
+    if not _is_int(m) or m < 1:
+        raise ConfigError(f"{k_m} must be an integer >= 1, not {m!r}")
+    if isinstance(p0, bool) or not isinstance(p0, (int, float)) or not 0.0 < p0 < 1.0:
+        raise ConfigError(f"{k_p0} must be a number in (0, 1), not {p0!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"{k_seed} must be an integer >= 0, not {seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
@@ -141,11 +157,17 @@ def _cmd_replay(args) -> int:
                           f"not {manifest.get('command')!r}")
     try:
         spec, method, config, seed = (manifest[k] for k in ("problem", "method", "config", "seed"))
+        _require_object(spec, "problem")
+        _require_object(config, "config")
         m, p0 = config["m"], config["p0"]
         old_alpha = manifest["result"]["alpha_hat"]
+        _check_run(method, m, p0, seed, keys=("method", "config.m", "config.p0", "seed"))
         if "case" in spec:
+            if not isinstance(spec["case"], str):
+                raise ConfigError(f"problem.case must be a string, not {spec['case']!r}")
             problem, problem_spec = _resolve_problem(spec["case"])
         else:
+            _require_object(spec["custom"], "problem.custom")
             problem, problem_spec = _load_custom_problem(spec["custom"]), spec
     except KeyError as exc:
         raise ConfigError(f"manifest has no {exc.args[0]!r} key") from None
@@ -160,6 +182,11 @@ def _cmd_replay(args) -> int:
         return 3
     print("replay ok: alpha_hat reproduced exactly", file=sys.stderr)
     return 0
+
+
+def _require_object(value, key: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, not {type(value).__name__}")
 
 
 def cmd_benchmark(args) -> int:

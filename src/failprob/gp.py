@@ -217,13 +217,18 @@ class GpModel:
         y = np.append(self.design_values, float(y_new))
         return GpModel(X, y, self.hyper, jitter=self.jitter)
 
-def reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
+def reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER,
+                   *, neg_sq_diffs=None):
     """Negative restricted log-likelihood and gradient.
 
     Coordinates are (log sigma2, log rho_1, ..., log rho_d). The constant
     mean is profiled out exactly, which removes one degree of freedom: the
     objective is 0.5 * [(n-1) log 2 pi + (n-1) log sigma2 + log|R|
     + log(1' R^-1 1) + Q / sigma2] with Q the GLS quadratic form.
+
+    `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2, which depends
+    on the design only; `fit_reml` computes it once per fit and passes it to
+    every call. When omitted it is computed here.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
@@ -256,15 +261,30 @@ def reml_objective(design_points, design_values, log_params, jitter: float = DEF
     grad = np.empty(d + 1)
     grad[0] = 0.5 * ((n - 1) - Q / sigma2)
     Rinv = _chol_solve(c, np.eye(n))
-    G = _dcorr_over_h(H)
+    if neg_sq_diffs is None:
+        neg_sq_diffs = _neg_sq_diffs(X)
+    # dR/d rho_k = kappa'(h)/h * (-(x_ik - x_jk)^2 / rho_k^3), all k at once;
+    # rho_k^3 as scalar powers, the operation the per-k form used
+    cubes = np.array([ranges[k] ** 3 for k in range(d)])
+    Rdot = _dcorr_over_h(H) * (neg_sq_diffs / cubes[:, None, None])
+    traces = (Rinv * Rdot).reshape(d, -1).sum(axis=1)
     for k in range(d):
-        Dk2 = (X[:, k, None] - X[None, :, k]) ** 2
-        Rdot = G * (-Dk2 / ranges[k] ** 3)
-        tr = float(np.sum(Rinv * Rdot))
-        d_oro = -float(v @ Rdot @ v) / oro
-        d_quad = -float(a @ Rdot @ a)
-        grad[1 + k] = 0.5 * (tr + d_oro + d_quad / sigma2) * ranges[k]
+        d_oro = -float(v @ Rdot[k] @ v) / oro
+        d_quad = -float(a @ Rdot[k] @ a)
+        grad[1 + k] = 0.5 * (float(traces[k]) + d_oro + d_quad / sigma2) * ranges[k]
     return nll, grad
+
+
+def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
+    """The (d, n, n) array of -(x_ik - x_jk)^2.
+
+    C-contiguous, so each `Rdot[k]` in `reml_objective` is laid out as a
+    fresh (n, n) matrix: the layout fixes the order in which its trace and
+    quadratic forms are summed, and with it the bits of the gradient.
+    """
+    cols = np.ascontiguousarray(X.T)
+    diff = cols[:, :, None] - cols[:, None, :]
+    return -(diff ** 2)
 
 
 def fit_reml(design_points, design_values, n_starts: int = 5,
@@ -309,12 +329,13 @@ def fit_reml(design_points, design_values, n_starts: int = 5,
         starts.append(np.concatenate([[math.log(s2y)], logr]))
     starts = [np.clip(s, lb + 1e-9, ub - 1e-9) for s in starts[:n_starts]]
 
+    neg_sq_diffs = _neg_sq_diffs(X)
     best = None
     best_val = np.inf
     any_success = False
     for s0 in starts:
-        res = minimize(
-            lambda lp: reml_objective(X, y, lp, jitter=jitter),
+        res = minimize(  # looked up at call time, so a tracer can wrap reml_objective
+            lambda lp: reml_objective(X, y, lp, jitter=jitter, neg_sq_diffs=neg_sq_diffs),
             s0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": maxiter},
         )

@@ -195,6 +195,39 @@ class TestEstimateCommand:
         assert "config error" in err and "JSON object" in err and "list" in err
         assert out == ""
 
+    @pytest.mark.parametrize("path, value, key", [
+        (("problem", "case"), 5, "problem.case"),
+        (("config", "m"), "abc", "config.m"),
+        (("problem",), {"custom": [1, 2]}, "problem.custom"),
+        (("method",), ["bss"], "method"),
+        (("config", "m"), True, "config.m"),
+        (("config", "p0"), "0.1", "config.p0"),
+        (("seed",), 1.5, "seed"),
+        (("config",), [400, 0.1], "config"),
+    ], ids=["case-int", "m-str", "custom-list", "method-list", "m-bool", "p0-str", "seed-float",
+            "config-list"])
+    def test_replay_wrongly_typed_value_exit_2(self, capsys, tmp_path, path, value, key):
+        doc = {"schema": 1, "command": "estimate", "method": "bss",
+               "problem": {"case": "cantilever"}, "config": {"m": 400, "p0": 0.1},
+               "seed": 11, "result": {"alpha_hat": 1e-3}}
+        *parents, last = path
+        target = doc
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 2
+        assert f"config error: {key} must be" in err
+        assert out == ""
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, _, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", "cantilever", "--m", "10", "--seed", "-1",
+        ])
+        assert code == 2 and "seed must be an integer >= 0" in err
+
 
 class TestBenchmarkCommand:
     def test_row_count_contract(self, capsys, tmp_path):

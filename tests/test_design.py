@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from failprob import design
 from failprob.core import InputDistribution, Normal, substream
 from failprob.design import TruncatedBox, maximin_lhs, truncated_box
 
@@ -91,3 +92,114 @@ class TestMaximinLhs:
             maximin_lhs(1, box, 10, substream(0, "x"))
         with pytest.raises(ValueError):
             maximin_lhs(4, box, 0, substream(0, "x"))
+
+
+def _float_maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
+                       rng: np.random.Generator, chunk: int = 512) -> np.ndarray:
+    """maximin_lhs as it was before the lattice scores, verbatim: every
+    candidate scored by the float criterion. The reference for the shipped one."""
+    if n0 < 2:
+        raise ValueError("n0 must be >= 2")
+    if q_candidates < 1:
+        raise ValueError("need at least one candidate design")
+    d = box.dim
+    best_design: np.ndarray | None = None
+    best_score = -np.inf
+    iu = np.triu_indices(n0, k=1)
+    base = np.arange(n0, dtype=float)
+    for start in range(0, q_candidates, chunk):
+        nq = min(chunk, q_candidates - start)
+        perms = rng.permuted(np.broadcast_to(base, (nq, d, n0)).copy(), axis=2)
+        unit = (perms.transpose(0, 2, 1) + 0.5) / n0  # (nq, n0, d)
+        diff = unit[:, :, None, :] - unit[:, None, :, :]
+        dist2 = np.einsum("qijd,qijd->qij", diff, diff)
+        scores = dist2[:, iu[0], iu[1]].min(axis=1)
+        k = int(np.argmax(scores))  # first occurrence wins ties
+        if scores[k] > best_score:
+            best_score = float(scores[k])
+            best_design = unit[k]
+    assert best_design is not None
+    return box.lower + best_design * (box.upper - box.lower)
+
+
+class TestLatticeScores:
+    """The lattice scores pick the design the float criterion picks, to the bit."""
+
+    @pytest.mark.parametrize("q", [1, 511, 513, 10_000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
+    def test_same_design_as_float_reference(self, d, q):
+        box = TruncatedBox(np.linspace(-4.0, -1.0, d), np.linspace(2.0, 5.0, d))
+        for n0 in (2, 5 * d):
+            for seed in range(3):
+                rng, rng_ref = substream(seed, "lhs", d, q), substream(seed, "lhs", d, q)
+                X = maximin_lhs(n0, box, q, rng)
+                assert X.tobytes() == _float_maximin_lhs(n0, box, q, rng_ref).tobytes()
+                # the same draws: both generators end in the same state
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class _ScriptedRng:
+    """Stands in for the generator: each `permuted` call returns the next
+    prescribed chunk of candidates, shaped (candidates, d, n0)."""
+
+    def __init__(self, *chunks):
+        self._chunks = list(chunks)
+
+    def permuted(self, x, axis):
+        assert axis == 2
+        out = np.array(self._chunks.pop(0), dtype=float)
+        assert out.shape == x.shape
+        return out
+
+
+class TestExactTies:
+    # Two d = 2, n0 = 5 candidates (bin index per point, one row per
+    # dimension) whose closest pair is at squared index distance 5 in both.
+    # Rounding makes the float criterion of B one ulp-scale step above A's.
+    A = [[4, 2, 1, 3, 0], [4, 0, 3, 2, 1]]
+    B = [[3, 0, 1, 2, 4], [0, 1, 4, 2, 3]]
+
+    @staticmethod
+    def _design(cand):
+        return (np.array(cand, dtype=float).T + 0.5) / 5
+
+    @staticmethod
+    def _pick(*chunks):
+        q = sum(len(c) for c in chunks)
+        got = maximin_lhs(5, _unit_cube(2), q, _ScriptedRng(*chunks))
+        ref = _float_maximin_lhs(5, _unit_cube(2), q, _ScriptedRng(*chunks))
+        assert got.tobytes() == ref.tobytes()  # the rule is the float path's
+        return got
+
+    def test_candidates_tie_exactly_on_the_lattice(self):
+        def lattice(cand):
+            p = np.array(cand).T
+            return min(int(((p[i] - p[j]) ** 2).sum()) for i in range(5) for j in range(i))
+
+        def float_score(cand):
+            u = self._design(cand)
+            diff = u[:, None, :] - u[None, :, :]
+            dist2 = np.einsum("ijd,ijd->ij", diff, diff)
+            return dist2[np.triu_indices(5, k=1)].min()
+
+        assert lattice(self.A) == lattice(self.B) == 5
+        assert float_score(self.A) < float_score(self.B)
+        assert float_score(self.A) == pytest.approx(5 / 25, rel=1e-15)
+
+    def test_float_criterion_breaks_a_lattice_tie(self):
+        # the later candidate wins when its float criterion is larger
+        for chunk in ([self.A, self.B], [self.B, self.A]):
+            assert self._pick(chunk).tobytes() == self._design(self.B).tobytes()
+
+    def test_equal_float_criterion_goes_to_the_first_drawn(self):
+        # the same points in reverse order: the same float criterion
+        a_rev = [row[::-1] for row in self.A]
+        assert self._pick([self.A, a_rev]).tobytes() == self._design(self.A).tobytes()
+        assert self._pick([a_rev, self.A]).tobytes() == self._design(a_rev).tobytes()
+
+    def test_rule_holds_across_chunks(self):
+        first = [self.A] * design._CHUNK
+        assert self._pick(first, [self.B]).tobytes() == self._design(self.B).tobytes()
+        b_rev = [row[::-1] for row in self.B]
+        first = [self.B] * design._CHUNK
+        assert self._pick(first, [b_rev]).tobytes() == self._design(self.B).tobytes()

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
+from failprob import gp
 from failprob.core import substream
 from failprob.gp import (
+    DEFAULT_JITTER,
     CovarianceHyperparams,
     GpModel,
     _chol,
     _chol_solve,
     _corr_matrix,
+    _dcorr_over_h,
+    _neg_sq_diffs,
     fit_reml,
     matern52_corr,
     reml_objective,
@@ -262,6 +267,109 @@ class TestReml:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_reml(np.zeros((2, 2)) + np.arange(2)[:, None], np.arange(2.0))
+
+
+def _loop_reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
+    """reml_objective as it was with one gradient pass per range, verbatim:
+    the reference for the batched gradient."""
+    X = np.atleast_2d(np.asarray(design_points, dtype=float))
+    y = np.asarray(design_values, dtype=float).reshape(-1)
+    lp = np.asarray(log_params, dtype=float)
+    n, d = X.shape
+    sigma2 = math.exp(lp[0])
+    ranges = np.exp(lp[1:])
+    if ranges.shape[0] != d:
+        raise ValueError("log_params must have length 1 + d")
+
+    Z = X / ranges
+    H = cdist(Z, Z)
+    R = matern52_corr(H)
+    R[np.diag_indices(n)] += jitter
+    try:
+        c = _chol(R)
+    except np.linalg.LinAlgError:
+        return 1e14, np.zeros(d + 1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    ones = np.ones(n)
+    v = _chol_solve(c, ones)
+    oro = float(ones @ v)
+    mu = float(v @ y) / oro
+    resid = y - mu
+    a = _chol_solve(c, resid)
+    Q = float(resid @ a)
+
+    nll = 0.5 * ((n - 1) * gp._LOG_2PI + (n - 1) * lp[0] + logdet + math.log(oro) + Q / sigma2)
+
+    grad = np.empty(d + 1)
+    grad[0] = 0.5 * ((n - 1) - Q / sigma2)
+    Rinv = _chol_solve(c, np.eye(n))
+    G = _dcorr_over_h(H)
+    for k in range(d):
+        Dk2 = (X[:, k, None] - X[None, :, k]) ** 2
+        Rdot = G * (-Dk2 / ranges[k] ** 3)
+        tr = float(np.sum(Rinv * Rdot))
+        d_oro = -float(v @ Rdot @ v) / oro
+        d_quad = -float(a @ Rdot @ a)
+        grad[1 + k] = 0.5 * (tr + d_oro + d_quad / sigma2) * ranges[k]
+    return nll, grad
+
+
+class TestBatchedRemlGradient:
+    """The batched gradient and the per-fit squared differences change no bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
+    def test_same_bits_as_per_range_loop(self, d):
+        rng = substream(d, "reml-bits")
+        for n in range(d + 2, 81):
+            X = _random_design(rng, n, d, lo=-4.0, hi=4.0)
+            y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal(n)
+            nsd = _neg_sq_diffs(X)
+            lp = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.uniform(-2.0, 3.0, d)])
+            # jitter -1 zeroes the correlation diagonal: the sentinel path
+            for jitter in (DEFAULT_JITTER, -1.0):
+                ref_nll, ref_grad = _loop_reml_objective(X, y, lp, jitter)
+                for kw in ({}, {"neg_sq_diffs": nsd}):
+                    nll, grad = reml_objective(X, y, lp, jitter, **kw)
+                    assert float(nll).hex() == float(ref_nll).hex()
+                    assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(1, 12), (2, 20), (6, 40)])
+    def test_fit_reml_same_as_loop_objective(self, monkeypatch, d, n):
+        rng = substream(n, "reml-fit")
+        X = _random_design(rng, n, d)
+        y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.4 * np.cos(X @ rng.uniform(0.3, 1.5, d))
+        hyper = fit_reml(X, y, rng=substream(n, "starts"))
+        monkeypatch.setattr(gp, "reml_objective",
+                            lambda X, y, lp, jitter, neg_sq_diffs: _loop_reml_objective(X, y, lp, jitter))
+        ref = fit_reml(X, y, rng=substream(n, "starts"))
+        assert hyper.sigma2.hex() == ref.sigma2.hex()
+        assert hyper.ranges.tobytes() == ref.ranges.tobytes()
+        assert hyper.converged == ref.converged
+
+    def test_fit_reml_calls_the_module_objective(self, monkeypatch):
+        # The benchmark's tracer counts ReML objective calls by replacing
+        # failprob.gp.reml_objective: fit_reml must look it up there on every
+        # call, so that count equals the optimizer's function evaluations.
+        calls = []
+        nfev = []
+        real_objective, real_minimize = gp.reml_objective, gp.minimize
+
+        def counting_objective(*args, **kwargs):
+            calls.append(1)
+            return real_objective(*args, **kwargs)
+
+        def counting_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(gp, "reml_objective", counting_objective)
+        monkeypatch.setattr(gp, "minimize", counting_minimize)
+        rng = substream(5, "reml-count")
+        X = _random_design(rng, 15, 2)
+        fit_reml(X, np.sin(X[:, 0]) + np.cos(X[:, 1]), n_starts=3)
+        assert len(nfev) == 3
+        assert len(calls) == sum(nfev) > 0
 
 
 def _spd_matrices(n):
