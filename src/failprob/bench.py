@@ -140,7 +140,8 @@ def per_run_seed(root_seed: int, case: str, method: str, m: int, run: int) -> in
 def run_estimator(problem: Problem, method: str, m: int, seed: int, p0: float = 0.1,
                   collect_trace: bool = False) -> EstimationResult:
     """One seeded run of method "mc", "ss" or "bss" at sample size m; bss
-    records its SUR trace when `collect_trace` is set."""
+    records its SUR trace when `collect_trace` is set. The configuration is
+    built before the estimator starts; a rejected one raises ConfigError."""
     if method == "mc":
         return monte_carlo_estimate(problem, m, seed)
     if method == "ss":
@@ -150,14 +151,14 @@ def run_estimator(problem: Problem, method: str, m: int, seed: int, p0: float = 
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_single(case_name: str, method: str, m: int, run: int, root_seed: int,
-               p0: float = 0.1) -> tuple[EstimationResult, float]:
+def run_single(case_name: str, method: str, m: int, run: int,
+               root_seed: int) -> tuple[EstimationResult, float]:
     """One seeded estimator run on a benchmark case, and the wall time of the
     estimator call in ms (picklable for pools)."""
     problem = CASES[case_name]().problem
     seed = per_run_seed(root_seed, case_name, method, m, run)
     t0 = time.perf_counter()
-    res = run_estimator(problem, method, m, seed, p0)
+    res = run_estimator(problem, method, m, seed)
     return res, (time.perf_counter() - t0) * 1e3
 
 
@@ -259,7 +260,7 @@ def _one_blas_thread_env():
 
 
 def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
-                        seed: int, jobs: int = 1, p0: float = 0.1) -> RmseTable:
+                        seed: int, jobs: int = 1) -> RmseTable:
     """Seeded replication study: per-m relative RMSE, bias, CoV, eval budgets.
 
     Per-run substreams make parallel and serial execution produce identical
@@ -271,8 +272,7 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
     """
     if runs < 2:
         raise ValueError("need runs >= 2")
-    tasks = [(case.name, method, int(m), r, seed, p0)
-             for m in m_values for r in range(runs)]
+    tasks = [(case.name, method, int(m), r, seed) for m in m_values for r in range(runs)]
     if jobs > 1:
         with _worker_pool(jobs) as pool:
             results = list(pool.map(_study_run, tasks, chunksize=1))
@@ -284,7 +284,7 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
 
     table = RmseTable()
     by_m: dict[int, list[tuple[int, EstimationResult, float]]] = {}
-    for (_, _, m, r, _, _), (res, wall_ms, _) in zip(tasks, results):
+    for (_, _, m, r, _), (res, wall_ms, _) in zip(tasks, results):
         by_m.setdefault(m, []).append((r, res, wall_ms))
     for m in sorted(by_m):
         runs_m = sorted(by_m[m], key=lambda t: t[0])
@@ -328,21 +328,20 @@ def _study_run(task) -> tuple[EstimationResult, float, list[tuple[type, str]]]:
     """`run_single` for one study task, in this process or a worker: the
     result, its wall time in ms, and the category and message of every
     warning the run raised. A run that raises gives an error result."""
-    case_name, method, m, run, seed, p0 = task
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            res, wall_ms = run_single(case_name, method, m, run, seed, p0)
+            res, wall_ms = run_single(*task)
         except Exception as exc:  # individual run failures are recorded, not fatal
-            res = EstimationResult(method=method, alpha_hat=float("nan"), error=str(exc))
+            res = EstimationResult(method=task[1], alpha_hat=float("nan"), error=str(exc))
             wall_ms = float("nan")
     return res, wall_ms, [(w.category, str(w.message)) for w in caught]
 
 
 def recompute_reference(case: BenchmarkCase, m: int = 1_000_000, runs: int = 10,
-                        seed: int = 20260809, p0: float = 0.1) -> tuple[float, float]:
-    """Cheaper reference check: mean and CoV of `runs` subset simulation runs."""
-    cfg = SubsetSimConfig(m=m, m0=int(round(p0 * m)))
+                        seed: int = 20260809) -> tuple[float, float]:
+    """Cheaper reference check: mean and CoV of `runs` ss runs at p0 = 0.1."""
+    cfg = SubsetSimConfig(m=m, m0=int(round(0.1 * m)))
     ests = []
     for r in range(runs):
         s = per_run_seed(seed, case.name, "ss-ref", m, r)

@@ -19,11 +19,13 @@ with its coefficient of variation from the per-stage kappa recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    ConfigError,
     EstimationResult,
     EvaluationLedger,
     Problem,
@@ -32,10 +34,9 @@ from .core import (
     substream,
 )
 from .design import maximin_lhs, truncated_box
-from .gp import DEFAULT_JITTER, GpModel, fit_reml
+from .gp import GpModel, fit_reml
 from .smc import (
     DegenerateWeightsError,
-    RwmhConfig,
     RwmhState,
     residual_resample,
     reweight,
@@ -54,42 +55,43 @@ __all__ = [
 ]
 
 
+ETA_INTERMEDIATE = 0.5  # stopping-rule eta at intermediate stages
+ETA_FINAL_FACTOR = 0.1  # eta at the final stage, per unit of the estimate's CoV
+DESIGN_EPSILON = 1e-5  # the initial design's box: marginal quantiles eps, 1 - eps
+DESIGN_CANDIDATES = 10_000  # Latin hypercubes drawn for the maximin initial design
+REML_STARTS = 5  # L-BFGS-B starts of the first ReML fit
+REML_REFIT_STARTS = 2  # and of each refit after an evaluation
+_MAX_EXPANSIONS = 60  # bracket doublings before the threshold solve gives up
+
+
 class ThresholdSolverError(RuntimeError):
     """The adaptive threshold equation could not be bracketed."""
 
 
 @dataclass
 class BssConfig:
+    """m particles, per-stage probability p0, at least n_min SUR evaluations
+    per stage, n0 initial design points (5 d when None), and the budgets;
+    every other constant of the algorithm is fixed at module level."""
+
     m: int
     p0: float = 0.1
-    eta_intermediate: float = 0.5
-    eta_final_factor: float = 0.1
     n_min: int = 2
-    n0: int | None = None  # default 5 d
-    design_epsilon: float = 1e-5
-    design_candidates: int = 10_000
-    kernel: RwmhConfig = field(default_factory=RwmhConfig)
-    reml_starts: int = 5
-    reml_refit_starts: int = 2
-    m0_max: int = 1000
-    prune_rho: float = 0.99
+    n0: int | None = None
     max_stages: int = 50
     max_total_evaluations: int = 2000
-    jitter: float = DEFAULT_JITTER
 
     def __post_init__(self) -> None:
         if self.m < 2:
-            raise ValueError("m must be >= 2")
+            raise ConfigError("m must be >= 2")
         if not 0.0 < self.p0 < 1.0:
-            raise ValueError("p0 must be in (0, 1)")
-        if self.eta_intermediate <= 0.0 or self.eta_final_factor <= 0.0:
-            raise ValueError("eta values must be positive")
+            raise ConfigError("p0 must be in (0, 1)")
         if self.n_min < 0:
-            raise ValueError("n_min must be >= 0")
+            raise ConfigError("n_min must be >= 0")
 
 
 def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
-                    p0: float, *, max_expansions: int = 60) -> float:
+                    p0: float) -> float:
     """Solve (1/m) sum_j g(Y_j; u) / g_prev(Y_j) = p0 for u by bisection.
 
     `mean` and `sd` are the posterior at the m particles Y_j, and
@@ -121,13 +123,13 @@ def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndar
     while not lhs_gt(lo):
         lo, hi = lo - (hi - lo), lo
         k += 1
-        if k > max_expansions:
+        if k > _MAX_EXPANSIONS:
             raise ThresholdSolverError("no sign change while expanding bracket downward")
     k = 0
     while lhs_gt(hi):
         lo, hi = hi, hi + (hi - lo)
         k += 1
-        if k > max_expansions:
+        if k > _MAX_EXPANSIONS:
             raise ThresholdSolverError("no sign change while expanding bracket upward")
     width_tol = 1e-12 * scale
     while hi - lo > width_tol:
@@ -176,19 +178,21 @@ def cov_recursion(kappas, m: int) -> np.ndarray:
     return np.array(out)
 
 
-def _default_model_factory(X, y, prev_hyper, rng, config: BssConfig):
-    n_starts = config.reml_starts if prev_hyper is None else config.reml_refit_starts
-    hyper = fit_reml(X, y, n_starts=n_starts, rng=rng, init=prev_hyper, jitter=config.jitter)
-    return GpModel(X, y, hyper, jitter=config.jitter)
+def _default_model_factory(X, y, prev_hyper, rng):
+    n_starts = REML_STARTS if prev_hyper is None else REML_REFIT_STARTS
+    hyper = fit_reml(X, y, n_starts=n_starts, rng=rng, init=prev_hyper)
+    return GpModel(X, y, hyper)
 
 
 def run_bss(problem: Problem, config: BssConfig, seed: int,
             collect_trace: bool = False, model_factory=None) -> EstimationResult:
     """Run Bayesian subset simulation; deterministic given the root seed.
 
-    `model_factory(X, y, prev_hyper, rng, config)` can replace the default
-    ReML + ordinary-kriging surrogate (used for the perfect-model limit in
-    tests, or for custom priors); refit failures keep the previous model.
+    `model_factory(X, y, prev_hyper, rng)` can replace the default ReML +
+    ordinary-kriging surrogate (used for the perfect-model limit in tests,
+    or for custom priors). A refit that raises LinAlgError or ValueError
+    warns and keeps the previous hyperparameters, or failing that the
+    previous model; any other exception propagates.
     """
     if model_factory is None:
         model_factory = _default_model_factory
@@ -205,10 +209,10 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
 
     # stage 0: initial design, first fit, particle cloud from the input law
     n0 = config.n0 if config.n0 is not None else 5 * d
-    box = truncated_box(problem.input, config.design_epsilon)
-    X = maximin_lhs(n0, box, config.design_candidates, rng_design)
+    box = truncated_box(problem.input, DESIGN_EPSILON)
+    X = maximin_lhs(n0, box, DESIGN_CANDIDATES, rng_design)
     y = ledger.evaluate(problem.limit_state, X, stage=0)
-    model = model_factory(X, y, None, rng_reml, config)
+    model = model_factory(X, y, None, rng_reml)
     prev_hyper = model.hyper
 
     pts = problem.input.sample(m, rng_init)
@@ -216,7 +220,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     log_pdf = problem.input.log_density(pts)
     mean_p, var_p = model.predict(pts)
     sd_p = np.sqrt(var_p)
-    kernel = RwmhState.initial(problem.input.sds, config.kernel)
+    kernel = RwmhState.initial(problem.input.sds)
 
     stages: list[StageRecord] = []
     kappas: list[float] = []
@@ -244,9 +248,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             if is_final:
                 kap_prov = kappa_hat(ratios, p_prov) if p_prov > 0.0 else 0.0
                 delta_prov = float(cov_recursion(kappas + [kap_prov], m)[-1])
-                eta = config.eta_final_factor * delta_prov
+                eta = ETA_FINAL_FACTOR * delta_prov
             else:
-                eta = config.eta_intermediate
+                eta = ETA_INTERMEDIATE
             if n_t >= config.n_min and misclass_sum(
                 mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
             ) <= eta * m * p0:
@@ -255,10 +259,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                 error = f"max_total_evaluations={config.max_total_evaluations} exceeded"
                 aborted = True
                 break
-            sel = select_next_point(
-                model, pts, mean_p, sd_p, log_g_prev, u_t,
-                m0_max=config.m0_max, rho=config.prune_rho,
-            )
+            sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
             y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
             if collect_trace:
                 trace.append({
@@ -271,15 +272,16 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             X = np.vstack([X, sel.x_new[None, :]])
             y = np.append(y, y_new)
             try:
-                model = model_factory(X, y, prev_hyper, rng_reml, config)
+                model = model_factory(X, y, prev_hyper, rng_reml)
                 prev_hyper = model.hyper
-            except Exception:
-                # refit failure: retain previous hyperparameters on the full data;
-                # if even conditioning fails, keep the previous model outright
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
+                              RuntimeWarning, stacklevel=2)
                 try:
-                    model = GpModel(X, y, prev_hyper, jitter=config.jitter)
-                except Exception:
-                    pass
+                    model = GpModel(X, y, prev_hyper)
+                except (np.linalg.LinAlgError, ValueError) as exc:
+                    warnings.warn("bss refit on the previous hyperparameters failed, previous "
+                                  f"model kept: {exc!r}", RuntimeWarning, stacklevel=2)
             mean_p, var_p = model.predict(pts)
             sd_p = np.sqrt(var_p)
             n_t += 1

@@ -3,7 +3,7 @@
 `failprob estimate` runs one seeded estimator and prints a reproducible run
 manifest as JSON on stdout (diagnostics go to stderr). `failprob benchmark`
 drives the replication study and writes summary and per-run CSV files.
-Exit codes: 0 success, 2 configuration error, 3 estimator error.
+Exit codes: 0 success, 2 configuration error (before the run), 3 estimator error.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ import numpy as np
 from . import __version__
 from .bench import (CASES, RmseTable, csv_table, recompute_reference, run_estimator,
                     run_rmse_experiment)
-from .core import Direction, EstimationResult, InputDistribution, Normal, Problem, kernel_threads
+from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Normal,
+                   Problem, kernel_threads)
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
 _METHODS = ("mc", "ss", "bss")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _json_default(obj):
@@ -69,9 +66,16 @@ def _resolve_problem(name: str) -> tuple[Problem, dict]:
         path = Path(name[5:])
         if not path.exists():
             raise ConfigError(f"problem file not found: {path}")
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        spec = _read_json(path)
         return _load_custom_problem(spec), {"custom": spec}
     raise ConfigError(f"unknown problem {name!r} (expected a case name or file:<path>)")
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write_trace(path: str, result, dim: int) -> None:
@@ -147,7 +151,7 @@ def _cmd_replay(args) -> int:
     path = Path(args.replay)
     if not path.exists():
         raise ConfigError(f"manifest not found: {path}")
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest must be a JSON object, not {type(manifest).__name__}")
     if manifest.get("schema") != SCHEMA_VERSION:
@@ -286,7 +290,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (ConfigError, ExprError, ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, ExprError, json.JSONDecodeError) as exc:
         print(f"failprob: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # estimator failures

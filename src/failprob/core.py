@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
+    "ConfigError",
     "Direction",
     "Normal",
     "InputDistribution",
@@ -156,6 +157,10 @@ def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int) -> Non
         f.result()
 
 
+class ConfigError(ValueError):
+    """A configuration rejected before anything runs (the command line exits 2)."""
+
+
 class Direction(Enum):
     """Failure convention: ABOVE means failure when f(x) > threshold."""
 
@@ -199,8 +204,9 @@ class InputDistribution:
             raise ValueError("need at least one marginal")
 
     @classmethod
-    def iid_normal(cls, dim: int, mean: float = 0.0, sd: float = 1.0) -> "InputDistribution":
-        return cls(tuple(Normal(mean, sd) for _ in range(dim)))
+    def iid_normal(cls, dim: int) -> "InputDistribution":
+        """The standard normal law on R^dim."""
+        return cls(tuple(Normal(0.0, 1.0) for _ in range(dim)))
 
     @property
     def dim(self) -> int:

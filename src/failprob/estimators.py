@@ -17,18 +17,19 @@ stage, with the extra adaptive-MCMC evaluations left out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    ConfigError,
     EstimationResult,
     EvaluationLedger,
     Problem,
     StageRecord,
     substream,
 )
-from .smc import RwmhConfig, RwmhState, residual_resample, rwmh_move
+from .smc import RwmhState, residual_resample, rwmh_move
 
 __all__ = [
     "SubsetSimConfig",
@@ -40,14 +41,15 @@ __all__ = [
 
 @dataclass
 class SubsetSimConfig:
+    """m particles, of which m0 = p0 m survive each intermediate level."""
+
     m: int
     m0: int
-    kernel: RwmhConfig = field(default_factory=RwmhConfig)
     max_stages: int = 50
 
     def __post_init__(self) -> None:
         if not 1 <= self.m0 < self.m:
-            raise ValueError("need 1 <= m0 < m")
+            raise ConfigError("need 1 <= m0 < m")
 
     @property
     def p0(self) -> float:
@@ -65,7 +67,7 @@ def monte_carlo_estimate(problem: Problem, m: int, seed: int) -> EstimationResul
     diagnostic count (they do not enter numerator or denominator).
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise ConfigError("m must be >= 1")
     rng = substream(seed, "mc")
     ledger = EvaluationLedger()
     failures = 0
@@ -113,7 +115,7 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     pts = dist.sample(m, rng_init)
     vals = ledger.evaluate(problem.limit_state, pts, stage=0)
     log_pdf = dist.log_density(pts)
-    kernel = RwmhState.initial(dist.sds, config.kernel)
+    kernel = RwmhState.initial(dist.sds)
 
     stages: list[StageRecord] = []
     t = 1

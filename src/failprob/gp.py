@@ -29,7 +29,6 @@ from scipy.spatial.distance import cdist
 from .core import _row_blocks
 
 __all__ = [
-    "REGULARITY",
     "DEFAULT_JITTER",
     "matern52_corr",
     "CovarianceHyperparams",
@@ -38,8 +37,8 @@ __all__ = [
     "reml_objective",
 ]
 
-REGULARITY = 2.5
 DEFAULT_JITTER = 1e-10
+REML_MAXITER = 100  # L-BFGS-B iterations per ReML start
 _SQRT10 = math.sqrt(10.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -62,11 +61,11 @@ def _dcorr_over_h(h):
 
 @dataclass(frozen=True)
 class CovarianceHyperparams:
-    """Process variance, per-dimension ranges, and the (fixed) regularity."""
+    """Process variance and per-dimension ranges of the Matern 5/2 prior,
+    and whether the ReML fit that produced them converged."""
 
     sigma2: float
     ranges: np.ndarray
-    regularity: float = REGULARITY
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -75,8 +74,6 @@ class CovarianceHyperparams:
             raise ValueError("sigma2 must be positive")
         if np.any(self.ranges <= 0.0):
             raise ValueError("all ranges must be positive")
-        if self.regularity != REGULARITY:
-            raise ValueError("only regularity 5/2 is supported")
 
     @property
     def dim(self) -> int:
@@ -117,8 +114,9 @@ class GpModel:
     read-only and may run concurrently. Refitting builds a fresh model.
     """
 
-    def __init__(self, design_points, design_values, hyper: CovarianceHyperparams,
-                 jitter: float = DEFAULT_JITTER):
+    jitter = DEFAULT_JITTER  # the nugget on the correlation diagonal
+
+    def __init__(self, design_points, design_values, hyper: CovarianceHyperparams):
         X = np.atleast_2d(np.asarray(design_points, dtype=float))
         y = np.asarray(design_values, dtype=float).reshape(-1)
         if X.shape[0] != y.shape[0]:
@@ -128,7 +126,6 @@ class GpModel:
         self.design_points = X
         self.design_values = y
         self.hyper = hyper
-        self.jitter = float(jitter)
 
         n = X.shape[0]
         R = _corr_matrix(X, X, hyper.ranges)
@@ -215,7 +212,7 @@ class GpModel:
         """New model with (x_new, y_new) appended; hyperparameters unchanged."""
         X = np.vstack([self.design_points, np.atleast_2d(np.asarray(x_new, dtype=float))])
         y = np.append(self.design_values, float(y_new))
-        return GpModel(X, y, self.hyper, jitter=self.jitter)
+        return GpModel(X, y, self.hyper)
 
 def reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER,
                    *, neg_sq_diffs=None):
@@ -289,8 +286,7 @@ def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
 
 def fit_reml(design_points, design_values, n_starts: int = 5,
              rng: np.random.Generator | None = None,
-             init: CovarianceHyperparams | None = None,
-             jitter: float = DEFAULT_JITTER, maxiter: int = 100) -> CovarianceHyperparams:
+             init: CovarianceHyperparams | None = None) -> CovarianceHyperparams:
     """Estimate (sigma2, ranges) by multi-start quasi-Newton ReML.
 
     Returns the best local maximizer found; if no start converges, the best
@@ -335,9 +331,9 @@ def fit_reml(design_points, design_values, n_starts: int = 5,
     any_success = False
     for s0 in starts:
         res = minimize(  # looked up at call time, so a tracer can wrap reml_objective
-            lambda lp: reml_objective(X, y, lp, jitter=jitter, neg_sq_diffs=neg_sq_diffs),
+            lambda lp: reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs),
             s0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": maxiter},
+            options={"maxiter": REML_MAXITER},
         )
         any_success = any_success or bool(res.success)
         if res.fun < best_val:

@@ -30,11 +30,15 @@ __all__ = [
     "DegenerateWeightsError",
     "reweight",
     "residual_resample",
-    "RwmhConfig",
     "RwmhState",
     "MoveDiagnostics",
     "rwmh_move",
 ]
+
+
+TARGET_ACCEPTANCE = 0.30  # the target of the step adaptation
+LOG_STEP_DELTA = math.log(10.0)  # delta: sweep s moves each log step by +-delta/s
+INIT_SCALE = 2.0  # initial steps INIT_SCALE / sqrt(d) times the marginal sds
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -78,49 +82,24 @@ def residual_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class RwmhConfig:
-    """Move-kernel settings. init_scale defaults to 2/sqrt(d) at state init."""
-
-    sweeps: int = 10
-    target_acceptance: float = 0.30
-    log_step_delta: float = math.log(10.0)
-    init_scale: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must be in (0, 1)")
-        if self.log_step_delta <= 0.0:
-            raise ValueError("log_step_delta must be positive")
-
-
-@dataclass(frozen=True)
 class RwmhState:
-    """Per-coordinate log step sizes plus a cumulative sweep counter.
-
-    The counter only grows across stages (kernel state persists); the
-    adaptation denominator restarts at each move call.
-    """
+    """Per-coordinate log step sizes, which persist across stages, and the
+    number of sweeps each move runs."""
 
     log_sigma: np.ndarray
-    config: RwmhConfig
-    sweeps_done: int = 0
+    sweeps: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "log_sigma", np.atleast_1d(np.asarray(self.log_sigma, dtype=float)))
         if np.any(~np.isfinite(self.log_sigma)):
             raise ValueError("log step sizes must be finite")
+        if self.sweeps < 1:
+            raise ValueError("sweeps must be >= 1")
 
     @classmethod
-    def initial(cls, marginal_sds: np.ndarray, config: RwmhConfig | None = None) -> "RwmhState":
+    def initial(cls, marginal_sds: np.ndarray) -> "RwmhState":
         sds = np.atleast_1d(np.asarray(marginal_sds, dtype=float))
-        config = config or RwmhConfig()
-        scale = config.init_scale if config.init_scale is not None else 2.0 / math.sqrt(len(sds))
-        return cls(log_sigma=np.log(scale * sds), config=config)
-
-    def step_sizes(self) -> np.ndarray:
-        return np.exp(self.log_sigma)
+        return cls(log_sigma=np.log(INIT_SCALE / math.sqrt(len(sds)) * sds))
 
 
 @dataclass
@@ -154,7 +133,6 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
-    cfg = state.config
 
     def draw():
         return rng.standard_normal((m, d)), rng.random(m)
@@ -169,9 +147,9 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
 
         log_sigma = state.log_sigma.copy()
         diag = MoveDiagnostics()
-        for s in range(1, cfg.sweeps + 1):
+        for s in range(1, state.sweeps + 1):
             proposal, u = draw() if pending is None else pending.result()
-            pending = _kernel_submit(draw) if s < cfg.sweeps else None
+            pending = _kernel_submit(draw) if s < state.sweeps else None
             proposal *= np.exp(log_sigma)  # pts + step * z, formed in place
             proposal += pts
             logp_prop, aux_prop = log_target(proposal)
@@ -187,11 +165,11 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
             abar = float(accept_prob.mean())
             diag.acceptance.append(abar)
             if adapt:
-                delta = cfg.log_step_delta / s
-                log_sigma = log_sigma + (delta if abar > cfg.target_acceptance else -delta)
+                delta = LOG_STEP_DELTA / s
+                log_sigma = log_sigma + (delta if abar > TARGET_ACCEPTANCE else -delta)
             diag.step_log_sigma.append(log_sigma.copy())
     finally:
         if pending is not None:  # only when raising: let no pool thread hold rng
             wait((pending,))
-    new_state = replace(state, log_sigma=log_sigma, sweeps_done=state.sweeps_done + cfg.sweeps)
+    new_state = replace(state, log_sigma=log_sigma)
     return pts, (logp, aux), new_state, diag

@@ -19,7 +19,7 @@ from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, reml_objective
-from failprob.smc import RwmhConfig, RwmhState, residual_resample, rwmh_move
+from failprob.smc import RwmhState, residual_resample, rwmh_move
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import model_var_floor, select_next_point
 
@@ -166,7 +166,7 @@ def test_acceptance_3_smc():
         x = X[:, 0]
         return np.logaddexp(-0.5 * ((x + 2) / 0.5) ** 2, -0.5 * ((x - 2) / 0.5) ** 2), {}
 
-    state = RwmhState(log_sigma=np.array([math.log(0.8)]), config=RwmhConfig(sweeps=50))
+    state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
     out, _, _, _ = rwmh_move(pts, target, state, rng, adapt=False)
 
     def mix_cdf(z):

@@ -210,7 +210,7 @@ class TestRunBss:
         # indicator limit of the coverage: same trajectories, same estimate
         prob = _problem(float(ndtri(1 - 1e-4)))
 
-        def factory(X, y, prev, rng, config):
+        def factory(X, y, prev, rng):
             return _PerfectModel(X, y, prob.limit_state)
 
         for seed in (0, 1, 5):
@@ -249,6 +249,30 @@ class TestRunBss:
         b = run_bss(prob, cfg, seed=7)
         assert a.alpha_hat == b.alpha_hat
         assert a.n_total == b.n_total
+
+    def test_refit_failure_warns_and_keeps_hyperparameters(self):
+        # on this linear problem n_min forces SUR evaluations after every
+        # particle is classified, and pruning's all-zero fallback picks a
+        # particle that is already a design point: ReML refuses the duplicate,
+        # and the run says so each time instead of swallowing it
+        prob = Problem(lambda X: X[:, 0] + X[:, 1], InputDistribution.iid_normal(2), 6.7)
+        with pytest.warns(RuntimeWarning) as record:
+            res = run_bss(prob, BssConfig(m=1000), seed=0)
+        assert res.error is None
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert len(messages) == 13
+        assert all("ValueError('degenerate design: duplicate points')" in m for m in messages)
+
+    def test_refit_error_of_other_type_propagates(self):
+        prob = _problem(float(ndtri(1 - 1e-3)))
+
+        def factory(X, y, prev, rng):
+            if prev is not None:
+                raise TypeError("not a numerical failure")
+            return bss._default_model_factory(X, y, prev, rng)
+
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            run_bss(prob, BssConfig(m=400, n0=8), seed=7, model_factory=factory)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

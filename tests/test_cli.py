@@ -222,6 +222,42 @@ class TestEstimateCommand:
         assert f"config error: {key} must be" in err
         assert out == ""
 
+    @pytest.mark.parametrize("method,m,message", [("ss", "5", "need 1 <= m0 < m"),
+                                                  ("bss", "1", "m must be >= 2")])
+    def test_rejected_estimator_config_exit_2(self, capsys, method, m, message):
+        code, out, err = _run(capsys, [
+            "estimate", "--method", method, "--problem", "cantilever", "--m", m, "--seed", "1",
+        ])
+        assert code == 2
+        assert f"config error: {message}" in err and out == ""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("method,message", [("ss", "Probabilities contain NaN"),
+                                                ("bss", "sigma2 must be positive")])
+    def test_error_raised_mid_run_exit_3(self, capsys, tmp_path, method, message):
+        # log(x1) is NaN for half the inputs: the run starts and then fails
+        spec = {
+            "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}] * 2,
+            "threshold": 2.0,
+            "limit_state": "log(x1) + x2",
+        }
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = _run(capsys, [
+            "estimate", "--method", method, "--problem", f"file:{path}",
+            "--m", "1000", "--seed", "1",
+        ])
+        assert code == 3
+        assert f"estimator error: {message}" in err
+
+    def test_problem_file_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
+        ])
+        assert code == 2 and "not UTF-8" in err
+
     def test_negative_seed_exit_2(self, capsys):
         code, _, err = _run(capsys, [
             "estimate", "--method", "mc", "--problem", "cantilever", "--m", "10", "--seed", "-1",

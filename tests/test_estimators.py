@@ -160,6 +160,25 @@ def test_kernel_threads_change_no_bit(kernel_threads):
     assert signature() == one
 
 
+def test_ss_oscillator_meets_nonfinite_values():
+    # proposals with x2 + x3 <= 0 make the oscillator's limit state NaN; the
+    # indicator target rejects them (NaN > u is False) and the run finishes
+    from failprob.bench import nonlinear_oscillator
+
+    problem = nonlinear_oscillator().problem
+    nonfinite = []
+
+    def counting(X):
+        values = problem.limit_state(X)
+        nonfinite.append(int(np.count_nonzero(~np.isfinite(values))))
+        return values
+
+    counted = Problem(counting, problem.input, problem.threshold)
+    res = run_subset_simulation(counted, SubsetSimConfig(m=10_000, m0=1000), 0)
+    assert sum(nonfinite) > 0
+    assert res.error is None and 0.0 < res.alpha_hat < 1e-6
+
+
 def test_one_kernel_thread_builds_no_pool(kernel_threads):
     # a `--jobs` worker runs one kernel thread: it draws inline, on no pool
     from failprob import core

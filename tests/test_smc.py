@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy import stats as spstats
 
 from failprob.core import substream
 from failprob.smc import (
+    LOG_STEP_DELTA,
+    TARGET_ACCEPTANCE,
     DegenerateWeightsError,
-    RwmhConfig,
     RwmhState,
     residual_resample,
     reweight,
@@ -123,7 +125,7 @@ class TestRwmhMove:
         out, (logp, _), state2, diag = rwmh_move(pts, _gaussian_target, state, rng)
         ks = spstats.kstest(out[:, 0], "norm")
         assert ks.pvalue > 0.01
-        assert state2.sweeps_done == 10
+        assert len(diag.acceptance) == state2.sweeps == 10
 
     def test_step_adaptation_arithmetic(self):
         # flat target: every proposal accepted, abar = 1 > target, so the log
@@ -132,13 +134,11 @@ class TestRwmhMove:
             return np.zeros(X.shape[0]), {}
 
         d = 3
-        cfg = RwmhConfig(sweeps=4)
-        state = RwmhState.initial(np.ones(d), cfg)
+        state = replace(RwmhState.initial(np.ones(d)), sweeps=4)
         rng = substream(6, "move")
         pts = rng.standard_normal((50, d))
         _, _, state2, diag = rwmh_move(pts, flat, state, rng)
-        delta = cfg.log_step_delta
-        want = state.log_sigma + delta * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
+        want = state.log_sigma + LOG_STEP_DELTA * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
         np.testing.assert_allclose(state2.log_sigma, want, atol=1e-12)
         assert diag.acceptance == [1.0] * 4
 
@@ -149,13 +149,13 @@ class TestRwmhMove:
         pts = rng.standard_normal((100, d))
         _, _, s1, _ = rwmh_move(pts, _gaussian_target, state, rng)
         _, _, s2, _ = rwmh_move(pts, _gaussian_target, s1, rng)
-        assert s2.sweeps_done == 20
+        assert s2.sweeps == s1.sweeps == state.sweeps
         assert not np.allclose(s1.log_sigma, state.log_sigma)
 
     def test_initial_scale_default(self):
         sds = np.array([2.0, 0.5, 1.0, 4.0])
         state = RwmhState.initial(sds)
-        np.testing.assert_allclose(state.step_sizes(), 2.0 / math.sqrt(4) * sds, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(state.log_sigma), 2.0 / math.sqrt(4) * sds, rtol=1e-12)
 
     def test_aux_threading(self):
         # aux values stay consistent with the particle positions
@@ -191,8 +191,7 @@ class TestRwmhMove:
             lb = -0.5 * ((x - 2) / 0.5) ** 2
             return np.logaddexp(la, lb), {}
 
-        cfg = RwmhConfig(sweeps=50)
-        state = RwmhState(log_sigma=np.array([math.log(0.8)]), config=cfg)
+        state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
         out, _, _, _ = rwmh_move(pts, target, state, rng, adapt=False)
         x = out[:, 0]
 
@@ -214,10 +213,9 @@ def _serial_move(points, log_target, state, rng, current=None, adapt=True):
     logp, aux = log_target(pts) if current is None else current
     logp = np.array(logp, dtype=float)
     aux = {k: np.array(v) for k, v in aux.items()}
-    cfg = state.config
     log_sigma = state.log_sigma.copy()
     acceptance, steps = [], []
-    for s in range(1, cfg.sweeps + 1):
+    for s in range(1, state.sweeps + 1):
         proposal = pts + np.exp(log_sigma)[None, :] * rng.standard_normal((m, d))
         logp_prop, aux_prop = log_target(proposal)
         with np.errstate(over="ignore"):
@@ -230,8 +228,8 @@ def _serial_move(points, log_target, state, rng, current=None, adapt=True):
             aux[key][acc] = aux_prop[key][acc]
         acceptance.append(float(accept_prob.mean()))
         if adapt:
-            delta = cfg.log_step_delta / s
-            log_sigma = log_sigma + (delta if acceptance[-1] > cfg.target_acceptance else -delta)
+            delta = LOG_STEP_DELTA / s
+            log_sigma = log_sigma + (delta if acceptance[-1] > TARGET_ACCEPTANCE else -delta)
         steps.append(log_sigma.copy())
     return pts, logp, aux, log_sigma, acceptance, steps
 
@@ -275,12 +273,12 @@ class TestDrawAhead:
         kernel_threads(threads)
         d = 3
         pts = _shell_start(m, d, 11)
-        state = RwmhState.initial(np.ones(d), RwmhConfig(sweeps=6))
+        state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
         rng_ref, rng = substream(12, "move"), substream(12, "move")
         ref = _serial_move(pts, _shell_target, state, rng_ref, adapt=adapt)
         out = rwmh_move(pts, _shell_target, state, rng, adapt=adapt)
         self._assert_same(ref, out, rng_ref, rng)
-        assert out[2].sweeps_done == 6 and out[2].config is state.config
+        assert out[2].sweeps == 6
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, threads):
@@ -298,19 +296,18 @@ class TestDrawAhead:
     def _three_stages(self):
         d = 2
         pts = _shell_start(200, d, 13)
-        state = RwmhState.initial(np.ones(d), RwmhConfig(sweeps=4))
+        state = replace(RwmhState.initial(np.ones(d)), sweeps=4)
         rng_ref, rng = substream(14, "move"), substream(14, "move")
         pts_ref, current_ref = pts, None
         log_sigma = state.log_sigma
         current = None
         for _ in range(3):
-            ref_state = RwmhState(log_sigma, state.config)
+            ref_state = RwmhState(log_sigma, state.sweeps)
             ref = _serial_move(pts_ref, _shell_target, ref_state, rng_ref, current_ref)
             out = rwmh_move(pts, _shell_target, state, rng, current)
             self._assert_same(ref, out, rng_ref, rng)
             pts_ref, current_ref, log_sigma = ref[0], (ref[1], ref[2]), ref[3]
             pts, current, state, _ = out
-        assert state.sweeps_done == 12
 
     def test_raising_target_leaves_generator_quiescent(self, kernel_threads):
         kernel_threads(2)
