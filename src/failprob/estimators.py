@@ -2,10 +2,12 @@
 with adaptive thresholds.
 
 Subset simulation runs the reweight/residual-resample/move scheme on the
-indicator targets 1{f > u_t} * pdf. Thresholds are the (m - m0)-th order
-statistic of the current population's limit-state values, so each
-intermediate conditional probability estimate equals p0 = m0/m by
-construction, and the final estimate is (m_u / m) * p0^(T-1).
+indicator targets 1{f > u_t} * pdf. The target evaluates f at every
+proposal and the input density only at those inside the level; the others
+have log target -inf and are never accepted. Thresholds are the
+(m - m0)-th order statistic of the current population's limit-state
+values, so each intermediate conditional probability estimate equals
+p0 = m0/m by construction, and the final estimate is (m_u / m) * p0^(T-1).
 
 Both take an int root seed and draw from named substreams of it. Every
 limit-state call goes through an `EvaluationLedger` (stage 0 sample plus S
@@ -144,15 +146,19 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         log_pdf = log_pdf[idx]
 
         def log_target(X, _u=u_t0, _t=t):
+            # the density only inside the level: outside it the target is 0
             fv = ledger.evaluate(problem.limit_state, X, stage=_t)
-            lp = dist.log_density(X)
-            logp = np.where(fv > _u, lp, -np.inf)
-            return logp, {"f": fv, "log_pdf": lp}
+            inside = np.flatnonzero(fv > _u)
+            logp = np.full(len(fv), -np.inf)
+            logp[inside] = dist.log_density(X.take(inside, axis=0))
+            return logp, {"f": fv}
 
-        current = (np.where(vals > u_t0, log_pdf, -np.inf), {"f": vals, "log_pdf": log_pdf})
-        pts, (_, aux), kernel, diag = rwmh_move(pts, log_target, kernel, rng_move, current=current)
+        # every resampled particle is inside the level, so the moved
+        # particles' log target is their log pdf
+        current = (np.where(vals > u_t0, log_pdf, -np.inf), {"f": vals})
+        pts, (log_pdf, aux), kernel, diag = rwmh_move(pts, log_target, kernel, rng_move,
+                                                      current=current)
         vals = aux["f"]
-        log_pdf = aux["log_pdf"]
         stages[-1].acceptance = diag.acceptance
         t += 1
 

@@ -14,6 +14,12 @@ them one sweep ahead on the kernel pool (`core._kernel_submit`) while the
 current sweep evaluates its target. The generator gives the same numbers in
 the same order at any thread count; at one kernel thread (as in `--jobs`
 workers) they are drawn inline.
+
+A move allocates its sweep arrays once per call: two alternating draw
+buffers, in which the proposals are formed in place, and the acceptance
+probabilities and accept mask, computed in place. Accepted rows are copied
+through one index array, so a sweep allocates only that index and the
+accepted rows it gathers from the target's output.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -111,7 +118,7 @@ class MoveDiagnostics:
 
 
 def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
-              rng: np.random.Generator, current=None, adapt: bool = True):
+              rng: np.random.Generator, current=None):
     """Run S adaptive RWMH sweeps over a particle population.
 
     `log_target` maps a (k, d) array to `(logp, aux)` where `logp` is the
@@ -129,15 +136,24 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     exception propagates, and the generator is then up to one sweep ahead
     of where a serial move would have left it.
 
+    The draws fill two buffers allocated once per call, and sweep s forms
+    its proposals in place in the buffer it read, which the draw for sweep
+    s + 2 refills while the target runs on sweep s + 1. So `log_target`
+    must not rely on its argument after it returns: returned arrays may be
+    views of it, since accepted rows are copied out before the refill, but
+    it must keep no reference to read on a later call.
+
     Returns (moved points, final (logp, aux), new state, diagnostics).
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
+    buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]  # sweep s reads [s % 2]
 
-    def draw():
-        return rng.standard_normal((m, d)), rng.random(m)
+    def draw(z, u):
+        rng.standard_normal(out=z)
+        rng.random(out=u)
 
-    pending = _kernel_submit(draw)
+    pending = _kernel_submit(partial(draw, *buffers[1]))
     try:
         logp, aux = log_target(pts) if current is None else current
         logp = np.array(logp, dtype=float)
@@ -145,28 +161,38 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
         if np.any(~np.isfinite(logp)):
             raise ValueError("rwmh_move: log_target must be finite at the current particles")
 
+        accept_prob = np.empty(m)
+        acc = np.empty(m, dtype=bool)
         log_sigma = state.log_sigma.copy()
         diag = MoveDiagnostics()
         for s in range(1, state.sweeps + 1):
-            proposal, u = draw() if pending is None else pending.result()
-            pending = _kernel_submit(draw) if s < state.sweeps else None
+            proposal, u = buffers[s % 2]
+            if pending is None:
+                draw(proposal, u)
+            else:
+                pending.result()
+            pending = (_kernel_submit(partial(draw, *buffers[(s + 1) % 2]))
+                       if s < state.sweeps else None)
             proposal *= np.exp(log_sigma)  # pts + step * z, formed in place
             proposal += pts
             logp_prop, aux_prop = log_target(proposal)
             logp_prop = np.asarray(logp_prop, dtype=float)
+            np.subtract(logp_prop, logp, out=accept_prob)
             with np.errstate(over="ignore"):
-                accept_prob = np.minimum(1.0, np.exp(logp_prop - logp))
-            accept_prob = np.where(np.isneginf(logp_prop), 0.0, accept_prob)
-            acc = u < accept_prob
-            pts[acc] = proposal[acc]
-            logp[acc] = logp_prop[acc]
+                np.exp(accept_prob, out=accept_prob)
+            np.minimum(accept_prob, 1.0, out=accept_prob)
+            np.isneginf(logp_prop, out=acc)  # outside the target's support
+            accept_prob[acc] = 0.0
+            np.less(u, accept_prob, out=acc)
+            idx = np.flatnonzero(acc)
+            pts[idx] = proposal.take(idx, axis=0)
+            logp[idx] = logp_prop.take(idx)
             for key in aux:
-                aux[key][acc] = np.asarray(aux_prop[key])[acc]
+                aux[key][idx] = np.asarray(aux_prop[key]).take(idx, axis=0)
             abar = float(accept_prob.mean())
             diag.acceptance.append(abar)
-            if adapt:
-                delta = LOG_STEP_DELTA / s
-                log_sigma = log_sigma + (delta if abar > TARGET_ACCEPTANCE else -delta)
+            delta = LOG_STEP_DELTA / s
+            log_sigma = log_sigma + (delta if abar > TARGET_ACCEPTANCE else -delta)
             diag.step_log_sigma.append(log_sigma.copy())
     finally:
         if pending is not None:  # only when raising: let no pool thread hold rng

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy import stats as spstats
 
+from failprob import smc
 from failprob.bench import cantilever_beam, four_branch, nonlinear_oscillator, run_rmse_experiment
 from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
@@ -144,7 +145,7 @@ def test_acceptance_2_gp_identities():
 # 3. SMC correctness
 # --------------------------------------------------------------------------
 
-def test_acceptance_3_smc():
+def test_acceptance_3_smc(monkeypatch):
     # residual resampling expected counts over 1e5 replicates
     w = np.array([0.625, 0.375, 0.0, 0.0])
     rng = substream(20260809, "acc3")
@@ -166,8 +167,10 @@ def test_acceptance_3_smc():
         x = X[:, 0]
         return np.logaddexp(-0.5 * ((x + 2) / 0.5) ** 2, -0.5 * ((x - 2) / 0.5) ** 2), {}
 
+    # a fixed step: a zero adaptation step adds +-0.0 to each log step
+    monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
     state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-    out, _, _, _ = rwmh_move(pts, target, state, rng, adapt=False)
+    out, _, _, _ = rwmh_move(pts, target, state, rng)
 
     def mix_cdf(z):
         return 0.5 * spstats.norm.cdf(z, -2, 0.5) + 0.5 * spstats.norm.cdf(z, 2, 0.5)

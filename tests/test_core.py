@@ -68,6 +68,15 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             dist.log_density(np.array([np.inf, 0.0]))
 
+    def test_log_density_empty_batch(self):
+        # the subset simulation target asks for the density of the proposals
+        # inside the level, and there may be none
+        dist = InputDistribution((Normal(0.3, 2.0), Normal(-1.0, 0.5)))
+        out = dist.log_density(np.empty((0, 2)))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+        with pytest.raises(ValueError):
+            dist.log_density(np.empty((0, 3)))
+
     def test_marginal_normalization_by_quadrature(self):
         # each marginal density integrates to one
         mg = Normal(0.7, 2.1)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
+from failprob import smc
 from failprob.core import substream
 from failprob.smc import (
     LOG_STEP_DELTA,
@@ -177,9 +178,11 @@ class TestRwmhMove:
         with pytest.raises(ValueError):
             rwmh_move(pts, target, RwmhState.initial(np.ones(1)), substream(9, "x"))
 
-    def test_bimodal_invariance_chi2(self):
+    def test_bimodal_invariance_chi2(self, monkeypatch):
         # 2-component Gaussian mixture target, exact i.i.d. start, 50 fixed-step
-        # sweeps; chi-squared GOF on the moved population
+        # sweeps (a zero adaptation step adds +-0.0 to each log step, which
+        # keeps every bit); chi-squared GOF on the moved population
+        monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         rng = substream(10, "move")
         m = 10_000
         comp = rng.random(m) < 0.5
@@ -192,7 +195,7 @@ class TestRwmhMove:
             return np.logaddexp(la, lb), {}
 
         state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-        out, _, _, _ = rwmh_move(pts, target, state, rng, adapt=False)
+        out, _, _, _ = rwmh_move(pts, target, state, rng)
         x = out[:, 0]
 
         def mix_cdf(z):
@@ -269,16 +272,53 @@ class TestDrawAhead:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("adapt", [True, False])
     @pytest.mark.parametrize("m", [1, 300])
-    def test_matches_serial_loop(self, kernel_threads, threads, adapt, m):
+    def test_matches_serial_loop(self, kernel_threads, monkeypatch, threads, adapt, m):
+        # adapt=False: the move with a zero adaptation step, which adds +-0.0
+        # to each log step and so keeps every bit of the loop without one
         kernel_threads(threads)
+        if not adapt:
+            monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         d = 3
         pts = _shell_start(m, d, 11)
         state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
         rng_ref, rng = substream(12, "move"), substream(12, "move")
         ref = _serial_move(pts, _shell_target, state, rng_ref, adapt=adapt)
-        out = rwmh_move(pts, _shell_target, state, rng, adapt=adapt)
+        out = rwmh_move(pts, _shell_target, state, rng)
         self._assert_same(ref, out, rng_ref, rng)
         assert out[2].sweeps == 6
+        if not adapt:
+            np.testing.assert_array_equal(out[2].log_sigma, state.log_sigma)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("m", [1, 300])
+    def test_reused_buffers_reach_no_output(self, kernel_threads, threads, m):
+        # the move forms each sweep's proposals in a draw buffer that is
+        # refilled two sweeps later: a target whose aux array is a view of
+        # its input, or that keeps its input, changes no bit, and no output
+        # shares memory with what the target was given
+        kernel_threads(threads)
+        d = 3
+        pts = _shell_start(m, d, 16)
+        state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
+        seen = []
+
+        def view_target(X):
+            lp, _ = _shell_target(X)
+            return lp, {"x0": X[:, 0]}
+
+        def keeping_target(X):
+            seen.append(X)
+            return _shell_target(X)
+
+        for target in (view_target, keeping_target):
+            rng_ref, rng = substream(17, "move"), substream(17, "move")
+            ref = _serial_move(pts, target, state, rng_ref)
+            seen.clear()
+            out = rwmh_move(pts, target, state, rng)
+            self._assert_same(ref, out, rng_ref, rng)
+        assert len(seen) == 1 + state.sweeps  # the start, then one call per sweep
+        outputs = [out[0], out[1][0], *out[1][1].values()]
+        assert not any(np.shares_memory(a, x) for a in outputs for x in seen[1:])
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, threads):
