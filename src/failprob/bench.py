@@ -137,17 +137,17 @@ def per_run_seed(root_seed: int, case: str, method: str, m: int, run: int) -> in
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little") >> 1
 
 
-def run_estimator(problem: Problem, method: str, m: int, seed: int, p0: float = 0.1,
-                  collect_trace: bool = False) -> EstimationResult:
-    """One seeded run of method "mc", "ss" or "bss" at sample size m; bss
-    records its SUR trace when `collect_trace` is set. The configuration is
-    built before the estimator starts; a rejected one raises ConfigError."""
+def run_estimator(problem: Problem, method: str, m: int, seed: int,
+                  p0: float = 0.1) -> EstimationResult:
+    """One seeded run of method "mc", "ss" or "bss" at sample size m. The
+    configuration is built before the estimator starts; a rejected one
+    raises ConfigError."""
     if method == "mc":
         return monte_carlo_estimate(problem, m, seed)
     if method == "ss":
         return run_subset_simulation(problem, SubsetSimConfig(m=m, m0=int(round(p0 * m))), seed)
     if method == "bss":
-        return run_bss(problem, BssConfig(m=m, p0=p0), seed, collect_trace=collect_trace)
+        return run_bss(problem, BssConfig(m=m, p0=p0), seed)
     raise ValueError(f"unknown method {method!r}")
 
 

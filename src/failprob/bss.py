@@ -13,7 +13,9 @@ pdf * g_t under the stage-final model. As in `ss`, the cloud of m equally
 weighted particles is three arrays: the points, their log g_t and log pdf.
 
 The final estimate is the product over stages of the mean coverage ratios,
-with its coefficient of variation from the per-stage kappa recursion.
+with its coefficient of variation from the per-stage kappa recursion. The
+result's `trace` has one dict per SUR evaluation: n, x_new, criterion, u_t
+and stage.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _default_model_factory(X, y, prev_hyper, rng):
 
 
 def run_bss(problem: Problem, config: BssConfig, seed: int,
-            collect_trace: bool = False, model_factory=None) -> EstimationResult:
+            model_factory=None) -> EstimationResult:
     """Run Bayesian subset simulation; deterministic given the root seed.
 
     `model_factory(X, y, prev_hyper, rng)` can replace the default ReML +
@@ -224,7 +226,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
 
     stages: list[StageRecord] = []
     kappas: list[float] = []
-    trace: list[dict] = [] if collect_trace else None
+    trace: list[dict] = []
     log_alpha = 0.0
     underflows = 0
     error: str | None = None
@@ -261,14 +263,13 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                 break
             sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
             y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
-            if collect_trace:
-                trace.append({
-                    "n": ledger.n_total,
-                    "x_new": [float(v) for v in sel.x_new],
-                    "criterion": sel.criterion,
-                    "u_t": u_t,
-                    "stage": t,
-                })
+            trace.append({
+                "n": ledger.n_total,
+                "x_new": [float(v) for v in sel.x_new],
+                "criterion": sel.criterion,
+                "u_t": u_t,
+                "stage": t,
+            })
             X = np.vstack([X, sel.x_new[None, :]])
             y = np.append(y, y_new)
             try:

@@ -93,7 +93,7 @@ def cmd_estimate(args) -> int:
     _check_run(args.method, args.m, args.p0, args.seed)
     problem, problem_spec = _resolve_problem(args.problem)
     manifest, result = _run_to_manifest(args.method, problem, problem_spec,
-                                        args.m, args.p0, args.seed, bool(args.trace))
+                                        args.m, args.p0, args.seed)
     if args.trace:
         _write_trace(args.trace, result, problem.dim)
     text = json.dumps(manifest, indent=2, default=_json_default)
@@ -125,11 +125,10 @@ def _is_int(value) -> bool:
 
 
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
-                     m: int, p0: float, seed: int,
-                     want_trace: bool) -> tuple[dict, EstimationResult]:
+                     m: int, p0: float, seed: int) -> tuple[dict, EstimationResult]:
     """The run manifest of one seeded estimator run, and the run's result."""
     start = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    result = run_estimator(problem, method, m, seed, p0, collect_trace=want_trace)
+    result = run_estimator(problem, method, m, seed, p0)
     end = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {
         "schema": SCHEMA_VERSION,
@@ -177,7 +176,7 @@ def _cmd_replay(args) -> int:
         raise ConfigError(f"manifest has no {exc.args[0]!r} key") from None
     except TypeError as exc:
         raise ConfigError(f"invalid manifest: {exc}") from None
-    new, _ = _run_to_manifest(method, problem, problem_spec, m, p0, seed, False)
+    new, _ = _run_to_manifest(method, problem, problem_spec, m, p0, seed)
     print(json.dumps(new, indent=2, default=_json_default))
     new_alpha = new["result"]["alpha_hat"]
     if new_alpha != old_alpha:
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--p0", type=float, default=0.1, help="per-stage conditional probability")
     est.add_argument("--seed", type=int, default=None, help="root seed (u64)")
     est.add_argument("--out", help="also write the manifest JSON to this path")
-    est.add_argument("--trace", help="write per-iteration selection trace CSV (bss)")
+    est.add_argument("--trace", help="write the SUR trace CSV, one row per evaluation (bss)")
     est.add_argument("--replay", help="re-run from a manifest and verify alpha_hat")
     est.set_defaults(fn=cmd_estimate)
 

@@ -153,11 +153,10 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
             logp[inside] = dist.log_density(X.take(inside, axis=0))
             return logp, {"f": fv}
 
-        # every resampled particle is inside the level, so the moved
-        # particles' log target is their log pdf
-        current = (np.where(vals > u_t0, log_pdf, -np.inf), {"f": vals})
+        # every resampled particle is inside the level, so its log target
+        # is its log pdf
         pts, (log_pdf, aux), kernel, diag = rwmh_move(pts, log_target, kernel, rng_move,
-                                                      current=current)
+                                                      current=(log_pdf, {"f": vals}))
         vals = aux["f"]
         stages[-1].acceptance = diag.acceptance
         t += 1

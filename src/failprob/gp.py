@@ -214,14 +214,14 @@ class GpModel:
         y = np.append(self.design_values, float(y_new))
         return GpModel(X, y, self.hyper)
 
-def reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER,
-                   *, neg_sq_diffs=None):
+def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs=None):
     """Negative restricted log-likelihood and gradient.
 
     Coordinates are (log sigma2, log rho_1, ..., log rho_d). The constant
     mean is profiled out exactly, which removes one degree of freedom: the
     objective is 0.5 * [(n-1) log 2 pi + (n-1) log sigma2 + log|R|
-    + log(1' R^-1 1) + Q / sigma2] with Q the GLS quadratic form.
+    + log(1' R^-1 1) + Q / sigma2] with Q the GLS quadratic form; R has
+    `DEFAULT_JITTER` (read at call time) on its diagonal.
 
     `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2, which depends
     on the design only; `fit_reml` computes it once per fit and passes it to
@@ -239,7 +239,7 @@ def reml_objective(design_points, design_values, log_params, jitter: float = DEF
     Z = X / ranges
     H = cdist(Z, Z)
     R = matern52_corr(H)
-    R[np.diag_indices(n)] += jitter
+    R[np.diag_indices(n)] += DEFAULT_JITTER
     try:
         c = _chol(R)
     except np.linalg.LinAlgError:
@@ -284,13 +284,13 @@ def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
     return -(diff ** 2)
 
 
-def fit_reml(design_points, design_values, n_starts: int = 5,
-             rng: np.random.Generator | None = None,
+def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: int = 5,
              init: CovarianceHyperparams | None = None) -> CovarianceHyperparams:
     """Estimate (sigma2, ranges) by multi-start quasi-Newton ReML.
 
-    Returns the best local maximizer found; if no start converges, the best
-    iterate is returned with converged=False and a warning. Range bounds are
+    The starts are `init` if given, the span, then random ranges from `rng`.
+    Returns the best local maximizer found; if no start converges, the best iterate
+    is returned with converged=False and a warning. Range bounds are
     [1e-3, 1e3] times the design span per dimension; variance bounds are
     relative to var(y) so the estimate scales correctly with the data.
     """
@@ -311,7 +311,6 @@ def fit_reml(design_points, design_values, n_starts: int = 5,
         floor = (1e-8 * (1.0 + abs(float(np.mean(y))))) ** 2
         return CovarianceHyperparams(sigma2=floor, ranges=span.copy())
 
-    rng = rng if rng is not None else np.random.default_rng(0)
     lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
     ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
     bounds = list(zip(lb, ub))

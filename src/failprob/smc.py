@@ -118,14 +118,15 @@ class MoveDiagnostics:
 
 
 def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
-              rng: np.random.Generator, current=None):
+              rng: np.random.Generator, current):
     """Run S adaptive RWMH sweeps over a particle population.
 
     `log_target` maps a (k, d) array to `(logp, aux)` where `logp` is the
     (k,) log target density and `aux` a dict of per-point arrays carried
-    through accept/reject (e.g. cached limit-state values). `current`
-    optionally provides `(logp, aux)` for the starting points so drivers
-    with cached values avoid one target evaluation.
+    through accept/reject (e.g. cached limit-state values). `current` is
+    `(logp, aux)` at the starting points, which the drivers already hold;
+    a non-finite start `logp` raises ValueError before anything is drawn.
+    A proposal at log target -inf has acceptance exp(-inf - logp) = 0.
 
     Sweep s takes `rng.standard_normal((m, d))` and then `rng.random(m)`,
     and nothing else: `rng` must not be used elsewhere while the move runs.
@@ -147,6 +148,10 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
+    logp = np.array(current[0], dtype=float)
+    aux = {k: np.array(v) for k, v in current[1].items()}
+    if np.any(~np.isfinite(logp)):
+        raise ValueError("rwmh_move: the current log target must be finite")
     buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]  # sweep s reads [s % 2]
 
     def draw(z, u):
@@ -155,12 +160,6 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
 
     pending = _kernel_submit(partial(draw, *buffers[1]))
     try:
-        logp, aux = log_target(pts) if current is None else current
-        logp = np.array(logp, dtype=float)
-        aux = {k: np.array(v) for k, v in aux.items()}
-        if np.any(~np.isfinite(logp)):
-            raise ValueError("rwmh_move: log_target must be finite at the current particles")
-
         accept_prob = np.empty(m)
         acc = np.empty(m, dtype=bool)
         log_sigma = state.log_sigma.copy()
@@ -181,8 +180,6 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
             with np.errstate(over="ignore"):
                 np.exp(accept_prob, out=accept_prob)
             np.minimum(accept_prob, 1.0, out=accept_prob)
-            np.isneginf(logp_prop, out=acc)  # outside the target's support
-            accept_prob[acc] = 0.0
             np.less(u, accept_prob, out=acc)
             idx = np.flatnonzero(acc)
             pts[idx] = proposal.take(idx, axis=0)

@@ -2,10 +2,10 @@
 reduction acquisition rule.
 
 The next evaluation point is chosen among the current particles by
-minimizing the sum over the (pruned) particles, each weighted by
-1 / (m g_prev), of the expected posterior misclassification probability
-after the candidate evaluation. The particles are plain arrays: the m
-points of an equally weighted cloud and the posterior mean and sd there.
+minimizing the sum over the pruned particles (`PRUNE_RHO`, `PRUNE_M0_MAX`),
+each weighted by 1 / (m g_prev), of the expected posterior misclassification
+probability after the candidate evaluation. The particles are plain arrays:
+the m points of an equally weighted cloud and the posterior mean and sd there.
 The expectation has a closed form in the posterior mean/variance at the
 integration point and the cross quantity s_n(x, x_new). With
 b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
@@ -38,6 +38,8 @@ from .stats import binorm_cdf
 
 __all__ = [
     "VAR_FLOOR_REL",
+    "PRUNE_RHO",
+    "PRUNE_M0_MAX",
     "model_var_floor",
     "coverage_g",
     "log_coverage_g",
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 VAR_FLOOR_REL = 1e-12
+PRUNE_RHO = 0.99  # the pruned SUR set holds this fraction of the score mass
+PRUNE_M0_MAX = 1000  # and at most this many particles
 _TIE_TOL = 1e-12
 _LOG_FLOOR = -700.0  # floor of log g_prev and of clipped log terms, here and in bss
 
@@ -176,17 +180,14 @@ def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def prune(scores: np.ndarray, m0_max: int = 1000, rho: float = 0.99) -> np.ndarray:
+def prune(scores: np.ndarray) -> np.ndarray:
     """Sorted indices of the smallest score-descending prefix holding a
-    fraction rho of the total score mass, capped at m0_max. All-zero scores
-    fall back to index 0 (the particles weigh the same, so any one would do)."""
-    total = float(scores.sum())
-    if total <= 0.0:
-        return np.array([0])
+    fraction PRUNE_RHO of the total score mass, capped at PRUNE_M0_MAX and at
+    the number of positive scores (so all-zero scores keep none)."""
     order = np.argsort(-scores, kind="stable")
     csum = np.cumsum(scores[order])
-    k = int(np.searchsorted(csum, rho * total)) + 1
-    k = min(k, m0_max, int(np.count_nonzero(scores)))
+    k = int(np.searchsorted(csum, PRUNE_RHO * float(scores.sum()))) + 1
+    k = min(k, PRUNE_M0_MAX, int(np.count_nonzero(scores)))
     return np.sort(order[:k])
 
 
@@ -201,17 +202,18 @@ class SurSelection:
 
 
 def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: np.ndarray,
-                      log_g_prev: np.ndarray, u_t: float, *,
-                      m0_max: int = 1000, rho: float = 0.99) -> SurSelection:
+                      log_g_prev: np.ndarray, u_t: float) -> SurSelection:
     """Exhaustive discrete SUR search over the pruned particle set.
 
     `points` is the (m, d) cloud of equally weighted particles, `mean` and
     `sd` the posterior there, and `log_g_prev` the previous stage's log
     coverage, already floored at `_LOG_FLOOR`. The set is pruned on the
     scores tau(x) / (m g_prev(x)) and serves both as integration support and
-    as the candidate pool. Duplicate particle locations (resampling copies)
-    are merged: their integration coefficients add exactly, and the merged
-    candidate keeps the lowest original particle index for tie-breaking.
+    as the candidate pool. When every score is 0, the set is the one
+    particle with the largest posterior sd.
+    Duplicate particle locations (resampling copies) are merged: their
+    integration coefficients add exactly, and the merged candidate keeps
+    the lowest original particle index for tie-breaking.
     """
     m = points.shape[0]
     var_floor = model_var_floor(model)
@@ -221,7 +223,9 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     log_score = np.clip(log_c, None, 700.0) + log_tau
     scores = np.exp(np.clip(log_score, _LOG_FLOOR, 700.0))
     scores = np.where(np.isneginf(log_score), 0.0, scores)
-    keep = prune(scores, m0_max=m0_max, rho=rho)
+    keep = prune(scores)
+    if keep.size == 0:
+        keep = np.array([np.argmax(sd)])
 
     # merge duplicate locations
     _, first, inverse = np.unique(points[keep], axis=0, return_index=True,

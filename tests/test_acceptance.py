@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy import stats as spstats
 
-from failprob import smc
+from failprob import smc, sur
 from failprob.bench import cantilever_beam, four_branch, nonlinear_oscillator, run_rmse_experiment
 from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
@@ -170,7 +170,7 @@ def test_acceptance_3_smc(monkeypatch):
     # a fixed step: a zero adaptation step adds +-0.0 to each log step
     monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
     state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-    out, _, _, _ = rwmh_move(pts, target, state, rng)
+    out, _, _, _ = rwmh_move(pts, target, state, rng, target(pts))
 
     def mix_cdf(z):
         return 0.5 * spstats.norm.cdf(z, -2, 0.5) + 0.5 * spstats.norm.cdf(z, 2, 0.5)
@@ -258,7 +258,10 @@ def _oracle_criterion(Xd, yd, rng_range, jitter, pts, c, u, floor, xj, mu_j, sd_
     return float(np.sum(wts * dens * integrand))
 
 
-def test_acceptance_5_sur_oracle():
+def test_acceptance_5_sur_oracle(monkeypatch):
+    # no pruning: every particle is scored and is a candidate
+    monkeypatch.setattr(sur, "PRUNE_RHO", 1.0)
+    monkeypatch.setattr(sur, "PRUNE_M0_MAX", 10 ** 9)
     matches = 0
     for seed in range(20):
         rng = substream(seed, "acc5")
@@ -268,8 +271,7 @@ def test_acceptance_5_sur_oracle():
         pts = rng.uniform(-2.5, 2.5, (50, 1))
         mean, var = model.predict(pts)
         u = 0.3
-        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(50), u,
-                                rho=1.0, m0_max=10 ** 9)
+        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(50), u)
 
         floor = model_var_floor(model)
         c = np.full(50, 1.0 / 50)

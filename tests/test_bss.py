@@ -235,12 +235,12 @@ class TestRunBss:
     def test_trace_collection(self):
         prob = _problem(float(ndtri(1 - 1e-3)))
         cfg = BssConfig(m=400, n0=8)
-        res = run_bss(prob, cfg, seed=6, collect_trace=True)
+        res = run_bss(prob, cfg, seed=6)
         assert res.trace, "expected SUR trace rows"
         row = res.trace[0]
         assert set(row) == {"n", "x_new", "criterion", "u_t", "stage"}
         ns = [r["n"] for r in res.trace]
-        assert ns == sorted(ns)
+        assert ns == list(range(res.n_initial + 1, res.n_total + 1))  # one row per SUR evaluation
 
     def test_determinism(self):
         prob = _problem(float(ndtri(1 - 1e-3)))
@@ -251,17 +251,43 @@ class TestRunBss:
         assert a.n_total == b.n_total
 
     def test_refit_failure_warns_and_keeps_hyperparameters(self):
-        # on this linear problem n_min forces SUR evaluations after every
-        # particle is classified, and pruning's all-zero fallback picks a
-        # particle that is already a design point: ReML refuses the duplicate,
-        # and the run says so each time instead of swallowing it
-        prob = Problem(lambda X: X[:, 0] + X[:, 1], InputDistribution.iid_normal(2), 6.7)
+        # a refit that raises ValueError: the run warns each time, instead of
+        # swallowing it, and refits on the first fit's hyperparameters
+        prob = _problem(float(ndtri(1 - 1e-3)))
+        prevs = []
+
+        def factory(X, y, prev, rng):
+            if prev is None:
+                return bss._default_model_factory(X, y, prev, rng)
+            prevs.append(prev)
+            raise ValueError("refit refused")
+
         with pytest.warns(RuntimeWarning) as record:
-            res = run_bss(prob, BssConfig(m=1000), seed=0)
+            res = run_bss(prob, BssConfig(m=400, n0=8), seed=7, model_factory=factory)
         assert res.error is None
         messages = [str(w.message) for w in record if w.category is RuntimeWarning]
-        assert len(messages) == 13
-        assert all("ValueError('degenerate design: duplicate points')" in m for m in messages)
+        assert len(messages) == len(prevs) == res.n_total - res.n_initial > 0
+        assert all(m.startswith("bss refit failed, previous hyperparameters kept")
+                   and "ValueError('refit refused')" in m for m in messages)
+        assert all(p is prevs[0] for p in prevs)
+
+    def test_classified_cloud_repeats_no_design_point(self, recwarn):
+        # on this linear problem n_min forces SUR evaluations after every
+        # particle is classified: every SUR score is 0, and the pick is the
+        # particle with the largest sd, never a point already evaluated
+        evaluated = []
+
+        def f(X):
+            evaluated.append(X.copy())
+            return X[:, 0] + X[:, 1]
+
+        prob = Problem(f, InputDistribution.iid_normal(2), 6.7)
+        res = run_bss(prob, BssConfig(m=1000), seed=0)
+        assert res.error is None
+        X = np.vstack(evaluated)
+        assert X.shape[0] == res.n_total
+        assert np.unique(X, axis=0).shape[0] == res.n_total  # no repeated point
+        assert not [w for w in recwarn if "bss refit failed" in str(w.message)]
 
     def test_refit_error_of_other_type_propagates(self):
         prob = _problem(float(ndtri(1 - 1e-3)))
@@ -289,7 +315,7 @@ def test_kernel_threads_change_no_bit(kernel_threads):
     case = four_branch()
 
     def signature():
-        res = run_bss(case.problem, BssConfig(m=300), 12, collect_trace=True)
+        res = run_bss(case.problem, BssConfig(m=300), 12)
         return res.alpha_hat.hex(), res.n_total, res.trace
 
     kernel_threads(1)
@@ -307,7 +333,7 @@ class TestScipyOracle:
 
     @staticmethod
     def _signature(case, m, seed):
-        res = run_bss(case.problem, BssConfig(m=m), seed, collect_trace=True)
+        res = run_bss(case.problem, BssConfig(m=m), seed)
         return res.alpha_hat.hex(), res.n_total, res.trace
 
     @pytest.mark.parametrize("make_case,m,seed", [(cantilever_beam, 500, 11),

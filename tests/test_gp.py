@@ -234,7 +234,7 @@ class TestReml:
     def test_constant_data_hits_floor(self):
         X = np.linspace(0, 1, 8)[:, None]
         y = np.full(8, 3.3)
-        hyper = fit_reml(X, y)
+        hyper = fit_reml(X, y, np.random.default_rng(0))
         assert 0.0 < hyper.sigma2 < 1e-10
 
     def test_likelihood_scaling_identity(self):
@@ -254,19 +254,20 @@ class TestReml:
         rng = substream(9, "gp")
         X = rng.uniform(-2, 2, (25, 1))
         y = np.sin(2 * X[:, 0]) + 0.1 * rng.standard_normal(25)
-        h1 = fit_reml(X, y, n_starts=3)
-        h2 = fit_reml(X, 10 * y, n_starts=3)
+        h1 = fit_reml(X, y, np.random.default_rng(0), n_starts=3)
+        h2 = fit_reml(X, 10 * y, np.random.default_rng(0), n_starts=3)
         assert h2.sigma2 / h1.sigma2 == pytest.approx(100.0, rel=1e-2)
         np.testing.assert_allclose(h2.ranges, h1.ranges, rtol=1e-2)
 
     def test_degenerate_design_rejected(self):
         X = np.array([[0.0], [0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="duplicate"):
-            fit_reml(X, np.arange(4.0))
+            fit_reml(X, np.arange(4.0), np.random.default_rng(0))
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_reml(np.zeros((2, 2)) + np.arange(2)[:, None], np.arange(2.0))
+            fit_reml(np.zeros((2, 2)) + np.arange(2)[:, None], np.arange(2.0),
+                     np.random.default_rng(0))
 
 
 def _loop_reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
@@ -318,7 +319,7 @@ class TestBatchedRemlGradient:
     """The batched gradient and the per-fit squared differences change no bit."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
-    def test_same_bits_as_per_range_loop(self, d):
+    def test_same_bits_as_per_range_loop(self, monkeypatch, d):
         rng = substream(d, "reml-bits")
         for n in range(d + 2, 81):
             X = _random_design(rng, n, d, lo=-4.0, hi=4.0)
@@ -327,9 +328,10 @@ class TestBatchedRemlGradient:
             lp = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.uniform(-2.0, 3.0, d)])
             # jitter -1 zeroes the correlation diagonal: the sentinel path
             for jitter in (DEFAULT_JITTER, -1.0):
+                monkeypatch.setattr(gp, "DEFAULT_JITTER", jitter)
                 ref_nll, ref_grad = _loop_reml_objective(X, y, lp, jitter)
                 for kw in ({}, {"neg_sq_diffs": nsd}):
-                    nll, grad = reml_objective(X, y, lp, jitter, **kw)
+                    nll, grad = reml_objective(X, y, lp, **kw)
                     assert float(nll).hex() == float(ref_nll).hex()
                     assert grad.tobytes() == ref_grad.tobytes()
 
@@ -367,7 +369,7 @@ class TestBatchedRemlGradient:
         monkeypatch.setattr(gp, "minimize", counting_minimize)
         rng = substream(5, "reml-count")
         X = _random_design(rng, 15, 2)
-        fit_reml(X, np.sin(X[:, 0]) + np.cos(X[:, 1]), n_starts=3)
+        fit_reml(X, np.sin(X[:, 0]) + np.cos(X[:, 1]), np.random.default_rng(0), n_starts=3)
         assert len(nfev) == 3
         assert len(calls) == sum(nfev) > 0
 
@@ -412,12 +414,13 @@ class TestLapackHelpers:
         with pytest.raises(np.linalg.LinAlgError):
             cho_factor(R, lower=True)
 
-    def test_reml_objective_sentinel_when_not_positive_definite(self):
+    def test_reml_objective_sentinel_when_not_positive_definite(self, monkeypatch):
         # a jitter of -1 zeroes the correlation diagonal: potrf fails at once
+        monkeypatch.setattr(gp, "DEFAULT_JITTER", -1.0)
         rng = substream(11, "gp")
         X = _random_design(rng, 10, 2)
         y = np.sin(X[:, 0])
-        nll, grad = reml_objective(X, y, np.zeros(3), jitter=-1.0)
+        nll, grad = reml_objective(X, y, np.zeros(3))
         assert nll == 1e14
         assert grad.tobytes() == np.zeros(3).tobytes()
 

@@ -123,7 +123,8 @@ class TestRwmhMove:
         rng = substream(5, "move")
         pts = rng.standard_normal((m, d))
         state = RwmhState.initial(np.ones(d))
-        out, (logp, _), state2, diag = rwmh_move(pts, _gaussian_target, state, rng)
+        out, (logp, _), state2, diag = rwmh_move(pts, _gaussian_target, state, rng,
+                                                 _gaussian_target(pts))
         ks = spstats.kstest(out[:, 0], "norm")
         assert ks.pvalue > 0.01
         assert len(diag.acceptance) == state2.sweeps == 10
@@ -138,7 +139,7 @@ class TestRwmhMove:
         state = replace(RwmhState.initial(np.ones(d)), sweeps=4)
         rng = substream(6, "move")
         pts = rng.standard_normal((50, d))
-        _, _, state2, diag = rwmh_move(pts, flat, state, rng)
+        _, _, state2, diag = rwmh_move(pts, flat, state, rng, flat(pts))
         want = state.log_sigma + LOG_STEP_DELTA * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
         np.testing.assert_allclose(state2.log_sigma, want, atol=1e-12)
         assert diag.acceptance == [1.0] * 4
@@ -148,8 +149,8 @@ class TestRwmhMove:
         state = RwmhState.initial(np.ones(d))
         rng = substream(7, "move")
         pts = rng.standard_normal((100, d))
-        _, _, s1, _ = rwmh_move(pts, _gaussian_target, state, rng)
-        _, _, s2, _ = rwmh_move(pts, _gaussian_target, s1, rng)
+        _, _, s1, _ = rwmh_move(pts, _gaussian_target, state, rng, _gaussian_target(pts))
+        _, _, s2, _ = rwmh_move(pts, _gaussian_target, s1, rng, _gaussian_target(pts))
         assert s2.sweeps == s1.sweeps == state.sweeps
         assert not np.allclose(s1.log_sigma, state.log_sigma)
 
@@ -166,7 +167,7 @@ class TestRwmhMove:
         rng = substream(8, "move")
         pts = rng.standard_normal((500, 2))
         state = RwmhState.initial(np.ones(2))
-        out, (logp, aux), _, _ = rwmh_move(pts, target, state, rng)
+        out, (logp, aux), _, _ = rwmh_move(pts, target, state, rng, target(pts))
         np.testing.assert_array_equal(aux["first"], out[:, 0])
         np.testing.assert_allclose(logp, -0.5 * np.sum(out * out, axis=1), atol=1e-12)
 
@@ -175,8 +176,11 @@ class TestRwmhMove:
             return np.where(X[:, 0] > 0, 0.0, -np.inf), {}
 
         pts = np.array([[1.0], [-1.0]])
-        with pytest.raises(ValueError):
-            rwmh_move(pts, target, RwmhState.initial(np.ones(1)), substream(9, "x"))
+        rng = substream(9, "x")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="current log target must be finite"):
+            rwmh_move(pts, target, RwmhState.initial(np.ones(1)), rng, target(pts))
+        assert rng.bit_generator.state == before  # raised before any draw
 
     def test_bimodal_invariance_chi2(self, monkeypatch):
         # 2-component Gaussian mixture target, exact i.i.d. start, 50 fixed-step
@@ -195,7 +199,7 @@ class TestRwmhMove:
             return np.logaddexp(la, lb), {}
 
         state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-        out, _, _, _ = rwmh_move(pts, target, state, rng)
+        out, _, _, _ = rwmh_move(pts, target, state, rng, target(pts))
         x = out[:, 0]
 
         def mix_cdf(z):
@@ -283,7 +287,7 @@ class TestDrawAhead:
         state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
         rng_ref, rng = substream(12, "move"), substream(12, "move")
         ref = _serial_move(pts, _shell_target, state, rng_ref, adapt=adapt)
-        out = rwmh_move(pts, _shell_target, state, rng)
+        out = rwmh_move(pts, _shell_target, state, rng, _shell_target(pts))
         self._assert_same(ref, out, rng_ref, rng)
         assert out[2].sweeps == 6
         if not adapt:
@@ -313,12 +317,13 @@ class TestDrawAhead:
         for target in (view_target, keeping_target):
             rng_ref, rng = substream(17, "move"), substream(17, "move")
             ref = _serial_move(pts, target, state, rng_ref)
+            current = target(pts)
             seen.clear()
-            out = rwmh_move(pts, target, state, rng)
+            out = rwmh_move(pts, target, state, rng, current)
             self._assert_same(ref, out, rng_ref, rng)
-        assert len(seen) == 1 + state.sweeps  # the start, then one call per sweep
+        assert len(seen) == state.sweeps  # one call per sweep, none at the start
         outputs = [out[0], out[1][0], *out[1][1].values()]
-        assert not any(np.shares_memory(a, x) for a in outputs for x in seen[1:])
+        assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, threads):
@@ -340,7 +345,7 @@ class TestDrawAhead:
         rng_ref, rng = substream(14, "move"), substream(14, "move")
         pts_ref, current_ref = pts, None
         log_sigma = state.log_sigma
-        current = None
+        current = _shell_target(pts)
         for _ in range(3):
             ref_state = RwmhState(log_sigma, state.sweeps)
             ref = _serial_move(pts_ref, _shell_target, ref_state, rng_ref, current_ref)
@@ -368,8 +373,7 @@ class TestDrawAhead:
         pts = np.zeros((m, d))
         rng = substream(15, "move")
         with pytest.raises(SweepTwo) as info:
-            rwmh_move(pts, target, RwmhState.initial(np.ones(d)), rng,
-                      current=_gaussian_target(pts))
+            rwmh_move(pts, target, RwmhState.initial(np.ones(d)), rng, _gaussian_target(pts))
         assert info.value is raised
         before = rng.bit_generator.state
         time.sleep(0.2)

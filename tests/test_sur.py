@@ -292,29 +292,37 @@ class TestRowBlocks:
             core.set_kernel_threads(0)
 
 
+@pytest.fixture
+def no_pruning(monkeypatch):
+    """Every particle with a positive score is scored and is a candidate."""
+    monkeypatch.setattr(sur, "PRUNE_RHO", 1.0)
+    monkeypatch.setattr(sur, "PRUNE_M0_MAX", 10 ** 9)
+
+
 class TestPrune:
     def test_concentrated_mass(self):
-        keep = prune(np.array([0.995, 0.003, 0.002]), m0_max=1000, rho=0.99)
+        keep = prune(np.array([0.995, 0.003, 0.002]))
         assert list(keep) == [0]
 
     def test_uniform_scores_cap(self):
-        keep = prune(np.full(2000, 1.0 / 2000), m0_max=1000, rho=0.99)
+        assert (sur.PRUNE_RHO, sur.PRUNE_M0_MAX) == (0.99, 1000)
+        keep = prune(np.full(2000, 1.0 / 2000))
         assert len(keep) == min(math.ceil(0.99 * 2000), 1000) == 1000
 
-    def test_rho_one_keeps_all_nonzero(self):
-        keep = prune(np.array([0.4, 0.0, 0.3, 0.3, 0.0]), m0_max=1000, rho=1.0)
+    def test_rho_one_keeps_all_nonzero(self, monkeypatch):
+        monkeypatch.setattr(sur, "PRUNE_RHO", 1.0)
+        keep = prune(np.array([0.4, 0.0, 0.3, 0.3, 0.0]))
         assert list(keep) == [0, 2, 3]
 
-    def test_all_zero_falls_back_to_index_0(self):
-        # equally weighted particles: argmax of the uniform weights is index 0
-        keep = prune(np.zeros(4), m0_max=1000, rho=0.99)
-        assert list(keep) == [0]
+    def test_all_zero_keeps_none(self):
+        # select_next_point falls back on the particle with the largest sd
+        assert prune(np.zeros(4)).size == 0
 
 
-def _select(model, pts, u, **kw):
+def _select(model, pts, u):
     """select_next_point on a cloud with g_prev = 1, at the model's posterior."""
     mean, var = model.predict(pts)
-    return select_next_point(model, pts, mean, np.sqrt(var), np.zeros(pts.shape[0]), u, **kw)
+    return select_next_point(model, pts, mean, np.sqrt(var), np.zeros(pts.shape[0]), u)
 
 
 class TestSelectNextPoint:
@@ -362,13 +370,24 @@ class TestSelectNextPoint:
         sel_p = _select(model, pts[perm], u)
         np.testing.assert_allclose(sel.x_new, sel_p.x_new)
 
-    def test_plain_average_when_g_prev_is_one(self):
+    def test_all_classified_picks_largest_sd(self):
+        # every sd at or below the floor: every score is 0, and the pick is
+        # the particle the model knows least, not particle 0 (a design point)
+        model, u = _toy_model(n=8)
+        pts = np.vstack([model.design_points[:1], [[0.3], [0.7], [-0.5]]])
+        mean, _ = model.predict(pts)
+        sd = math.sqrt(model_var_floor(model)) * np.array([0.0, 0.5, 0.9, 0.2])
+        sel = select_next_point(model, pts, mean, sd, np.zeros(4), u)
+        assert (sel.particle_index, sel.n_pruned, sel.n_candidates) == (2, 1, 1)
+        np.testing.assert_array_equal(sel.x_new, pts[2])
+
+    def test_plain_average_when_g_prev_is_one(self, no_pruning):
         # with g_prev = 1 and uniform weights the criterion is the plain
         # Monte Carlo average of the expected misclassification
         model, u = _toy_model(n=7)
         rng = substream(5, "avg")
         pts = rng.uniform(-2, 2, (12, 1))
-        sel = _select(model, pts, u, rho=1.0, m0_max=10**9)
+        sel = _select(model, pts, u)
         mu, v = model.predict(pts)
         g = coverage_g(mu, np.sqrt(v), u)
         tau = np.minimum(g, 1 - g)
@@ -381,7 +400,7 @@ class TestSelectNextPoint:
         assert sel.criterion == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:.*roundoff.*")
-    def test_brute_force_refit_oracle(self):
+    def test_brute_force_refit_oracle(self, no_pruning):
         # exhaustive oracle: quadrature over the unknown observation with a
         # full GP refit per candidate
         from scipy.integrate import quad
@@ -393,7 +412,7 @@ class TestSelectNextPoint:
             model = GpModel(Xd, yd, CovarianceHyperparams(1.0, np.array([0.8])))
             pts = rng.uniform(-2.5, 2.5, (20, 1))
             u = 0.3
-            sel = _select(model, pts, u, rho=1.0, m0_max=10**9)
+            sel = _select(model, pts, u)
 
             c = np.full(20, 1.0 / 20)
             floor = model_var_floor(model)
