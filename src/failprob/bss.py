@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import (
     ConfigError,
@@ -105,16 +106,36 @@ def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndar
     indicator (zero-variance) limit it is the classical order-statistic
     threshold, where the equation holds on a plateau.
 
+    The bisection defines the answer; a root search only spares it predicate
+    evaluations. Once the bracket is found, `scipy.optimize.brentq` runs on
+    log LHS(u) - log(p0 m) inside it, and every u it evaluates is recorded
+    with its predicate outcome. The bisection then takes the same mids as
+    without the record, and evaluates the predicate only where the record
+    cannot decide it: a mid at least `width_tol` below a recorded True point
+    is True, and one at least `width_tol` above a recorded False point is
+    False. The margin keeps rounding noise in the summed left-hand side from
+    flipping an inferred outcome, so the returned bits are the plain
+    bisection's. Where a bracket end's value is not finite (sd = 0
+    plateaus) the root search is skipped and the bisection evaluates every
+    mid.
+
     The predicate sums in log space with `core.log_sum_exp`, which returns the
     same bits as `scipy.special.logsumexp` at a fraction of its per-call cost.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must be in (0, 1)")
     log_p0_m = math.log(p0) + math.log(len(mean))
+    excess_at: dict[float, float] = {}  # u -> log LHS(u) - log(p0 m), each u evaluated
+
+    def excess(u: float) -> float:
+        if u not in excess_at:
+            excess_at[u] = float(log_sum_exp(log_coverage_g(mean, sd, u) - log_g_prev)) - log_p0_m
+        return excess_at[u]
 
     def lhs_gt(u: float) -> bool:
-        # all-(-inf) terms give -inf, and NaN compares False
-        return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_g_prev)) > log_p0_m
+        # all-(-inf) terms give -inf, and NaN compares False; for finite
+        # values, a - b > 0 exactly when a > b
+        return excess(u) > 0.0
 
     scale = max(1.0, float(np.max(np.abs(model.design_values))))
     lo = float(np.min(mean - 6.0 * sd))
@@ -134,11 +155,21 @@ def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndar
         if k > _MAX_EXPANSIONS:
             raise ThresholdSolverError("no sign change while expanding bracket upward")
     width_tol = 1e-12 * scale
+    if math.isfinite(excess(lo)) and math.isfinite(excess(hi)):
+        brentq(excess, lo, hi, xtol=width_tol, disp=False)
+    true_max = max((v for v, e in excess_at.items() if e > 0.0), default=-math.inf)
+    false_min = min((v for v, e in excess_at.items() if not e > 0.0), default=math.inf)
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if lhs_gt(mid):
+        if true_max - mid >= width_tol:
+            gt = True
+        elif mid - false_min >= width_tol:
+            gt = False
+        else:
+            gt = lhs_gt(mid)
+        if gt:
             lo = mid
         else:
             hi = mid

@@ -53,12 +53,6 @@ def matern52_corr(h):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _dcorr_over_h(h):
-    """kappa'(h)/h; smooth through h = 0 where it equals -10/3."""
-    t = _SQRT10 * h
-    return -(10.0 / 3.0) * (1.0 + t) * np.exp(-t)
-
-
 @dataclass(frozen=True)
 class CovarianceHyperparams:
     """Process variance and per-dimension ranges of the Matern 5/2 prior,
@@ -214,7 +208,7 @@ class GpModel:
         y = np.append(self.design_values, float(y_new))
         return GpModel(X, y, self.hyper)
 
-def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs=None):
+def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     """Negative restricted log-likelihood and gradient.
 
     Coordinates are (log sigma2, log rho_1, ..., log rho_d). The constant
@@ -223,9 +217,11 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs=Non
     + log(1' R^-1 1) + Q / sigma2] with Q the GLS quadratic form; R has
     `DEFAULT_JITTER` (read at call time) on its diagonal.
 
-    `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2, which depends
-    on the design only; `fit_reml` computes it once per fit and passes it to
-    every call. When omitted it is computed here.
+    `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2 from
+    `_neg_sq_diffs(X)`, which depends on the design only; `fit_reml`
+    computes it once per fit and passes it to every call. With
+    t = sqrt(10) h, R and dR/d rho share one exp(-t), in the expressions of
+    `matern52_corr` and of kappa'(h)/h = -(10/3) (1 + t) exp(-t).
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
@@ -237,8 +233,9 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs=Non
         raise ValueError("log_params must have length 1 + d")
 
     Z = X / ranges
-    H = cdist(Z, Z)
-    R = matern52_corr(H)
+    t = _SQRT10 * cdist(Z, Z)
+    exp_t = np.exp(-t)
+    R = (1.0 + t + t * t / 3.0) * exp_t
     R[np.diag_indices(n)] += DEFAULT_JITTER
     try:
         c = _chol(R)
@@ -258,12 +255,10 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs=Non
     grad = np.empty(d + 1)
     grad[0] = 0.5 * ((n - 1) - Q / sigma2)
     Rinv = _chol_solve(c, np.eye(n))
-    if neg_sq_diffs is None:
-        neg_sq_diffs = _neg_sq_diffs(X)
     # dR/d rho_k = kappa'(h)/h * (-(x_ik - x_jk)^2 / rho_k^3), all k at once;
     # rho_k^3 as scalar powers, the operation the per-k form used
     cubes = np.array([ranges[k] ** 3 for k in range(d)])
-    Rdot = _dcorr_over_h(H) * (neg_sq_diffs / cubes[:, None, None])
+    Rdot = (-(10.0 / 3.0) * (1.0 + t) * exp_t) * (neg_sq_diffs / cubes[:, None, None])
     traces = (Rinv * Rdot).reshape(d, -1).sum(axis=1)
     for k in range(d):
         d_oro = -float(v @ Rdot[k] @ v) / oro
@@ -284,7 +279,7 @@ def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
     return -(diff ** 2)
 
 
-def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: int = 5,
+def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: int,
              init: CovarianceHyperparams | None = None) -> CovarianceHyperparams:
     """Estimate (sigma2, ranges) by multi-start quasi-Newton ReML.
 
@@ -293,6 +288,11 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
     is returned with converged=False and a warning. Range bounds are
     [1e-3, 1e3] times the design span per dimension; variance bounds are
     relative to var(y) so the estimate scales correctly with the data.
+
+    L-BFGS-B asks again for points it has already evaluated (line-search
+    restarts, and across starts), so the objective is memoized for the fit,
+    keyed by the bytes of the log-parameters: a repeat gets the same value
+    and a copy of the same gradient, and the optimizer the same bits.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
@@ -325,13 +325,21 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
     starts = [np.clip(s, lb + 1e-9, ub - 1e-9) for s in starts[:n_starts]]
 
     neg_sq_diffs = _neg_sq_diffs(X)
+    memo: dict[bytes, tuple] = {}
+
+    def objective(lp):
+        key = lp.tobytes()
+        if key not in memo:  # looked up at call time, so a tracer can wrap reml_objective
+            memo[key] = reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
+        nll, grad = memo[key]
+        return nll, grad.copy()
+
     best = None
     best_val = np.inf
     any_success = False
     for s0 in starts:
-        res = minimize(  # looked up at call time, so a tracer can wrap reml_objective
-            lambda lp: reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs),
-            s0, jac=True, method="L-BFGS-B", bounds=bounds,
+        res = minimize(
+            objective, s0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": REML_MAXITER},
         )
         any_success = any_success or bool(res.success)

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr, owens_t
 
 from .core import _row_blocks
@@ -210,7 +211,9 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     coverage, already floored at `_LOG_FLOOR`. The set is pruned on the
     scores tau(x) / (m g_prev(x)) and serves both as integration support and
     as the candidate pool. When every score is 0, the set is the one
-    particle with the largest posterior sd.
+    particle farthest from the design (the largest distance to its nearest
+    design point, the first such particle on ties), so the pick repeats an
+    evaluated point only when every particle is one.
     Duplicate particle locations (resampling copies) are merged: their
     integration coefficients add exactly, and the merged candidate keeps
     the lowest original particle index for tie-breaking.
@@ -225,7 +228,7 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     scores = np.where(np.isneginf(log_score), 0.0, scores)
     keep = prune(scores)
     if keep.size == 0:
-        keep = np.array([np.argmax(sd)])
+        keep = np.array([np.argmax(cdist(points, model.design_points).min(axis=1))])
 
     # merge duplicate locations
     _, first, inverse = np.unique(points[keep], axis=0, return_index=True,

@@ -19,7 +19,7 @@ from failprob.bench import cantilever_beam, four_branch, nonlinear_oscillator, r
 from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
-from failprob.gp import CovarianceHyperparams, GpModel, reml_objective
+from failprob.gp import CovarianceHyperparams, GpModel, _neg_sq_diffs, reml_objective
 from failprob.smc import RwmhState, residual_resample, rwmh_move
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import model_var_floor, select_next_point
@@ -126,13 +126,14 @@ def test_acceptance_2_gp_identities():
         y = np.sin(X @ rng.uniform(0.5, 2.0, d))
         lp = np.concatenate([[math.log(rng.uniform(0.3, 2.0))],
                              np.log(rng.uniform(0.5, 2.0, d))])
-        _, g = reml_objective(X, y, lp)
+        nsd = _neg_sq_diffs(X)
+        _, g = reml_objective(X, y, lp, neg_sq_diffs=nsd)
         eps = 1e-5
         for i in range(d + 1):
             def f_at(delta, _i=i):
                 v = lp.copy()
                 v[_i] += delta
-                return reml_objective(X, y, v)[0]
+                return reml_objective(X, y, v, neg_sq_diffs=nsd)[0]
 
             fd = (8 * (f_at(eps) - f_at(-eps)) - (f_at(2 * eps) - f_at(-2 * eps))) / (12 * eps)
             worst_grad = max(worst_grad, abs(g[i] - fd) / max(abs(fd), 1e-10))

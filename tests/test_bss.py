@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 from conftest import requires_scipy_117
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, ndtri
 
 from failprob import bss, gp, smc, sur
 from failprob.bench import cantilever_beam, four_branch
 from failprob.bss import (
+    _MAX_EXPANSIONS,
     BssConfig,
     ThresholdSolverError,
     cov_recursion,
@@ -20,8 +23,9 @@ from failprob.bss import (
     run_bss,
     solve_threshold,
 )
-from failprob.core import InputDistribution, Problem, substream
+from failprob.core import InputDistribution, Problem, log_sum_exp, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
+from failprob.sur import log_coverage_g
 
 
 def _linear(X):
@@ -71,10 +75,125 @@ class TestSolveThreshold:
                 solve_threshold(model, np.zeros(4), np.ones(4), np.zeros(4), bad)
 
     def test_unsolvable_equation_raises(self):
-        # ratios bounded by e^-10 for every u: the equation has no root
+        # ratios bounded by e^-10 for every u: the equation has no root, for
+        # the solver and for its bisection reference alike
         model = _FixedPosterior()
-        with pytest.raises(ThresholdSolverError):
-            solve_threshold(model, np.zeros(4), np.ones(4), np.full(4, 10.0), 0.1)
+        for solve in (solve_threshold, _bisection_threshold):
+            with pytest.raises(ThresholdSolverError):
+                solve(model, np.zeros(4), np.ones(4), np.full(4, 10.0), 0.1)
+
+
+def _bisection_threshold(model, mean, sd, log_g_prev, p0):
+    """solve_threshold as it was before the root search, verbatim: plain
+    bisection, the reference whose answer the replay must give."""
+    if not 0.0 < p0 < 1.0:
+        raise ValueError("p0 must be in (0, 1)")
+    log_p0_m = math.log(p0) + math.log(len(mean))
+
+    def lhs_gt(u: float) -> bool:
+        # all-(-inf) terms give -inf, and NaN compares False
+        return float(log_sum_exp(log_coverage_g(mean, sd, u) - log_g_prev)) > log_p0_m
+
+    scale = max(1.0, float(np.max(np.abs(model.design_values))))
+    lo = float(np.min(mean - 6.0 * sd))
+    hi = float(np.max(mean + 6.0 * sd))
+    if not hi > lo:
+        lo, hi = lo - max(1.0, abs(lo)), hi + max(1.0, abs(hi))
+    k = 0
+    while not lhs_gt(lo):
+        lo, hi = lo - (hi - lo), lo
+        k += 1
+        if k > _MAX_EXPANSIONS:
+            raise ThresholdSolverError("no sign change while expanding bracket downward")
+    k = 0
+    while lhs_gt(hi):
+        lo, hi = hi, hi + (hi - lo)
+        k += 1
+        if k > _MAX_EXPANSIONS:
+            raise ThresholdSolverError("no sign change while expanding bracket upward")
+    width_tol = 1e-12 * scale
+    while hi - lo > width_tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if lhs_gt(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+_SD_KINDS = ("continuous", "plateau", "mixed", "ties", "unsolvable")
+
+
+@st.composite
+def _threshold_inputs(draw):
+    """Posterior mean, sd and floored log g_prev at m particles, p0 and a
+    design-value scale; drawn from a seed, so they shrink by their knobs."""
+    m = draw(st.sampled_from([1, 2, 3, 10, 64, 500]))
+    kind = draw(st.sampled_from(_SD_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loc = rng.normal(0.0, 10.0 ** draw(st.floats(-2.0, 3.0)))
+    mean = loc + 10.0 ** draw(st.floats(-3.0, 2.0)) * rng.standard_normal(m)
+    sd = 10.0 ** draw(st.floats(-4.0, 1.0)) * np.abs(rng.standard_normal(m))
+    log_g_prev = np.where(rng.random(m) < 0.5, -rng.exponential(3.0, m), 0.0)
+    if kind == "plateau":  # the indicator limit: the equation holds on a plateau
+        sd[:] = 0.0
+    elif kind == "mixed":
+        sd[rng.random(m) < 0.5] = 0.0
+    elif kind == "ties":
+        mean = np.round(mean, 1)
+        sd = np.where(rng.random(m) < 0.5, 0.0, np.round(sd, 1))
+    elif kind == "unsolvable":  # every ratio at most e^-10 < p0: no root
+        log_g_prev = np.full(m, 10.0)
+    p0 = draw(st.sampled_from([1e-3, 0.1, 0.3, 0.5]))
+    model = _FixedPosterior()
+    model.design_values = np.array([rng.normal(0.0, 10.0 ** draw(st.floats(-1.0, 3.0)))])
+    return model, mean, sd, np.maximum(log_g_prev, sur._LOG_FLOOR), p0
+
+
+def _posterior(mean, sd, p0=0.3):
+    return _FixedPosterior(), np.array(mean), np.array(sd), np.zeros(len(mean)), p0
+
+
+def _outcome(solve, args):
+    try:
+        return solve(*args).hex()
+    except ThresholdSolverError:
+        return "ThresholdSolverError"
+
+
+class TestThresholdReplay:
+    """solve_threshold answers as the plain bisection does, bit for bit,
+    with fewer predicate evaluations."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_threshold_inputs())
+    @example(_posterior([0.3], [0.0]))  # m = 1 on a plateau
+    @example(_posterior([0.3], [0.7]))  # m = 1
+    @example(_posterior([1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0]))  # ties on a plateau
+    @example(_posterior([1.0, 1.0, 2.0, 2.0], [0.5, 0.5, 0.5, 0.5]))  # tied posteriors
+    @example(_posterior([1.0, 1.0, 2.0, 2.0], [0.0, 0.5, 0.0, 0.5]))
+    def test_same_bits_as_bisection(self, args):
+        assert _outcome(solve_threshold, args) == _outcome(_bisection_threshold, args)
+
+    def test_predicate_calls_bounded(self, monkeypatch):
+        # the closed-form input of TestSolveThreshold: the bisection alone
+        # takes about 40 predicate evaluations, the replay at most 20
+        calls = []
+        real = bss.log_coverage_g
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        m = 64
+        args = (_FixedPosterior(), np.full(m, 0.7), np.full(m, 1.3), np.zeros(m), 0.1)
+        monkeypatch.setattr(bss, "log_coverage_g", counting)
+        u = solve_threshold(*args)
+        monkeypatch.undo()
+        assert len(calls) <= 20
+        assert u.hex() == _bisection_threshold(*args).hex()
 
 
 def _stops(mean, sd, eta, m, p0):
@@ -232,7 +351,7 @@ class TestRunBss:
         res = run_bss(prob, cfg, seed=5)
         assert res.error is not None and "max_stages" in res.error
 
-    def test_trace_collection(self):
+    def test_trace_collection(self, recwarn):
         prob = _problem(float(ndtri(1 - 1e-3)))
         cfg = BssConfig(m=400, n0=8)
         res = run_bss(prob, cfg, seed=6)
@@ -241,6 +360,12 @@ class TestRunBss:
         assert set(row) == {"n", "x_new", "criterion", "u_t", "stage"}
         ns = [r["n"] for r in res.trace]
         assert ns == list(range(res.n_initial + 1, res.n_total + 1))  # one row per SUR evaluation
+        # at times every sd here is below the floor: the all-zero-score
+        # fallback then picks the particle farthest from the design, never a
+        # design point, so no refit meets a duplicate
+        picks = [tuple(r["x_new"]) for r in res.trace]
+        assert len(set(picks)) == len(picks)
+        assert not [w for w in recwarn if "bss refit failed" in str(w.message)]
 
     def test_determinism(self):
         prob = _problem(float(ndtri(1 - 1e-3)))
@@ -274,7 +399,7 @@ class TestRunBss:
     def test_classified_cloud_repeats_no_design_point(self, recwarn):
         # on this linear problem n_min forces SUR evaluations after every
         # particle is classified: every SUR score is 0, and the pick is the
-        # particle with the largest sd, never a point already evaluated
+        # particle farthest from the design, never a point already evaluated
         evaluated = []
 
         def f(X):

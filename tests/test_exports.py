@@ -53,8 +53,8 @@ def test_entry_point_parameters():
     assert _parameters(select_next_point) == ["model", "points", "mean", "sd", "log_g_prev", "u_t"]
     assert _parameters(prune) == ["scores"]
     assert _parameters(reml_objective) == [
-        "design_points", "design_values", "log_params", "neg_sq_diffs=None"]
-    assert _parameters(fit_reml) == ["design_points", "design_values", "rng", "n_starts=5",
+        "design_points", "design_values", "log_params", "neg_sq_diffs"]
+    assert _parameters(fit_reml) == ["design_points", "design_values", "rng", "n_starts",
                                      "init=None"]
     assert _parameters(run_bss) == ["problem", "config", "seed", "model_factory=None"]
     assert _parameters(run_estimator) == ["problem", "method", "m", "seed", "p0=0.1"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import requires_scipy_117
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
@@ -16,7 +17,6 @@ from failprob.gp import (
     _chol,
     _chol_solve,
     _corr_matrix,
-    _dcorr_over_h,
     _neg_sq_diffs,
     fit_reml,
     matern52_corr,
@@ -202,13 +202,14 @@ class TestReml:
             y = rng.standard_normal(n)
             lp = np.concatenate([[math.log(rng.uniform(0.2, 2.0))],
                                  np.log(rng.uniform(0.4, 2.0, d))])
-            _, g = reml_objective(X, y, lp)
+            nsd = _neg_sq_diffs(X)
+            _, g = reml_objective(X, y, lp, neg_sq_diffs=nsd)
             eps = 1e-5
             for i in range(d + 1):
                 def f_at(delta, _i=i):
                     lp_d = lp.copy()
                     lp_d[_i] += delta
-                    return reml_objective(X, y, lp_d)[0]
+                    return reml_objective(X, y, lp_d, neg_sq_diffs=nsd)[0]
 
                 # 4th-order central difference: stiff cases need the extra order
                 fd = (8 * (f_at(eps) - f_at(-eps)) - (f_at(2 * eps) - f_at(-2 * eps))) / (12 * eps)
@@ -234,7 +235,7 @@ class TestReml:
     def test_constant_data_hits_floor(self):
         X = np.linspace(0, 1, 8)[:, None]
         y = np.full(8, 3.3)
-        hyper = fit_reml(X, y, np.random.default_rng(0))
+        hyper = fit_reml(X, y, np.random.default_rng(0), n_starts=5)
         assert 0.0 < hyper.sigma2 < 1e-10
 
     def test_likelihood_scaling_identity(self):
@@ -245,8 +246,9 @@ class TestReml:
         lp = np.array([0.1, 0.2, -0.3])
         lp_scaled = lp.copy()
         lp_scaled[0] += 2 * math.log(c)
-        f1, _ = reml_objective(X, y, lp)
-        f2, _ = reml_objective(X, c * y, lp_scaled)
+        nsd = _neg_sq_diffs(X)
+        f1, _ = reml_objective(X, y, lp, neg_sq_diffs=nsd)
+        f2, _ = reml_objective(X, c * y, lp_scaled, neg_sq_diffs=nsd)
         n = 12
         assert f2 == pytest.approx(f1 + (n - 1) * math.log(c), rel=1e-12)
 
@@ -262,12 +264,18 @@ class TestReml:
     def test_degenerate_design_rejected(self):
         X = np.array([[0.0], [0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="duplicate"):
-            fit_reml(X, np.arange(4.0), np.random.default_rng(0))
+            fit_reml(X, np.arange(4.0), np.random.default_rng(0), n_starts=5)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_reml(np.zeros((2, 2)) + np.arange(2)[:, None], np.arange(2.0),
-                     np.random.default_rng(0))
+                     np.random.default_rng(0), n_starts=5)
+
+
+def _dcorr_over_h(h):
+    """kappa'(h)/h; smooth through h = 0 where it equals -10/3."""
+    t = math.sqrt(10.0) * h
+    return -(10.0 / 3.0) * (1.0 + t) * np.exp(-t)
 
 
 def _loop_reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
@@ -330,20 +338,19 @@ class TestBatchedRemlGradient:
             for jitter in (DEFAULT_JITTER, -1.0):
                 monkeypatch.setattr(gp, "DEFAULT_JITTER", jitter)
                 ref_nll, ref_grad = _loop_reml_objective(X, y, lp, jitter)
-                for kw in ({}, {"neg_sq_diffs": nsd}):
-                    nll, grad = reml_objective(X, y, lp, **kw)
-                    assert float(nll).hex() == float(ref_nll).hex()
-                    assert grad.tobytes() == ref_grad.tobytes()
+                nll, grad = reml_objective(X, y, lp, neg_sq_diffs=nsd)
+                assert float(nll).hex() == float(ref_nll).hex()
+                assert grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("d, n", [(1, 12), (2, 20), (6, 40)])
     def test_fit_reml_same_as_loop_objective(self, monkeypatch, d, n):
         rng = substream(n, "reml-fit")
         X = _random_design(rng, n, d)
         y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.4 * np.cos(X @ rng.uniform(0.3, 1.5, d))
-        hyper = fit_reml(X, y, rng=substream(n, "starts"))
+        hyper = fit_reml(X, y, rng=substream(n, "starts"), n_starts=5)
         monkeypatch.setattr(gp, "reml_objective",
                             lambda X, y, lp, neg_sq_diffs: _loop_reml_objective(X, y, lp))
-        ref = fit_reml(X, y, rng=substream(n, "starts"))
+        ref = fit_reml(X, y, rng=substream(n, "starts"), n_starts=5)
         assert hyper.sigma2.hex() == ref.sigma2.hex()
         assert hyper.ranges.tobytes() == ref.ranges.tobytes()
         assert hyper.converged == ref.converged
@@ -351,27 +358,63 @@ class TestBatchedRemlGradient:
     def test_fit_reml_calls_the_module_objective(self, monkeypatch):
         # The benchmark's tracer counts ReML objective calls by replacing
         # failprob.gp.reml_objective: fit_reml must look it up there on every
-        # call, so that count equals the optimizer's function evaluations.
-        calls = []
-        nfev = []
+        # call it makes. A point the optimizer asks for again is answered
+        # from the fit's memo, so the objective sees each distinct point once.
+        seen, asked = [], []
         real_objective, real_minimize = gp.reml_objective, gp.minimize
 
-        def counting_objective(*args, **kwargs):
-            calls.append(1)
-            return real_objective(*args, **kwargs)
+        def counting_objective(X, y, lp, *, neg_sq_diffs):
+            seen.append(lp.tobytes())
+            return real_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
 
-        def counting_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            nfev.append(res.nfev)
-            return res
+        def asking_minimize(fun, *args, **kwargs):
+            def asking(lp):
+                asked.append(lp.tobytes())
+                return fun(lp)
+
+            return real_minimize(asking, *args, **kwargs)
 
         monkeypatch.setattr(gp, "reml_objective", counting_objective)
-        monkeypatch.setattr(gp, "minimize", counting_minimize)
-        rng = substream(5, "reml-count")
-        X = _random_design(rng, 15, 2)
-        fit_reml(X, np.sin(X[:, 0]) + np.cos(X[:, 1]), np.random.default_rng(0), n_starts=3)
-        assert len(nfev) == 3
-        assert len(calls) == sum(nfev) > 0
+        monkeypatch.setattr(gp, "minimize", asking_minimize)
+        X, y = _abnormal_case()
+        fit_reml(X, y, substream(1, "reml-memo-starts"), n_starts=3)
+        assert len(seen) == len(set(seen)) == len(set(asked)) > 0
+
+
+def _abnormal_case():
+    """A design on which the first of three ReML starts ends ABNORMAL in
+    L-BFGS-B's line search (scipy 1.17), which asks again for points it has
+    already evaluated."""
+    rng = substream(1, "reml-memo")
+    X = rng.uniform(-2.0, 2.0, (30, 2))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 + 0.01 * rng.standard_normal(30)
+    return X, y
+
+
+@requires_scipy_117
+def test_reml_memo_keeps_the_bits(monkeypatch):
+    # the fit answers the optimizer's repeats from its memo and returns the
+    # bits it returned when every request ran the objective; L-BFGS-B's
+    # iterates depend on the scipy version, hence the pin
+    asked, messages = [], []
+    real_minimize = gp.minimize
+
+    def asking_minimize(fun, *args, **kwargs):
+        def asking(lp):
+            asked.append(lp.tobytes())
+            return fun(lp)
+
+        res = real_minimize(asking, *args, **kwargs)
+        messages.append(str(res.message))
+        return res
+
+    monkeypatch.setattr(gp, "minimize", asking_minimize)
+    X, y = _abnormal_case()
+    hyper = fit_reml(X, y, substream(1, "reml-memo-starts"), n_starts=3)
+    assert messages[0].startswith("ABNORMAL") and len(asked) > len(set(asked))
+    assert hyper.sigma2.hex() == "0x1.f586bad880243p+17"
+    assert [r.hex() for r in hyper.ranges] == ["0x1.526973f2eb619p+4", "0x1.57ab44afefa52p+6"]
+    assert hyper.converged is True
 
 
 def _spd_matrices(n):
@@ -420,7 +463,7 @@ class TestLapackHelpers:
         rng = substream(11, "gp")
         X = _random_design(rng, 10, 2)
         y = np.sin(X[:, 0])
-        nll, grad = reml_objective(X, y, np.zeros(3))
+        nll, grad = reml_objective(X, y, np.zeros(3), neg_sq_diffs=_neg_sq_diffs(X))
         assert nll == 1e14
         assert grad.tobytes() == np.zeros(3).tobytes()
 

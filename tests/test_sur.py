@@ -315,7 +315,7 @@ class TestPrune:
         assert list(keep) == [0, 2, 3]
 
     def test_all_zero_keeps_none(self):
-        # select_next_point falls back on the particle with the largest sd
+        # select_next_point falls back on the particle farthest from the design
         assert prune(np.zeros(4)).size == 0
 
 
@@ -370,16 +370,18 @@ class TestSelectNextPoint:
         sel_p = _select(model, pts[perm], u)
         np.testing.assert_allclose(sel.x_new, sel_p.x_new)
 
-    def test_all_classified_picks_largest_sd(self):
+    def test_all_classified_picks_farthest_from_design(self):
         # every sd at or below the floor: every score is 0, and the pick is
-        # the particle the model knows least, not particle 0 (a design point)
+        # the particle farthest from the design, not particle 0 (a design
+        # point) nor the largest sd (below the floor, sds are rounding
+        # noise); of the two copies of 0.3 the first wins
         model, u = _toy_model(n=8)
-        pts = np.vstack([model.design_points[:1], [[0.3], [0.7], [-0.5]]])
+        pts = np.vstack([model.design_points[:1], [[0.3], [0.7], [-0.5], [0.3]]])
         mean, _ = model.predict(pts)
-        sd = math.sqrt(model_var_floor(model)) * np.array([0.0, 0.5, 0.9, 0.2])
-        sel = select_next_point(model, pts, mean, sd, np.zeros(4), u)
-        assert (sel.particle_index, sel.n_pruned, sel.n_candidates) == (2, 1, 1)
-        np.testing.assert_array_equal(sel.x_new, pts[2])
+        sd = math.sqrt(model_var_floor(model)) * np.array([0.0, 0.5, 0.9, 0.2, 0.5])
+        sel = select_next_point(model, pts, mean, sd, np.zeros(5), u)
+        assert (sel.particle_index, sel.n_pruned, sel.n_candidates) == (1, 1, 1)
+        np.testing.assert_array_equal(sel.x_new, pts[1])
 
     def test_plain_average_when_g_prev_is_one(self, no_pruning):
         # with g_prev = 1 and uniform weights the criterion is the plain
