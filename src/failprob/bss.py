@@ -91,6 +91,10 @@ class BssConfig:
             raise ConfigError("p0 must be in (0, 1)")
         if self.n_min < 0:
             raise ConfigError("n_min must be >= 0")
+        if self.n0 is not None and self.n0 < 2:
+            raise ConfigError("n0 must be >= 2")
+        if self.max_stages < 1:
+            raise ConfigError("max_stages must be >= 1")
 
 
 def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
@@ -226,6 +230,13 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     or for custom priors). A refit that raises LinAlgError or ValueError
     warns and keeps the previous hyperparameters, or failing that the
     previous model; any other exception propagates.
+
+    Each estimation pass takes the posterior at the particles, solves the
+    threshold and checks the stopping rule, or else makes one SUR evaluation
+    and refits. The run returns the product of its recorded stage estimates:
+    after the first stage that reaches u, or with `error` set once an
+    evaluation is due with `max_total_evaluations` spent, the reweight raises
+    `DegenerateWeightsError`, or `max_stages` stages end below u.
     """
     if model_factory is None:
         model_factory = _default_model_factory
@@ -233,6 +244,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     u = problem.threshold
     m = config.m
     p0 = config.p0
+    n0 = config.n0 if config.n0 is not None else 5 * d
+    if n0 < d + 2:
+        raise ConfigError(f"n0 must be >= d + 2 = {d + 2} for the ReML fit, not {n0}")
     ledger = EvaluationLedger()
     rng_design = substream(seed, "design")
     rng_init = substream(seed, "particle-init")
@@ -241,56 +255,42 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     rng_reml = substream(seed, "reml")
 
     # stage 0: initial design, first fit, particle cloud from the input law
-    n0 = config.n0 if config.n0 is not None else 5 * d
     box = truncated_box(problem.input, DESIGN_EPSILON)
     X = maximin_lhs(n0, box, DESIGN_CANDIDATES, rng_design)
     y = ledger.evaluate(problem.limit_state, X, stage=0)
     model = model_factory(X, y, None, rng_reml)
-    prev_hyper = model.hyper
 
     pts = problem.input.sample(m, rng_init)
     log_g = np.zeros(m)  # g_0 = 1
     log_pdf = problem.input.log_density(pts)
-    mean_p, var_p = model.predict(pts)
-    sd_p = np.sqrt(var_p)
     kernel = RwmhState.initial(problem.input.sds)
 
     stages: list[StageRecord] = []
-    kappas: list[float] = []
     trace: list[dict] = []
-    log_alpha = 0.0
     underflows = 0
     error: str | None = None
-    t = 1
-    aborted = False
-    while True:
-        if t > config.max_stages:
-            error = f"max_stages={config.max_stages} exceeded"
-            aborted = True
-            break
+    for t in range(1, config.max_stages + 1):
         underflows += int(np.count_nonzero(log_g < _LOG_FLOOR))
         log_g_prev = np.maximum(log_g, _LOG_FLOOR)
         n_t = 0
         while True:
+            mean_p, var_p = model.predict(pts)
+            sd_p = np.sqrt(var_p)
             u_cand = solve_threshold(model, mean_p, sd_p, log_g_prev, p0)
             is_final = u_cand >= u
             u_t = u if is_final else u_cand
             log_g_t = log_coverage_g(mean_p, sd_p, u_t)
             ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
-            p_prov = float(ratios.mean())
-            if is_final:
-                kap_prov = kappa_hat(ratios, p_prov) if p_prov > 0.0 else 0.0
-                delta_prov = float(cov_recursion(kappas + [kap_prov], m)[-1])
-                eta = ETA_FINAL_FACTOR * delta_prov
-            else:
-                eta = ETA_INTERMEDIATE
+            p_hat = float(ratios.mean())
+            kap = kappa_hat(ratios, p_hat) if p_hat > 0.0 else 0.0
+            delta = float(cov_recursion([s.kappa_hat for s in stages] + [kap], m)[-1])
+            eta = ETA_FINAL_FACTOR * delta if is_final else ETA_INTERMEDIATE
             if n_t >= config.n_min and misclass_sum(
                 mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
             ) <= eta * m * p0:
                 break
             if ledger.n_total >= config.max_total_evaluations:
                 error = f"max_total_evaluations={config.max_total_evaluations} exceeded"
-                aborted = True
                 break
             sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
             y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
@@ -304,29 +304,21 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             X = np.vstack([X, sel.x_new[None, :]])
             y = np.append(y, y_new)
             try:
-                model = model_factory(X, y, prev_hyper, rng_reml)
-                prev_hyper = model.hyper
+                model = model_factory(X, y, model.hyper, rng_reml)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
                               RuntimeWarning, stacklevel=2)
                 try:
-                    model = GpModel(X, y, prev_hyper)
+                    model = GpModel(X, y, model.hyper)
                 except (np.linalg.LinAlgError, ValueError) as exc:
                     warnings.warn("bss refit on the previous hyperparameters failed, previous "
                                   f"model kept: {exc!r}", RuntimeWarning, stacklevel=2)
-            mean_p, var_p = model.predict(pts)
-            sd_p = np.sqrt(var_p)
             n_t += 1
 
-        # stage complete (or aborted): record with the last solved threshold
-        kap = kappa_hat(ratios, p_prov) if p_prov > 0.0 else 0.0
-        kappas.append(kap)
-        delta_t = float(cov_recursion(kappas, m)[-1])
-        log_alpha += math.log(p_prov) if p_prov > 0.0 else -np.inf
-        rec = StageRecord(t=t, u_t=u_t, n_evals=n_t, p_hat=p_prov,
-                          kappa_hat=kap, delta_hat=delta_t)
-        stages.append(rec)
-        if aborted or is_final:
+        # stage complete (or ended): record it with the last solved threshold
+        stages.append(StageRecord(t=t, u_t=u_t, n_evals=n_t, p_hat=p_hat,
+                                  kappa_hat=kap, delta_hat=delta))
+        if error is not None or is_final:
             break
 
         # sampling phase: reweight -> residual resample -> move
@@ -334,7 +326,6 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             weights = reweight(log_g_t, log_g_prev)
         except DegenerateWeightsError as exc:
             error = str(exc)
-            aborted = True
             break
         idx = residual_resample(weights, rng_resample)
         pts = pts[idx]
@@ -351,26 +342,25 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             pts, log_target, kernel, rng_move,
             current=(lp_cur + lg_cur, {"log_pdf": lp_cur, "log_g": lg_cur}),
         )
-        rec.acceptance = diag.acceptance
+        stages[-1].acceptance = diag.acceptance
         log_g, log_pdf = aux["log_g"], aux["log_pdf"]
-        mean_p, var_p = model.predict(pts)
-        sd_p = np.sqrt(var_p)
-        t += 1
+    else:
+        error = f"max_stages={config.max_stages} exceeded"
 
-    alpha = math.exp(log_alpha) if np.isfinite(log_alpha) else 0.0
-    delta_T = float(cov_recursion(kappas, m)[-1]) if kappas else None
-    n_final = stages[-1].n_evals if stages else 0
-    n_intermediate = sum(s.n_evals for s in stages[:-1]) if stages else 0
+    log_alpha = 0.0  # a plain sum in stage order: alpha_hat's bits depend on it
+    for s in stages:
+        log_alpha += math.log(s.p_hat) if s.p_hat > 0.0 else -math.inf
+    alpha = math.exp(log_alpha) if math.isfinite(log_alpha) else 0.0
     return EstimationResult(
         method="bss",
         alpha_hat=alpha,
-        delta_hat=delta_T,
+        delta_hat=stages[-1].delta_hat,
         stages=stages,
         n_total=ledger.n_total,
         n_reported=float(ledger.n_total),
         n_initial=ledger.n_initial,
-        n_intermediate=n_intermediate,
-        n_final=n_final,
+        n_intermediate=sum(s.n_evals for s in stages[:-1]),
+        n_final=stages[-1].n_evals,
         degenerate=alpha == 0.0,
         error=error,
         underflow_floors=underflows,

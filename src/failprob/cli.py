@@ -220,26 +220,12 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("need a non-empty --m-list and --runs >= 2")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(exist_ok=True)
 
     study = RmseTable()
     for method in methods:
         table = run_rmse_experiment(case, method, m_values, args.runs, args.seed, jobs=args.jobs)
         study.rows.extend(table.rows)
         study.per_run.extend(table.per_run)
-        for row in table.per_run:
-            name = f"{args.case}-{method}-m{row['m']}-run{row['run']}.json"
-            (manifest_dir / name).write_text(
-                json.dumps({
-                    "schema": SCHEMA_VERSION, "tool": "failprob", "version": __version__,
-                    "command": "benchmark", "case": args.case, "method": method,
-                    "seed": args.seed, "m": row["m"], "run": row["run"],
-                    "alpha_hat": row["alpha_hat"], "delta_hat": row["delta_hat"],
-                    "n_total": row["n_total"], "n_reported": row["n_reported"],
-                }, indent=2, default=_json_default) + "\n",
-                encoding="utf-8",
-            )
     (out_dir / "rmse.csv").write_text(study.to_csv(), encoding="utf-8")
     (out_dir / "runs.csv").write_text(study.per_run_csv(), encoding="utf-8")
     print((out_dir / "rmse.csv").read_text(encoding="utf-8"), end="")

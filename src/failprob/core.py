@@ -27,7 +27,7 @@ import math
 import os
 import threading
 from concurrent.futures import wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -328,15 +328,7 @@ class StageRecord:
     acceptance: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "u_t": self.u_t,
-            "n_evals": self.n_evals,
-            "p_hat": self.p_hat,
-            "kappa_hat": self.kappa_hat,
-            "delta_hat": self.delta_hat,
-            "acceptance": [float(a) for a in self.acceptance],
-        }
+        return asdict(self)
 
 
 @dataclass

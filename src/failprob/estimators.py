@@ -52,6 +52,8 @@ class SubsetSimConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.m0 < self.m:
             raise ConfigError("need 1 <= m0 < m")
+        if self.max_stages < 1:
+            raise ConfigError("max_stages must be >= 1")
 
     @property
     def p0(self) -> float:
@@ -102,7 +104,10 @@ def monte_carlo_estimate(problem: Problem, m: int, seed: int) -> EstimationResul
 
 
 def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) -> EstimationResult:
-    """Subset simulation with adaptive thresholds (order-statistic levels)."""
+    """Subset simulation with adaptive thresholds (order-statistic levels).
+
+    A run whose `max_stages` stages all end below u returns p0^max_stages,
+    the product of its recorded stage estimates, with `error` set."""
     # stream names shared with the Bayesian variant: with a perfect surrogate
     # both algorithms consume identical draws and produce identical trajectories
     rng_init = substream(seed, "particle-init")
@@ -120,20 +125,14 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     kernel = RwmhState.initial(dist.sds)
 
     stages: list[StageRecord] = []
-    t = 1
-    while True:
-        if t > config.max_stages:
-            raise RuntimeError(
-                f"subset simulation exceeded max_stages={config.max_stages}; "
-                "the threshold may be unreachable or the kernel stuck"
-            )
+    error: str | None = None
+    for t in range(1, config.max_stages + 1):
         order = np.sort(vals)
         u_t0 = float(order[m - m0 - 1])  # (m - m0)-th order statistic, 1-indexed
         if u_t0 > u:
-            T = t
             m_u = int(np.count_nonzero(vals > u))
-            alpha = (m_u / m) * p0 ** (T - 1)
-            stages.append(StageRecord(t=T, u_t=u, n_evals=0, p_hat=m_u / m))
+            alpha = (m_u / m) * p0 ** (t - 1)
+            stages.append(StageRecord(t=t, u_t=u, n_evals=0, p_hat=m_u / m))
             break
         survivors = vals > u_t0
         m_t = int(np.count_nonzero(survivors))
@@ -159,10 +158,12 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
                                                       current=(log_pdf, {"f": vals}))
         vals = aux["f"]
         stages[-1].acceptance = diag.acceptance
-        t += 1
+    else:  # the threshold may be unreachable or the kernel stuck
+        error = f"max_stages={config.max_stages} exceeded"
+        alpha = p0 ** config.max_stages
 
-    T = len(stages)
-    n_reported = m + (T - 1) * (1.0 - p0) * m
+    n_moves = sum(s.n_evals > 0 for s in stages)  # one per intermediate stage
+    n_reported = m + n_moves * (1.0 - p0) * m
     delta = math.sqrt(ss_relative_variance_approx(alpha, p0, m)) if 0.0 < alpha < 1.0 else None
     return EstimationResult(
         method="ss",
@@ -172,9 +173,10 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         n_total=ledger.n_total,
         n_reported=n_reported,
         n_initial=m,
-        n_intermediate=int(round((T - 1) * (1.0 - p0) * m)),
+        n_intermediate=int(round(n_moves * (1.0 - p0) * m)),
         n_final=0,
         degenerate=alpha == 0.0,
+        error=error,
     )
 
 

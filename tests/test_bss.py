@@ -23,7 +23,7 @@ from failprob.bss import (
     run_bss,
     solve_threshold,
 )
-from failprob.core import InputDistribution, Problem, log_sum_exp, substream
+from failprob.core import ConfigError, InputDistribution, Problem, log_sum_exp, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.sur import log_coverage_g
 
@@ -396,6 +396,61 @@ class TestRunBss:
                    and "ValueError('refit refused')" in m for m in messages)
         assert all(p is prevs[0] for p in prevs)
 
+    def test_failed_fallback_keeps_previous_model(self, monkeypatch):
+        # the refit raises, and so does the model on the previous
+        # hyperparameters: the run warns twice per evaluation and goes on
+        # with the model it had
+        prob = _problem(float(ndtri(1 - 1e-3)))
+
+        def factory(X, y, prev, rng):
+            if prev is None:
+                return gp.GpModel(X, y, gp.fit_reml(X, y, n_starts=bss.REML_STARTS, rng=rng))
+            raise ValueError("refit refused")
+
+        def no_model(X, y, hyper):
+            raise np.linalg.LinAlgError("model refused")
+
+        seen = []
+
+        def select(model, *args):
+            seen.append(model)
+            return sur.select_next_point(model, *args)
+
+        monkeypatch.setattr(bss, "GpModel", no_model)
+        monkeypatch.setattr(bss, "select_next_point", select)
+        with pytest.warns(RuntimeWarning) as record:
+            res = run_bss(prob, BssConfig(m=400, n0=8, max_total_evaluations=14), seed=7,
+                          model_factory=factory)
+        n_refits = res.n_total - res.n_initial
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert n_refits == len(seen) > 0
+        assert messages[1::2] == ["bss refit on the previous hyperparameters failed, previous "
+                                  "model kept: LinAlgError('model refused')"] * n_refits
+        assert all(m.startswith("bss refit failed") for m in messages[::2])
+        assert all(model is seen[0] for model in seen)
+
+    def test_degenerate_weights_end_the_run_with_its_stages(self, monkeypatch):
+        # the second stage's reweight finds no weight: the run returns what
+        # it has, with the error, instead of raising
+        prob = _problem(float(ndtri(1 - 1e-4)))
+        calls = []
+
+        def reweight(log_g_t, log_g_prev):
+            calls.append(None)
+            if len(calls) == 2:
+                raise smc.DegenerateWeightsError("all weights are zero")
+            return smc.reweight(log_g_t, log_g_prev)
+
+        monkeypatch.setattr(bss, "reweight", reweight)
+        res = run_bss(prob, BssConfig(m=500, n0=8), seed=3)
+        assert res.error == "all weights are zero"
+        assert [s.t for s in res.stages] == [1, 2]
+        assert res.stages[0].acceptance and not res.stages[1].acceptance  # no move after stage 2
+        assert res.alpha_hat == pytest.approx(res.stages[0].p_hat * res.stages[1].p_hat,
+                                              rel=1e-12)
+        assert res.delta_hat == res.stages[-1].delta_hat
+        assert res.n_total == res.n_initial + res.n_intermediate + res.n_final
+
     def test_classified_cloud_repeats_no_design_point(self, recwarn):
         # on this linear problem n_min forces SUR evaluations after every
         # particle is classified: every SUR score is 0, and the pick is the
@@ -432,6 +487,23 @@ class TestRunBss:
             BssConfig(m=100, n_min=-1)
         with pytest.raises(ValueError):
             BssConfig(m=1)
+        with pytest.raises(ConfigError, match="max_stages must be >= 1"):
+            BssConfig(m=200, max_stages=0)
+        with pytest.raises(ConfigError, match="n0 must be >= 2"):
+            BssConfig(m=200, n0=1)
+
+    def test_design_too_small_for_the_fit_is_rejected_before_evaluating(self):
+        # a ReML fit in d = 2 needs d + 2 = 4 design points
+        evaluated = []
+
+        def f(X):
+            evaluated.append(X)
+            return X[:, 0] + X[:, 1]
+
+        prob = Problem(f, InputDistribution.iid_normal(2), 3.0)
+        with pytest.raises(ConfigError, match="n0 must be >= d \\+ 2 = 4"):
+            run_bss(prob, BssConfig(m=200, n0=3), seed=0)
+        assert not evaluated
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):

@@ -277,8 +277,8 @@ class TestBenchmarkCommand:
         assert len(lines) == 3  # header + 2 rows
         assert (tmp_path / "b" / "rmse.csv").exists()
         assert (tmp_path / "b" / "runs.csv").exists()
-        manifests = list((tmp_path / "b" / "manifests").glob("*.json"))
-        assert len(manifests) == 4
+        # runs.csv is the one per-run record
+        assert not (tmp_path / "b" / "manifests").exists()
 
     def test_method_without_usable_runs_keeps_its_row(self, capsys, tmp_path):
         # plain Monte Carlo at m = 300 sees no failure of a 3.9e-6 event: both
@@ -325,12 +325,11 @@ class TestBenchmarkCommand:
         assert not (tmp_path / "c").exists()
 
     def test_replay_rejects_benchmark_manifest(self, capsys, tmp_path):
-        code, _, _ = _run(capsys, [
-            "benchmark", "--case", "cantilever", "--methods", "mc",
-            "--m-list", "1000", "--runs", "2", "--out-dir", str(tmp_path / "b"),
-        ])
-        assert code == 0
-        manifest = tmp_path / "b" / "manifests" / "cantilever-mc-m1000-run0.json"
+        manifest = tmp_path / "benchmark.json"
+        manifest.write_text(json.dumps({
+            "schema": 1, "tool": "failprob", "command": "benchmark", "case": "cantilever",
+            "method": "mc", "seed": 0, "m": 1000, "run": 0, "alpha_hat": 0.0,
+        }))
         code, _, err = _run(capsys, ["estimate", "--replay", str(manifest)])
         assert code == 2
         assert "failprob estimate" in err and "'benchmark'" in err

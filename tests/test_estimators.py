@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from failprob.core import InputDistribution, Problem
+from failprob.core import ConfigError, InputDistribution, Problem
 from failprob.estimators import (
     SubsetSimConfig,
     monte_carlo_estimate,
@@ -114,10 +114,17 @@ class TestSubsetSimulation:
         assert abs(ests.mean() - alpha) <= 4 * se
 
     def test_max_stages_guard(self):
+        # the run ends as bss's does: a result with the error and the
+        # product of its recorded stage estimates, p0 each
         prob = _problem(2.0)
         cfg = SubsetSimConfig(m=200, m0=20, max_stages=1)
-        with pytest.raises(RuntimeError, match="max_stages"):
-            run_subset_simulation(prob, cfg, 0)
+        res = run_subset_simulation(prob, cfg, 0)
+        assert res.error == "max_stages=1 exceeded"
+        assert [(s.t, s.p_hat) for s in res.stages] == [(1, 0.1)]
+        assert res.alpha_hat == 0.1 and not res.degenerate
+        assert res.n_reported == 200 + 0.9 * 200 and res.n_intermediate == 180
+        # stage 0's sample and one move of S proposals per particle
+        assert res.n_total == 200 + 10 * 200
 
     def test_four_branch_relative_spread(self):
         # m = 1e5, 20 runs: empirical relative std within factor 2 of the
@@ -139,6 +146,8 @@ class TestSubsetSimulation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SubsetSimConfig(m=100, m0=100)
+        with pytest.raises(ConfigError, match="max_stages must be >= 1"):
+            SubsetSimConfig(m=100, m0=10, max_stages=0)
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):

@@ -9,6 +9,7 @@ other change must leave them as they are.
 import pytest
 
 from failprob.bench import CASES, _four_branch_f, run_estimator
+from failprob.bss import BssConfig, run_bss
 from failprob.core import Direction, InputDistribution, Problem
 
 SEED = 0
@@ -22,6 +23,14 @@ GOLDEN = {
     ("oscillator", "bss", 500): ("0x1.16279ed28e79cp-26", 49),
 }
 
+# bss partial results on four-branch at m = 500, one per budget that stops
+# the run: the budget, then alpha_hat and delta_hat as hex, n_total and the
+# number of stage records; no benchmark run takes these exits
+PARTIAL_GOLDEN = {
+    "max_total_evaluations": (30, "0x1.5798ee22d7650p-27", "0x1.3ad8136e7ba7ap-2", 30, 8),
+    "max_stages": (2, "0x1.47ae147ad9d26p-7", "0x1.33de7335e77cdp-3", 15, 2),
+}
+
 # P(four-branch < -1), about 2.4e-4: plain Monte Carlo at m = 1e5 sees
 # some failures, unlike on the benchmark thresholds
 MC_PROBLEM_GOLDEN = ("0x1.f75104d551d69p-13", 100_000)
@@ -33,6 +42,15 @@ def test_benchmark_case_bits(case, method, m):
     res = run_estimator(CASES[case]().problem, method, m, SEED)
     assert (res.alpha_hat.hex(), res.n_total) == GOLDEN[case, method, m]
     assert res.error is None and not res.degenerate
+
+
+@pytest.mark.filterwarnings("ignore:ReML optimizer did not converge")
+@pytest.mark.parametrize("budget", sorted(PARTIAL_GOLDEN))
+def test_bss_partial_result_bits(budget):
+    limit, *want = PARTIAL_GOLDEN[budget]
+    res = run_bss(CASES["four-branch"]().problem, BssConfig(m=500, **{budget: limit}), SEED)
+    assert [res.alpha_hat.hex(), res.delta_hat.hex(), res.n_total, len(res.stages)] == want
+    assert res.error == f"{budget}={limit} exceeded"
 
 
 def test_mc_bits():
