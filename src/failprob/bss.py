@@ -236,7 +236,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
     and refits. The run returns the product of its recorded stage estimates:
     after the first stage that reaches u, or with `error` set once an
     evaluation is due with `max_total_evaluations` spent, the reweight raises
-    `DegenerateWeightsError`, or `max_stages` stages end below u.
+    `DegenerateWeightsError`, or `max_stages` stages end below u (with no
+    move after the last). `n_final` counts the last stage's evaluations only
+    if that stage reached u; a stage cut short counts as intermediate.
     """
     if model_factory is None:
         model_factory = _default_model_factory
@@ -320,6 +322,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                                   kappa_hat=kap, delta_hat=delta))
         if error is not None or is_final:
             break
+        if t == config.max_stages:  # no stage is left to use the moved cloud
+            error = f"max_stages={config.max_stages} exceeded"
+            break
 
         # sampling phase: reweight -> residual resample -> move
         try:
@@ -344,13 +349,13 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
         )
         stages[-1].acceptance = diag.acceptance
         log_g, log_pdf = aux["log_g"], aux["log_pdf"]
-    else:
-        error = f"max_stages={config.max_stages} exceeded"
 
     log_alpha = 0.0  # a plain sum in stage order: alpha_hat's bits depend on it
     for s in stages:
         log_alpha += math.log(s.p_hat) if s.p_hat > 0.0 else -math.inf
     alpha = math.exp(log_alpha) if math.isfinite(log_alpha) else 0.0
+    # a stage cut short below u counts as intermediate
+    n_final = stages[-1].n_evals if stages[-1].u_t == u else 0
     return EstimationResult(
         method="bss",
         alpha_hat=alpha,
@@ -359,8 +364,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
         n_total=ledger.n_total,
         n_reported=float(ledger.n_total),
         n_initial=ledger.n_initial,
-        n_intermediate=sum(s.n_evals for s in stages[:-1]),
-        n_final=stages[-1].n_evals,
+        n_intermediate=sum(s.n_evals for s in stages) - n_final,
+        n_final=n_final,
         degenerate=alpha == 0.0,
         error=error,
         underflow_floors=underflows,

@@ -107,7 +107,8 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     """Subset simulation with adaptive thresholds (order-statistic levels).
 
     A run whose `max_stages` stages all end below u returns p0^max_stages,
-    the product of its recorded stage estimates, with `error` set."""
+    the product of its recorded stage estimates, with `error` set; it makes
+    no move after its last stage."""
     # stream names shared with the Bayesian variant: with a perfect surrogate
     # both algorithms consume identical draws and produce identical trajectories
     rng_init = substream(seed, "particle-init")
@@ -134,9 +135,13 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
             alpha = (m_u / m) * p0 ** (t - 1)
             stages.append(StageRecord(t=t, u_t=u, n_evals=0, p_hat=m_u / m))
             break
+        stages.append(StageRecord(t=t, u_t=u_t0, n_evals=m, p_hat=p0))
+        if t == config.max_stages:  # the threshold may be unreachable or the kernel stuck
+            error = f"max_stages={config.max_stages} exceeded"
+            alpha = p0 ** config.max_stages
+            break
         survivors = vals > u_t0
         m_t = int(np.count_nonzero(survivors))
-        stages.append(StageRecord(t=t, u_t=u_t0, n_evals=m, p_hat=p0))
         # reweight to the indicator of the new level, then resample
         w = survivors.astype(float) / m_t
         idx = residual_resample(w, rng_resample)
@@ -158,11 +163,8 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
                                                       current=(log_pdf, {"f": vals}))
         vals = aux["f"]
         stages[-1].acceptance = diag.acceptance
-    else:  # the threshold may be unreachable or the kernel stuck
-        error = f"max_stages={config.max_stages} exceeded"
-        alpha = p0 ** config.max_stages
 
-    n_moves = sum(s.n_evals > 0 for s in stages)  # one per intermediate stage
+    n_moves = len(stages) - 1  # every stage but the last moves the cloud
     n_reported = m + n_moves * (1.0 - p0) * m
     delta = math.sqrt(ss_relative_variance_approx(alpha, p0, m)) if 0.0 < alpha < 1.0 else None
     return EstimationResult(

@@ -5,7 +5,10 @@ over an unknown constant mean. The mean is profiled out exactly by
 generalized least squares, so the posterior mean is the ordinary kriging
 predictor, and hyperparameters (process variance and per-dimension ranges)
 are estimated by restricted maximum likelihood with multi-start L-BFGS-B on
-the log scale, using analytic gradients.
+the log scale, using analytic gradients. The fit calls scipy's L-BFGS-B
+routine (`setulb`) directly, with the arguments and defaults of
+`scipy.optimize.minimize(method="L-BFGS-B")` in scipy 1.17, so it takes the
+same iterates without that wrapper's per-call cost.
 
 A fixed relative jitter is added to the correlation diagonal for
 factorization stability; interpolation and the posterior-variance floor are
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 from scipy.spatial.distance import cdist
 
 from .core import _row_blocks
@@ -258,11 +261,17 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     # dR/d rho_k = kappa'(h)/h * (-(x_ik - x_jk)^2 / rho_k^3), all k at once;
     # rho_k^3 as scalar powers, the operation the per-k form used
     cubes = np.array([ranges[k] ** 3 for k in range(d)])
-    Rdot = (-(10.0 / 3.0) * (1.0 + t) * exp_t) * (neg_sq_diffs / cubes[:, None, None])
-    traces = (Rinv * Rdot).reshape(d, -1).sum(axis=1)
+    Rdot = np.divide(neg_sq_diffs, cubes[:, None, None])
+    Rdot *= -(10.0 / 3.0) * (1.0 + t) * exp_t
+    # row k of each product has the bits of v @ Rdot[k]; the second dot
+    # stays per k, a batched one would sum in another order
+    vR = np.matmul(v, Rdot)
+    aR = np.matmul(a, Rdot)
+    Rdot *= Rinv
+    traces = Rdot.reshape(d, -1).sum(axis=1)
     for k in range(d):
-        d_oro = -float(v @ Rdot[k] @ v) / oro
-        d_quad = -float(a @ Rdot[k] @ a)
+        d_oro = -float(vR[k] @ v) / oro
+        d_quad = -float(aR[k] @ a)
         grad[1 + k] = 0.5 * (float(traces[k]) + d_oro + d_quad / sigma2) * ranges[k]
     return nll, grad
 
@@ -279,6 +288,43 @@ def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
     return -(diff ** 2)
 
 
+def _lbfgsb(objective, x0, lb, ub, maxiter):
+    """Minimize `objective(x) -> (f, grad)` over the box [lb, ub] from x0.
+
+    The loop of scipy 1.17's `_minimize_lbfgsb` over the L-BFGS-B routine,
+    with its defaults (10 corrections, ftol 2.2e-9, gtol 1e-5, 20 line-search
+    steps) and every bound finite. Its function-evaluation limit of 15000
+    cannot bind: at most 20 evaluations per iteration. Returns the last
+    iterate, its value, and whether the routine reported convergence.
+    """
+    n, m = x0.shape[0], 10
+    x = np.clip(x0, lb, ub)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    nbd = np.full(n, 2, np.int32)  # 2: bounded below and above
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    n_iterations = 0
+    while True:
+        setulb(m, x, lb, ub, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave,
+               20, ln_task)
+        if task[0] == 3:  # evaluate at x; setulb overwrites x in place
+            f, g = objective(x.copy())
+        elif task[0] == 1:  # an iteration ended
+            n_iterations += 1
+            if n_iterations >= maxiter:
+                task[:] = 5, 504  # STOP: iteration limit, as scipy sets it
+        else:
+            break
+    return x, f, bool(task[0] == 4)
+
+
 def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: int,
              init: CovarianceHyperparams | None = None) -> CovarianceHyperparams:
     """Estimate (sigma2, ranges) by multi-start quasi-Newton ReML.
@@ -292,7 +338,8 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
     L-BFGS-B asks again for points it has already evaluated (line-search
     restarts, and across starts), so the objective is memoized for the fit,
     keyed by the bytes of the log-parameters: a repeat gets the same value
-    and a copy of the same gradient, and the optimizer the same bits.
+    and a copy of the same gradient, and the optimizer the same bits. Each
+    start runs `_lbfgsb`, the L-BFGS-B loop of `scipy.optimize.minimize`.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
@@ -313,7 +360,6 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
 
     lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
     ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
-    bounds = list(zip(lb, ub))
 
     starts: list[np.ndarray] = []
     if init is not None:
@@ -338,15 +384,12 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
     best_val = np.inf
     any_success = False
     for s0 in starts:
-        res = minimize(
-            objective, s0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": REML_MAXITER},
-        )
-        any_success = any_success or bool(res.success)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best = res.x
-    if best is None:  # pragma: no cover - minimize always returns an iterate
+        x, f, success = _lbfgsb(objective, s0, lb, ub, REML_MAXITER)
+        any_success = any_success or success
+        if f < best_val:
+            best_val = float(f)
+            best = x
+    if best is None:  # pragma: no cover - every start returns an iterate
         raise RuntimeError("ReML optimization produced no iterate")
     if not any_success:
         warnings.warn("ReML optimizer did not converge; returning best iterate")

@@ -6,8 +6,9 @@ the same either way. Values already set in the environment win.
 
 Also defines `requires_scipy_117`, for tests that compare a result bit for bit
 with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces,
-and the `kernel_threads` fixture, which sets the row-block thread count for
-one test and restores the default afterwards.
+or with `scipy.optimize.minimize`'s L-BFGS-B loop, which `gp._lbfgsb`
+reproduces, and the `kernel_threads` fixture, which sets the row-block thread
+count for one test and restores the default afterwards.
 """
 
 import os
@@ -21,8 +22,8 @@ import pytest  # noqa: E402
 
 requires_scipy_117 = pytest.mark.skipif(
     tuple(int(p) for p in version("scipy").split(".")[:2]) != (1, 17),
-    reason="core.log_sum_exp reproduces scipy 1.17's logsumexp formula; "
-           "other scipy versions may round differently",
+    reason="core.log_sum_exp and gp._lbfgsb reproduce scipy 1.17's logsumexp "
+           "formula and L-BFGS-B loop; other scipy versions may differ",
 )
 
 

@@ -351,6 +351,23 @@ class TestRunBss:
         res = run_bss(prob, cfg, seed=5)
         assert res.error is not None and "max_stages" in res.error
 
+    @pytest.mark.filterwarnings("ignore:ReML optimizer did not converge")
+    @pytest.mark.parametrize("budget, limit, counts", [
+        ("max_stages", 2, (5, 0)),
+        ("max_total_evaluations", 30, (20, 0)),
+    ])
+    def test_cut_short_stage_counts_as_intermediate(self, budget, limit, counts):
+        # neither run reaches u, so no evaluation is final; the run that
+        # ends on max_stages makes no move after its last stage
+        problem = four_branch().problem
+        res = run_bss(problem, BssConfig(m=500, **{budget: limit}), seed=0)
+        assert res.error == f"{budget}={limit} exceeded"
+        assert all(s.u_t < problem.threshold for s in res.stages)
+        assert (res.n_intermediate, res.n_final) == counts
+        assert res.n_initial + res.n_intermediate + res.n_final == res.n_total
+        if budget == "max_stages":
+            assert res.stages[0].acceptance and not res.stages[-1].acceptance
+
     def test_trace_collection(self, recwarn):
         prob = _problem(float(ndtri(1 - 1e-3)))
         cfg = BssConfig(m=400, n0=8)

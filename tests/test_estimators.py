@@ -122,9 +122,9 @@ class TestSubsetSimulation:
         assert res.error == "max_stages=1 exceeded"
         assert [(s.t, s.p_hat) for s in res.stages] == [(1, 0.1)]
         assert res.alpha_hat == 0.1 and not res.degenerate
-        assert res.n_reported == 200 + 0.9 * 200 and res.n_intermediate == 180
-        # stage 0's sample and one move of S proposals per particle
-        assert res.n_total == 200 + 10 * 200
+        # stage 0's sample only: no stage is left to use a move after stage 1
+        assert res.n_reported == 200 and res.n_intermediate == 0
+        assert res.n_total == 200
 
     def test_four_branch_relative_spread(self):
         # m = 1e5, 20 runs: empirical relative std within factor 2 of the

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import requires_scipy_117
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
 from failprob import gp
@@ -328,8 +329,12 @@ class TestBatchedRemlGradient:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
     def test_same_bits_as_per_range_loop(self, monkeypatch, d):
+        # the reference takes each v' Rdot_k v and a' Rdot_k a on its own;
+        # reml_objective takes their first products batched over k. Designs
+        # smaller than the fit's n >= d + 2 are included: the objective
+        # takes any n
         rng = substream(d, "reml-bits")
-        for n in range(d + 2, 81):
+        for n in range(3, 81):
             X = _random_design(rng, n, d, lo=-4.0, hi=4.0)
             y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal(n)
             nsd = _neg_sq_diffs(X)
@@ -358,27 +363,34 @@ class TestBatchedRemlGradient:
     def test_fit_reml_calls_the_module_objective(self, monkeypatch):
         # The benchmark's tracer counts ReML objective calls by replacing
         # failprob.gp.reml_objective: fit_reml must look it up there on every
-        # call it makes. A point the optimizer asks for again is answered
+        # call it makes. A point L-BFGS-B asks for again is answered
         # from the fit's memo, so the objective sees each distinct point once.
         seen, asked = [], []
-        real_objective, real_minimize = gp.reml_objective, gp.minimize
+        real_objective = gp.reml_objective
 
         def counting_objective(X, y, lp, *, neg_sq_diffs):
             seen.append(lp.tobytes())
             return real_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
 
-        def asking_minimize(fun, *args, **kwargs):
-            def asking(lp):
-                asked.append(lp.tobytes())
-                return fun(lp)
-
-            return real_minimize(asking, *args, **kwargs)
-
         monkeypatch.setattr(gp, "reml_objective", counting_objective)
-        monkeypatch.setattr(gp, "minimize", asking_minimize)
+        monkeypatch.setattr(gp, "_lbfgsb", _asking_lbfgsb(asked))
         X, y = _abnormal_case()
         fit_reml(X, y, substream(1, "reml-memo-starts"), n_starts=3)
         assert len(seen) == len(set(seen)) == len(set(asked)) > 0
+
+
+def _asking_lbfgsb(asked):
+    """gp._lbfgsb, appending the bytes of each point it asks for to `asked`."""
+    real_lbfgsb = gp._lbfgsb
+
+    def lbfgsb(objective, *args):
+        def asking(lp):
+            asked.append(lp.tobytes())
+            return objective(lp)
+
+        return real_lbfgsb(asking, *args)
+
+    return lbfgsb
 
 
 def _abnormal_case():
@@ -393,28 +405,89 @@ def _abnormal_case():
 
 @requires_scipy_117
 def test_reml_memo_keeps_the_bits(monkeypatch):
-    # the fit answers the optimizer's repeats from its memo and returns the
+    # the fit answers L-BFGS-B's repeats from its memo and returns the
     # bits it returned when every request ran the objective; L-BFGS-B's
     # iterates depend on the scipy version, hence the pin
-    asked, messages = [], []
-    real_minimize = gp.minimize
-
-    def asking_minimize(fun, *args, **kwargs):
-        def asking(lp):
-            asked.append(lp.tobytes())
-            return fun(lp)
-
-        res = real_minimize(asking, *args, **kwargs)
-        messages.append(str(res.message))
-        return res
-
-    monkeypatch.setattr(gp, "minimize", asking_minimize)
+    asked = []
+    monkeypatch.setattr(gp, "_lbfgsb", _asking_lbfgsb(asked))
     X, y = _abnormal_case()
     hyper = fit_reml(X, y, substream(1, "reml-memo-starts"), n_starts=3)
-    assert messages[0].startswith("ABNORMAL") and len(asked) > len(set(asked))
+    assert len(asked) > len(set(asked))
     assert hyper.sigma2.hex() == "0x1.f586bad880243p+17"
     assert [r.hex() for r in hyper.ranges] == ["0x1.526973f2eb619p+4", "0x1.57ab44afefa52p+6"]
     assert hyper.converged is True
+
+
+def _memoized_objective(X, y):
+    """fit_reml's memoized objective for one design, and the list of the
+    points it is asked for."""
+    neg_sq_diffs = _neg_sq_diffs(X)
+    memo, asked = {}, []
+
+    def objective(lp):
+        asked.append(lp.tobytes())
+        key = lp.tobytes()
+        if key not in memo:
+            memo[key] = reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
+        nll, grad = memo[key]
+        return nll, grad.copy()
+
+    return objective, asked
+
+
+def _reml_starts(X, y, rng, n_starts):
+    """fit_reml's box and its starts without `init`: the span, then random ranges."""
+    d = X.shape[1]
+    span = X.max(axis=0) - X.min(axis=0)
+    s2y = float(np.var(y, ddof=1))
+    lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
+    ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
+    starts = [np.concatenate([[math.log(s2y)], np.log(span / 2.0)])]
+    while len(starts) < n_starts:
+        logr = np.log(span) + rng.uniform(math.log(0.1), math.log(10.0), size=d)
+        starts.append(np.concatenate([[math.log(s2y)], logr]))
+    return lb, ub, [np.clip(s, lb + 1e-9, ub - 1e-9) for s in starts]
+
+
+@requires_scipy_117
+class TestLbfgsbLoop:
+    """Oracle: gp._lbfgsb takes the iterates of scipy 1.17's
+    minimize(method="L-BFGS-B") on the same memoized objective."""
+
+    def _compare(self, X, y, lb, ub, x0, maxiter):
+        objective, asked = _memoized_objective(X, y)
+        x, f, success = gp._lbfgsb(objective, x0, lb, ub, maxiter)
+        objective_ref, asked_ref = _memoized_objective(X, y)
+        res = minimize(objective_ref, x0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lb, ub)), options={"maxiter": maxiter})
+        assert x.tobytes() == res.x.tobytes()
+        assert float(f).hex() == float(res.fun).hex()
+        assert success == res.success
+        assert set(asked) == set(asked_ref)
+        return res, asked_ref
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("n", [8, 30, 53])
+    def test_same_iterates_as_minimize(self, n, d):
+        rng = substream(10 * n + d, "lbfgsb-oracle")
+        X = _random_design(rng, n, d)
+        y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.4 * np.cos(X @ rng.uniform(0.3, 1.5, d))
+        lb, ub, starts = _reml_starts(X, y, rng, n_starts=3)
+        for x0 in starts:
+            self._compare(X, y, lb, ub, x0, gp.REML_MAXITER)
+
+    def test_abnormal_line_search(self):
+        X, y = _abnormal_case()
+        lb, ub, starts = _reml_starts(X, y, substream(1, "reml-memo-starts"), n_starts=1)
+        res, asked = self._compare(X, y, lb, ub, starts[0], gp.REML_MAXITER)
+        # the line search gave up and asked again for points it had evaluated
+        assert str(res.message).startswith("ABNORMAL") and len(asked) > len(set(asked))
+
+    def test_stop_on_maxiter(self):
+        X, y = _abnormal_case()
+        lb, ub, starts = _reml_starts(X, y, substream(1, "reml-memo-starts"), n_starts=3)
+        res, _ = self._compare(X, y, lb, ub, starts[1], 3)
+        assert res.nit == 3 and res.status == 1 and not res.success
 
 
 def _spd_matrices(n):
