@@ -18,7 +18,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -206,18 +206,13 @@ class RmseTable:
     rows: list[RmseRow] = field(default_factory=list)
     per_run: list[dict] = field(default_factory=list)
 
-    CSV_COLUMNS = (
-        "method,case,m,runs,failures,mean_est,rel_rmse,rel_abs_bias,cov,"
-        "n_evals_mean,n_evals_init,n_evals_intermediate,n_evals_final,wall_ms_median"
-    )
     PER_RUN_COLUMNS = (
         "method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,"
         "n_init,n_intermediate,n_final,error,wall_ms"
     )
 
     def to_csv(self) -> str:
-        cols = self.CSV_COLUMNS.split(",")
-        return csv_table(cols, ([getattr(r, c) for c in cols] for r in self.rows))
+        return csv_table([f.name for f in fields(RmseRow)], map(astuple, self.rows))
 
     def per_run_csv(self) -> str:
         cols = self.PER_RUN_COLUMNS.split(",")

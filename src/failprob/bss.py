@@ -38,13 +38,7 @@ from .core import (
 )
 from .design import maximin_lhs, truncated_box
 from .gp import GpModel, fit_reml
-from .smc import (
-    DegenerateWeightsError,
-    RwmhState,
-    residual_resample,
-    reweight,
-    rwmh_move,
-)
+from .smc import DegenerateWeightsError, initial_log_steps, residual_resample, reweight, rwmh_move
 from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
 
 __all__ = [
@@ -58,6 +52,10 @@ __all__ = [
 ]
 
 
+N_MIN = 2  # SUR evaluations a stage makes before its stopping rule is checked
+N0_PER_DIM = 5  # initial design points per input dimension: n0 = 5 d
+MAX_STAGES = 50  # stages before a run ends with `error` set
+MAX_TOTAL_EVALUATIONS = 2000  # limit-state evaluations before a run ends with `error` set
 ETA_INTERMEDIATE = 0.5  # stopping-rule eta at intermediate stages
 ETA_FINAL_FACTOR = 0.1  # eta at the final stage, per unit of the estimate's CoV
 DESIGN_EPSILON = 1e-5  # the initial design's box: marginal quantiles eps, 1 - eps
@@ -73,28 +71,17 @@ class ThresholdSolverError(RuntimeError):
 
 @dataclass
 class BssConfig:
-    """m particles, per-stage probability p0, at least n_min SUR evaluations
-    per stage, n0 initial design points (5 d when None), and the budgets;
-    every other constant of the algorithm is fixed at module level."""
+    """m particles and the per-stage probability p0; every other constant
+    of the algorithm is fixed at module level."""
 
     m: int
     p0: float = 0.1
-    n_min: int = 2
-    n0: int | None = None
-    max_stages: int = 50
-    max_total_evaluations: int = 2000
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ConfigError("m must be >= 2")
         if not 0.0 < self.p0 < 1.0:
             raise ConfigError("p0 must be in (0, 1)")
-        if self.n_min < 0:
-            raise ConfigError("n_min must be >= 0")
-        if self.n0 is not None and self.n0 < 2:
-            raise ConfigError("n0 must be >= 2")
-        if self.max_stages < 1:
-            raise ConfigError("max_stages must be >= 1")
 
 
 def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
@@ -221,34 +208,27 @@ def _default_model_factory(X, y, prev_hyper, rng):
     return GpModel(X, y, hyper)
 
 
-def run_bss(problem: Problem, config: BssConfig, seed: int,
-            model_factory=None) -> EstimationResult:
+def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     """Run Bayesian subset simulation; deterministic given the root seed.
 
-    `model_factory(X, y, prev_hyper, rng)` can replace the default ReML +
-    ordinary-kriging surrogate (used for the perfect-model limit in tests,
-    or for custom priors). A refit that raises LinAlgError or ValueError
-    warns and keeps the previous hyperparameters, or failing that the
-    previous model; any other exception propagates.
+    The surrogate is the ordinary-kriging model on ReML hyperparameters
+    that `_default_model_factory(X, y, prev_hyper, rng)` fits. A refit that
+    raises LinAlgError or ValueError warns and keeps the previous
+    hyperparameters, or failing that the previous model; any other
+    exception propagates.
 
     Each estimation pass takes the posterior at the particles, solves the
     threshold and checks the stopping rule, or else makes one SUR evaluation
     and refits. The run returns the product of its recorded stage estimates:
     after the first stage that reaches u, or with `error` set once an
-    evaluation is due with `max_total_evaluations` spent, the reweight raises
-    `DegenerateWeightsError`, or `max_stages` stages end below u (with no
+    evaluation is due with `MAX_TOTAL_EVALUATIONS` spent, the reweight raises
+    `DegenerateWeightsError`, or `MAX_STAGES` stages end below u (with no
     move after the last). `n_final` counts the last stage's evaluations only
     if that stage reached u; a stage cut short counts as intermediate.
     """
-    if model_factory is None:
-        model_factory = _default_model_factory
-    d = problem.dim
     u = problem.threshold
     m = config.m
     p0 = config.p0
-    n0 = config.n0 if config.n0 is not None else 5 * d
-    if n0 < d + 2:
-        raise ConfigError(f"n0 must be >= d + 2 = {d + 2} for the ReML fit, not {n0}")
     ledger = EvaluationLedger()
     rng_design = substream(seed, "design")
     rng_init = substream(seed, "particle-init")
@@ -258,20 +238,20 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
 
     # stage 0: initial design, first fit, particle cloud from the input law
     box = truncated_box(problem.input, DESIGN_EPSILON)
-    X = maximin_lhs(n0, box, DESIGN_CANDIDATES, rng_design)
+    X = maximin_lhs(N0_PER_DIM * problem.dim, box, DESIGN_CANDIDATES, rng_design)
     y = ledger.evaluate(problem.limit_state, X, stage=0)
-    model = model_factory(X, y, None, rng_reml)
+    model = _default_model_factory(X, y, None, rng_reml)
 
     pts = problem.input.sample(m, rng_init)
     log_g = np.zeros(m)  # g_0 = 1
     log_pdf = problem.input.log_density(pts)
-    kernel = RwmhState.initial(problem.input.sds)
+    log_sigma = initial_log_steps(problem.input.sds)
 
     stages: list[StageRecord] = []
     trace: list[dict] = []
     underflows = 0
     error: str | None = None
-    for t in range(1, config.max_stages + 1):
+    for t in range(1, MAX_STAGES + 1):
         underflows += int(np.count_nonzero(log_g < _LOG_FLOOR))
         log_g_prev = np.maximum(log_g, _LOG_FLOOR)
         n_t = 0
@@ -287,12 +267,12 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             kap = kappa_hat(ratios, p_hat) if p_hat > 0.0 else 0.0
             delta = float(cov_recursion([s.kappa_hat for s in stages] + [kap], m)[-1])
             eta = ETA_FINAL_FACTOR * delta if is_final else ETA_INTERMEDIATE
-            if n_t >= config.n_min and misclass_sum(
+            if n_t >= N_MIN and misclass_sum(
                 mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
             ) <= eta * m * p0:
                 break
-            if ledger.n_total >= config.max_total_evaluations:
-                error = f"max_total_evaluations={config.max_total_evaluations} exceeded"
+            if ledger.n_total >= MAX_TOTAL_EVALUATIONS:
+                error = f"max_total_evaluations={MAX_TOTAL_EVALUATIONS} exceeded"
                 break
             sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
             y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
@@ -306,7 +286,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             X = np.vstack([X, sel.x_new[None, :]])
             y = np.append(y, y_new)
             try:
-                model = model_factory(X, y, model.hyper, rng_reml)
+                model = _default_model_factory(X, y, model.hyper, rng_reml)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
                               RuntimeWarning, stacklevel=2)
@@ -322,8 +302,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
                                   kappa_hat=kap, delta_hat=delta))
         if error is not None or is_final:
             break
-        if t == config.max_stages:  # no stage is left to use the moved cloud
-            error = f"max_stages={config.max_stages} exceeded"
+        if t == MAX_STAGES:  # no stage is left to use the moved cloud
+            error = f"max_stages={MAX_STAGES} exceeded"
             break
 
         # sampling phase: reweight -> residual resample -> move
@@ -343,8 +323,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int,
             lg = log_coverage_g(mu, np.sqrt(v), _u)
             return lp + lg, {"log_pdf": lp, "log_g": lg}
 
-        pts, (_, aux), kernel, diag = rwmh_move(
-            pts, log_target, kernel, rng_move,
+        pts, (_, aux), log_sigma, diag = rwmh_move(
+            pts, log_target, log_sigma, rng_move,
             current=(lp_cur + lg_cur, {"log_pdf": lp_cur, "log_g": lg_cur}),
         )
         stages[-1].acceptance = diag.acceptance

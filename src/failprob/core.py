@@ -327,9 +327,6 @@ class StageRecord:
     delta_hat: float | None = None
     acceptance: list[float] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EstimationResult:
@@ -339,7 +336,6 @@ class EstimationResult:
     alpha_hat: float
     delta_hat: float | None = None
     std_err: float | None = None
-    stages: list[StageRecord] = field(default_factory=list)
     n_total: int = 0
     n_reported: float = 0.0
     n_initial: int = 0
@@ -348,24 +344,14 @@ class EstimationResult:
     degenerate: bool = False
     error: str | None = None
     underflow_floors: int = 0
+    stages: list[StageRecord] = field(default_factory=list)
     trace: list[dict] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha_hat": self.alpha_hat,
-            "delta_hat": self.delta_hat,
-            "std_err": self.std_err,
-            "n_total": self.n_total,
-            "n_reported": self.n_reported,
-            "n_initial": self.n_initial,
-            "n_intermediate": self.n_intermediate,
-            "n_final": self.n_final,
-            "degenerate": self.degenerate,
-            "error": self.error,
-            "underflow_floors": self.underflow_floors,
-            "stages": [s.to_dict() for s in self.stages],
-        }
+        """Every field but `trace`, in field order."""
+        out = asdict(self)
+        del out["trace"]
+        return out
 
 
 def _path_word(part) -> int:

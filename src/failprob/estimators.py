@@ -31,7 +31,7 @@ from .core import (
     StageRecord,
     substream,
 )
-from .smc import RwmhState, residual_resample, rwmh_move
+from .smc import initial_log_steps, residual_resample, rwmh_move
 
 __all__ = [
     "SubsetSimConfig",
@@ -40,6 +40,8 @@ __all__ = [
     "ss_relative_variance_approx",
 ]
 
+MAX_STAGES = 50  # stages before a run ends with `error` set
+
 
 @dataclass
 class SubsetSimConfig:
@@ -47,13 +49,10 @@ class SubsetSimConfig:
 
     m: int
     m0: int
-    max_stages: int = 50
 
     def __post_init__(self) -> None:
         if not 1 <= self.m0 < self.m:
             raise ConfigError("need 1 <= m0 < m")
-        if self.max_stages < 1:
-            raise ConfigError("max_stages must be >= 1")
 
     @property
     def p0(self) -> float:
@@ -106,7 +105,7 @@ def monte_carlo_estimate(problem: Problem, m: int, seed: int) -> EstimationResul
 def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) -> EstimationResult:
     """Subset simulation with adaptive thresholds (order-statistic levels).
 
-    A run whose `max_stages` stages all end below u returns p0^max_stages,
+    A run whose `MAX_STAGES` stages all end below u returns p0^MAX_STAGES,
     the product of its recorded stage estimates, with `error` set; it makes
     no move after its last stage."""
     # stream names shared with the Bayesian variant: with a perfect surrogate
@@ -123,11 +122,11 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     pts = dist.sample(m, rng_init)
     vals = ledger.evaluate(problem.limit_state, pts, stage=0)
     log_pdf = dist.log_density(pts)
-    kernel = RwmhState.initial(dist.sds)
+    log_sigma = initial_log_steps(dist.sds)
 
     stages: list[StageRecord] = []
     error: str | None = None
-    for t in range(1, config.max_stages + 1):
+    for t in range(1, MAX_STAGES + 1):
         order = np.sort(vals)
         u_t0 = float(order[m - m0 - 1])  # (m - m0)-th order statistic, 1-indexed
         if u_t0 > u:
@@ -136,9 +135,9 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
             stages.append(StageRecord(t=t, u_t=u, n_evals=0, p_hat=m_u / m))
             break
         stages.append(StageRecord(t=t, u_t=u_t0, n_evals=m, p_hat=p0))
-        if t == config.max_stages:  # the threshold may be unreachable or the kernel stuck
-            error = f"max_stages={config.max_stages} exceeded"
-            alpha = p0 ** config.max_stages
+        if t == MAX_STAGES:  # the threshold may be unreachable or the kernel stuck
+            error = f"max_stages={MAX_STAGES} exceeded"
+            alpha = p0 ** MAX_STAGES
             break
         survivors = vals > u_t0
         m_t = int(np.count_nonzero(survivors))
@@ -159,8 +158,8 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
 
         # every resampled particle is inside the level, so its log target
         # is its log pdf
-        pts, (log_pdf, aux), kernel, diag = rwmh_move(pts, log_target, kernel, rng_move,
-                                                      current=(log_pdf, {"f": vals}))
+        pts, (log_pdf, aux), log_sigma, diag = rwmh_move(pts, log_target, log_sigma, rng_move,
+                                                         current=(log_pdf, {"f": vals}))
         vals = aux["f"]
         stages[-1].acceptance = diag.acceptance
 

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 from scipy.spatial.distance import cdist
@@ -138,10 +139,6 @@ class GpModel:
     def dim(self) -> int:
         return self.design_points.shape[1]
 
-    @property
-    def gls_mean(self) -> float:
-        return self._mu
-
     def predict(self, x):
         """Posterior mean and variance at one point (d,) or a batch (k, d)."""
         x = np.asarray(x, dtype=float)
@@ -205,11 +202,6 @@ class GpModel:
             out = np.abs(k) / math.sqrt(var_new)
         return float(out[0]) if single else out
 
-    def with_observation(self, x_new, y_new) -> "GpModel":
-        """New model with (x_new, y_new) appended; hyperparameters unchanged."""
-        X = np.vstack([self.design_points, np.atleast_2d(np.asarray(x_new, dtype=float))])
-        y = np.append(self.design_values, float(y_new))
-        return GpModel(X, y, self.hyper)
 
 def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     """Negative restricted log-likelihood and gradient.
@@ -296,6 +288,10 @@ def _lbfgsb(objective, x0, lb, ub, maxiter):
     steps) and every bound finite. Its function-evaluation limit of 15000
     cannot bind: at most 20 evaluations per iteration. Returns the last
     iterate, its value, and whether the routine reported convergence.
+
+    `setulb` is private to scipy and takes these 17 arguments from scipy
+    1.15 on; a TypeError from it is raised again as a RuntimeError that
+    names the installed scipy.
     """
     n, m = x0.shape[0], 10
     x = np.clip(x0, lb, ub)
@@ -312,8 +308,13 @@ def _lbfgsb(objective, x0, lb, ub, maxiter):
     factr = 2.2204460492503131e-09 / np.finfo(float).eps
     n_iterations = 0
     while True:
-        setulb(m, x, lb, ub, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave,
-               20, ln_task)
+        try:
+            setulb(m, x, lb, ub, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave, dsave,
+                   20, ln_task)
+        except TypeError as exc:
+            raise RuntimeError(
+                f"scipy {scipy.__version__}: scipy.optimize._lbfgsb.setulb does not take "
+                "the arguments of scipy >= 1.15, which the ReML fit requires") from exc
         if task[0] == 3:  # evaluate at x; setulb overwrites x in place
             f, g = objective(x.copy())
         elif task[0] == 1:  # an iteration ended

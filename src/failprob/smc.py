@@ -1,13 +1,14 @@
 """Sequential Monte Carlo transitions: reweight, residual resampling, and
 the adaptive Gaussian random-walk Metropolis move.
 
-The move kernel runs a fixed number of sweeps over the whole population.
-Each sweep proposes a joint d-dimensional Gaussian perturbation per
-particle with per-coordinate step sizes, accepts by the Metropolis ratio,
+The move kernel runs `SWEEPS` sweeps over the whole population. Each
+sweep proposes a joint d-dimensional Gaussian perturbation per particle
+with per-coordinate step sizes, accepts by the Metropolis ratio,
 and then adapts every coordinate's log step by +-delta/s (s the within-call
 sweep index) according to whether the population-average acceptance
-probability exceeds the target. Step sizes persist across stages; the
-within-stage adaptation index restarts at 1.
+probability exceeds the target. The drivers carry the log steps from one
+move to the next, so step sizes persist across stages; the within-stage
+adaptation index restarts at 1.
 
 A sweep's random numbers do not depend on the particles, so the move draws
 them one sweep ahead on the kernel pool (`core._kernel_submit`) while the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
     "DegenerateWeightsError",
     "reweight",
     "residual_resample",
-    "RwmhState",
+    "initial_log_steps",
     "MoveDiagnostics",
     "rwmh_move",
 ]
@@ -46,6 +47,7 @@ __all__ = [
 TARGET_ACCEPTANCE = 0.30  # the target of the step adaptation
 LOG_STEP_DELTA = math.log(10.0)  # delta: sweep s moves each log step by +-delta/s
 INIT_SCALE = 2.0  # initial steps INIT_SCALE / sqrt(d) times the marginal sds
+SWEEPS = 10  # sweeps per move
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -88,25 +90,10 @@ def residual_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return np.repeat(np.arange(m), counts)
 
 
-@dataclass(frozen=True)
-class RwmhState:
-    """Per-coordinate log step sizes, which persist across stages, and the
-    number of sweeps each move runs."""
-
-    log_sigma: np.ndarray
-    sweeps: int = 10
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log_sigma", np.atleast_1d(np.asarray(self.log_sigma, dtype=float)))
-        if np.any(~np.isfinite(self.log_sigma)):
-            raise ValueError("log step sizes must be finite")
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1")
-
-    @classmethod
-    def initial(cls, marginal_sds: np.ndarray) -> "RwmhState":
-        sds = np.atleast_1d(np.asarray(marginal_sds, dtype=float))
-        return cls(log_sigma=np.log(INIT_SCALE / math.sqrt(len(sds)) * sds))
+def initial_log_steps(marginal_sds: np.ndarray) -> np.ndarray:
+    """Per-coordinate log step sizes of the first move."""
+    sds = np.atleast_1d(np.asarray(marginal_sds, dtype=float))
+    return np.log(INIT_SCALE / math.sqrt(len(sds)) * sds)
 
 
 @dataclass
@@ -117,9 +104,9 @@ class MoveDiagnostics:
     step_log_sigma: list[np.ndarray] = field(default_factory=list)
 
 
-def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
+def rwmh_move(points: np.ndarray, log_target, log_sigma: np.ndarray,
               rng: np.random.Generator, current):
-    """Run S adaptive RWMH sweeps over a particle population.
+    """Run S = `SWEEPS` adaptive RWMH sweeps over a particle population.
 
     `log_target` maps a (k, d) array to `(logp, aux)` where `logp` is the
     (k,) log target density and `aux` a dict of per-point arrays carried
@@ -144,7 +131,8 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     views of it, since accepted rows are copied out before the refill, but
     it must keep no reference to read on a later call.
 
-    Returns (moved points, final (logp, aux), new state, diagnostics).
+    `log_sigma` holds the per-coordinate log step sizes the move starts from.
+    Returns (moved points, final (logp, aux), adapted log steps, diagnostics).
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
@@ -162,16 +150,15 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     try:
         accept_prob = np.empty(m)
         acc = np.empty(m, dtype=bool)
-        log_sigma = state.log_sigma.copy()
         diag = MoveDiagnostics()
-        for s in range(1, state.sweeps + 1):
+        for s in range(1, SWEEPS + 1):
             proposal, u = buffers[s % 2]
             if pending is None:
                 draw(proposal, u)
             else:
                 pending.result()
             pending = (_kernel_submit(partial(draw, *buffers[(s + 1) % 2]))
-                       if s < state.sweeps else None)
+                       if s < SWEEPS else None)
             proposal *= np.exp(log_sigma)  # pts + step * z, formed in place
             proposal += pts
             logp_prop, aux_prop = log_target(proposal)
@@ -194,5 +181,4 @@ def rwmh_move(points: np.ndarray, log_target, state: RwmhState,
     finally:
         if pending is not None:  # only when raising: let no pool thread hold rng
             wait((pending,))
-    new_state = replace(state, log_sigma=log_sigma)
-    return pts, (logp, aux), new_state, diag
+    return pts, (logp, aux), log_sigma, diag

@@ -66,8 +66,7 @@ def model_var_floor(model) -> float:
     nugget so that evaluated design points count as classified by their
     observed value (the no-nugget semantics of exact interpolation).
     """
-    jitter = getattr(model, "jitter", 0.0)
-    return max(VAR_FLOOR_REL, 10.0 * jitter) * model.hyper.sigma2
+    return max(VAR_FLOOR_REL, 10.0 * model.jitter) * model.hyper.sigma2
 
 
 def coverage_g(mean, sd, u):
@@ -230,21 +229,20 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     if keep.size == 0:
         keep = np.array([np.argmax(cdist(points, model.design_points).min(axis=1))])
 
-    # merge duplicate locations
+    # merge duplicate locations: `keep` is sorted and `first` indexes first
+    # occurrences, so keep[first] is each location's lowest particle index
     _, first, inverse = np.unique(points[keep], axis=0, return_index=True,
                                   return_inverse=True)
     n_u = first.shape[0]
-    rep = np.full(n_u, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(rep, inverse, keep)
     coeff = np.zeros(n_u)
     np.add.at(coeff, inverse, np.exp(np.clip(log_c[keep], _LOG_FLOOR, 700.0)))
+    rep = keep[first]
     order = np.argsort(rep, kind="stable")
-    u_idx = keep[first][order]
-    U = points[u_idx]
-    mean_u = mean[u_idx]
-    sd_u = sd[u_idx]
-    coeff = coeff[order]
     rep = rep[order]
+    U = points[rep]
+    mean_u = mean[rep]
+    sd_u = sd[rep]
+    coeff = coeff[order]
 
     # cross quantities: s_n(x_row, cand_col) = |k_n| / sd(cand)
     s_mat = np.abs(model.posterior_cov(U, U))

@@ -7,8 +7,10 @@ the same either way. Values already set in the environment win.
 Also defines `requires_scipy_117`, for tests that compare a result bit for bit
 with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces,
 or with `scipy.optimize.minimize`'s L-BFGS-B loop, which `gp._lbfgsb`
-reproduces, and the `kernel_threads` fixture, which sets the row-block thread
-count for one test and restores the default afterwards.
+reproduces, the `kernel_threads` fixture, which sets the row-block thread
+count for one test and restores the default afterwards, and the
+`setulb_of_another_scipy` fixture, which gives the ReML fit a stand-in for
+scipy's L-BFGS-B routine with another argument list.
 """
 
 import os
@@ -33,3 +35,15 @@ def kernel_threads():
 
     yield set_kernel_threads
     set_kernel_threads(None)
+
+
+@pytest.fixture
+def setulb_of_another_scipy(monkeypatch):
+    # the 16 arguments of the routine before scipy 1.15: `csave`, and no
+    # `maxls` or `ln_task`; gp calls it with 17, so it never runs
+    from failprob import gp
+
+    def setulb(m, x, l, u, nbd, f, g, factr, pgtol, wa, iwa, task, csave, lsave, isave, dsave):
+        raise AssertionError("a 17-argument call cannot reach this")
+
+    monkeypatch.setattr(gp, "setulb", setulb)

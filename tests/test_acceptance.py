@@ -20,7 +20,7 @@ from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, _neg_sq_diffs, reml_objective
-from failprob.smc import RwmhState, residual_resample, rwmh_move
+from failprob.smc import residual_resample, rwmh_move
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import model_var_floor, select_next_point
 
@@ -107,7 +107,7 @@ def test_acceptance_2_gp_identities():
         v_eff = v_n + model.jitter * hyper.sigma2
         k = model.posterior_cov(x[None, :], x_new[None, :])[0, 0]
         y_new = float(rng.normal())
-        m_up = model.with_observation(x_new, y_new)
+        m_up = GpModel(np.vstack([X, x_new]), np.append(y, y_new), hyper)
         mu2, v2_ = m_up.predict(x)
         worst_update = max(
             worst_update,
@@ -170,8 +170,8 @@ def test_acceptance_3_smc(monkeypatch):
 
     # a fixed step: a zero adaptation step adds +-0.0 to each log step
     monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
-    state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-    out, _, _, _ = rwmh_move(pts, target, state, rng, target(pts))
+    monkeypatch.setattr(smc, "SWEEPS", 50)
+    out, _, _, _ = rwmh_move(pts, target, np.array([math.log(0.8)]), rng, target(pts))
 
     def mix_cdf(z):
         return 0.5 * spstats.norm.cdf(z, -2, 0.5) + 0.5 * spstats.norm.cdf(z, 2, 0.5)

@@ -23,7 +23,7 @@ from failprob.bss import (
     run_bss,
     solve_threshold,
 )
-from failprob.core import ConfigError, InputDistribution, Problem, log_sum_exp, substream
+from failprob.core import InputDistribution, Problem, log_sum_exp, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.sur import log_coverage_g
 
@@ -286,21 +286,30 @@ class _PerfectModel:
         return np.zeros(np.atleast_2d(x).shape[0])
 
 
+@pytest.fixture
+def eight_design_points(monkeypatch):
+    # n0 = 8 initial design points on the 1-D problems
+    monkeypatch.setattr(bss, "N0_PER_DIM", 8)
+
+
 class TestRunBss:
-    def test_single_stage_reduces_to_mean_coverage(self):
+    @pytest.mark.usefixtures("eight_design_points")
+    def test_single_stage_reduces_to_mean_coverage(self, monkeypatch):
         # alpha > p0: the first solved threshold already exceeds u, so the run
         # terminates at T = 1 with estimate (1/m) sum g_1
+        monkeypatch.setattr(bss, "MAX_TOTAL_EVALUATIONS", 200)
         prob = _problem(float(ndtri(1 - 0.2)))
-        cfg = BssConfig(m=500, n0=8, max_total_evaluations=200)
+        cfg = BssConfig(m=500)
         res = run_bss(prob, cfg, seed=2)
         assert res.error is None
         assert len(res.stages) == 1
         assert res.alpha_hat == pytest.approx(res.stages[0].p_hat, rel=1e-12)
         assert res.alpha_hat == pytest.approx(0.2, rel=0.35)
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_product_telescoping_and_stage_invariants(self):
         prob = _problem(float(ndtri(1 - 1e-4)))
-        cfg = BssConfig(m=1000, n0=8)
+        cfg = BssConfig(m=1000)
         res = run_bss(prob, cfg, seed=3)
         assert res.error is None
         prod = 1.0
@@ -317,37 +326,44 @@ class TestRunBss:
         assert res.n_total == res.n_initial + res.n_intermediate + res.n_final
         assert res.n_initial == 8
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_estimate_quality_1d_tail(self):
         alpha = 1e-4
         prob = _problem(float(ndtri(1 - alpha)))
-        cfg = BssConfig(m=1000, n0=8)
+        cfg = BssConfig(m=1000)
         ests = [run_bss(prob, cfg, seed=s).alpha_hat for s in range(5)]
         gm = math.exp(float(np.mean(np.log(ests))))
         assert alpha / 1.6 <= gm <= alpha * 1.6
 
-    def test_perfect_surrogate_equals_subset_simulation(self):
+    def test_perfect_surrogate_equals_subset_simulation(self, monkeypatch):
         # indicator limit of the coverage: same trajectories, same estimate
         prob = _problem(float(ndtri(1 - 1e-4)))
 
         def factory(X, y, prev, rng):
             return _PerfectModel(X, y, prob.limit_state)
 
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "N_MIN", 0)
         for seed in (0, 1, 5):
-            rb = run_bss(prob, BssConfig(m=2000, n_min=0, n0=5), seed, model_factory=factory)
+            rb = run_bss(prob, BssConfig(m=2000), seed)
             rs = run_subset_simulation(prob, SubsetSimConfig(m=2000, m0=200), seed)
             assert rb.alpha_hat == pytest.approx(rs.alpha_hat, rel=1e-10)
             assert len(rb.stages) == len(rs.stages)
 
-    def test_max_total_evaluations_partial_result(self):
+    @pytest.mark.usefixtures("eight_design_points")
+    def test_max_total_evaluations_partial_result(self, monkeypatch):
+        monkeypatch.setattr(bss, "MAX_TOTAL_EVALUATIONS", 12)
         prob = _problem(float(ndtri(1 - 1e-6)))
-        cfg = BssConfig(m=500, n0=8, max_total_evaluations=12)
+        cfg = BssConfig(m=500)
         res = run_bss(prob, cfg, seed=4)
         assert res.error is not None and "max_total_evaluations" in res.error
         assert res.n_total >= 12
 
-    def test_max_stages_flag(self):
+    @pytest.mark.usefixtures("eight_design_points")
+    def test_max_stages_flag(self, monkeypatch):
+        monkeypatch.setattr(bss, "MAX_STAGES", 1)
         prob = _problem(float(ndtri(1 - 1e-5)))
-        cfg = BssConfig(m=300, n0=8, max_stages=1)
+        cfg = BssConfig(m=300)
         res = run_bss(prob, cfg, seed=5)
         assert res.error is not None and "max_stages" in res.error
 
@@ -356,11 +372,12 @@ class TestRunBss:
         ("max_stages", 2, (5, 0)),
         ("max_total_evaluations", 30, (20, 0)),
     ])
-    def test_cut_short_stage_counts_as_intermediate(self, budget, limit, counts):
+    def test_cut_short_stage_counts_as_intermediate(self, monkeypatch, budget, limit, counts):
         # neither run reaches u, so no evaluation is final; the run that
         # ends on max_stages makes no move after its last stage
+        monkeypatch.setattr(bss, budget.upper(), limit)
         problem = four_branch().problem
-        res = run_bss(problem, BssConfig(m=500, **{budget: limit}), seed=0)
+        res = run_bss(problem, BssConfig(m=500), seed=0)
         assert res.error == f"{budget}={limit} exceeded"
         assert all(s.u_t < problem.threshold for s in res.stages)
         assert (res.n_intermediate, res.n_final) == counts
@@ -368,9 +385,10 @@ class TestRunBss:
         if budget == "max_stages":
             assert res.stages[0].acceptance and not res.stages[-1].acceptance
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_trace_collection(self, recwarn):
         prob = _problem(float(ndtri(1 - 1e-3)))
-        cfg = BssConfig(m=400, n0=8)
+        cfg = BssConfig(m=400)
         res = run_bss(prob, cfg, seed=6)
         assert res.trace, "expected SUR trace rows"
         row = res.trace[0]
@@ -384,28 +402,32 @@ class TestRunBss:
         assert len(set(picks)) == len(picks)
         assert not [w for w in recwarn if "bss refit failed" in str(w.message)]
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_determinism(self):
         prob = _problem(float(ndtri(1 - 1e-3)))
-        cfg = BssConfig(m=400, n0=8)
+        cfg = BssConfig(m=400)
         a = run_bss(prob, cfg, seed=7)
         b = run_bss(prob, cfg, seed=7)
         assert a.alpha_hat == b.alpha_hat
         assert a.n_total == b.n_total
 
-    def test_refit_failure_warns_and_keeps_hyperparameters(self):
+    @pytest.mark.usefixtures("eight_design_points")
+    def test_refit_failure_warns_and_keeps_hyperparameters(self, monkeypatch):
         # a refit that raises ValueError: the run warns each time, instead of
         # swallowing it, and refits on the first fit's hyperparameters
         prob = _problem(float(ndtri(1 - 1e-3)))
         prevs = []
+        default = bss._default_model_factory
 
         def factory(X, y, prev, rng):
             if prev is None:
-                return bss._default_model_factory(X, y, prev, rng)
+                return default(X, y, prev, rng)
             prevs.append(prev)
             raise ValueError("refit refused")
 
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
         with pytest.warns(RuntimeWarning) as record:
-            res = run_bss(prob, BssConfig(m=400, n0=8), seed=7, model_factory=factory)
+            res = run_bss(prob, BssConfig(m=400), seed=7)
         assert res.error is None
         messages = [str(w.message) for w in record if w.category is RuntimeWarning]
         assert len(messages) == len(prevs) == res.n_total - res.n_initial > 0
@@ -413,6 +435,7 @@ class TestRunBss:
                    and "ValueError('refit refused')" in m for m in messages)
         assert all(p is prevs[0] for p in prevs)
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_failed_fallback_keeps_previous_model(self, monkeypatch):
         # the refit raises, and so does the model on the previous
         # hyperparameters: the run warns twice per evaluation and goes on
@@ -433,11 +456,12 @@ class TestRunBss:
             seen.append(model)
             return sur.select_next_point(model, *args)
 
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
         monkeypatch.setattr(bss, "GpModel", no_model)
         monkeypatch.setattr(bss, "select_next_point", select)
+        monkeypatch.setattr(bss, "MAX_TOTAL_EVALUATIONS", 14)
         with pytest.warns(RuntimeWarning) as record:
-            res = run_bss(prob, BssConfig(m=400, n0=8, max_total_evaluations=14), seed=7,
-                          model_factory=factory)
+            res = run_bss(prob, BssConfig(m=400), seed=7)
         n_refits = res.n_total - res.n_initial
         messages = [str(w.message) for w in record if w.category is RuntimeWarning]
         assert n_refits == len(seen) > 0
@@ -446,6 +470,7 @@ class TestRunBss:
         assert all(m.startswith("bss refit failed") for m in messages[::2])
         assert all(model is seen[0] for model in seen)
 
+    @pytest.mark.usefixtures("eight_design_points")
     def test_degenerate_weights_end_the_run_with_its_stages(self, monkeypatch):
         # the second stage's reweight finds no weight: the run returns what
         # it has, with the error, instead of raising
@@ -459,7 +484,7 @@ class TestRunBss:
             return smc.reweight(log_g_t, log_g_prev)
 
         monkeypatch.setattr(bss, "reweight", reweight)
-        res = run_bss(prob, BssConfig(m=500, n0=8), seed=3)
+        res = run_bss(prob, BssConfig(m=500), seed=3)
         assert res.error == "all weights are zero"
         assert [s.t for s in res.stages] == [1, 2]
         assert res.stages[0].acceptance and not res.stages[1].acceptance  # no move after stage 2
@@ -469,7 +494,7 @@ class TestRunBss:
         assert res.n_total == res.n_initial + res.n_intermediate + res.n_final
 
     def test_classified_cloud_repeats_no_design_point(self, recwarn):
-        # on this linear problem n_min forces SUR evaluations after every
+        # on this linear problem N_MIN forces SUR evaluations after every
         # particle is classified: every SUR score is 0, and the pick is the
         # particle farthest from the design, never a point already evaluated
         evaluated = []
@@ -486,41 +511,25 @@ class TestRunBss:
         assert np.unique(X, axis=0).shape[0] == res.n_total  # no repeated point
         assert not [w for w in recwarn if "bss refit failed" in str(w.message)]
 
-    def test_refit_error_of_other_type_propagates(self):
+    @pytest.mark.usefixtures("eight_design_points")
+    def test_refit_error_of_other_type_propagates(self, monkeypatch):
         prob = _problem(float(ndtri(1 - 1e-3)))
+        default = bss._default_model_factory
 
         def factory(X, y, prev, rng):
             if prev is not None:
                 raise TypeError("not a numerical failure")
-            return bss._default_model_factory(X, y, prev, rng)
+            return default(X, y, prev, rng)
 
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
         with pytest.raises(TypeError, match="not a numerical failure"):
-            run_bss(prob, BssConfig(m=400, n0=8), seed=7, model_factory=factory)
+            run_bss(prob, BssConfig(m=400), seed=7)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BssConfig(m=100, p0=1.5)
         with pytest.raises(ValueError):
-            BssConfig(m=100, n_min=-1)
-        with pytest.raises(ValueError):
             BssConfig(m=1)
-        with pytest.raises(ConfigError, match="max_stages must be >= 1"):
-            BssConfig(m=200, max_stages=0)
-        with pytest.raises(ConfigError, match="n0 must be >= 2"):
-            BssConfig(m=200, n0=1)
-
-    def test_design_too_small_for_the_fit_is_rejected_before_evaluating(self):
-        # a ReML fit in d = 2 needs d + 2 = 4 design points
-        evaluated = []
-
-        def f(X):
-            evaluated.append(X)
-            return X[:, 0] + X[:, 1]
-
-        prob = Problem(f, InputDistribution.iid_normal(2), 3.0)
-        with pytest.raises(ConfigError, match="n0 must be >= d \\+ 2 = 4"):
-            run_bss(prob, BssConfig(m=200, n0=3), seed=0)
-        assert not evaluated
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):

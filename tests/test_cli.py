@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from failprob.cli import main
 from failprob.core import kernel_threads
@@ -249,6 +250,18 @@ class TestEstimateCommand:
         ])
         assert code == 3
         assert f"estimator error: {message}" in err
+
+    @pytest.mark.usefixtures("setulb_of_another_scipy")
+    def test_setulb_of_another_scipy_exit_3(self, capsys):
+        # the first ReML fit meets a scipy whose L-BFGS-B routine takes other
+        # arguments: the run stops and the message names the scipy version
+        code, _, err = _run(capsys, [
+            "estimate", "--method", "bss", "--problem", "four-branch",
+            "--m", "100", "--seed", "0",
+        ])
+        assert code == 3
+        assert f"estimator error: scipy {scipy.__version__}: " in err
+        assert "scipy >= 1.15" in err
 
     def test_problem_file_not_utf8_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bin.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from failprob import estimators
 from failprob.core import ConfigError, InputDistribution, Problem
 from failprob.estimators import (
     SubsetSimConfig,
@@ -113,11 +114,12 @@ class TestSubsetSimulation:
         se = ests.std(ddof=1) / math.sqrt(len(ests))
         assert abs(ests.mean() - alpha) <= 4 * se
 
-    def test_max_stages_guard(self):
+    def test_max_stages_guard(self, monkeypatch):
         # the run ends as bss's does: a result with the error and the
         # product of its recorded stage estimates, p0 each
+        monkeypatch.setattr(estimators, "MAX_STAGES", 1)
         prob = _problem(2.0)
-        cfg = SubsetSimConfig(m=200, m0=20, max_stages=1)
+        cfg = SubsetSimConfig(m=200, m0=20)
         res = run_subset_simulation(prob, cfg, 0)
         assert res.error == "max_stages=1 exceeded"
         assert [(s.t, s.p_hat) for s in res.stages] == [(1, 0.1)]
@@ -146,8 +148,8 @@ class TestSubsetSimulation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SubsetSimConfig(m=100, m0=100)
-        with pytest.raises(ConfigError, match="max_stages must be >= 1"):
-            SubsetSimConfig(m=100, m0=10, max_stages=0)
+        with pytest.raises(ConfigError, match="need 1 <= m0 < m"):
+            SubsetSimConfig(m=100, m0=0)
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):

@@ -1,7 +1,8 @@
 """Every name in `failprob.__all__` and in each failprob module's `__all__`
 exists, so that deleting a name cannot leave a stale export behind; and the
 settable fields of the estimator configurations, and the parameters of the
-entry points, are the ones callers set."""
+entry points, are the ones callers set, with every other constant fixed at
+module level."""
 
 import importlib
 import inspect
@@ -11,11 +12,12 @@ from dataclasses import fields
 import pytest
 
 import failprob
+from failprob import bss, estimators, smc
 from failprob.bench import run_estimator
 from failprob.bss import BssConfig, run_bss
 from failprob.estimators import SubsetSimConfig
 from failprob.gp import fit_reml, reml_objective
-from failprob.smc import RwmhState, rwmh_move
+from failprob.smc import rwmh_move
 from failprob.sur import prune, select_next_point
 
 # __main__ is left out: importing it runs the command line
@@ -35,10 +37,17 @@ def test_all_names_resolve(module_name):
 def test_settable_fields():
     # every other constant of the algorithm is fixed at module level; a new
     # field here is a deliberate change to what a caller can set
-    assert [f.name for f in fields(BssConfig)] == [
-        "m", "p0", "n_min", "n0", "max_stages", "max_total_evaluations"]
-    assert [f.name for f in fields(SubsetSimConfig)] == ["m", "m0", "max_stages"]
-    assert [f.name for f in fields(RwmhState)] == ["log_sigma", "sweeps"]
+    assert [f.name for f in fields(BssConfig)] == ["m", "p0"]
+    assert [f.name for f in fields(SubsetSimConfig)] == ["m", "m0"]
+    assert not hasattr(smc, "RwmhState")  # the move takes its log steps as an array
+
+
+def test_module_constants():
+    # the values the retired settings defaulted to, read at call time
+    assert (bss.N_MIN, bss.N0_PER_DIM, bss.MAX_STAGES, bss.MAX_TOTAL_EVALUATIONS) == (
+        2, 5, 50, 2000)
+    assert estimators.MAX_STAGES == 50
+    assert smc.SWEEPS == 10
 
 
 def _parameters(fn) -> list[str]:
@@ -49,12 +58,12 @@ def _parameters(fn) -> list[str]:
 def test_entry_point_parameters():
     # one calling convention per entry point: an optional parameter that only
     # tests set keeps a second path alive, so a new one is a deliberate change
-    assert _parameters(rwmh_move) == ["points", "log_target", "state", "rng", "current"]
+    assert _parameters(rwmh_move) == ["points", "log_target", "log_sigma", "rng", "current"]
     assert _parameters(select_next_point) == ["model", "points", "mean", "sd", "log_g_prev", "u_t"]
     assert _parameters(prune) == ["scores"]
     assert _parameters(reml_objective) == [
         "design_points", "design_values", "log_params", "neg_sq_diffs"]
     assert _parameters(fit_reml) == ["design_points", "design_values", "rng", "n_starts",
                                      "init=None"]
-    assert _parameters(run_bss) == ["problem", "config", "seed", "model_factory=None"]
+    assert _parameters(run_bss) == ["problem", "config", "seed"]
     assert _parameters(run_estimator) == ["problem", "method", "m", "seed", "p0=0.1"]

@@ -8,6 +8,7 @@ other change must leave them as they are.
 
 import pytest
 
+from failprob import bss
 from failprob.bench import CASES, _four_branch_f, run_estimator
 from failprob.bss import BssConfig, run_bss
 from failprob.core import Direction, InputDistribution, Problem
@@ -24,8 +25,9 @@ GOLDEN = {
 }
 
 # bss partial results on four-branch at m = 500, one per budget that stops
-# the run: the budget, then alpha_hat and delta_hat as hex, n_total and the
-# number of stage records; no benchmark run takes these exits
+# the run: the budget (set through the bss module constant of that name, in
+# upper case), then alpha_hat and delta_hat as hex, n_total and the number
+# of stage records; no benchmark run takes these exits
 PARTIAL_GOLDEN = {
     "max_total_evaluations": (30, "0x1.5798ee22d7650p-27", "0x1.3ad8136e7ba7ap-2", 30, 8),
     "max_stages": (2, "0x1.47ae147ad9d26p-7", "0x1.33de7335e77cdp-3", 15, 2),
@@ -46,9 +48,10 @@ def test_benchmark_case_bits(case, method, m):
 
 @pytest.mark.filterwarnings("ignore:ReML optimizer did not converge")
 @pytest.mark.parametrize("budget", sorted(PARTIAL_GOLDEN))
-def test_bss_partial_result_bits(budget):
+def test_bss_partial_result_bits(monkeypatch, budget):
     limit, *want = PARTIAL_GOLDEN[budget]
-    res = run_bss(CASES["four-branch"]().problem, BssConfig(m=500, **{budget: limit}), SEED)
+    monkeypatch.setattr(bss, budget.upper(), limit)
+    res = run_bss(CASES["four-branch"]().problem, BssConfig(m=500), SEED)
     assert [res.alpha_hat.hex(), res.delta_hat.hex(), res.n_total, len(res.stages)] == want
     assert res.error == f"{budget}={limit} exceeded"
 

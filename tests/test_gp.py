@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from conftest import requires_scipy_117
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
@@ -120,7 +121,12 @@ class TestKrigingPosterior:
         m = _random_model(rng, d=2, n=12)
         far = np.full((1, 2), 100.0)  # >= 20 ranges away
         mean, var = m.predict(far)
-        assert mean[0] == pytest.approx(m.gls_mean, abs=1e-8)
+        # the GLS mean 1'R^-1 y / 1'R^-1 1, from a dense solve
+        R = _corr_matrix(m.design_points, m.design_points, m.hyper.ranges)
+        R[np.diag_indices(len(R))] += m.jitter
+        rinv_one = np.linalg.solve(R, np.ones(len(R)))
+        gls_mean = float(rinv_one @ m.design_values) / float(rinv_one.sum())
+        assert mean[0] == pytest.approx(gls_mean, abs=1e-8)
         assert var[0] >= m.hyper.sigma2
 
     def test_posterior_cov_psd_on_5_point_sets(self):
@@ -170,7 +176,8 @@ class TestKrigingPosterior:
             v_eff = v_n + m.jitter * m.hyper.sigma2
             k = m.posterior_cov(x[None, :], x_new[None, :])[0, 0]
             y_new = float(rng.normal())
-            m2 = m.with_observation(x_new, y_new)
+            m2 = GpModel(np.vstack([m.design_points, x_new]), np.append(m.design_values, y_new),
+                         m.hyper)
             mu2, v2 = m2.predict(x)
             assert mu2 == pytest.approx(mu_x + k / v_eff * (y_new - mu_n), abs=1e-8)
             assert v2 == pytest.approx(v_x - k * k / v_eff, abs=1e-8)
@@ -488,6 +495,18 @@ class TestLbfgsbLoop:
         lb, ub, starts = _reml_starts(X, y, substream(1, "reml-memo-starts"), n_starts=3)
         res, _ = self._compare(X, y, lb, ub, starts[1], 3)
         assert res.nit == 3 and res.status == 1 and not res.success
+
+
+@pytest.mark.usefixtures("setulb_of_another_scipy")
+def test_setulb_of_another_scipy_is_named():
+    # the fit names the installed scipy instead of raising a bare TypeError
+    rng = substream(0, "setulb")
+    X = _random_design(rng, 8, 1)
+    with pytest.raises(RuntimeError) as info:
+        fit_reml(X, np.sin(X[:, 0]), rng, n_starts=1)
+    assert str(info.value).startswith(f"scipy {scipy.__version__}: ")
+    assert "scipy >= 1.15" in str(info.value)
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def _spd_matrices(n):

@@ -3,7 +3,6 @@
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from failprob.smc import (
     LOG_STEP_DELTA,
     TARGET_ACCEPTANCE,
     DegenerateWeightsError,
-    RwmhState,
+    initial_log_steps,
     residual_resample,
     reweight,
     rwmh_move,
@@ -122,42 +121,43 @@ class TestRwmhMove:
         m, d = 10_000, 1
         rng = substream(5, "move")
         pts = rng.standard_normal((m, d))
-        state = RwmhState.initial(np.ones(d))
-        out, (logp, _), state2, diag = rwmh_move(pts, _gaussian_target, state, rng,
-                                                 _gaussian_target(pts))
+        out, (logp, _), _, diag = rwmh_move(pts, _gaussian_target, initial_log_steps(np.ones(d)),
+                                            rng, _gaussian_target(pts))
         ks = spstats.kstest(out[:, 0], "norm")
         assert ks.pvalue > 0.01
-        assert len(diag.acceptance) == state2.sweeps == 10
+        assert len(diag.acceptance) == smc.SWEEPS == 10
 
-    def test_step_adaptation_arithmetic(self):
+    def test_step_adaptation_arithmetic(self, monkeypatch):
         # flat target: every proposal accepted, abar = 1 > target, so the log
         # step grows by delta/1, then delta/2, ...
         def flat(X):
             return np.zeros(X.shape[0]), {}
 
+        monkeypatch.setattr(smc, "SWEEPS", 4)
         d = 3
-        state = replace(RwmhState.initial(np.ones(d)), sweeps=4)
+        log_sigma = initial_log_steps(np.ones(d))
         rng = substream(6, "move")
         pts = rng.standard_normal((50, d))
-        _, _, state2, diag = rwmh_move(pts, flat, state, rng, flat(pts))
-        want = state.log_sigma + LOG_STEP_DELTA * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
-        np.testing.assert_allclose(state2.log_sigma, want, atol=1e-12)
+        _, _, log_sigma2, diag = rwmh_move(pts, flat, log_sigma, rng, flat(pts))
+        want = log_sigma + LOG_STEP_DELTA * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
+        np.testing.assert_allclose(log_sigma2, want, atol=1e-12)
         assert diag.acceptance == [1.0] * 4
 
     def test_state_persists_across_stages(self):
         d = 2
-        state = RwmhState.initial(np.ones(d))
+        s0 = initial_log_steps(np.ones(d))
         rng = substream(7, "move")
         pts = rng.standard_normal((100, d))
-        _, _, s1, _ = rwmh_move(pts, _gaussian_target, state, rng, _gaussian_target(pts))
+        _, _, s1, _ = rwmh_move(pts, _gaussian_target, s0, rng, _gaussian_target(pts))
         _, _, s2, _ = rwmh_move(pts, _gaussian_target, s1, rng, _gaussian_target(pts))
-        assert s2.sweeps == s1.sweeps == state.sweeps
-        assert not np.allclose(s1.log_sigma, state.log_sigma)
+        assert s2.shape == s1.shape == s0.shape == (d,)
+        assert not np.allclose(s1, s0)
+        assert s0.tobytes() == initial_log_steps(np.ones(d)).tobytes()  # input left unwritten
 
     def test_initial_scale_default(self):
         sds = np.array([2.0, 0.5, 1.0, 4.0])
-        state = RwmhState.initial(sds)
-        np.testing.assert_allclose(np.exp(state.log_sigma), 2.0 / math.sqrt(4) * sds, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(initial_log_steps(sds)), 2.0 / math.sqrt(4) * sds,
+                                   rtol=1e-12)
 
     def test_aux_threading(self):
         # aux values stay consistent with the particle positions
@@ -166,8 +166,8 @@ class TestRwmhMove:
 
         rng = substream(8, "move")
         pts = rng.standard_normal((500, 2))
-        state = RwmhState.initial(np.ones(2))
-        out, (logp, aux), _, _ = rwmh_move(pts, target, state, rng, target(pts))
+        out, (logp, aux), _, _ = rwmh_move(pts, target, initial_log_steps(np.ones(2)), rng,
+                                           target(pts))
         np.testing.assert_array_equal(aux["first"], out[:, 0])
         np.testing.assert_allclose(logp, -0.5 * np.sum(out * out, axis=1), atol=1e-12)
 
@@ -179,7 +179,7 @@ class TestRwmhMove:
         rng = substream(9, "x")
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="current log target must be finite"):
-            rwmh_move(pts, target, RwmhState.initial(np.ones(1)), rng, target(pts))
+            rwmh_move(pts, target, initial_log_steps(np.ones(1)), rng, target(pts))
         assert rng.bit_generator.state == before  # raised before any draw
 
     def test_bimodal_invariance_chi2(self, monkeypatch):
@@ -187,6 +187,7 @@ class TestRwmhMove:
         # sweeps (a zero adaptation step adds +-0.0 to each log step, which
         # keeps every bit); chi-squared GOF on the moved population
         monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
+        monkeypatch.setattr(smc, "SWEEPS", 50)
         rng = substream(10, "move")
         m = 10_000
         comp = rng.random(m) < 0.5
@@ -198,8 +199,7 @@ class TestRwmhMove:
             lb = -0.5 * ((x - 2) / 0.5) ** 2
             return np.logaddexp(la, lb), {}
 
-        state = RwmhState(log_sigma=np.array([math.log(0.8)]), sweeps=50)
-        out, _, _, _ = rwmh_move(pts, target, state, rng, target(pts))
+        out, _, _, _ = rwmh_move(pts, target, np.array([math.log(0.8)]), rng, target(pts))
         x = out[:, 0]
 
         def mix_cdf(z):
@@ -212,17 +212,17 @@ class TestRwmhMove:
         assert chi2.pvalue > 0.001
 
 
-def _serial_move(points, log_target, state, rng, current=None, adapt=True):
-    # the move as a plain loop, every draw made where it is used: the
-    # reference for the draw-ahead kernel
+def _serial_move(points, log_target, log_sigma, rng, current=None, adapt=True):
+    # the move as a plain loop of smc.SWEEPS sweeps, every draw made where it
+    # is used: the reference for the draw-ahead kernel
     pts = np.array(points, dtype=float)
     m, d = pts.shape
     logp, aux = log_target(pts) if current is None else current
     logp = np.array(logp, dtype=float)
     aux = {k: np.array(v) for k, v in aux.items()}
-    log_sigma = state.log_sigma.copy()
+    log_sigma = log_sigma.copy()
     acceptance, steps = [], []
-    for s in range(1, state.sweeps + 1):
+    for s in range(1, smc.SWEEPS + 1):
         proposal = pts + np.exp(log_sigma)[None, :] * rng.standard_normal((m, d))
         logp_prop, aux_prop = log_target(proposal)
         with np.errstate(over="ignore"):
@@ -260,13 +260,13 @@ class TestDrawAhead:
 
     @staticmethod
     def _assert_same(ref, out, rng_ref, rng):
-        pts, (logp, aux), state, diag = out
+        pts, (logp, aux), log_sigma, diag = out
         np.testing.assert_array_equal(pts, ref[0])
         np.testing.assert_array_equal(logp, ref[1])
         assert aux.keys() == ref[2].keys()
         for key in aux:
             np.testing.assert_array_equal(aux[key], ref[2][key])
-        np.testing.assert_array_equal(state.log_sigma, ref[3])
+        np.testing.assert_array_equal(log_sigma, ref[3])
         assert diag.acceptance == ref[4]
         assert len(diag.step_log_sigma) == len(ref[5])
         for a, b in zip(diag.step_log_sigma, ref[5]):
@@ -282,28 +282,30 @@ class TestDrawAhead:
         kernel_threads(threads)
         if not adapt:
             monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
+        monkeypatch.setattr(smc, "SWEEPS", 6)
         d = 3
         pts = _shell_start(m, d, 11)
-        state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
+        log_sigma = initial_log_steps(np.ones(d))
         rng_ref, rng = substream(12, "move"), substream(12, "move")
-        ref = _serial_move(pts, _shell_target, state, rng_ref, adapt=adapt)
-        out = rwmh_move(pts, _shell_target, state, rng, _shell_target(pts))
+        ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
+        out = rwmh_move(pts, _shell_target, log_sigma, rng, _shell_target(pts))
         self._assert_same(ref, out, rng_ref, rng)
-        assert out[2].sweeps == 6
+        assert len(out[3].acceptance) == 6
         if not adapt:
-            np.testing.assert_array_equal(out[2].log_sigma, state.log_sigma)
+            np.testing.assert_array_equal(out[2], log_sigma)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [1, 300])
-    def test_reused_buffers_reach_no_output(self, kernel_threads, threads, m):
+    def test_reused_buffers_reach_no_output(self, kernel_threads, monkeypatch, threads, m):
         # the move forms each sweep's proposals in a draw buffer that is
         # refilled two sweeps later: a target whose aux array is a view of
         # its input, or that keeps its input, changes no bit, and no output
         # shares memory with what the target was given
         kernel_threads(threads)
+        monkeypatch.setattr(smc, "SWEEPS", 6)
         d = 3
         pts = _shell_start(m, d, 16)
-        state = replace(RwmhState.initial(np.ones(d)), sweeps=6)
+        log_sigma = initial_log_steps(np.ones(d))
         seen = []
 
         def view_target(X):
@@ -316,21 +318,22 @@ class TestDrawAhead:
 
         for target in (view_target, keeping_target):
             rng_ref, rng = substream(17, "move"), substream(17, "move")
-            ref = _serial_move(pts, target, state, rng_ref)
+            ref = _serial_move(pts, target, log_sigma, rng_ref)
             current = target(pts)
             seen.clear()
-            out = rwmh_move(pts, target, state, rng, current)
+            out = rwmh_move(pts, target, log_sigma, rng, current)
             self._assert_same(ref, out, rng_ref, rng)
-        assert len(seen) == state.sweeps  # one call per sweep, none at the start
+        assert len(seen) == smc.SWEEPS  # one call per sweep, none at the start
         outputs = [out[0], out[1][0], *out[1][1].values()]
         assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_multi_call_sequence_carries_state(self, kernel_threads, threads):
+    def test_multi_call_sequence_carries_state(self, kernel_threads, monkeypatch, threads):
         # three stages on one generator, the later ones from cached values,
         # as the subset simulation driver calls the move; five threads on a
         # short switch interval stress the hand-over of the generator
         kernel_threads(threads)
+        monkeypatch.setattr(smc, "SWEEPS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -341,18 +344,16 @@ class TestDrawAhead:
     def _three_stages(self):
         d = 2
         pts = _shell_start(200, d, 13)
-        state = replace(RwmhState.initial(np.ones(d)), sweeps=4)
         rng_ref, rng = substream(14, "move"), substream(14, "move")
         pts_ref, current_ref = pts, None
-        log_sigma = state.log_sigma
+        log_sigma_ref = log_sigma = initial_log_steps(np.ones(d))
         current = _shell_target(pts)
         for _ in range(3):
-            ref_state = RwmhState(log_sigma, state.sweeps)
-            ref = _serial_move(pts_ref, _shell_target, ref_state, rng_ref, current_ref)
-            out = rwmh_move(pts, _shell_target, state, rng, current)
+            ref = _serial_move(pts_ref, _shell_target, log_sigma_ref, rng_ref, current_ref)
+            out = rwmh_move(pts, _shell_target, log_sigma, rng, current)
             self._assert_same(ref, out, rng_ref, rng)
-            pts_ref, current_ref, log_sigma = ref[0], (ref[1], ref[2]), ref[3]
-            pts, current, state, _ = out
+            pts_ref, current_ref, log_sigma_ref = ref[0], (ref[1], ref[2]), ref[3]
+            pts, current, log_sigma, _ = out
 
     def test_raising_target_leaves_generator_quiescent(self, kernel_threads):
         kernel_threads(2)
@@ -373,7 +374,7 @@ class TestDrawAhead:
         pts = np.zeros((m, d))
         rng = substream(15, "move")
         with pytest.raises(SweepTwo) as info:
-            rwmh_move(pts, target, RwmhState.initial(np.ones(d)), rng, _gaussian_target(pts))
+            rwmh_move(pts, target, initial_log_steps(np.ones(d)), rng, _gaussian_target(pts))
         assert info.value is raised
         before = rng.bit_generator.state
         time.sleep(0.2)

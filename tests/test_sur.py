@@ -425,7 +425,7 @@ class TestSelectNextPoint:
                 sd_j = math.sqrt(v_j)
 
                 def integrand(y_new, _xj=xj, _mu=mu_j, _sd=sd_j):
-                    m2 = model.with_observation(_xj, y_new)
+                    m2 = GpModel(np.vstack([Xd, _xj]), np.append(yd, y_new), model.hyper)
                     mu2, v2 = m2.predict(pts)
                     sd2 = np.sqrt(np.maximum(v2, 0.0))
                     g2 = np.where(v2 <= floor, (mu2 > u).astype(float),
