@@ -13,7 +13,6 @@ from .core import (
     EstimationResult,
     EvaluationLedger,
     InputDistribution,
-    Normal,
     Problem,
     StageRecord,
     substream,
@@ -25,7 +24,6 @@ __all__ = [
     "EstimationResult",
     "EvaluationLedger",
     "InputDistribution",
-    "Normal",
     "Problem",
     "StageRecord",
     "substream",

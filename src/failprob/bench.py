@@ -23,8 +23,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .bss import BssConfig, run_bss
-from .core import (Direction, EstimationResult, InputDistribution, Normal, Problem,
-                   set_kernel_threads)
+from .core import Direction, EstimationResult, InputDistribution, Problem, set_kernel_threads
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "nonlinear_oscillator",
     "CASES",
     "RmseRow",
+    "RunRow",
     "RmseTable",
     "csv_table",
     "run_estimator",
@@ -90,7 +90,7 @@ def cantilever_beam() -> BenchmarkCase:
     """Cantilever beam tip deflection; failure when it exceeds L/325."""
     problem = Problem(
         limit_state=_cantilever_f,
-        input=InputDistribution((Normal(1e-3, 0.2e-3), Normal(0.3, 0.03))),
+        input=InputDistribution(mean=[1e-3, 0.3], sd=[0.2e-3, 0.03]),
         threshold=6.0 / 325.0,
         direction=Direction.ABOVE,
     )
@@ -109,13 +109,10 @@ def _oscillator_f(x: np.ndarray) -> np.ndarray:
 
 def nonlinear_oscillator() -> BenchmarkCase:
     """Nonlinear oscillator response; failure when the margin drops below 0."""
-    marginals = (
-        Normal(1.0, 0.05), Normal(1.0, 0.1), Normal(0.1, 0.01),
-        Normal(0.5, 0.05), Normal(0.45, 0.075), Normal(1.0, 0.2),
-    )
     problem = Problem(
         limit_state=_oscillator_f,
-        input=InputDistribution(marginals),
+        input=InputDistribution(mean=[1.0, 1.0, 0.1, 0.5, 0.45, 1.0],
+                                sd=[0.05, 0.1, 0.01, 0.05, 0.075, 0.2]),
         threshold=0.0,
         direction=Direction.BELOW,
     )
@@ -202,21 +199,35 @@ class RmseRow:
 
 
 @dataclass
+class RunRow:
+    """One study run; `error` is the run's error message, or "degenerate",
+    for a run left out of the statistics."""
+
+    method: str
+    case: str
+    m: int
+    run: int
+    alpha_hat: float
+    delta_hat: float | None
+    n_total: int
+    n_reported: float
+    n_init: int
+    n_intermediate: int
+    n_final: int
+    error: str | None
+    wall_ms: float
+
+
+@dataclass
 class RmseTable:
     rows: list[RmseRow] = field(default_factory=list)
-    per_run: list[dict] = field(default_factory=list)
-
-    PER_RUN_COLUMNS = (
-        "method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,"
-        "n_init,n_intermediate,n_final,error,wall_ms"
-    )
+    per_run: list[RunRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
         return csv_table([f.name for f in fields(RmseRow)], map(astuple, self.rows))
 
     def per_run_csv(self) -> str:
-        cols = self.PER_RUN_COLUMNS.split(",")
-        return csv_table(cols, ([row[c] for c in cols] for row in self.per_run))
+        return csv_table([f.name for f in fields(RunRow)], map(astuple, self.per_run))
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -264,10 +275,14 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
     message, or "degenerate"); every m keeps its row, with no statistics
     when no run is usable. Warnings raised in a
     run, in this process or in a worker, are issued again here, in run order.
+    A repeated m raises ValueError.
     """
     if runs < 2:
         raise ValueError("need runs >= 2")
-    tasks = [(case.name, method, int(m), r, seed) for m in m_values for r in range(runs)]
+    m_values = [int(m) for m in m_values]
+    if len(set(m_values)) != len(m_values):
+        raise ValueError(f"m values must be distinct, got {m_values}")
+    tasks = [(case.name, method, m, r, seed) for m in m_values for r in range(runs)]
     if jobs > 1:
         with _worker_pool(jobs) as pool:
             results = list(pool.map(_study_run, tasks, chunksize=1))
@@ -287,15 +302,15 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
                 if res.error is None and not res.degenerate]
         failures = len(runs_m) - len(good)
         for r, res, wall_ms in runs_m:
-            table.per_run.append({
-                "method": method, "case": case.name, "m": m, "run": r,
-                "alpha_hat": res.alpha_hat, "delta_hat": res.delta_hat,
-                "n_total": res.n_total, "n_reported": res.n_reported,
-                "n_init": res.n_initial, "n_intermediate": res.n_intermediate,
-                "n_final": res.n_final,
-                "error": res.error or ("degenerate" if res.degenerate else None),
-                "wall_ms": wall_ms,
-            })
+            table.per_run.append(RunRow(
+                method=method, case=case.name, m=m, run=r,
+                alpha_hat=res.alpha_hat, delta_hat=res.delta_hat,
+                n_total=res.n_total, n_reported=res.n_reported,
+                n_init=res.n_initial, n_intermediate=res.n_intermediate,
+                n_final=res.n_final,
+                error=res.error or ("degenerate" if res.degenerate else None),
+                wall_ms=wall_ms,
+            ))
         if not good:
             table.rows.append(RmseRow(method=method, case=case.name, m=m, runs=0,
                                       failures=failures))

@@ -36,7 +36,7 @@ from .core import (
     log_sum_exp,
     substream,
 )
-from .design import maximin_lhs, truncated_box
+from .design import maximin_lhs
 from .gp import GpModel, fit_reml
 from .smc import DegenerateWeightsError, initial_log_steps, residual_resample, reweight, rwmh_move
 from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
@@ -208,6 +208,15 @@ def _default_model_factory(X, y, prev_hyper, rng):
     return GpModel(X, y, hyper)
 
 
+def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite limit-state value and its point."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"limit state returned {float(values[i])} at x = {points[i].tolist()}; "
+                         "bss needs finite values")
+
+
 def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     """Run Bayesian subset simulation; deterministic given the root seed.
 
@@ -215,7 +224,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     that `_default_model_factory(X, y, prev_hyper, rng)` fits. A refit that
     raises LinAlgError or ValueError warns and keeps the previous
     hyperparameters, or failing that the previous model; any other
-    exception propagates.
+    exception propagates. A non-finite limit-state value, in the initial
+    design or at a SUR point, raises ValueError before any fit sees it.
 
     Each estimation pass takes the posterior at the particles, solves the
     threshold and checks the stopping rule, or else makes one SUR evaluation
@@ -237,15 +247,16 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     rng_reml = substream(seed, "reml")
 
     # stage 0: initial design, first fit, particle cloud from the input law
-    box = truncated_box(problem.input, DESIGN_EPSILON)
-    X = maximin_lhs(N0_PER_DIM * problem.dim, box, DESIGN_CANDIDATES, rng_design)
+    X = maximin_lhs(N0_PER_DIM * problem.dim, problem.input.quantile(DESIGN_EPSILON),
+                    problem.input.quantile(1.0 - DESIGN_EPSILON), DESIGN_CANDIDATES, rng_design)
     y = ledger.evaluate(problem.limit_state, X, stage=0)
+    _require_finite(y, X)
     model = _default_model_factory(X, y, None, rng_reml)
 
     pts = problem.input.sample(m, rng_init)
     log_g = np.zeros(m)  # g_0 = 1
     log_pdf = problem.input.log_density(pts)
-    log_sigma = initial_log_steps(problem.input.sds)
+    log_sigma = initial_log_steps(problem.input.sd)
 
     stages: list[StageRecord] = []
     trace: list[dict] = []
@@ -275,7 +286,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                 error = f"max_total_evaluations={MAX_TOTAL_EVALUATIONS} exceeded"
                 break
             sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
-            y_new = ledger.evaluate(problem.limit_state, sel.x_new[None, :], stage=t)[0]
+            x_new = sel.x_new[None, :]
+            y_new = ledger.evaluate(problem.limit_state, x_new, stage=t)
+            _require_finite(y_new, x_new)
             trace.append({
                 "n": ledger.n_total,
                 "x_new": [float(v) for v in sel.x_new],
@@ -283,7 +296,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                 "u_t": u_t,
                 "stage": t,
             })
-            X = np.vstack([X, sel.x_new[None, :]])
+            X = np.vstack([X, x_new])
             y = np.append(y, y_new)
             try:
                 model = _default_model_factory(X, y, model.hyper, rng_reml)

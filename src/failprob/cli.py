@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .bench import (CASES, RmseTable, csv_table, recompute_reference, run_estimator,
                     run_rmse_experiment)
-from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Normal,
-                   Problem, kernel_threads)
+from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
+                   kernel_threads)
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
@@ -40,16 +40,14 @@ def _json_default(obj):
 
 def _load_custom_problem(spec: dict) -> Problem:
     try:
-        marginals = []
-        for entry in spec["marginals"]:
-            params = entry["normal"]
-            marginals.append(Normal(float(params["mean"]), float(params["sd"])))
-        dim = len(marginals)
+        params = [entry["normal"] for entry in spec["marginals"]]
+        law = InputDistribution([float(p["mean"]) for p in params],
+                                [float(p["sd"]) for p in params])
         direction = Direction(spec.get("direction", "above").lower())
-        fn = compile_limit_state(spec["limit_state"], dim)
+        fn = compile_limit_state(spec["limit_state"], law.dim)
         return Problem(
             limit_state=fn,
-            input=InputDistribution(tuple(marginals)),
+            input=law,
             threshold=float(spec["threshold"]),
             direction=direction,
         )
@@ -218,6 +216,10 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("--m-list must be a comma-separated list of integers")
     if not m_values or args.runs < 2:
         raise ConfigError("need a non-empty --m-list and --runs >= 2")
+    for flag, values in (("--methods", methods), ("--m-list", m_values)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"{flag} repeats {', '.join(map(str, repeated))}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,5 +1,8 @@
-"""Problem definitions, input distributions, and the evaluation ledger that
-counts the limit-state calls of every estimator.
+"""Problem definitions, the input law, and the evaluation ledger that counts
+the limit-state calls of every estimator.
+
+The input law is a product of independent normals, held as two (d,) arrays:
+the means and the standard deviations.
 
 `ss` and `bss` hold a particle cloud as three arrays, the (m, d) points and
 their cached log g_t and log pdf; resampling leaves its m particles 1/m each.
@@ -37,7 +40,6 @@ from scipy.special import ndtri
 __all__ = [
     "ConfigError",
     "Direction",
-    "Normal",
     "InputDistribution",
     "Problem",
     "EvaluationLedger",
@@ -168,59 +170,44 @@ class Direction(Enum):
     BELOW = "below"
 
 
-@dataclass(frozen=True)
-class Normal:
-    """Scalar normal marginal N(mean, sd^2)."""
-
-    mean: float
-    sd: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.mean) and np.isfinite(self.sd)):
-            raise ValueError("normal marginal parameters must be finite")
-        if self.sd <= 0.0:
-            raise ValueError("normal marginal needs sd > 0")
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self.mean + self.sd * rng.standard_normal(m)
-
-    def log_pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
-        return -0.5 * z * z - math.log(self.sd) - 0.5 * _LOG_2PI
-
-    def quantile(self, p):
-        return self.mean + self.sd * ndtri(p)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: arrays have no truth value
 class InputDistribution:
-    """Product distribution of independent scalar marginals."""
+    """The product law of independent normals N(mean[i], sd[i]^2): `mean` and
+    `sd` are read-only (d,) float arrays, d >= 1, finite, with sd > 0."""
 
-    marginals: tuple[Normal, ...]
+    mean: np.ndarray
+    sd: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "marginals", tuple(self.marginals))
-        if len(self.marginals) < 1:
-            raise ValueError("need at least one marginal")
+        for name in ("mean", "sd"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.mean.ndim != 1 or self.mean.shape != self.sd.shape or self.mean.size < 1:
+            raise ValueError("mean and sd must be non-empty 1-D arrays of the same shape")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.sd))):
+            raise ValueError("normal marginal parameters must be finite")
+        if not np.all(self.sd > 0.0):
+            raise ValueError("normal marginal needs sd > 0")
 
     @classmethod
     def iid_normal(cls, dim: int) -> "InputDistribution":
         """The standard normal law on R^dim."""
-        return cls(tuple(Normal(0.0, 1.0) for _ in range(dim)))
+        return cls(np.zeros(dim), np.ones(dim))
 
     @property
     def dim(self) -> int:
-        return len(self.marginals)
-
-    @property
-    def sds(self) -> np.ndarray:
-        return np.array([mg.sd for mg in self.marginals])
+        return self.mean.shape[0]
 
     def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw an i.i.d. (m, d) sample. Deterministic given the generator state."""
+        """Draw an i.i.d. (m, d) sample, C-ordered, one column after the
+        other. Deterministic given the generator state."""
         if m < 1:
             raise ValueError("sample size must be >= 1")
-        return np.column_stack([mg.sample(m, rng) for mg in self.marginals])
+        out = np.empty((m, self.dim))
+        for i in range(self.dim):
+            out[:, i] = self.mean[i] + self.sd[i] * rng.standard_normal(m)
+        return out
 
     def log_density(self, x):
         """Joint log density at a single point (d,) or a batch (n, d)."""
@@ -232,13 +219,14 @@ class InputDistribution:
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {pts.shape[1]}")
         out = np.zeros(pts.shape[0])
-        for i, mg in enumerate(self.marginals):
-            out += mg.log_pdf(pts[:, i])
+        for i in range(self.dim):
+            z = (pts[:, i] - self.mean[i]) / self.sd[i]
+            out += -0.5 * z * z - math.log(self.sd[i]) - 0.5 * _LOG_2PI
         return out if batch else float(out[0])
 
     def quantile(self, p) -> np.ndarray:
         """Per-marginal quantiles at a common probability level."""
-        return np.array([mg.quantile(p) for mg in self.marginals])
+        return self.mean + self.sd * ndtri(p)
 
 
 @dataclass(frozen=True)

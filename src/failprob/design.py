@@ -1,53 +1,25 @@
-"""Initial space-filling design: quantile-truncated box and maximin LHS.
+"""Initial space-filling design: maximin Latin hypercube on a box.
 
-The design region is the product of per-dimension quantile intervals
-[q_eps, q_{1-eps}] of the input marginals. A Latin hypercube is drawn by
-permuting bin indices per dimension with points at bin centers, and the
-best of Q random candidates under the maximin criterion (largest minimum
-pairwise distance on the unit cube) is affinely mapped to the box.
+The caller gives the box as two (d,) arrays, its lower and upper corners;
+`bss` takes the per-dimension quantiles [q_eps, q_{1-eps}] of the input
+marginals. A Latin hypercube is drawn by permuting bin indices per
+dimension with points at bin centers, and the best of Q random candidates
+under the maximin criterion (largest minimum pairwise distance on the unit
+cube) is affinely mapped to the box.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import InputDistribution
-
-__all__ = ["TruncatedBox", "truncated_box", "maximin_lhs"]
+__all__ = ["maximin_lhs"]
 
 _CHUNK = 512  # candidates scored per batch
 
 
-@dataclass(frozen=True)
-class TruncatedBox:
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, dtype=float)))
-        object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper must have the same shape")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("need lower < upper in every dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-
-def truncated_box(input_dist: InputDistribution, epsilon: float) -> TruncatedBox:
-    """Box of per-dimension quantiles [q_eps, q_{1-eps}]."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("epsilon must be in (0, 0.5)")
-    return TruncatedBox(input_dist.quantile(epsilon), input_dist.quantile(1.0 - epsilon))
-
-
-def maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
+def maximin_lhs(n0: int, lower: np.ndarray, upper: np.ndarray, q_candidates: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Best-of-Q maximin Latin hypercube, mapped to the box.
+    """Best-of-Q maximin Latin hypercube, mapped to the box [lower, upper].
 
     Each candidate places one point at the center of each of the n0 axis
     bins per dimension (randomized by per-dimension permutations); the
@@ -62,7 +34,7 @@ def maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
         raise ValueError("n0 must be >= 2")
     if q_candidates < 1:
         raise ValueError("need at least one candidate design")
-    d = box.dim
+    d = lower.shape[0]
     best_design: np.ndarray | None = None
     best_score = -np.inf
     iu = np.triu_indices(n0, k=1)
@@ -92,4 +64,4 @@ def maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
             best_score = float(scores[k])
             best_design = unit[k]
     assert best_design is not None
-    return box.lower + best_design * (box.upper - box.lower)
+    return lower + best_design * (upper - lower)

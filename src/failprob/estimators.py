@@ -122,7 +122,7 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     pts = dist.sample(m, rng_init)
     vals = ledger.evaluate(problem.limit_state, pts, stage=0)
     log_pdf = dist.log_density(pts)
-    log_sigma = initial_log_steps(dist.sds)
+    log_sigma = initial_log_steps(dist.sd)
 
     stages: list[StageRecord] = []
     error: str | None = None

@@ -367,7 +367,7 @@ def benchmark_study():
 
 
 def _runs_at(table, m):
-    return [row for row in table.per_run if row["m"] == m and np.isfinite(row["alpha_hat"])]
+    return [row for row in table.per_run if row.m == m and np.isfinite(row.alpha_hat)]
 
 
 def _geometric_mean(vals):
@@ -380,18 +380,18 @@ def test_acceptance_7_bss_accuracy_and_budget(benchmark_study):
     ref = four_branch().alpha_ref
     runs = _runs_at(fb, 2000)
     assert len(runs) == 20
-    ests = np.array([r["alpha_hat"] for r in runs])
+    ests = np.array([r.alpha_hat for r in runs])
     gm = _geometric_mean(ests)
     assert ref / 1.5 <= gm <= ref * 1.5
     within3 = np.mean((ests >= ref / 3) & (ests <= ref * 3))
     assert within3 >= 0.9
-    n_mean = float(np.mean([r["n_total"] for r in runs]))
+    n_mean = float(np.mean([r.n_total for r in runs]))
     assert 40 <= n_mean <= 120
 
     # cantilever
     cb = benchmark_study["cantilever"]
     ref_cb = cantilever_beam().alpha_ref
-    ests_cb = np.array([r["alpha_hat"] for r in _runs_at(cb, 2000)])
+    ests_cb = np.array([r.alpha_hat for r in _runs_at(cb, 2000)])
     gm_cb = _geometric_mean(ests_cb)
     assert ref_cb / 1.5 <= gm_cb <= ref_cb * 1.5
     assert np.mean((ests_cb >= ref_cb / 2) & (ests_cb <= ref_cb * 2)) >= 0.9
@@ -399,7 +399,7 @@ def test_acceptance_7_bss_accuracy_and_budget(benchmark_study):
     # oscillator
     osc = benchmark_study["oscillator"]
     ref_osc = nonlinear_oscillator().alpha_ref
-    ests_osc = np.array([r["alpha_hat"] for r in _runs_at(osc, 2000)])
+    ests_osc = np.array([r.alpha_hat for r in _runs_at(osc, 2000)])
     gm_osc = _geometric_mean(ests_osc)
     assert ref_osc / 2 <= gm_osc <= ref_osc * 2
 
@@ -425,7 +425,7 @@ def test_acceptance_8_bss_vs_ss_savings(benchmark_study):
     T = math.ceil(math.log(ref) / math.log(0.1))
     m_ss = T * 0.9 / (0.1 * 0.2 ** 2)
     ss_count = m_ss + (T - 1) * 0.9 * m_ss
-    bss_count = float(np.mean([r["n_total"] for r in _runs_at(cb, 2000)]))
+    bss_count = float(np.mean([r.n_total for r in _runs_at(cb, 2000)]))
     assert bss_count <= 0.10 * ss_count
     _report(8, f"BSS mean evals {bss_count:.1f} vs SS reported count {ss_count:.0f} "
                f"at matched 20% rRMSE ({bss_count / ss_count * 100:.2f}% <= 10%)")

@@ -173,6 +173,11 @@ class TestRmseExperiment:
         assert per[0] == ("method,case,m,run,alpha_hat,delta_hat,n_total,n_reported,"
                           "n_init,n_intermediate,n_final,error,wall_ms")
 
+    def test_repeated_m_rejected(self):
+        # a repeated m would pool its runs into one row, each seed twice
+        with pytest.raises(ValueError, match="distinct"):
+            run_rmse_experiment(_toy_case(0.5), "mc", [1000, 1000], runs=3, seed=7)
+
     def test_csv_quotes_cells_with_commas(self):
         text = csv_table(["a", "b"], [["x, y", 1], [None, 0.5]])
         assert text == 'a,b\n"x, y",1\n,0.5\n'

@@ -511,6 +511,48 @@ class TestRunBss:
         assert np.unique(X, axis=0).shape[0] == res.n_total  # no repeated point
         assert not [w for w in recwarn if "bss refit failed" in str(w.message)]
 
+    def test_nonfinite_sur_value_stops_the_run(self, monkeypatch):
+        # the limit state's 4th call, the third SUR evaluation, returns NaN:
+        # the run raises, naming the value and the point, before a fit sees it
+        calls, fitted = [], []
+
+        def f(X):
+            calls.append(X.copy())
+            return np.full(len(X), np.nan) if len(calls) == 4 else X[:, 0] + X[:, 1]
+
+        default = bss._default_model_factory
+
+        def factory(X, y, prev, rng):
+            fitted.append(y.copy())
+            return default(X, y, prev, rng)
+
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        with pytest.raises(ValueError) as info:
+            run_bss(Problem(f, InputDistribution.iid_normal(2), 6.0), BssConfig(m=1000), seed=0)
+        assert str(info.value) == (f"limit state returned nan at x = {calls[3][0].tolist()}; "
+                                   "bss needs finite values")
+        assert [len(X) for X in calls] == [10, 1, 1, 1]
+        assert len(fitted) == 3 and all(np.isfinite(y).all() for y in fitted)
+
+    def test_nonfinite_design_value_stops_the_run(self, monkeypatch):
+        # a design value that is not finite: the run raises before the first fit
+        design = []
+
+        def f(X):
+            design.append(X.copy())
+            y = X[:, 0] + X[:, 1]
+            y[[3, 7]] = [-np.inf, np.nan]
+            return y
+
+        def factory(X, y, prev, rng):
+            raise AssertionError("no fit may see the design")
+
+        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        with pytest.raises(ValueError) as info:
+            run_bss(Problem(f, InputDistribution.iid_normal(2), 6.0), BssConfig(m=1000), seed=0)
+        assert str(info.value) == (f"limit state returned -inf at x = {design[0][3].tolist()}; "
+                                   "bss needs finite values")
+
     @pytest.mark.usefixtures("eight_design_points")
     def test_refit_error_of_other_type_propagates(self, monkeypatch):
         prob = _problem(float(ndtri(1 - 1e-3)))

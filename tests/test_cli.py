@@ -128,6 +128,20 @@ class TestEstimateCommand:
         doc = json.loads(out)
         assert doc["result"]["alpha_hat"] == pytest.approx(5.596e-9, rel=3.0)
 
+    def test_zero_sd_exit_2(self, capsys, tmp_path):
+        spec = {
+            "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}, {"normal": {"mean": 0.0, "sd": 0}}],
+            "threshold": 2.0,
+            "limit_state": "x1 + x2",
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
+        ])
+        assert code == 2 and out == ""
+        assert "config error: invalid problem file: normal marginal needs sd > 0" in err
+
     def test_bad_expression_exit_2(self, capsys, tmp_path):
         spec = {
             "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}],
@@ -234,7 +248,7 @@ class TestEstimateCommand:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("method,message", [("ss", "Probabilities contain NaN"),
-                                                ("bss", "sigma2 must be positive")])
+                                                ("bss", "limit state returned nan at x = ")])
     def test_error_raised_mid_run_exit_3(self, capsys, tmp_path, method, message):
         # log(x1) is NaN for half the inputs: the run starts and then fails
         spec = {
@@ -322,6 +336,18 @@ class TestBenchmarkCommand:
         # identical statistics; the trailing wall-clock column may differ
         strip = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
         assert strip(out1) == strip(out2)
+
+    @pytest.mark.parametrize("flag,value,repeated", [("--m-list", "1000,500,1000", "1000"),
+                                                     ("--methods", "mc,ss,mc", "mc")])
+    def test_repeated_value_exit_2(self, capsys, tmp_path, flag, value, repeated):
+        argv = {"--methods": "mc", "--m-list": "1000", flag: value}
+        code, out, err = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--runs", "3", "--out-dir", str(tmp_path / "r"),
+            *(item for pair in argv.items() for item in pair),
+        ])
+        assert code == 2 and out == ""
+        assert f"config error: {flag} repeats {repeated}" in err
+        assert not (tmp_path / "r").exists()
 
     def test_missing_case_exit_2(self, capsys):
         code, _, _ = _run(capsys, ["benchmark", "--methods", "bss"])

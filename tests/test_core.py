@@ -7,13 +7,13 @@ import pytest
 from conftest import requires_scipy_117
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
+from failprob.bench import cantilever_beam, nonlinear_oscillator
 from failprob.core import (
     Direction,
     EvaluationLedger,
     InputDistribution,
-    Normal,
     Problem,
     log_sum_exp,
     substream,
@@ -49,7 +49,7 @@ class TestInputDistribution:
 
     def test_log_density_at_mode(self):
         mu, sd = 1.7, 0.4
-        dist = InputDistribution((Normal(mu, sd),))
+        dist = InputDistribution([mu], [sd])
         want = -math.log(sd * math.sqrt(2 * math.pi))
         assert dist.log_density(np.array([mu])) == pytest.approx(want, abs=1e-12)
 
@@ -57,8 +57,8 @@ class TestInputDistribution:
         rng = substream(5, "t")
         for _ in range(20):
             mu, x, c = rng.normal(size=3)
-            a = InputDistribution((Normal(mu, 1.3),)).log_density(np.array([x]))
-            b = InputDistribution((Normal(mu + c, 1.3),)).log_density(np.array([x + c]))
+            a = InputDistribution([mu], [1.3]).log_density(np.array([x]))
+            b = InputDistribution([mu + c], [1.3]).log_density(np.array([x + c]))
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_log_density_rejects_non_finite(self):
@@ -71,7 +71,7 @@ class TestInputDistribution:
     def test_log_density_empty_batch(self):
         # the subset simulation target asks for the density of the proposals
         # inside the level, and there may be none
-        dist = InputDistribution((Normal(0.3, 2.0), Normal(-1.0, 0.5)))
+        dist = InputDistribution([0.3, -1.0], [2.0, 0.5])
         out = dist.log_density(np.empty((0, 2)))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
         with pytest.raises(ValueError):
@@ -79,16 +79,93 @@ class TestInputDistribution:
 
     def test_marginal_normalization_by_quadrature(self):
         # each marginal density integrates to one
-        mg = Normal(0.7, 2.1)
+        dist = InputDistribution([0.7], [2.1])
         xs = np.linspace(0.7 - 12 * 2.1, 0.7 + 12 * 2.1, 20001)
-        total = np.trapezoid(np.exp(mg.log_pdf(xs)), xs)
+        total = np.trapezoid(np.exp(dist.log_density(xs[:, None])), xs)
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_marginals(self):
+        for mean, sd in [([0.0], [0.0]), ([0.0, 1.0], [1.0, -2.0]), ([np.inf], [1.0]),
+                         ([0.0], [np.nan]), ([0.0, 1.0], [1.0]), ([], []),
+                         ([[0.0]], [[1.0]]), (0.0, 1.0)]:
+            with pytest.raises(ValueError):
+                InputDistribution(mean, sd)
+
+    def test_parameters_are_read_only_copies(self):
+        mean, sd = np.array([0.5, -1.0]), np.array([2.0, 0.1])
+        dist = InputDistribution(mean, sd)
+        mean[0], sd[0] = 9.0, 9.0
+        assert dist.mean.tolist() == [0.5, -1.0] and dist.sd.tolist() == [2.0, 0.1]
         with pytest.raises(ValueError):
-            Normal(0.0, 0.0)
-        with pytest.raises(ValueError):
-            Normal(np.inf, 1.0)
+            dist.sd[0] = 1.0
+        assert dist.mean.dtype == dist.sd.dtype == np.float64
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+class _NormalMarginal:
+    """One N(mean, sd^2) marginal, computed as the law's per-marginal
+    objects computed it: the oracle for the two-array law."""
+
+    def __init__(self, mean: float, sd: float):
+        self.mean, self.sd = float(mean), float(sd)
+
+    def sample(self, m, rng):
+        return self.mean + self.sd * rng.standard_normal(m)
+
+    def log_pdf(self, x):
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+        return -0.5 * z * z - math.log(self.sd) - 0.5 * _LOG_2PI
+
+    def quantile(self, p):
+        return self.mean + self.sd * ndtri(p)
+
+
+def _oracle_sample(marginals, m, rng):
+    return np.column_stack([mg.sample(m, rng) for mg in marginals])
+
+
+def _oracle_log_density(marginals, pts):
+    out = np.zeros(pts.shape[0])
+    for i, mg in enumerate(marginals):
+        out += mg.log_pdf(pts[:, i])
+    return out
+
+
+_LAWS = {
+    "cantilever": cantilever_beam().problem.input,
+    "oscillator": nonlinear_oscillator().problem.input,
+    "d10": InputDistribution(np.linspace(-3.7, 250.3, 10) * np.array([1, -1] * 5),
+                             np.geomspace(1e-3, 40.0, 10)[::-1]),
+}
+
+
+class TestAgainstPerMarginalOracle:
+    """The two-array law gives the per-marginal formulas' bytes."""
+
+    @pytest.mark.parametrize("m", [1, 7, 2000, 100_000])
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_sample_and_log_density_bytes(self, law, m):
+        dist = _LAWS[law]
+        marginals = [_NormalMarginal(mu, sd) for mu, sd in zip(dist.mean, dist.sd)]
+        rng, rng_ref = substream(11, law, m), substream(11, law, m)
+        X = dist.sample(m, rng)
+        ref = _oracle_sample(marginals, m, rng_ref)
+        assert X.shape == (m, dist.dim) and X.flags.c_contiguous
+        assert X.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert dist.log_density(X).tobytes() == _oracle_log_density(marginals, ref).tobytes()
+        one = dist.log_density(X[0])
+        assert isinstance(one, float) and one == _oracle_log_density(marginals, ref[:1])[0]
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_quantile_bytes(self, law):
+        dist = _LAWS[law]
+        marginals = [_NormalMarginal(mu, sd) for mu, sd in zip(dist.mean, dist.sd)]
+        for p in (1e-5, 0.3, 0.5, 1.0 - 1e-5):
+            ref = np.array([mg.quantile(p) for mg in marginals])
+            assert dist.quantile(p).tobytes() == ref.tobytes()
 
 
 class TestProblemNormalization:

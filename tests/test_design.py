@@ -1,46 +1,41 @@
-"""Quantile-truncated box and maximin Latin hypercube designs."""
+"""The quantile-truncated design box and maximin Latin hypercube designs."""
 
 import numpy as np
 import pytest
 
 from failprob import design
-from failprob.core import InputDistribution, Normal, substream
-from failprob.design import TruncatedBox, maximin_lhs, truncated_box
+from failprob.core import InputDistribution, substream
+from failprob.design import maximin_lhs
 
 # Phi^{-1}(1 - 1e-5)
 _Q_1E5 = 4.264890793923841
 
 
 class TestTruncatedBox:
+    """`bss` draws its design in the box of the marginal quantiles
+    [q_eps, q_{1-eps}], from `InputDistribution.quantile`."""
+
     def test_standard_normal_quantiles(self):
-        box = truncated_box(InputDistribution.iid_normal(3), 1e-5)
-        np.testing.assert_allclose(box.lower, -_Q_1E5, atol=1e-9)
-        np.testing.assert_allclose(box.upper, _Q_1E5, atol=1e-9)
+        dist = InputDistribution.iid_normal(3)
+        np.testing.assert_allclose(dist.quantile(1e-5), -_Q_1E5, atol=1e-9)
+        np.testing.assert_allclose(dist.quantile(1.0 - 1e-5), _Q_1E5, atol=1e-9)
 
     def test_near_half_epsilon_still_valid(self):
-        box = truncated_box(InputDistribution.iid_normal(1), 0.5 - 1e-9)
-        assert box.lower[0] < box.upper[0]
+        dist = InputDistribution.iid_normal(1)
+        eps = 0.5 - 1e-9
+        assert dist.quantile(eps)[0] < dist.quantile(1.0 - eps)[0]
 
     def test_location_scale_equivariance(self):
         mu, sd = 2.5, 3.0
-        base = truncated_box(InputDistribution.iid_normal(1), 1e-4)
-        shifted = truncated_box(InputDistribution((Normal(mu, sd),)), 1e-4)
-        assert shifted.lower[0] == pytest.approx(mu + sd * base.lower[0], rel=1e-12)
-        assert shifted.upper[0] == pytest.approx(mu + sd * base.upper[0], rel=1e-12)
-
-    def test_epsilon_validation(self):
-        dist = InputDistribution.iid_normal(1)
-        for eps in (0.0, 0.5, -0.1, 0.7):
-            with pytest.raises(ValueError):
-                truncated_box(dist, eps)
-
-    def test_box_invariant(self):
-        with pytest.raises(ValueError):
-            TruncatedBox(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        base = InputDistribution.iid_normal(1)
+        shifted = InputDistribution([mu], [sd])
+        for p in (1e-4, 1.0 - 1e-4):
+            assert shifted.quantile(p)[0] == pytest.approx(mu + sd * base.quantile(p)[0],
+                                                           rel=1e-12)
 
 
 def _unit_cube(d):
-    return TruncatedBox(np.zeros(d), np.ones(d))
+    return np.zeros(d), np.ones(d)
 
 
 def _min_pairwise_dist(X):
@@ -52,8 +47,7 @@ def _min_pairwise_dist(X):
 
 class TestMaximinLhs:
     def test_two_points_one_dim_distinct_halves(self):
-        box = _unit_cube(1)
-        X = maximin_lhs(2, box, 5, substream(0, "lhs"))
+        X = maximin_lhs(2, *_unit_cube(1), 5, substream(0, "lhs"))
         lo = X[:, 0] < 0.5
         assert lo.sum() == 1
 
@@ -61,40 +55,37 @@ class TestMaximinLhs:
         # one point per axis-aligned bin in every dimension
         rng = substream(1, "lhs")
         for d, n0 in [(1, 7), (2, 10), (4, 9)]:
-            X = maximin_lhs(n0, _unit_cube(d), 50, rng)
+            X = maximin_lhs(n0, *_unit_cube(d), 50, rng)
             for j in range(d):
                 bins = np.floor(X[:, j] * n0).astype(int)
                 assert sorted(bins) == list(range(n0))
 
     def test_maximin_monotone_in_candidate_count(self):
-        box = _unit_cube(2)
-        d1 = maximin_lhs(10, box, 1, substream(3, "lhs"))
-        dq = maximin_lhs(10, box, 10_000, substream(3, "lhs"))
+        d1 = maximin_lhs(10, *_unit_cube(2), 1, substream(3, "lhs"))
+        dq = maximin_lhs(10, *_unit_cube(2), 10_000, substream(3, "lhs"))
         assert _min_pairwise_dist(dq) >= _min_pairwise_dist(d1) - 1e-12
 
     def test_affine_mapping_to_box(self):
-        box = TruncatedBox(np.array([-3.0, 10.0]), np.array([-1.0, 30.0]))
-        X = maximin_lhs(8, box, 100, substream(4, "lhs"))
-        assert np.all(X >= box.lower) and np.all(X <= box.upper)
+        lower, upper = np.array([-3.0, 10.0]), np.array([-1.0, 30.0])
+        X = maximin_lhs(8, lower, upper, 100, substream(4, "lhs"))
+        assert np.all(X >= lower) and np.all(X <= upper)
         # centers of bins: first dim bin width 0.25 of [-3,-1]
-        u = (X - box.lower) / (box.upper - box.lower)
+        u = (X - lower) / (upper - lower)
         np.testing.assert_allclose((u * 8) % 1.0, 0.5, atol=1e-12)
 
     def test_deterministic_given_seed(self):
-        box = _unit_cube(3)
-        a = maximin_lhs(6, box, 200, substream(5, "lhs"))
-        b = maximin_lhs(6, box, 200, substream(5, "lhs"))
+        a = maximin_lhs(6, *_unit_cube(3), 200, substream(5, "lhs"))
+        b = maximin_lhs(6, *_unit_cube(3), 200, substream(5, "lhs"))
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
-        box = _unit_cube(1)
         with pytest.raises(ValueError):
-            maximin_lhs(1, box, 10, substream(0, "x"))
+            maximin_lhs(1, *_unit_cube(1), 10, substream(0, "x"))
         with pytest.raises(ValueError):
-            maximin_lhs(4, box, 0, substream(0, "x"))
+            maximin_lhs(4, *_unit_cube(1), 0, substream(0, "x"))
 
 
-def _float_maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
+def _float_maximin_lhs(n0: int, lower: np.ndarray, upper: np.ndarray, q_candidates: int,
                        rng: np.random.Generator, chunk: int = 512) -> np.ndarray:
     """maximin_lhs as it was before the lattice scores, verbatim: every
     candidate scored by the float criterion. The reference for the shipped one."""
@@ -102,7 +93,7 @@ def _float_maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
         raise ValueError("n0 must be >= 2")
     if q_candidates < 1:
         raise ValueError("need at least one candidate design")
-    d = box.dim
+    d = lower.shape[0]
     best_design: np.ndarray | None = None
     best_score = -np.inf
     iu = np.triu_indices(n0, k=1)
@@ -119,7 +110,7 @@ def _float_maximin_lhs(n0: int, box: TruncatedBox, q_candidates: int,
             best_score = float(scores[k])
             best_design = unit[k]
     assert best_design is not None
-    return box.lower + best_design * (box.upper - box.lower)
+    return lower + best_design * (upper - lower)
 
 
 class TestLatticeScores:
@@ -128,12 +119,12 @@ class TestLatticeScores:
     @pytest.mark.parametrize("q", [1, 511, 513, 10_000])
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 8])
     def test_same_design_as_float_reference(self, d, q):
-        box = TruncatedBox(np.linspace(-4.0, -1.0, d), np.linspace(2.0, 5.0, d))
+        box = np.linspace(-4.0, -1.0, d), np.linspace(2.0, 5.0, d)
         for n0 in (2, 5 * d):
             for seed in range(3):
                 rng, rng_ref = substream(seed, "lhs", d, q), substream(seed, "lhs", d, q)
-                X = maximin_lhs(n0, box, q, rng)
-                assert X.tobytes() == _float_maximin_lhs(n0, box, q, rng_ref).tobytes()
+                X = maximin_lhs(n0, *box, q, rng)
+                assert X.tobytes() == _float_maximin_lhs(n0, *box, q, rng_ref).tobytes()
                 # the same draws: both generators end in the same state
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
 
@@ -166,8 +157,8 @@ class TestExactTies:
     @staticmethod
     def _pick(*chunks):
         q = sum(len(c) for c in chunks)
-        got = maximin_lhs(5, _unit_cube(2), q, _ScriptedRng(*chunks))
-        ref = _float_maximin_lhs(5, _unit_cube(2), q, _ScriptedRng(*chunks))
+        got = maximin_lhs(5, *_unit_cube(2), q, _ScriptedRng(*chunks))
+        ref = _float_maximin_lhs(5, *_unit_cube(2), q, _ScriptedRng(*chunks))
         assert got.tobytes() == ref.tobytes()  # the rule is the float path's
         return got
 

@@ -15,6 +15,8 @@ import failprob
 from failprob import bss, estimators, smc
 from failprob.bench import run_estimator
 from failprob.bss import BssConfig, run_bss
+from failprob.core import InputDistribution
+from failprob.design import maximin_lhs
 from failprob.estimators import SubsetSimConfig
 from failprob.gp import fit_reml, reml_objective
 from failprob.smc import rwmh_move
@@ -39,6 +41,7 @@ def test_settable_fields():
     # field here is a deliberate change to what a caller can set
     assert [f.name for f in fields(BssConfig)] == ["m", "p0"]
     assert [f.name for f in fields(SubsetSimConfig)] == ["m", "m0"]
+    assert [f.name for f in fields(InputDistribution)] == ["mean", "sd"]
     assert not hasattr(smc, "RwmhState")  # the move takes its log steps as an array
 
 
@@ -66,4 +69,5 @@ def test_entry_point_parameters():
     assert _parameters(fit_reml) == ["design_points", "design_values", "rng", "n_starts",
                                      "init=None"]
     assert _parameters(run_bss) == ["problem", "config", "seed"]
+    assert _parameters(maximin_lhs) == ["n0", "lower", "upper", "q_candidates", "rng"]
     assert _parameters(run_estimator) == ["problem", "method", "m", "seed", "p0=0.1"]
