@@ -43,7 +43,10 @@ def _load_custom_problem(spec: dict) -> Problem:
         params = [entry["normal"] for entry in spec["marginals"]]
         law = InputDistribution([float(p["mean"]) for p in params],
                                 [float(p["sd"]) for p in params])
-        direction = Direction(spec.get("direction", "above").lower())
+        direction = spec.get("direction", "above")
+        if not isinstance(direction, str):
+            raise TypeError(f"direction must be 'above' or 'below', got {direction!r}")
+        direction = Direction(direction.lower())
         fn = compile_limit_state(spec["limit_state"], law.dim)
         return Problem(
             limit_state=fn,

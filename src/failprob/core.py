@@ -190,6 +190,11 @@ class InputDistribution:
         if not np.all(self.sd > 0.0):
             raise ValueError("normal marginal needs sd > 0")
 
+    def __reduce__(self):
+        # through the constructor, so that an unpickled law's arrays are
+        # read-only copies and checked like any other
+        return (type(self), (self.mean, self.sd))
+
     @classmethod
     def iid_normal(cls, dim: int) -> "InputDistribution":
         """The standard normal law on R^dim."""

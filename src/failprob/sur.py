@@ -12,6 +12,11 @@ b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
 Phi(b1) + Phi(b2) - 2 Phi2(b1, b2; rho) = 2 T(b2, sqrt(1 - rho^2)/rho), T
 being Owen's T function: in Owen's (1956) T-function form of Phi2 the
 T(b1, .) term has second argument (b2 - rho b1)/(b1 sqrt(1 - rho^2)) = 0.
+With tau = Phi(-|b2|) and k = |b2| a, a = sqrt(1 - rho^2)/rho, Owen's identity
+2 T(b2, a) = tau + Phi(-k)(1 - 2 tau) - 2 T(k, 1/a) bounds each entry's
+distance from tau by exp(-k^2/2)/2, which is at most 2^-56 tau, below
+rounding, once k^2 >= 2 (55 ln 2 - ln tau); Owen's T is evaluated only on
+the pairs short of that cut, and every other entry is tau.
 Everything is evaluated as one (integration point x candidate) matrix;
 `expected_misclass_after` keeps the Phi2 form as the reference that tests
 compare against. The pair matrix, and the posterior covariance it is built
@@ -123,10 +128,16 @@ def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
     """Expected post-evaluation misclassification, rows = integration points,
     columns = candidates. Applies the degenerate-variance guards.
 
-    Each pair is 2 T(b2, sqrt(1 - rho^2)/rho) (module docstring);
-    `expected_misclass_after` computes the same value through Phi2. The pairs
-    are evaluated in row blocks on the kernel thread pool
-    (`core._row_blocks`), each into its rows of one output matrix.
+    Each pair is 2 T(b2, a), a = sqrt(1 - rho^2)/rho (module docstring);
+    `expected_misclass_after` computes the same value through Phi2. Owen's T
+    runs only on the pairs where that value can differ from the row's tau:
+    with k = |b2| a, the identity 2 T(b2, a) = tau + Phi(-k)(1 - 2 tau)
+    - 2 T(k, 1/a) leaves two corrections of opposite sign in
+    [0, exp(-k^2/2)/2], so wherever k^2 >= cut = 2 (55 ln 2 - ln tau) the
+    entry is tau to within 2^-56 tau, below rounding. Per row that is
+    rho <= rho_max = |b2| / sqrt(b2^2 + cut). The pairs are evaluated in row
+    blocks on the kernel thread pool (`core._row_blocks`), each into its rows
+    of one output matrix.
     """
     sd_floor = np.sqrt(var_floor)
     mean_x = np.asarray(mean_x, dtype=float)
@@ -138,19 +149,24 @@ def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
     tau_x = np.where(row_ok, tau_x, 0.0)
     sd_row = np.where(row_ok, sd_x, 1.0)
     b2 = (u - mean_x) / sd_row
+    # log_ndtr keeps ln tau finite where tau underflows. Shrinking s_max by a
+    # relative 1e-9 raises a screened pair's k^2 by at least 2e-9 relative,
+    # far above the few ulps of rounding in s_max, rho and a.
+    cut = 2.0 * (55.0 * math.log(2.0) - log_ndtr(-np.abs(b2)))
+    s_max = np.abs(b2) / np.sqrt(b2 * b2 + cut) * sd_row
+    # pairs with s <= s_min keep tau(x): screened, uninformative candidate
+    # (s <= sd_floor), or classified row (tau(x) = 0)
+    s_min = np.where(row_ok, np.maximum(s_max * (1.0 - 1e-9), sd_floor), np.inf)
     out = np.empty(s_mat.shape)
 
     def block(i, j):
-        # Dense over every pair: cheaper than gathering the valid ones, and the
-        # guarded entries are overwritten below (rho = 0 gives a = inf, T finite).
-        s = s_mat[i:j]
-        rho = np.clip(s / sd_row[i:j, None], 0.0, 1.0)
-        with np.errstate(divide="ignore"):
+        out[i:j] = tau_x[i:j, None]
+        r, c = np.nonzero(s_mat[i:j] > s_min[i:j, None])
+        r += i
+        rho = np.clip(s_mat[r, c] / sd_row[r], 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # rho = 0 on underflow: a = inf, T finite
             a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-        vals = out[i:j]
-        np.clip(2.0 * owens_t(b2[i:j, None], a), 0.0, 1.0, out=vals)
-        # uninformative candidate -> tau(x); classified row -> tau(x) = 0
-        np.copyto(vals, tau_x[i:j, None], where=~(row_ok[i:j, None] & (s > sd_floor)))
+        out[r, c] = np.clip(2.0 * owens_t(b2[r], a), 0.0, 1.0)
 
     _row_blocks(block, *out.shape)
     return out, tau_x

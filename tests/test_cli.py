@@ -142,6 +142,21 @@ class TestEstimateCommand:
         assert code == 2 and out == ""
         assert "config error: invalid problem file: normal marginal needs sd > 0" in err
 
+    def test_non_string_direction_exit_2(self, capsys, tmp_path):
+        spec = {
+            "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}],
+            "threshold": 2.0,
+            "limit_state": "x1",
+            "direction": 5,
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
+        ])
+        assert code == 2 and out == ""
+        assert "config error: invalid problem file: direction must be" in err
+
     def test_bad_expression_exit_2(self, capsys, tmp_path):
         spec = {
             "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}],

@@ -1,6 +1,7 @@
 """Core types: distributions, direction normalization, particles, ledger, streams."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestInputDistribution:
         with pytest.raises(ValueError):
             dist.sd[0] = 1.0
         assert dist.mean.dtype == dist.sd.dtype == np.float64
+
+    def test_pickle_round_trip_stays_read_only(self):
+        dist = InputDistribution([0.5, -1.0], [2.0, 0.1])
+        copy = pickle.loads(pickle.dumps(dist))
+        for name in ("mean", "sd"):
+            values = getattr(copy, name)
+            assert not values.flags.writeable
+            assert values.tobytes() == getattr(dist, name).tobytes()
 
 
 _LOG_2PI = math.log(2.0 * math.pi)

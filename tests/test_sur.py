@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, owens_t
+from scipy.special import log_ndtr, ndtr, owens_t
 
 from failprob import core, sur
 from failprob.core import substream
@@ -199,19 +199,106 @@ class TestExpectedMisclassMatrix:
         assert e_hi <= e_lo * (1.0 + 1e-12) + np.finfo(float).tiny
 
 
+class _GridModel:
+    """Stands in for a GpModel in `expected_misclass_after`: point [i] has
+    posterior mean[i] and sd[i], and s_n(point [i], point [j]) = s[i, j]."""
+
+    jitter = 0.0
+    hyper = CovarianceHyperparams(1.0, np.array([1.0]))
+
+    def __init__(self, mean, sd, s):
+        self.mean, self.sd, self.s = mean, sd, s
+
+    def predict(self, x):
+        i = int(x[0])
+        return self.mean[i], self.sd[i] ** 2
+
+    def cross_sd(self, x, x_new, var_floor):
+        return self.s[int(x[0]), int(x_new[0])]
+
+
+def _rho_max(b2):
+    """The largest rho at which an entry is tau to rounding, per row."""
+    cut = 2.0 * (55.0 * math.log(2.0) - log_ndtr(-np.abs(b2)))
+    return np.abs(b2) / np.sqrt(b2 * b2 + cut)
+
+
+class TestOwensTScreen:
+    """Owen's T runs only where 2 T(b2, a) can differ from tau = Phi(-|b2|)."""
+
+    U = 0.3
+    # rho / rho_max per column: below the cut, then above it up to rho = 1
+    BELOW = np.array([1e-9, 1e-3, 0.3, 0.9, 0.999, 1.0 - 1e-6])
+    ABOVE = np.array([1.0 + 1e-6, 1.001, 1.02, 1.1, 1.3, 1.6, 2.5])
+
+    def _grid(self):
+        b2 = np.concatenate([np.linspace(0.0, 38.0, 77), -np.linspace(0.25, 37.75, 16)])
+        sd_x = np.linspace(0.1, 3.0, b2.size)
+        mean_x = self.U - b2 * sd_x
+        rho = np.minimum(_rho_max(b2)[:, None] * np.concatenate([self.BELOW, self.ABOVE]),
+                         np.concatenate([np.full(self.BELOW.size, 1.0),
+                                         np.linspace(0.95, 1.0, self.ABOVE.size)]))
+        rho[b2 == 0.0] = np.linspace(1e-3, 1.0, rho.shape[1])  # rho_max = 0: nothing screened
+        return mean_x, sd_x, rho * sd_x[:, None], b2
+
+    def test_matches_unscreened_owens_t_and_phi2(self):
+        mean_x, sd_x, s_mat, b2 = self._grid()
+        model = _GridModel(mean_x, sd_x, s_mat)
+        var_floor = model_var_floor(model)
+        E, tau = _expected_misclass_matrix(mean_x, sd_x, s_mat, self.U, var_floor)
+        rho = np.clip(s_mat / sd_x[:, None], 0.0, 1.0)
+        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+        unscreened = np.clip(2.0 * owens_t(((self.U - mean_x) / sd_x)[:, None], a), 0.0, 1.0)
+        below = np.zeros(E.shape, dtype=bool)
+        below[:, :self.BELOW.size] = b2[:, None] != 0.0
+        # below the cut: tau(x) itself, the ndtr value
+        np.testing.assert_array_equal(E[below], np.broadcast_to(tau[:, None], E.shape)[below])
+        # above it: the unscreened value, bit for bit
+        np.testing.assert_array_equal(E[~below], unscreened[~below])
+        # Below the cut, owens_t returns up to 3.4e-13 (relative) away from
+        # ndtr's tau on this grid (3.4e-13 at |b2| = 37.56, 2.3e-13 for
+        # |b2| <= 37, 7e-15 for |b2| <= 5); 1e-12 leaves a factor of three.
+        np.testing.assert_allclose(E, unscreened, rtol=1e-12, atol=0.0)
+        # Phi2 holds an absolute 1e-12 (`test_matches_bivariate_reference`)
+        ref = np.array([[expected_misclass_after(model, [i], [j], self.U)
+                         for j in range(E.shape[1])] for i in range(E.shape[0])])
+        np.testing.assert_allclose(E, ref, rtol=0.0, atol=1e-12)
+
+    def test_owens_t_skips_screened_pairs(self, monkeypatch):
+        # a later refactor must not quietly restore the dense pass
+        seen = []
+
+        def counting(h, a):
+            seen.append(h)
+            return owens_t(h, a)
+
+        monkeypatch.setattr(sur, "owens_t", counting)
+        b2 = np.array([0.0, 6.0, -12.0, 25.0])
+        sd_x = np.full(4, 0.8)
+        s_mat = np.linspace(0.01, 1.0, 50)[None, :] * sd_x[:, None]
+        _expected_misclass_matrix(self.U - b2 * sd_x, sd_x, s_mat, self.U, 1e-12)
+        h = np.concatenate(seen)
+        assert h.size < s_mat.size
+        assert np.count_nonzero(h == 0.0) == s_mat.shape[1]  # the h = 0 row in full
+
+
 def _dense_kernel(mean_x, sd_x, s_mat, u, var_floor):
     """`_expected_misclass_matrix` as one whole-matrix expression, without
-    row blocks: the form the blocked kernel must reproduce bit for bit."""
+    row blocks or gathering: Owen's T on every pair, then the screen and the
+    guards as one mask. The form the blocked kernel must reproduce bit for bit."""
     sd_floor = np.sqrt(var_floor)
     row_ok = sd_x > sd_floor
     tau_x = np.where(row_ok, np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
                                         ndtr((u - mean_x) / np.maximum(sd_x, sd_floor))), 0.0)
     sd_row = np.where(row_ok, sd_x, 1.0)
+    b2 = (u - mean_x) / sd_row
     rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
     with np.errstate(divide="ignore"):
         a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-    vals = np.clip(2.0 * owens_t(((u - mean_x) / sd_row)[:, None], a), 0.0, 1.0)
-    return np.where(row_ok[:, None] & (s_mat > sd_floor), vals, tau_x[:, None]), tau_x
+    vals = np.clip(2.0 * owens_t(b2[:, None], a), 0.0, 1.0)
+    s_max = _rho_max(b2) * sd_row
+    kept = row_ok[:, None] & (s_mat > np.maximum(s_max * (1.0 - 1e-9), sd_floor)[:, None])
+    return np.where(kept, vals, tau_x[:, None]), tau_x
 
 
 _BLOCK = core._BLOCK_PAIRS
