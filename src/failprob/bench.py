@@ -1,10 +1,11 @@
 """The three structural-reliability benchmark cases and the RMSE study harness.
 
 Reference probabilities are the published values for these cases (obtained
-from one hundred subset simulation runs at m = 1e7); `recompute_reference`
-offers a cheaper subset-simulation sanity check. `run_estimator` is the one
-place that maps a method name to its estimator, and `csv_table` the one CSV
-writer, for this module and the command line alike.
+from one hundred subset simulation runs at m = 1e7); a study of method "ss"
+at m = 1e6 is a cheaper sanity check of them. `run_rmse_experiment` is the
+one way to run a replication study, `run_estimator` the one place that maps
+a method name to its estimator, and `csv_table` the one CSV writer, for this
+module and the command line alike.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "run_estimator",
     "run_single",
     "run_rmse_experiment",
-    "recompute_reference",
     "per_run_seed",
 ]
 
@@ -265,24 +265,33 @@ def _one_blas_thread_env():
                 os.environ[var] = value
 
 
-def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
+def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
                         seed: int, jobs: int = 1) -> RmseTable:
-    """Seeded replication study: per-m relative RMSE, bias, CoV, eval budgets.
+    """Seeded replication study of each of `methods` on the benchmark case
+    `case_name`: per-(method, m) relative RMSE, bias, CoV, eval budgets.
 
-    Per-run substreams make parallel and serial execution produce identical
+    Rows come per method in the given order, with m ascending. All runs go
+    through one pool of `jobs` workers (inline when `jobs` is 1), and per-run
+    substreams make parallel and serial execution produce identical
     statistics. A run that raised or is degenerate is excluded and counted
     in its row's `failures`, and its per-run `error` says which (the
-    message, or "degenerate"); every m keeps its row, with no statistics
-    when no run is usable. Warnings raised in a
-    run, in this process or in a worker, are issued again here, in run order.
-    A repeated m raises ValueError.
+    message, or "degenerate"); every row stays, with no statistics when no
+    run is usable. Warnings raised in a run, in this process or in a worker,
+    are issued again here, in run order. An unknown case, fewer than two
+    runs, or a repeated method or m raises ValueError before any run.
     """
+    if case_name not in CASES:
+        raise ValueError(f"unknown case {case_name!r}")
     if runs < 2:
         raise ValueError("need runs >= 2")
-    m_values = [int(m) for m in m_values]
-    if len(set(m_values)) != len(m_values):
-        raise ValueError(f"m values must be distinct, got {m_values}")
-    tasks = [(case.name, method, m, r, seed) for m in m_values for r in range(runs)]
+    methods = list(methods)
+    m_values = sorted(int(m) for m in m_values)
+    for what, values in (("methods", methods), ("m values", m_values)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{what} must be distinct, got {values}")
+    ref = CASES[case_name]().alpha_ref
+    tasks = [(case_name, method, m, r, seed)
+             for method in methods for m in m_values for r in range(runs)]
     if jobs > 1:
         with _worker_pool(jobs) as pool:
             results = list(pool.map(_study_run, tasks, chunksize=1))
@@ -293,17 +302,15 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
             warnings.warn(message, category, stacklevel=2)
 
     table = RmseTable()
-    by_m: dict[int, list[tuple[int, EstimationResult, float]]] = {}
-    for (_, _, m, r, _), (res, wall_ms, _) in zip(tasks, results):
-        by_m.setdefault(m, []).append((r, res, wall_ms))
-    for m in sorted(by_m):
-        runs_m = sorted(by_m[m], key=lambda t: t[0])
-        good = [(res, wall_ms) for _, res, wall_ms in runs_m
+    for start in range(0, len(tasks), runs):
+        _, method, m, _, _ = tasks[start]
+        block = [(res, wall_ms) for res, wall_ms, _ in results[start:start + runs]]
+        good = [(res, wall_ms) for res, wall_ms in block
                 if res.error is None and not res.degenerate]
-        failures = len(runs_m) - len(good)
-        for r, res, wall_ms in runs_m:
+        failures = runs - len(good)
+        for r, (res, wall_ms) in enumerate(block):
             table.per_run.append(RunRow(
-                method=method, case=case.name, m=m, run=r,
+                method=method, case=case_name, m=m, run=r,
                 alpha_hat=res.alpha_hat, delta_hat=res.delta_hat,
                 n_total=res.n_total, n_reported=res.n_reported,
                 n_init=res.n_initial, n_intermediate=res.n_intermediate,
@@ -312,18 +319,17 @@ def run_rmse_experiment(case: BenchmarkCase, method: str, m_values, runs: int,
                 wall_ms=wall_ms,
             ))
         if not good:
-            table.rows.append(RmseRow(method=method, case=case.name, m=m, runs=0,
+            table.rows.append(RmseRow(method=method, case=case_name, m=m, runs=0,
                                       failures=failures))
             continue
         est = np.array([res.alpha_hat for res, _ in good])
         walls = np.array([wall_ms for _, wall_ms in good])
-        ref = case.alpha_ref
         mean_est = float(est.mean())
         rel_rmse = float(np.sqrt(np.mean((est - ref) ** 2)) / ref)
         rel_abs_bias = float(abs(mean_est - ref) / ref)
         cov = float(est.std(ddof=1) / mean_est) if mean_est > 0 else float("nan")
         table.rows.append(RmseRow(
-            method=method, case=case.name, m=m, runs=len(good), failures=failures,
+            method=method, case=case_name, m=m, runs=len(good), failures=failures,
             mean_est=mean_est, rel_rmse=rel_rmse, rel_abs_bias=rel_abs_bias, cov=cov,
             n_evals_mean=float(np.mean([res.n_reported for res, _ in good])),
             n_evals_init=float(np.mean([res.n_initial for res, _ in good])),
@@ -347,14 +353,3 @@ def _study_run(task) -> tuple[EstimationResult, float, list[tuple[type, str]]]:
             wall_ms = float("nan")
     return res, wall_ms, [(w.category, str(w.message)) for w in caught]
 
-
-def recompute_reference(case: BenchmarkCase, m: int = 1_000_000, runs: int = 10,
-                        seed: int = 20260809) -> tuple[float, float]:
-    """Cheaper reference check: mean and CoV of `runs` ss runs at p0 = 0.1."""
-    cfg = SubsetSimConfig(m=m, m0=int(round(0.1 * m)))
-    ests = []
-    for r in range(runs):
-        s = per_run_seed(seed, case.name, "ss-ref", m, r)
-        ests.append(run_subset_simulation(case.problem, cfg, s).alpha_hat)
-    arr = np.array(ests)
-    return float(arr.mean()), float(arr.std(ddof=1) / arr.mean())

@@ -15,27 +15,14 @@ import platform
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bench import (CASES, RmseTable, csv_table, recompute_reference, run_estimator,
-                    run_rmse_experiment)
+from .bench import CASES, csv_table, run_estimator, run_rmse_experiment
 from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
                    kernel_threads)
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
 _METHODS = ("mc", "ss", "bss")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"unserializable {type(obj)!r}")
 
 
 def _load_custom_problem(spec: dict) -> Problem:
@@ -47,7 +34,10 @@ def _load_custom_problem(spec: dict) -> Problem:
         if not isinstance(direction, str):
             raise TypeError(f"direction must be 'above' or 'below', got {direction!r}")
         direction = Direction(direction.lower())
-        fn = compile_limit_state(spec["limit_state"], law.dim)
+        expression = spec["limit_state"]
+        if not isinstance(expression, str):
+            raise TypeError(f"limit_state must be an expression string, got {expression!r}")
+        fn = compile_limit_state(expression, law.dim)
         return Problem(
             limit_state=fn,
             input=law,
@@ -64,19 +54,22 @@ def _resolve_problem(name: str) -> tuple[Problem, dict]:
     if name in CASES:
         return CASES[name]().problem, {"case": name}
     if name.startswith("file:"):
-        path = Path(name[5:])
-        if not path.exists():
-            raise ConfigError(f"problem file not found: {path}")
-        spec = _read_json(path)
+        spec = _read_json(Path(name[5:]), "--problem")
         return _load_custom_problem(spec), {"custom": spec}
     raise ConfigError(f"unknown problem {name!r} (expected a case name or file:<path>)")
 
 
-def _read_json(path: Path):
+def _read_json(path: Path, flag: str):
+    """The JSON document in the file `flag` names; a path that is not a
+    readable UTF-8 file is a configuration error naming `flag`."""
+    if not path.is_file():
+        raise ConfigError(f"{flag}: {path} is not a file")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+        raise ConfigError(f"{flag}: {path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from None
 
 
 def _write_trace(path: str, result, dim: int) -> None:
@@ -97,7 +90,7 @@ def cmd_estimate(args) -> int:
                                         args.m, args.p0, args.seed)
     if args.trace:
         _write_trace(args.trace, result, problem.dim)
-    text = json.dumps(manifest, indent=2, default=_json_default)
+    text = json.dumps(manifest, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -148,10 +141,7 @@ def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
 
 
 def _cmd_replay(args) -> int:
-    path = Path(args.replay)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    manifest = _read_json(path)
+    manifest = _read_json(Path(args.replay), "--replay")
     if not isinstance(manifest, dict):
         raise ConfigError(f"manifest must be a JSON object, not {type(manifest).__name__}")
     if manifest.get("schema") != SCHEMA_VERSION:
@@ -178,7 +168,7 @@ def _cmd_replay(args) -> int:
     except TypeError as exc:
         raise ConfigError(f"invalid manifest: {exc}") from None
     new, _ = _run_to_manifest(method, problem, problem_spec, m, p0, seed)
-    print(json.dumps(new, indent=2, default=_json_default))
+    print(json.dumps(new, indent=2))
     new_alpha = new["result"]["alpha_hat"]
     if new_alpha != old_alpha:
         print(f"replay mismatch: alpha_hat {new_alpha!r} != recorded {old_alpha!r}",
@@ -198,17 +188,6 @@ def cmd_benchmark(args) -> int:
         raise ConfigError(f"unknown case {args.case!r}")
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    case = CASES[args.case]()
-    if args.recompute_reference:
-        if args.ref_runs < 2:
-            raise ConfigError("--ref-runs must be >= 2")
-        mean, cov = recompute_reference(case, m=args.ref_m, runs=args.ref_runs, seed=args.seed)
-        print(json.dumps({
-            "case": args.case, "alpha_ref_table": case.alpha_ref,
-            "alpha_recomputed_mean": mean, "recomputed_cov": cov,
-            "m": args.ref_m, "runs": args.ref_runs,
-        }, indent=2))
-        return 0
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in _METHODS:
@@ -224,13 +203,12 @@ def cmd_benchmark(args) -> int:
         if repeated:
             raise ConfigError(f"{flag} repeats {', '.join(map(str, repeated))}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir: cannot make directory {out_dir}: {exc.strerror}") from None
 
-    study = RmseTable()
-    for method in methods:
-        table = run_rmse_experiment(case, method, m_values, args.runs, args.seed, jobs=args.jobs)
-        study.rows.extend(table.rows)
-        study.per_run.extend(table.per_run)
+    study = run_rmse_experiment(args.case, methods, m_values, args.runs, args.seed, jobs=args.jobs)
     (out_dir / "rmse.csv").write_text(study.to_csv(), encoding="utf-8")
     (out_dir / "runs.csv").write_text(study.per_run_csv(), encoding="utf-8")
     print((out_dir / "rmse.csv").read_text(encoding="utf-8"), end="")
@@ -264,10 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out-dir", dest="out_dir", default="bench-out")
     ben.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    ben.add_argument("--recompute-reference", action="store_true",
-                     help="sanity-check the reference value with subset simulation")
-    ben.add_argument("--ref-m", type=int, default=1_000_000)
-    ben.add_argument("--ref-runs", type=int, default=10)
     ben.set_defaults(fn=cmd_benchmark)
     return parser
 

@@ -10,6 +10,8 @@ dynamic code loading).
 from __future__ import annotations
 
 import ast
+import functools
+import operator
 from typing import Callable
 
 import numpy as np
@@ -33,6 +35,10 @@ _BINOPS = {
     ast.Pow: np.power,
 }
 
+_UNARYOPS = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+_FOLDS = {"min": np.minimum, "max": np.maximum}
+
 
 class ExprError(ValueError):
     """The expression is not part of the supported language."""
@@ -45,48 +51,58 @@ def compile_limit_state(expression: str, dim: int):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExprError(f"cannot parse expression: {exc}") from None
-    _validate(tree.body, dim)
+    evaluate = _compile(tree.body, dim)
 
     def limit_state(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != dim:
             raise ValueError(f"expected {dim} input columns, got {x.shape[1]}")
-        out = _eval(tree.body, x)
-        return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],)).copy()
+        return np.broadcast_to(np.asarray(evaluate(x), dtype=float), (x.shape[0],)).copy()
 
-    limit_state.expression = expression
     return limit_state
 
 
-def _validate(node: ast.AST, dim: int) -> None:
+def _compile(node: ast.AST, dim: int) -> Callable:
+    """Check `node` against the language and return its evaluator, x -> value."""
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExprError(f"literal {node.value!r} is not a number")
-    elif isinstance(node, ast.Name):
-        if not _var_index(node.id, dim):
+        value = float(node.value)
+        return lambda x: value
+    if isinstance(node, ast.Name):
+        i = _var_index(node.id, dim)
+        if i is None:
             raise ExprError(f"unknown variable {node.id!r} (expected x1..x{dim})")
-    elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+        return lambda x: x[:, i - 1]
+    if isinstance(node, ast.BinOp):
+        op = _BINOPS.get(type(node.op))
+        if op is None:
             raise ExprError(f"operator {type(node.op).__name__} not supported")
-        _validate(node.left, dim)
-        _validate(node.right, dim)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+        left, right = _compile(node.left, dim), _compile(node.right, dim)
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, ast.UnaryOp):
+        op = _UNARYOPS.get(type(node.op))
+        if op is None:
             raise ExprError(f"unary operator {type(node.op).__name__} not supported")
-        _validate(node.operand, dim)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in set(_FUNCS) | {"min", "max"}:
+        operand = _compile(node.operand, dim)
+        return lambda x: op(operand(x))
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _FUNCS and name not in _FOLDS:
             raise ExprError("only min, max, abs, sin, cos, sqrt, exp, log calls are allowed")
         if node.keywords:
             raise ExprError("keyword arguments are not supported")
-        if node.func.id in ("min", "max") and len(node.args) < 2:
-            raise ExprError(f"{node.func.id} needs at least two arguments")
-        if node.func.id in _FUNCS and len(node.args) != 1:
-            raise ExprError(f"{node.func.id} takes exactly one argument")
-        for arg in node.args:
-            _validate(arg, dim)
-    else:
-        raise ExprError(f"syntax {type(node).__name__} not supported")
+        if name in _FOLDS and len(node.args) < 2:
+            raise ExprError(f"{name} needs at least two arguments")
+        if name in _FUNCS and len(node.args) != 1:
+            raise ExprError(f"{name} takes exactly one argument")
+        args = [_compile(arg, dim) for arg in node.args]
+        if name in _FOLDS:
+            fold = _FOLDS[name]
+            return lambda x: functools.reduce(fold, [arg(x) for arg in args])
+        fn, (arg,) = _FUNCS[name], args
+        return lambda x: fn(arg(x))
+    raise ExprError(f"syntax {type(node).__name__} not supported")
 
 
 def _var_index(name: str, dim: int) -> int | None:
@@ -95,29 +111,3 @@ def _var_index(name: str, dim: int) -> int | None:
         if 1 <= i <= dim:
             return i
     return None
-
-
-def _eval(node: ast.AST, x: np.ndarray):
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    if isinstance(node, ast.Name):
-        return x[:, int(node.id[1:]) - 1]
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, x), _eval(node.right, x))
-    if isinstance(node, ast.UnaryOp):
-        val = _eval(node.operand, x)
-        return -val if isinstance(node.op, ast.USub) else +val
-    if isinstance(node, ast.Call):
-        args = [_eval(a, x) for a in node.args]
-        if node.func.id == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if node.func.id == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        return _FUNCS[node.func.id](args[0])
-    raise ExprError(f"syntax {type(node).__name__} not supported")  # pragma: no cover

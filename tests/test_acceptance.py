@@ -358,11 +358,11 @@ def benchmark_study():
     jobs = len(os.sched_getaffinity(0))
     study = {}
     study["four-branch"] = run_rmse_experiment(
-        four_branch(), "bss", [500, 1000, 2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
+        "four-branch", ["bss"], [500, 1000, 2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     study["cantilever"] = run_rmse_experiment(
-        cantilever_beam(), "bss", [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
+        "cantilever", ["bss"], [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     study["oscillator"] = run_rmse_experiment(
-        nonlinear_oscillator(), "bss", [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
+        "oscillator", ["bss"], [2000], runs=20, seed=_STUDY_SEED, jobs=jobs)
     return study
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from failprob import bench
 from failprob.bench import (
     CASES,
     BenchmarkCase,
@@ -142,8 +143,7 @@ class TestRmseExperiment:
         CASES.pop("toy", None)
 
     def test_mc_rrmse_matches_bernoulli_error(self):
-        case = _toy_case(0.5)
-        table = run_rmse_experiment(case, "mc", [10_000], runs=100, seed=5)
+        table = run_rmse_experiment("toy", ["mc"], [10_000], runs=100, seed=5)
         row = table.rows[0]
         want = math.sqrt((1 - 0.5) / (0.5 * 10_000))
         assert row.rel_rmse == pytest.approx(want, rel=0.30)
@@ -151,17 +151,15 @@ class TestRmseExperiment:
         assert row.n_evals_mean == 10_000
 
     def test_ss_rrmse_tracks_approximation(self):
-        CASES["toy"] = lambda: _toy_case(1e-3)  # dispatch is by case name
-        case = _toy_case(1e-3)
-        table = run_rmse_experiment(case, "ss", [2000], runs=30, seed=6)
+        CASES["toy"] = lambda: _toy_case(1e-3)
+        table = run_rmse_experiment("toy", ["ss"], [2000], runs=30, seed=6)
         row = table.rows[0]
         T = math.ceil(math.log(1e-3) / math.log(0.1))
         want = math.sqrt(T * 0.9 / (0.1 * 2000))
         assert want / 2 <= row.rel_rmse <= want * 2
 
     def test_csv_schema(self):
-        case = _toy_case(0.5)
-        table = run_rmse_experiment(case, "mc", [1000, 2000], runs=3, seed=7)
+        table = run_rmse_experiment("toy", ["mc"], [1000, 2000], runs=3, seed=7)
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == (
             "method,case,m,runs,failures,mean_est,rel_rmse,rel_abs_bias,cov,"
@@ -176,7 +174,27 @@ class TestRmseExperiment:
     def test_repeated_m_rejected(self):
         # a repeated m would pool its runs into one row, each seed twice
         with pytest.raises(ValueError, match="distinct"):
-            run_rmse_experiment(_toy_case(0.5), "mc", [1000, 1000], runs=3, seed=7)
+            run_rmse_experiment("toy", ["mc"], [1000, 1000], runs=3, seed=7)
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            run_rmse_experiment("toy", ["mc", "ss", "mc"], [1000], runs=3, seed=7)
+
+    def test_unknown_case_raises_before_any_run(self, monkeypatch):
+        def no_run(task):
+            raise AssertionError(f"ran {task}")
+
+        monkeypatch.setattr(bench, "_study_run", no_run)
+        with pytest.raises(ValueError, match="unknown case 'nope'"):
+            run_rmse_experiment("nope", ["mc"], [100], runs=2, seed=0)
+
+    def test_unsorted_m_values_give_ascending_rows(self):
+        table = run_rmse_experiment("toy", ["mc", "ss"], [2000, 500, 1000], runs=2, seed=7)
+        assert [(r.method, r.m) for r in table.rows] == [
+            (method, m) for method in ("mc", "ss") for m in (500, 1000, 2000)]
+        assert [(r.method, r.m, r.run) for r in table.per_run] == [
+            (method, m, run) for method in ("mc", "ss") for m in (500, 1000, 2000)
+            for run in range(2)]
 
     def test_csv_quotes_cells_with_commas(self):
         text = csv_table(["a", "b"], [["x, y", 1], [None, 0.5]])
@@ -185,28 +203,57 @@ class TestRmseExperiment:
     def test_parallel_equals_serial(self):
         # worker processes re-import the case registry, so use a real case;
         # wall-clock columns are excluded (timing is not deterministic)
-        case = cantilever_beam()
-
-        def strip_wall(csv):
-            return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
-
         def study(method, m, runs, jobs):
             # warnings raised in worker processes reach this one, in run order
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                table = run_rmse_experiment(case, method, [m], runs=runs, seed=8, jobs=jobs)
+                table = run_rmse_experiment("cantilever", [method], [m], runs=runs, seed=8,
+                                            jobs=jobs)
             return table, [(w.category, str(w.message)) for w in caught]
 
         env = dict(os.environ)
         for method, m, runs in (("mc", 2000, 6), ("bss", 300, 2)):
             t1, warned1 = study(method, m, runs, 1)
             t2, warned2 = study(method, m, runs, 2)
-            assert strip_wall(t1.to_csv()) == strip_wall(t2.to_csv())
-            assert strip_wall(t1.per_run_csv()) == strip_wall(t2.per_run_csv())
+            assert _strip_wall(t1.to_csv()) == _strip_wall(t2.to_csv())
+            assert _strip_wall(t1.per_run_csv()) == _strip_wall(t2.per_run_csv())
             assert warned1 == warned2
             if method == "bss":
                 assert warned1, "expected ReML warnings from the bss runs"
         assert dict(os.environ) == env
+
+    def test_two_method_call_equals_one_method_calls(self):
+        # one call over both methods gives the rows, per-run rows and warnings
+        # of the two one-method calls in turn, at any `jobs`
+        def study(methods, jobs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = run_rmse_experiment("cantilever", methods, [400, 300], runs=2, seed=8,
+                                            jobs=jobs)
+            return (_strip_wall(table.to_csv()), _strip_wall(table.per_run_csv()),
+                    [(w.category, str(w.message)) for w in caught])
+
+        mc, bss = study(["mc"], 1), study(["bss"], 1)
+        assert bss[2], "expected ReML warnings from the bss runs"
+        want = (mc[0] + bss[0][1:], mc[1] + bss[1][1:], mc[2] + bss[2])
+        for jobs in (1, 2):
+            assert study(["mc", "bss"], jobs) == want
+
+    def test_worker_pool_entered_once_per_call(self, monkeypatch):
+        entered = []
+        pool = bench._worker_pool
+
+        def counting_pool(jobs):
+            entered.append(jobs)
+            return pool(jobs)
+
+        monkeypatch.setattr(bench, "_worker_pool", counting_pool)
+        table = run_rmse_experiment("cantilever", ["mc", "ss"], [500, 300], runs=2, seed=3,
+                                    jobs=2)
+        assert entered == [2]
+        assert len(table.rows) == 4 and len(table.per_run) == 8
+        run_rmse_experiment("cantilever", ["mc", "ss"], [300], runs=2, seed=3)
+        assert entered == [2]
 
     def test_worker_blas_env_is_restored(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
@@ -229,8 +276,7 @@ class TestRmseExperiment:
             alpha_ref_cov=0.0,
         )
         try:
-            case = CASES["broken"]()
-            table = run_rmse_experiment(case, "mc", [100], runs=3, seed=9)
+            table = run_rmse_experiment("broken", ["mc"], [100], runs=3, seed=9)
             assert table.rows[0].failures > 0
         finally:
             CASES.pop("broken", None)
@@ -242,3 +288,8 @@ class TestRmseExperiment:
         assert wall_ms > 0.0
         with pytest.raises(ValueError):
             run_single("toy", "nope", 100, 0, 0)
+
+
+def _strip_wall(csv):
+    """CSV lines without their trailing wall-clock column."""
+    return [line.rsplit(",", 1)[0] for line in csv.splitlines()]

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy
 
-from failprob.cli import main
+from failprob.bench import CASES
+from failprob.cli import _run_to_manifest, main
 from failprob.core import kernel_threads
 from failprob.expr import ExprError, compile_limit_state
 
@@ -46,7 +47,8 @@ class TestExpressionLanguage:
             compile_limit_state("x3 + 1", 2)
 
     def test_dangerous_syntax_rejected(self):
-        for bad in ("__import__('os')", "x1.real", "lambda: 0", "[1,2]", "x1 if 1 else 0"):
+        for bad in ("__import__('os')", "x1.real", "lambda: 0", "[1,2]", "x1 if 1 else 0",
+                    "True * x1"):
             with pytest.raises(ExprError):
                 compile_limit_state(bad, 1)
 
@@ -156,6 +158,21 @@ class TestEstimateCommand:
         ])
         assert code == 2 and out == ""
         assert "config error: invalid problem file: direction must be" in err
+
+    @pytest.mark.parametrize("limit_state", [5, None])
+    def test_non_string_limit_state_exit_2(self, capsys, tmp_path, limit_state):
+        spec = {
+            "marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}],
+            "threshold": 2.0,
+            "limit_state": limit_state,
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
+        ])
+        assert code == 2 and out == ""
+        assert "config error: invalid problem file: limit_state must be" in err
 
     def test_bad_expression_exit_2(self, capsys, tmp_path):
         spec = {
@@ -300,6 +317,22 @@ class TestEstimateCommand:
         ])
         assert code == 2 and "not UTF-8" in err
 
+    def test_directory_as_input_file_exit_2(self, capsys, tmp_path):
+        for argv, flag in (
+                (["--method", "mc", "--problem", f"file:{tmp_path}", "--m", "10", "--seed", "0"],
+                 "--problem"),
+                (["--replay", str(tmp_path)], "--replay")):
+            code, out, err = _run(capsys, ["estimate", *argv])
+            assert code == 2 and out == ""
+            assert f"config error: {flag}: {tmp_path} is not a file" in err
+
+    @pytest.mark.parametrize("method,m", [("mc", 1000), ("ss", 500), ("bss", 400)])
+    def test_manifest_is_plain_json(self, method, m):
+        # a numpy scalar in a result would make json.dumps raise here
+        manifest, _ = _run_to_manifest(method, CASES["cantilever"]().problem,
+                                       {"case": "cantilever"}, m, 0.1, 1)
+        json.dumps(manifest)
+
     def test_negative_seed_exit_2(self, capsys):
         code, _, err = _run(capsys, [
             "estimate", "--method", "mc", "--problem", "cantilever", "--m", "10", "--seed", "-1",
@@ -388,13 +421,12 @@ class TestBenchmarkCommand:
         assert code == 2
         assert "failprob estimate" in err and "'benchmark'" in err
 
-    def test_ref_runs_below_two_exit_2(self, capsys):
-        # one run has no CoV and zero runs no mean: NaN is not valid JSON
-        for runs in ("0", "1"):
-            code, out, err = _run(capsys, [
-                "benchmark", "--case", "cantilever", "--recompute-reference",
-                "--ref-m", "2000", "--ref-runs", runs,
-            ])
-            assert code == 2
-            assert "--ref-runs" in err
-            assert out == ""
+    def test_out_dir_is_a_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "f"
+        path.write_text("")
+        code, out, err = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--methods", "mc",
+            "--m-list", "1000", "--runs", "2", "--out-dir", str(path),
+        ])
+        assert code == 2 and out == ""
+        assert f"config error: --out-dir: cannot make directory {path}" in err

@@ -13,7 +13,7 @@ import pytest
 
 import failprob
 from failprob import bss, estimators, smc
-from failprob.bench import run_estimator
+from failprob.bench import run_estimator, run_rmse_experiment
 from failprob.bss import BssConfig, run_bss
 from failprob.core import InputDistribution
 from failprob.design import maximin_lhs
@@ -71,3 +71,5 @@ def test_entry_point_parameters():
     assert _parameters(run_bss) == ["problem", "config", "seed"]
     assert _parameters(maximin_lhs) == ["n0", "lower", "upper", "q_candidates", "rng"]
     assert _parameters(run_estimator) == ["problem", "method", "m", "seed", "p0=0.1"]
+    assert _parameters(run_rmse_experiment) == [
+        "case_name", "methods", "m_values", "runs", "seed", "jobs=1"]
