@@ -72,6 +72,17 @@ def _read_json(path: Path, flag: str):
         raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from None
 
 
+def _check_output(path: str | None, flag: str) -> None:
+    """Reject an output file path that cannot be written, before the run."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"{flag}: {target} is a directory")
+    if not target.parent.is_dir():
+        raise ConfigError(f"{flag}: directory {target.parent} does not exist")
+
+
 def _write_trace(path: str, result, dim: int) -> None:
     cols = ["n", *(f"x{i + 1}" for i in range(dim)), "criterion", "u_t", "stage"]
     rows = ([row["n"], *row["x_new"], row["criterion"], row["u_t"], row["stage"]]
@@ -85,6 +96,8 @@ def cmd_estimate(args) -> int:
     if args.method is None or args.problem is None or args.m is None or args.seed is None:
         raise ConfigError("--method, --problem, --m and --seed are required")
     _check_run(args.method, args.m, args.p0, args.seed)
+    _check_output(args.out, "--out")
+    _check_output(args.trace, "--trace")
     problem, problem_spec = _resolve_problem(args.problem)
     manifest, result = _run_to_manifest(args.method, problem, problem_spec,
                                         args.m, args.p0, args.seed)
@@ -157,9 +170,13 @@ def _cmd_replay(args) -> int:
         old_alpha = manifest["result"]["alpha_hat"]
         _check_run(method, m, p0, seed, keys=("method", "config.m", "config.p0", "seed"))
         if "case" in spec:
-            if not isinstance(spec["case"], str):
-                raise ConfigError(f"problem.case must be a string, not {spec['case']!r}")
-            problem, problem_spec = _resolve_problem(spec["case"])
+            case = spec["case"]
+            if not isinstance(case, str):
+                raise ConfigError(f"problem.case must be a string, not {case!r}")
+            if case not in CASES:
+                raise ConfigError(f"problem.case must name a benchmark case "
+                                  f"({', '.join(CASES)}), not {case!r}")
+            problem, problem_spec = CASES[case]().problem, {"case": case}
         else:
             _require_object(spec["custom"], "problem.custom")
             problem, problem_spec = _load_custom_problem(spec["custom"]), spec
@@ -189,6 +206,8 @@ def cmd_benchmark(args) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError(f"--methods must name at least one of {', '.join(_METHODS)}")
     for m in methods:
         if m not in _METHODS:
             raise ConfigError(f"unknown method {m!r}")

@@ -3,9 +3,11 @@
 The prior is a stationary anisotropic Matern covariance of regularity 5/2
 over an unknown constant mean. The mean is profiled out exactly by
 generalized least squares, so the posterior mean is the ordinary kriging
-predictor, and hyperparameters (process variance and per-dimension ranges)
-are estimated by restricted maximum likelihood with multi-start L-BFGS-B on
-the log scale, using analytic gradients. The fit calls scipy's L-BFGS-B
+predictor. The per-dimension ranges are estimated by restricted maximum
+likelihood with multi-start L-BFGS-B on the log scale, using analytic
+gradients; the process variance is profiled out too, as its closed-form
+maximizer Q/(n-1) clipped to the variance bounds, so the search runs over
+the d log-ranges only (as DiceKriging does). The fit calls scipy's L-BFGS-B
 routine (`setulb`) directly, with the arguments and defaults of
 `scipy.optimize.minimize(method="L-BFGS-B")` in scipy 1.17, so it takes the
 same iterates without that wrapper's per-call cost.
@@ -203,14 +205,21 @@ class GpModel:
         return float(out[0]) if single else out
 
 
-def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
-    """Negative restricted log-likelihood and gradient.
+def reml_objective(design_points, design_values, log_ranges, *, neg_sq_diffs, sigma2_bounds):
+    """Negative restricted log-likelihood, its gradient in the log-ranges,
+    and the profiled process variance.
 
-    Coordinates are (log sigma2, log rho_1, ..., log rho_d). The constant
-    mean is profiled out exactly, which removes one degree of freedom: the
+    Coordinates are (log rho_1, ..., log rho_d). The constant mean is
+    profiled out exactly, which removes one degree of freedom, and so is
+    the process variance: with Q the GLS quadratic form, sigma2 is
+    Q / (n-1), its maximizer, clipped to `sigma2_bounds` = (lo, hi). The
     objective is 0.5 * [(n-1) log 2 pi + (n-1) log sigma2 + log|R|
-    + log(1' R^-1 1) + Q / sigma2] with Q the GLS quadratic form; R has
-    `DEFAULT_JITTER` (read at call time) on its diagonal.
+    + log(1' R^-1 1) + Q / sigma2] at that sigma2; R has `DEFAULT_JITTER`
+    (read at call time) on its diagonal. The range gradient is the full
+    one at fixed sigma2, which is exact for the profiled objective: its
+    sigma2-derivative vanishes at an interior maximizer, and a clipped
+    sigma2 is constant. Returns (nll, grad, sigma2); where R is not
+    positive definite, (1e14, zeros, hi).
 
     `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2 from
     `_neg_sq_diffs(X)`, which depends on the design only; `fit_reml`
@@ -220,12 +229,11 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
-    lp = np.asarray(log_params, dtype=float)
+    ranges = np.exp(np.asarray(log_ranges, dtype=float))
     n, d = X.shape
-    sigma2 = math.exp(lp[0])
-    ranges = np.exp(lp[1:])
     if ranges.shape[0] != d:
-        raise ValueError("log_params must have length 1 + d")
+        raise ValueError("log_ranges must have length d")
+    lo, hi = sigma2_bounds
 
     Z = X / ranges
     t = _SQRT10 * cdist(Z, Z)
@@ -235,7 +243,7 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     try:
         c = _chol(R)
     except np.linalg.LinAlgError:
-        return 1e14, np.zeros(d + 1)
+        return 1e14, np.zeros(d), hi
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     ones = np.ones(n)
     v = _chol_solve(c, ones)
@@ -244,11 +252,12 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     resid = y - mu
     a = _chol_solve(c, resid)
     Q = float(resid @ a)
+    sigma2 = min(max(Q / (n - 1), lo), hi)
 
-    nll = 0.5 * ((n - 1) * _LOG_2PI + (n - 1) * lp[0] + logdet + math.log(oro) + Q / sigma2)
+    nll = 0.5 * ((n - 1) * _LOG_2PI + (n - 1) * math.log(sigma2) + logdet + math.log(oro)
+                 + Q / sigma2)
 
-    grad = np.empty(d + 1)
-    grad[0] = 0.5 * ((n - 1) - Q / sigma2)
+    grad = np.empty(d)
     Rinv = _chol_solve(c, np.eye(n))
     # dR/d rho_k = kappa'(h)/h * (-(x_ik - x_jk)^2 / rho_k^3), all k at once;
     # rho_k^3 as scalar powers, the operation the per-k form used
@@ -264,8 +273,8 @@ def reml_objective(design_points, design_values, log_params, *, neg_sq_diffs):
     for k in range(d):
         d_oro = -float(vR[k] @ v) / oro
         d_quad = -float(aR[k] @ a)
-        grad[1 + k] = 0.5 * (float(traces[k]) + d_oro + d_quad / sigma2) * ranges[k]
-    return nll, grad
+        grad[k] = 0.5 * (float(traces[k]) + d_oro + d_quad / sigma2) * ranges[k]
+    return nll, grad, sigma2
 
 
 def _neg_sq_diffs(X: np.ndarray) -> np.ndarray:
@@ -330,16 +339,18 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
              init: CovarianceHyperparams | None = None) -> CovarianceHyperparams:
     """Estimate (sigma2, ranges) by multi-start quasi-Newton ReML.
 
-    The starts are `init` if given, the span, then random ranges from `rng`.
-    Returns the best local maximizer found; if no start converges, the best iterate
-    is returned with converged=False and a warning. Range bounds are
-    [1e-3, 1e3] times the design span per dimension; variance bounds are
-    relative to var(y) so the estimate scales correctly with the data.
+    L-BFGS-B searches the d log-ranges; `reml_objective` profiles sigma2
+    out, and the fit returns the sigma2 of its best iterate. The starts are
+    `init.ranges` if given, half the span, then random ranges from `rng`.
+    Returns the best local maximizer found; if no start converges, the best
+    iterate is returned with converged=False and a warning. Range bounds
+    are [1e-3, 1e3] times the design span per dimension; sigma2 is clipped
+    to [1e-10, 1e6] times var(y), so the estimate scales with the data.
 
     L-BFGS-B asks again for points it has already evaluated (line-search
     restarts, and across starts), so the objective is memoized for the fit,
-    keyed by the bytes of the log-parameters: a repeat gets the same value
-    and a copy of the same gradient, and the optimizer the same bits. Each
+    keyed by the bytes of the log-ranges: a repeat gets the same value and
+    a copy of the same gradient, and the optimizer the same bits. Each
     start runs `_lbfgsb`, the L-BFGS-B loop of `scipy.optimize.minimize`.
     """
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
@@ -359,26 +370,30 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
         floor = (1e-8 * (1.0 + abs(float(np.mean(y))))) ** 2
         return CovarianceHyperparams(sigma2=floor, ranges=span.copy())
 
-    lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
-    ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
+    sigma2_bounds = (1e-10 * s2y, 1e6 * s2y)
+    lb = np.log(1e-3 * span)
+    ub = np.log(1e3 * span)
 
     starts: list[np.ndarray] = []
     if init is not None:
-        starts.append(np.concatenate([[math.log(init.sigma2)], np.log(init.ranges)]))
-    starts.append(np.concatenate([[math.log(s2y)], np.log(span / 2.0)]))
+        starts.append(np.log(init.ranges))
+    starts.append(np.log(span / 2.0))
     while len(starts) < n_starts:
-        logr = np.log(span) + rng.uniform(math.log(0.1), math.log(10.0), size=d)
-        starts.append(np.concatenate([[math.log(s2y)], logr]))
+        starts.append(np.log(span) + rng.uniform(math.log(0.1), math.log(10.0), size=d))
     starts = [np.clip(s, lb + 1e-9, ub - 1e-9) for s in starts[:n_starts]]
 
     neg_sq_diffs = _neg_sq_diffs(X)
     memo: dict[bytes, tuple] = {}
 
-    def objective(lp):
-        key = lp.tobytes()
+    def evaluate(log_ranges):
+        key = log_ranges.tobytes()
         if key not in memo:  # looked up at call time, so a tracer can wrap reml_objective
-            memo[key] = reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
-        nll, grad = memo[key]
+            memo[key] = reml_objective(X, y, log_ranges, neg_sq_diffs=neg_sq_diffs,
+                                       sigma2_bounds=sigma2_bounds)
+        return memo[key]
+
+    def objective(log_ranges):
+        nll, grad, _ = evaluate(log_ranges)
         return nll, grad.copy()
 
     best = None
@@ -395,5 +410,5 @@ def fit_reml(design_points, design_values, rng: np.random.Generator, n_starts: i
     if not any_success:
         warnings.warn("ReML optimizer did not converge; returning best iterate")
     return CovarianceHyperparams(
-        sigma2=math.exp(best[0]), ranges=np.exp(best[1:]), converged=any_success
+        sigma2=evaluate(best)[2], ranges=np.exp(best), converged=any_success
     )

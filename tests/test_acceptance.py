@@ -124,16 +124,18 @@ def test_acceptance_2_gp_identities():
         n = int(rng.integers(d + 4, 30))
         X = _acc_design(rng, n, d)
         y = np.sin(X @ rng.uniform(0.5, 2.0, d))
-        lp = np.concatenate([[math.log(rng.uniform(0.3, 2.0))],
-                             np.log(rng.uniform(0.5, 2.0, d))])
+        rng.uniform(0.3, 2.0)  # the variance draw of the (d + 1)-parameter objective
+        lr = np.log(rng.uniform(0.5, 2.0, d))
         nsd = _neg_sq_diffs(X)
-        _, g = reml_objective(X, y, lp, neg_sq_diffs=nsd)
+        s2y = float(np.var(y, ddof=1))
+        bounds = (1e-10 * s2y, 1e6 * s2y)  # fit_reml's variance bounds
+        _, g, _ = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=bounds)
         eps = 1e-5
-        for i in range(d + 1):
+        for i in range(d):
             def f_at(delta, _i=i):
-                v = lp.copy()
+                v = lr.copy()
                 v[_i] += delta
-                return reml_objective(X, y, v, neg_sq_diffs=nsd)[0]
+                return reml_objective(X, y, v, neg_sq_diffs=nsd, sigma2_bounds=bounds)[0]
 
             fd = (8 * (f_at(eps) - f_at(-eps)) - (f_at(2 * eps) - f_at(-2 * eps))) / (12 * eps)
             worst_grad = max(worst_grad, abs(g[i] - fd) / max(abs(fd), 1e-10))

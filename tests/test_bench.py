@@ -202,12 +202,13 @@ class TestRmseExperiment:
 
     def test_parallel_equals_serial(self):
         # worker processes re-import the case registry, so use a real case;
-        # wall-clock columns are excluded (timing is not deterministic)
+        # wall-clock columns are excluded (timing is not deterministic).
+        # Seed 11 is one whose bss runs raise a ReML warning
         def study(method, m, runs, jobs):
             # warnings raised in worker processes reach this one, in run order
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                table = run_rmse_experiment("cantilever", [method], [m], runs=runs, seed=8,
+                table = run_rmse_experiment("cantilever", [method], [m], runs=runs, seed=11,
                                             jobs=jobs)
             return table, [(w.category, str(w.message)) for w in caught]
 
@@ -224,11 +225,12 @@ class TestRmseExperiment:
 
     def test_two_method_call_equals_one_method_calls(self):
         # one call over both methods gives the rows, per-run rows and warnings
-        # of the two one-method calls in turn, at any `jobs`
+        # of the two one-method calls in turn, at any `jobs`; seed 11 is one
+        # whose bss runs raise a ReML warning
         def study(methods, jobs):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                table = run_rmse_experiment("cantilever", methods, [400, 300], runs=2, seed=8,
+                table = run_rmse_experiment("cantilever", methods, [400, 300], runs=2, seed=11,
                                             jobs=jobs)
             return (_strip_wall(table.to_csv()), _strip_wall(table.per_run_csv()),
                     [(w.category, str(w.message)) for w in caught])

@@ -202,6 +202,18 @@ class TestEstimateCommand:
         assert lines[0] == "n,x1,x2,criterion,u_t,stage"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_path_exit_2_before_the_run(self, capsys, tmp_path, flag):
+        # a directory, and a file in a directory that does not exist
+        for path, message in ((tmp_path, f"{tmp_path} is a directory"),
+                              (tmp_path / "no" / "f", f"directory {tmp_path / 'no'} does not exist")):
+            code, out, err = _run(capsys, [
+                "estimate", "--method", "bss", "--problem", "cantilever",
+                "--m", "400", "--seed", "2", flag, str(path),
+            ])
+            assert code == 2 and out == ""  # no manifest: the run did not start
+            assert f"config error: {flag}: {message}" in err
+
     def test_replay_reproduces(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"
         _run(capsys, [
@@ -397,6 +409,16 @@ class TestBenchmarkCommand:
         assert f"config error: {flag} repeats {repeated}" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("methods", ["", ","], ids=["empty", "comma"])
+    def test_empty_method_list_exit_2(self, capsys, tmp_path, methods):
+        code, out, err = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--methods", methods,
+            "--m-list", "1000", "--runs", "2", "--out-dir", str(tmp_path / "e"),
+        ])
+        assert code == 2 and out == ""
+        assert "config error: --methods must name at least one of mc, ss, bss" in err
+        assert not (tmp_path / "e").exists()
+
     def test_missing_case_exit_2(self, capsys):
         code, _, _ = _run(capsys, ["benchmark", "--methods", "bss"])
         assert code == 2
@@ -410,6 +432,23 @@ class TestBenchmarkCommand:
         assert code == 2
         assert "--jobs" in err
         assert not (tmp_path / "c").exists()
+
+    def test_replay_case_naming_a_file_exit_2(self, capsys, tmp_path):
+        # problem.case names a benchmark case; a custom problem is recorded
+        # under problem.custom, so a "file:" case is not read as a path
+        spec = {"marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}], "threshold": 3.0,
+                "limit_state": "x1"}
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps(spec))
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "schema": 1, "command": "estimate", "method": "mc",
+            "problem": {"case": f"file:{problem}"}, "config": {"m": 100, "p0": 0.1},
+            "seed": 0, "result": {"alpha_hat": 0.0}}))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 2 and out == ""
+        assert "config error: problem.case must name a benchmark case" in err
+        assert f"not 'file:{problem}'" in err
 
     def test_replay_rejects_benchmark_manifest(self, capsys, tmp_path):
         manifest = tmp_path / "benchmark.json"

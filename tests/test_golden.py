@@ -17,11 +17,11 @@ SEED = 0
 
 GOLDEN = {
     ("four-branch", "ss", 2000): ("0x1.8a7325dc717c7p-28", 162000),
-    ("four-branch", "bss", 500): ("0x1.6919b2a605786p-28", 53),
+    ("four-branch", "bss", 500): ("0x1.6919b413b5b79p-28", 53),
     ("cantilever", "ss", 2000): ("0x1.cf0d18ed36cfbp-19", 102000),
-    ("cantilever", "bss", 500): ("0x1.f85cbf2eb86b3p-19", 22),
+    ("cantilever", "bss", 500): ("0x1.fb0bf273b87c0p-19", 22),
     ("oscillator", "ss", 2000): ("0x1.b6162f9fde600p-27", 142000),
-    ("oscillator", "bss", 500): ("0x1.16279ed28e79cp-26", 49),
+    ("oscillator", "bss", 500): ("0x1.99226b73d6c04p-27", 46),
 }
 
 # bss partial results on four-branch at m = 500, one per budget that stops
@@ -29,8 +29,8 @@ GOLDEN = {
 # upper case), then alpha_hat and delta_hat as hex, n_total and the number
 # of stage records; no benchmark run takes these exits
 PARTIAL_GOLDEN = {
-    "max_total_evaluations": (30, "0x1.5798ee22d7650p-27", "0x1.3ad8136e7ba7ap-2", 30, 8),
-    "max_stages": (2, "0x1.47ae147ad9d26p-7", "0x1.33de7335e77cdp-3", 15, 2),
+    "max_total_evaluations": (30, "0x1.5798ee22e0618p-27", "0x1.3ad813a7fc7a5p-2", 30, 8),
+    "max_stages": (2, "0x1.47ae147ad9731p-7", "0x1.33de72e53f55dp-3", 15, 2),
 }
 
 # P(four-branch < -1), about 2.4e-4: plain Monte Carlo at m = 1e5 sees

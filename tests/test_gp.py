@@ -39,6 +39,12 @@ def _random_design(rng, n, d, lo=-2.0, hi=2.0):
     return pts
 
 
+def _bounds(y):
+    """The variance bounds `fit_reml` gives the objective: [1e-10, 1e6] var(y)."""
+    s2y = float(np.var(y, ddof=1))
+    return 1e-10 * s2y, 1e6 * s2y
+
+
 def _random_model(rng, d=None, n=None):
     # smooth data (the domain is deterministic computer models): white noise
     # would blow up the interpolation weights on dense 1-D designs
@@ -208,20 +214,24 @@ class TestReml:
             n = int(rng.integers(d + 4, 25))
             X = rng.uniform(-2, 2, (n, d))
             y = rng.standard_normal(n)
-            lp = np.concatenate([[math.log(rng.uniform(0.2, 2.0))],
-                                 np.log(rng.uniform(0.4, 2.0, d))])
+            lr = np.log(rng.uniform(0.4, 2.0, d))
             nsd = _neg_sq_diffs(X)
-            _, g = reml_objective(X, y, lp, neg_sq_diffs=nsd)
-            eps = 1e-5
-            for i in range(d + 1):
-                def f_at(delta, _i=i):
-                    lp_d = lp.copy()
-                    lp_d[_i] += delta
-                    return reml_objective(X, y, lp_d, neg_sq_diffs=nsd)[0]
+            _, _, s2 = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=_bounds(y))
+            # the fit's bounds, then bounds that clip sigma2 to a constant
+            for bounds in (_bounds(y), (0.25 * s2, 0.5 * s2), (2.0 * s2, 4.0 * s2)):
+                _, g, _ = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=bounds)
+                eps = 1e-5
+                for i in range(d):
+                    def f_at(delta, _i=i, _bounds=bounds):
+                        lr_d = lr.copy()
+                        lr_d[_i] += delta
+                        return reml_objective(X, y, lr_d, neg_sq_diffs=nsd,
+                                              sigma2_bounds=_bounds)[0]
 
-                # 4th-order central difference: stiff cases need the extra order
-                fd = (8 * (f_at(eps) - f_at(-eps)) - (f_at(2 * eps) - f_at(-2 * eps))) / (12 * eps)
-                assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+                    # 4th-order central difference: stiff cases need the extra order
+                    fd = (8 * (f_at(eps) - f_at(-eps))
+                          - (f_at(2 * eps) - f_at(-2 * eps))) / (12 * eps)
+                    assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
 
     def test_range_recovery_simulation_study(self):
         # data simulated from the model itself; >= 80% of seeds recover the
@@ -251,14 +261,13 @@ class TestReml:
         X = rng.uniform(-1, 1, (12, 2))
         y = rng.standard_normal(12)
         c = 7.0
-        lp = np.array([0.1, 0.2, -0.3])
-        lp_scaled = lp.copy()
-        lp_scaled[0] += 2 * math.log(c)
+        lr = np.array([0.2, -0.3])
         nsd = _neg_sq_diffs(X)
-        f1, _ = reml_objective(X, y, lp, neg_sq_diffs=nsd)
-        f2, _ = reml_objective(X, c * y, lp_scaled, neg_sq_diffs=nsd)
+        f1, _, s1 = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=_bounds(y))
+        f2, _, s2 = reml_objective(X, c * y, lr, neg_sq_diffs=nsd, sigma2_bounds=_bounds(c * y))
         n = 12
         assert f2 == pytest.approx(f1 + (n - 1) * math.log(c), rel=1e-12)
+        assert s2 == pytest.approx(c * c * s1, rel=1e-12)
 
     def test_fitted_scaling(self):
         rng = substream(9, "gp")
@@ -280,23 +289,102 @@ class TestReml:
                      np.random.default_rng(0), n_starts=5)
 
 
+def _full_reml(X, y, log_params):
+    """Reference: the negative restricted log-likelihood in all d + 1
+    log-parameters (log sigma2, log rho_1, ..., log rho_d), from numpy's
+    dense solve and log-determinant; also returns the GLS quadratic form Q."""
+    n = X.shape[0]
+    sigma2, ranges = math.exp(log_params[0]), np.exp(log_params[1:])
+    R = matern52_corr(cdist(X / ranges, X / ranges)) + DEFAULT_JITTER * np.eye(n)
+    ones = np.ones(n)
+    v = np.linalg.solve(R, ones)
+    resid = y - (v @ y) / (ones @ v)
+    Q = resid @ np.linalg.solve(R, resid)
+    logdet = np.linalg.slogdet(R)[1]
+    nll = 0.5 * ((n - 1) * math.log(2 * math.pi * sigma2) + logdet + math.log(ones @ v)
+                 + Q / sigma2)
+    return nll, Q
+
+
+def _full_box(X, y):
+    """fit_reml's box in all d + 1 log-parameters, the variance bounds first."""
+    span = X.max(axis=0) - X.min(axis=0)
+    s2y = float(np.var(y, ddof=1))
+    lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
+    ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
+    return lb, ub
+
+
+class TestProfiledReml:
+    """The objective of the d log-ranges against the full ReML likelihood."""
+
+    def test_nll_is_the_minimum_over_sigma2(self):
+        rng = substream(12, "gp-profile")
+        for _ in range(10):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(d + 4, 30))
+            X = _random_design(rng, n, d)
+            y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal(n)
+            lr = np.log(rng.uniform(0.4, 2.0, d))
+            nsd = _neg_sq_diffs(X)
+            nll, _, sigma2 = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=_bounds(y))
+            _, Q = _full_reml(X, y, np.concatenate([[0.0], lr]))
+            s2_hat = Q / (n - 1)
+            assert sigma2 == pytest.approx(s2_hat, rel=1e-8)
+            at_min = _full_reml(X, y, np.concatenate([[math.log(s2_hat)], lr]))[0]
+            assert nll == pytest.approx(at_min, rel=1e-9, abs=1e-9)
+            for step in (-0.1, -1e-3, 1e-3, 0.1):
+                assert _full_reml(X, y, np.concatenate([[math.log(s2_hat) + step], lr]))[0] > at_min
+            # a bound that binds: the full likelihood at that bound
+            for lo, hi in ((2.0 * s2_hat, 3.0 * s2_hat), (s2_hat / 3.0, s2_hat / 2.0)):
+                nll_c, _, s2_c = reml_objective(X, y, lr, neg_sq_diffs=nsd, sigma2_bounds=(lo, hi))
+                want = lo if s2_hat < lo else hi
+                assert s2_c == want
+                at_bound = _full_reml(X, y, np.concatenate([[math.log(want)], lr]))[0]
+                assert nll_c == pytest.approx(at_bound, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("d, n, freq", [(1, 12, 3.0), (2, 20, 1.0), (3, 30, 1.0)])
+    def test_fit_matches_full_likelihood_minimizer(self, d, n, freq):
+        # oracle: scipy's minimize over all d + 1 log-parameters of the full
+        # likelihood, from fit_reml's starts with sigma2 started at var(y).
+        # The designs have a well-determined optimum: on 12 points of the
+        # smooth 1-D function (freq 1) the likelihood is a flat ridge toward
+        # long ranges, and the two stop 0.12 apart, the fit 9e-4 lower in nll
+        rng = substream(n, "gp-profile-fit")
+        X = _random_design(rng, n, d)
+        y = (np.sin(freq * X @ rng.uniform(0.5, 2.0, d))
+             + 0.4 * np.cos(freq * X @ rng.uniform(0.3, 1.5, d)))
+        hyper = fit_reml(X, y, substream(n, "gp-profile-starts"), n_starts=3)
+        lb, ub = _full_box(X, y)
+        _, _, range_starts = _reml_starts(X, y, substream(n, "gp-profile-starts"), n_starts=3)
+        best = None
+        for start in range_starts:
+            x0 = np.concatenate([[math.log(np.var(y, ddof=1))], start])
+            res = minimize(lambda p: _full_reml(X, y, p)[0], x0, method="L-BFGS-B",
+                           bounds=list(zip(lb, ub)), options={"ftol": 1e-15, "gtol": 1e-9})
+            if best is None or res.fun < best.fun:
+                best = res
+        got = np.concatenate([[math.log(hyper.sigma2)], np.log(hyper.ranges)])
+        assert hyper.converged
+        assert _full_reml(X, y, got)[0] <= best.fun + 1e-9
+        np.testing.assert_allclose(got, best.x, rtol=0.0, atol=1e-3)
+
+
 def _dcorr_over_h(h):
     """kappa'(h)/h; smooth through h = 0 where it equals -10/3."""
     t = math.sqrt(10.0) * h
     return -(10.0 / 3.0) * (1.0 + t) * np.exp(-t)
 
 
-def _loop_reml_objective(design_points, design_values, log_params, jitter: float = DEFAULT_JITTER):
-    """reml_objective as it was with one gradient pass per range, verbatim:
-    the reference for the batched gradient."""
+def _loop_reml_objective(design_points, design_values, log_ranges, sigma2_bounds,
+                         jitter: float = DEFAULT_JITTER):
+    """reml_objective with one gradient pass per range: the reference for
+    the batched gradient."""
     X = np.atleast_2d(np.asarray(design_points, dtype=float))
     y = np.asarray(design_values, dtype=float).reshape(-1)
-    lp = np.asarray(log_params, dtype=float)
+    ranges = np.exp(np.asarray(log_ranges, dtype=float))
     n, d = X.shape
-    sigma2 = math.exp(lp[0])
-    ranges = np.exp(lp[1:])
-    if ranges.shape[0] != d:
-        raise ValueError("log_params must have length 1 + d")
+    lo, hi = sigma2_bounds
 
     Z = X / ranges
     H = cdist(Z, Z)
@@ -305,7 +393,7 @@ def _loop_reml_objective(design_points, design_values, log_params, jitter: float
     try:
         c = _chol(R)
     except np.linalg.LinAlgError:
-        return 1e14, np.zeros(d + 1)
+        return 1e14, np.zeros(d), hi
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     ones = np.ones(n)
     v = _chol_solve(c, ones)
@@ -314,11 +402,12 @@ def _loop_reml_objective(design_points, design_values, log_params, jitter: float
     resid = y - mu
     a = _chol_solve(c, resid)
     Q = float(resid @ a)
+    sigma2 = min(max(Q / (n - 1), lo), hi)
 
-    nll = 0.5 * ((n - 1) * gp._LOG_2PI + (n - 1) * lp[0] + logdet + math.log(oro) + Q / sigma2)
+    nll = 0.5 * ((n - 1) * gp._LOG_2PI + (n - 1) * math.log(sigma2) + logdet + math.log(oro)
+                 + Q / sigma2)
 
-    grad = np.empty(d + 1)
-    grad[0] = 0.5 * ((n - 1) - Q / sigma2)
+    grad = np.empty(d)
     Rinv = _chol_solve(c, np.eye(n))
     G = _dcorr_over_h(H)
     for k in range(d):
@@ -327,8 +416,8 @@ def _loop_reml_objective(design_points, design_values, log_params, jitter: float
         tr = float(np.sum(Rinv * Rdot))
         d_oro = -float(v @ Rdot @ v) / oro
         d_quad = -float(a @ Rdot @ a)
-        grad[1 + k] = 0.5 * (tr + d_oro + d_quad / sigma2) * ranges[k]
-    return nll, grad
+        grad[k] = 0.5 * (tr + d_oro + d_quad / sigma2) * ranges[k]
+    return nll, grad, sigma2
 
 
 class TestBatchedRemlGradient:
@@ -345,14 +434,16 @@ class TestBatchedRemlGradient:
             X = _random_design(rng, n, d, lo=-4.0, hi=4.0)
             y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal(n)
             nsd = _neg_sq_diffs(X)
-            lp = np.concatenate([[rng.uniform(-3.0, 3.0)], rng.uniform(-2.0, 3.0, d)])
+            lr = rng.uniform(-2.0, 3.0, d)
             # jitter -1 zeroes the correlation diagonal: the sentinel path
             for jitter in (DEFAULT_JITTER, -1.0):
                 monkeypatch.setattr(gp, "DEFAULT_JITTER", jitter)
-                ref_nll, ref_grad = _loop_reml_objective(X, y, lp, jitter)
-                nll, grad = reml_objective(X, y, lp, neg_sq_diffs=nsd)
-                assert float(nll).hex() == float(ref_nll).hex()
-                assert grad.tobytes() == ref_grad.tobytes()
+                ref = _loop_reml_objective(X, y, lr, _bounds(y), jitter)
+                nll, grad, sigma2 = reml_objective(X, y, lr, neg_sq_diffs=nsd,
+                                                   sigma2_bounds=_bounds(y))
+                assert float(nll).hex() == float(ref[0]).hex()
+                assert grad.tobytes() == ref[1].tobytes()
+                assert sigma2.hex() == ref[2].hex()
 
     @pytest.mark.parametrize("d, n", [(1, 12), (2, 20), (6, 40)])
     def test_fit_reml_same_as_loop_objective(self, monkeypatch, d, n):
@@ -361,7 +452,8 @@ class TestBatchedRemlGradient:
         y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.4 * np.cos(X @ rng.uniform(0.3, 1.5, d))
         hyper = fit_reml(X, y, rng=substream(n, "starts"), n_starts=5)
         monkeypatch.setattr(gp, "reml_objective",
-                            lambda X, y, lp, neg_sq_diffs: _loop_reml_objective(X, y, lp))
+                            lambda X, y, lr, neg_sq_diffs, sigma2_bounds:
+                            _loop_reml_objective(X, y, lr, sigma2_bounds))
         ref = fit_reml(X, y, rng=substream(n, "starts"), n_starts=5)
         assert hyper.sigma2.hex() == ref.sigma2.hex()
         assert hyper.ranges.tobytes() == ref.ranges.tobytes()
@@ -375,9 +467,10 @@ class TestBatchedRemlGradient:
         seen, asked = [], []
         real_objective = gp.reml_objective
 
-        def counting_objective(X, y, lp, *, neg_sq_diffs):
-            seen.append(lp.tobytes())
-            return real_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
+        def counting_objective(X, y, lr, *, neg_sq_diffs, sigma2_bounds):
+            seen.append(lr.tobytes())
+            return real_objective(X, y, lr, neg_sq_diffs=neg_sq_diffs,
+                                  sigma2_bounds=sigma2_bounds)
 
         monkeypatch.setattr(gp, "reml_objective", counting_objective)
         monkeypatch.setattr(gp, "_lbfgsb", _asking_lbfgsb(asked))
@@ -391,9 +484,9 @@ def _asking_lbfgsb(asked):
     real_lbfgsb = gp._lbfgsb
 
     def lbfgsb(objective, *args):
-        def asking(lp):
-            asked.append(lp.tobytes())
-            return objective(lp)
+        def asking(lr):
+            asked.append(lr.tobytes())
+            return objective(lr)
 
         return real_lbfgsb(asking, *args)
 
@@ -420,8 +513,8 @@ def test_reml_memo_keeps_the_bits(monkeypatch):
     X, y = _abnormal_case()
     hyper = fit_reml(X, y, substream(1, "reml-memo-starts"), n_starts=3)
     assert len(asked) > len(set(asked))
-    assert hyper.sigma2.hex() == "0x1.f586bad880243p+17"
-    assert [r.hex() for r in hyper.ranges] == ["0x1.526973f2eb619p+4", "0x1.57ab44afefa52p+6"]
+    assert hyper.sigma2.hex() == "0x1.f58abcab3dd4ep+17"
+    assert [r.hex() for r in hyper.ranges] == ["0x1.526a0593ab733p+4", "0x1.57abebab581c2p+6"]
     assert hyper.converged is True
 
 
@@ -431,12 +524,13 @@ def _memoized_objective(X, y):
     neg_sq_diffs = _neg_sq_diffs(X)
     memo, asked = {}, []
 
-    def objective(lp):
-        asked.append(lp.tobytes())
-        key = lp.tobytes()
+    def objective(lr):
+        asked.append(lr.tobytes())
+        key = lr.tobytes()
         if key not in memo:
-            memo[key] = reml_objective(X, y, lp, neg_sq_diffs=neg_sq_diffs)
-        nll, grad = memo[key]
+            memo[key] = reml_objective(X, y, lr, neg_sq_diffs=neg_sq_diffs,
+                                       sigma2_bounds=_bounds(y))
+        nll, grad, _ = memo[key]
         return nll, grad.copy()
 
     return objective, asked
@@ -446,13 +540,11 @@ def _reml_starts(X, y, rng, n_starts):
     """fit_reml's box and its starts without `init`: the span, then random ranges."""
     d = X.shape[1]
     span = X.max(axis=0) - X.min(axis=0)
-    s2y = float(np.var(y, ddof=1))
-    lb = np.concatenate([[math.log(1e-10 * s2y)], np.log(1e-3 * span)])
-    ub = np.concatenate([[math.log(1e6 * s2y)], np.log(1e3 * span)])
-    starts = [np.concatenate([[math.log(s2y)], np.log(span / 2.0)])]
+    lb = np.log(1e-3 * span)
+    ub = np.log(1e3 * span)
+    starts = [np.log(span / 2.0)]
     while len(starts) < n_starts:
-        logr = np.log(span) + rng.uniform(math.log(0.1), math.log(10.0), size=d)
-        starts.append(np.concatenate([[math.log(s2y)], logr]))
+        starts.append(np.log(span) + rng.uniform(math.log(0.1), math.log(10.0), size=d))
     return lb, ub, [np.clip(s, lb + 1e-9, ub - 1e-9) for s in starts]
 
 
@@ -555,9 +647,11 @@ class TestLapackHelpers:
         rng = substream(11, "gp")
         X = _random_design(rng, 10, 2)
         y = np.sin(X[:, 0])
-        nll, grad = reml_objective(X, y, np.zeros(3), neg_sq_diffs=_neg_sq_diffs(X))
+        nll, grad, sigma2 = reml_objective(X, y, np.zeros(2), neg_sq_diffs=_neg_sq_diffs(X),
+                                           sigma2_bounds=(1e-3, 1e3))
         assert nll == 1e14
-        assert grad.tobytes() == np.zeros(3).tobytes()
+        assert grad.tobytes() == np.zeros(2).tobytes()
+        assert sigma2 == 1e3
 
     def test_nonfinite_inputs_raise_value_error(self):
         R = _spd_matrices(5)[1]
