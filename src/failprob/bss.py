@@ -327,21 +327,18 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
             break
         idx = residual_resample(weights, rng_resample)
         pts = pts[idx]
-        lp_cur = log_pdf[idx]
-        lg_cur = log_g_t[idx]
 
-        def log_target(Z, _u=u_t, _model=model):
-            lp = problem.input.log_density(Z)
+        def log_factor(Z, _u=u_t, _model=model):
             mu, v = _model.predict(Z)
-            lg = log_coverage_g(mu, np.sqrt(v), _u)
-            return lp + lg, {"log_pdf": lp, "log_g": lg}
+            return log_coverage_g(mu, np.sqrt(v), _u), {}
 
-        pts, (_, aux), log_sigma, diag = rwmh_move(
-            pts, log_target, log_sigma, rng_move,
-            current=(lp_cur + lg_cur, {"log_pdf": lp_cur, "log_g": lg_cur}),
+        # every proposal is scored: the surrogate costs no evaluation, and
+        # predict's bits depend on which rows share a call
+        pts, (log_pdf, log_g, _), log_sigma, diag = rwmh_move(
+            pts, problem.input.log_density, log_factor, log_sigma, rng_move,
+            current=(log_pdf[idx], log_g_t[idx], {}), screen=False,
         )
-        stages[-1].acceptance = diag.acceptance
-        log_g, log_pdf = aux["log_g"], aux["log_pdf"]
+        stages[-1].acceptance = diag.intervals()
 
     log_alpha = 0.0  # a plain sum in stage order: alpha_hat's bits depend on it
     for s in stages:

@@ -90,17 +90,26 @@ def _write_trace(path: str, result, dim: int) -> None:
     Path(path).write_text(csv_table(cols, rows), encoding="utf-8")
 
 
+_RUN_FLAGS = ("method", "problem", "m", "seed", "p0", "out", "trace")  # --replay takes none
+_DEFAULT_P0 = 0.1
+
+
 def cmd_estimate(args) -> int:
     if args.replay:
+        given = [f"--{flag}" for flag in _RUN_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"--replay takes its run from the manifest; "
+                              f"remove {', '.join(given)}")
         return _cmd_replay(args)
     if args.method is None or args.problem is None or args.m is None or args.seed is None:
         raise ConfigError("--method, --problem, --m and --seed are required")
-    _check_run(args.method, args.m, args.p0, args.seed)
+    p0 = _DEFAULT_P0 if args.p0 is None else args.p0
+    _check_run(args.method, args.m, p0, args.seed)
     _check_output(args.out, "--out")
     _check_output(args.trace, "--trace")
     problem, problem_spec = _resolve_problem(args.problem)
     manifest, result = _run_to_manifest(args.method, problem, problem_spec,
-                                        args.m, args.p0, args.seed)
+                                        args.m, p0, args.seed)
     if args.trace:
         _write_trace(args.trace, result, problem.dim)
     text = json.dumps(manifest, indent=2)
@@ -246,11 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--method", choices=_METHODS, default=None)
     est.add_argument("--problem", help="four-branch | cantilever | oscillator | file:<path>")
     est.add_argument("--m", type=int, default=None, help="sample / particle count")
-    est.add_argument("--p0", type=float, default=0.1, help="per-stage conditional probability")
+    est.add_argument("--p0", type=float, default=None,
+                     help=f"per-stage conditional probability (default {_DEFAULT_P0})")
     est.add_argument("--seed", type=int, default=None, help="root seed (u64)")
     est.add_argument("--out", help="also write the manifest JSON to this path")
     est.add_argument("--trace", help="write the SUR trace CSV, one row per evaluation (bss)")
-    est.add_argument("--replay", help="re-run from a manifest and verify alpha_hat")
+    est.add_argument("--replay", help="re-run from a manifest and verify alpha_hat; "
+                                      "takes no other flag")
     est.set_defaults(fn=cmd_estimate)
 
     ben = sub.add_parser("benchmark", help="replication study on a benchmark case")

@@ -277,7 +277,7 @@ class EvaluationLedger:
     """Counts every limit-state evaluation an estimator makes, per stage.
 
     Stage 0 is the initial sample or design; in `bss`, stages t >= 1 hold
-    the SUR evaluations, in `ss` the move proposals. Conservation
+    the SUR evaluations, in `ss` the proposals the move scored. Conservation
     invariant: n_total == n_0 + sum over stages t >= 1 of N_t. Benchmarking
     conventions that differ from the raw call count (the subset simulation
     reporting rule) are applied by the estimators on top of these counters,
@@ -310,7 +310,13 @@ class EvaluationLedger:
 @dataclass
 class StageRecord:
     """Per-stage bookkeeping: threshold, evaluation count, ratio estimate,
-    and the variance-recursion terms when available."""
+    and the variance-recursion terms when available.
+
+    `n_evals` is the ledger's count at stage t: the SUR evaluations in
+    `bss`, the move's evaluations in `ss`. `acceptance` holds, per sweep of
+    the move that follows the stage, the interval [lo, hi] of its mean
+    acceptance probability; lo == hi where the move scored every proposal.
+    """
 
     t: int
     u_t: float
@@ -318,7 +324,7 @@ class StageRecord:
     p_hat: float
     kappa_hat: float | None = None
     delta_hat: float | None = None
-    acceptance: list[float] = field(default_factory=list)
+    acceptance: list[list[float]] = field(default_factory=list)
 
 
 @dataclass

@@ -2,18 +2,21 @@
 with adaptive thresholds.
 
 Subset simulation runs the reweight/residual-resample/move scheme on the
-indicator targets 1{f > u_t} * pdf. The target evaluates f at every
-proposal and the input density only at those inside the level; the others
-have log target -inf and are never accepted. Thresholds are the
-(m - m0)-th order statistic of the current population's limit-state
-values, so each intermediate conditional probability estimate equals
-p0 = m0/m by construction, and the final estimate is (m_u / m) * p0^(T-1).
+indicator targets 1{f > u_t} * pdf: the move's density is the input law and
+its factor the level's indicator, so the screened move evaluates f only at
+proposals that pass the density step (Au & Beck's modified Metropolis), and
+at the few others it scores to keep its step adaptation exact. Thresholds
+are the (m - m0)-th order statistic of the current population's
+limit-state values, so each intermediate conditional probability estimate
+equals p0 = m0/m by construction, and the final estimate is
+(m_u / m) * p0^(T-1).
 
 Both take an int root seed and draw from named substreams of it. Every
-limit-state call goes through an `EvaluationLedger` (stage 0 sample plus S
-proposals per particle per move), which gives `n_total`; the benchmarking
-convention reports m + (T-1)(1-p0) m, i.e. one evaluation per particle per
-stage, with the extra adaptive-MCMC evaluations left out.
+limit-state call goes through an `EvaluationLedger` (the stage 0 sample
+plus each move's evaluations, which its stage record holds as `n_evals`),
+which gives `n_total`; the benchmarking convention reports
+m + (T-1)(1-p0) m, i.e. one evaluation per particle per stage, with the
+extra adaptive-MCMC evaluations left out.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
             alpha = (m_u / m) * p0 ** (t - 1)
             stages.append(StageRecord(t=t, u_t=u, n_evals=0, p_hat=m_u / m))
             break
-        stages.append(StageRecord(t=t, u_t=u_t0, n_evals=m, p_hat=p0))
+        stages.append(StageRecord(t=t, u_t=u_t0, n_evals=0, p_hat=p0))
         if t == MAX_STAGES:  # the threshold may be unreachable or the kernel stuck
             error = f"max_stages={MAX_STAGES} exceeded"
             alpha = p0 ** MAX_STAGES
@@ -144,24 +147,22 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         # reweight to the indicator of the new level, then resample
         w = survivors.astype(float) / m_t
         idx = residual_resample(w, rng_resample)
-        pts = pts[idx]
-        vals = vals[idx]
-        log_pdf = log_pdf[idx]
+        pts, vals, log_pdf = pts[idx], vals[idx], log_pdf[idx]
 
-        def log_target(X, _u=u_t0, _t=t):
-            # the density only inside the level: outside it the target is 0
+        def log_factor(X, _u=u_t0, _t=t):
+            # the level's indicator: f is evaluated only where the move asks
             fv = ledger.evaluate(problem.limit_state, X, stage=_t)
-            inside = np.flatnonzero(fv > _u)
-            logp = np.full(len(fv), -np.inf)
-            logp[inside] = dist.log_density(X.take(inside, axis=0))
-            return logp, {"f": fv}
+            return np.where(fv > _u, 0.0, -np.inf), {"f": fv}
 
-        # every resampled particle is inside the level, so its log target
-        # is its log pdf
-        pts, (log_pdf, aux), log_sigma, diag = rwmh_move(pts, log_target, log_sigma, rng_move,
-                                                         current=(log_pdf, {"f": vals}))
+        # every resampled particle is inside the level, so its log factor is 0
+        n_before = ledger.n_total
+        pts, (log_pdf, _, aux), log_sigma, diag = rwmh_move(
+            pts, dist.log_density, log_factor, log_sigma, rng_move,
+            current=(log_pdf, np.zeros(m), {"f": vals}), screen=True,
+        )
         vals = aux["f"]
-        stages[-1].acceptance = diag.acceptance
+        stages[-1].n_evals = ledger.n_total - n_before
+        stages[-1].acceptance = diag.intervals()
 
     n_moves = len(stages) - 1  # every stage but the last moves the cloud
     n_reported = m + n_moves * (1.0 - p0) * m

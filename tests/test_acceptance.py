@@ -161,30 +161,50 @@ def test_acceptance_3_smc(monkeypatch):
     dev = np.abs(mean - 4 * w)
     assert np.all(dev <= 3 * se + 1e-12)
 
-    # RWMH invariance on a bimodal target, chi-squared GOF
+    # RWMH invariance on a bimodal target, chi-squared GOF: once with the
+    # whole target as the density and every proposal scored, once split into
+    # a density and a log factor <= 0 (the larger component's kernel times 2,
+    # and the mixture's ratio to it) with the screen on
     m = 10_000
     comp = rng.random(m) < 0.5
     pts = np.where(comp, -2.0, 2.0)[:, None] + 0.5 * rng.standard_normal((m, 1))
 
-    def target(X):
+    def components(X):
         x = X[:, 0]
-        return np.logaddexp(-0.5 * ((x + 2) / 0.5) ** 2, -0.5 * ((x - 2) / 0.5) ** 2), {}
+        return -0.5 * ((x + 2) / 0.5) ** 2, -0.5 * ((x - 2) / 0.5) ** 2
 
-    # a fixed step: a zero adaptation step adds +-0.0 to each log step
-    monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
-    monkeypatch.setattr(smc, "SWEEPS", 50)
-    out, _, _, _ = rwmh_move(pts, target, np.array([math.log(0.8)]), rng, target(pts))
+    def whole(X):
+        return np.logaddexp(*components(X))
+
+    def no_factor(X):
+        return np.zeros(X.shape[0]), {}
+
+    def split_density(X):
+        return np.maximum(*components(X)) + math.log(2.0)
+
+    def split_factor(X):
+        return np.minimum(whole(X) - split_density(X), 0.0), {}
 
     def mix_cdf(z):
         return 0.5 * spstats.norm.cdf(z, -2, 0.5) + 0.5 * spstats.norm.cdf(z, 2, 0.5)
 
     edges = np.linspace(-4, 4, 25)
     probs = np.diff([0.0, *[mix_cdf(e) for e in edges], 1.0])
-    observed = np.histogram(out[:, 0], bins=[-1e12, *edges, 1e12])[0]
-    chi2 = spstats.chisquare(observed, probs * m)
-    assert chi2.pvalue > 0.001
+    # a fixed step: a zero adaptation step adds +-0.0 to each log step
+    monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
+    monkeypatch.setattr(smc, "SWEEPS", 50)
+    pvalues = []
+    for density, factor, screen in ((whole, no_factor, False),
+                                    (split_density, split_factor, True)):
+        current = (density(pts), factor(pts)[0], {})
+        out, _, _, _ = rwmh_move(pts, density, factor, np.array([math.log(0.8)]), rng, current,
+                                 screen)
+        observed = np.histogram(out[:, 0], bins=[-1e12, *edges, 1e12])[0]
+        pvalues.append(spstats.chisquare(observed, probs * m).pvalue)
+    assert min(pvalues) > 0.001
     _report(3, f"resampling count dev within 3 se (max {float(np.max(dev)):.4f}); "
-               f"RWMH bimodal invariance chi2 p = {chi2.pvalue:.3f}")
+               f"RWMH bimodal invariance chi2 p = {pvalues[0]:.3f} whole, "
+               f"{pvalues[1]:.3f} split and screened")
 
 
 # --------------------------------------------------------------------------

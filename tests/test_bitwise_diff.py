@@ -39,6 +39,23 @@ def test_identical_outputs_exit_zero(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_count_only_change_reads_as_one(tmp_path, capsys):
+    changed = copy.deepcopy(_REPORT)
+    wl = changed["workloads"][0]
+    for run in [wl["warmup"], *wl["runs"]]:
+        run["n_total"] -= 3
+    a = _write(tmp_path, "a.out", _REPORT)
+    b = _write(tmp_path, "b.out", changed)
+    assert bitwise_diff.main([a, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "bss-oscillator/panel/0: n_total 52 -> 49",
+        "bss-oscillator/panel/1: n_total 49 -> 46",
+        "bss-oscillator/warmup: n_total 40 -> 37",
+    ]
+    assert captured.err.strip() == "4 runs compared, 3 differ: seed 0, alpha_hat 0, n_total 3"
+
+
 def test_every_kind_of_difference_is_listed(tmp_path, capsys):
     changed = copy.deepcopy(_REPORT)
     wl = changed["workloads"][0]
@@ -55,6 +72,9 @@ def test_every_kind_of_difference_is_listed(tmp_path, capsys):
         "bss-oscillator/traced/0: only in A",
         "bss-oscillator/warmup: n_total 40 -> 41",
     ]
+    assert bitwise_diff.main([a, b]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "3 runs compared, 3 differ: seed 0, alpha_hat 1, n_total 1, in one file only 1")
 
 
 def test_unreadable_input_exits_two(tmp_path):

@@ -384,6 +384,8 @@ class TestRunBss:
         assert res.n_initial + res.n_intermediate + res.n_final == res.n_total
         if budget == "max_stages":
             assert res.stages[0].acceptance and not res.stages[-1].acceptance
+            # bss scores every proposal: each sweep's interval is one point
+            assert all(lo == hi for lo, hi in res.stages[0].acceptance)
 
     @pytest.mark.usefixtures("eight_design_points")
     def test_trace_collection(self, recwarn):

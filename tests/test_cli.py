@@ -238,6 +238,41 @@ class TestEstimateCommand:
         assert code == 0
         assert "replay ok" in err
 
+    @pytest.mark.parametrize("extra", [
+        ["--method", "ss"], ["--problem", "four-branch"], ["--m", "99"], ["--seed", "3"],
+        ["--p0", "0.1"], ["--out", "OUT"], ["--trace", "OUT"],
+    ])
+    def test_replay_with_a_run_flag_exit_2(self, capsys, tmp_path, extra):
+        manifest = tmp_path / "m.json"
+        _run(capsys, ["estimate", "--method", "mc", "--problem", "cantilever",
+                      "--m", "100", "--seed", "1", "--out", str(manifest)])
+        extra = [str(tmp_path / "written") if v == "OUT" else v for v in extra]
+        code, out, err = _run(capsys, ["estimate", "--replay", str(manifest), *extra])
+        assert code == 2 and out == ""  # nothing ran
+        assert f"remove {extra[0]}" in err
+        assert not (tmp_path / "written").exists()
+
+    def test_replay_names_every_run_flag_given(self, capsys, tmp_path):
+        code, _, err = _run(capsys, ["estimate", "--replay", str(tmp_path / "absent.json"),
+                                     "--m", "5", "--out", str(tmp_path / "o.json")])
+        assert code == 2 and "remove --m, --out" in err
+
+    def test_ss_manifest_records_move_evaluations(self, capsys):
+        # each stage's move evaluations and per-sweep acceptance interval
+        code, out, _ = _run(capsys, ["estimate", "--method", "ss", "--problem", "cantilever",
+                                     "--m", "500", "--seed", "7"])
+        res = json.loads(out)["result"]
+        assert code == 0
+        assert res["n_total"] == 500 + sum(s["n_evals"] for s in res["stages"])
+        for stage in res["stages"][:-1]:
+            assert len(stage["acceptance"]) == 10
+            assert all(len(pair) == 2 and pair[0] <= pair[1] for pair in stage["acceptance"])
+
+    def test_default_p0_is_recorded(self, capsys):
+        code, out, _ = _run(capsys, ["estimate", "--method", "mc", "--problem", "cantilever",
+                                     "--m", "100", "--seed", "1"])
+        assert code == 0 and json.loads(out)["config"]["p0"] == 0.1
+
     def test_replay_manifest_without_problem_exit_2(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"schema": 1, "command": "estimate"}))

@@ -97,13 +97,33 @@ class TestSubsetSimulation:
 
     def test_reported_count_convention(self):
         prob = _problem(float(ndtri(1 - 1e-4)))
+        received = []
+
+        def counting(X):
+            received.append(X.shape[0])
+            return X[:, 0]
+
+        counted = Problem(counting, prob.input, prob.threshold)
         cfg = SubsetSimConfig(m=2000, m0=200)
-        res = run_subset_simulation(prob, cfg, 5)
+        res = run_subset_simulation(counted, cfg, 5)
         T = len(res.stages)
         assert res.n_reported == 2000 + (T - 1) * 0.9 * 2000
-        # the ledger records the true call count: stage 0 plus S proposals
-        # per particle per move
-        assert res.n_total == 2000 + (T - 1) * 10 * 2000
+        # the ledger records the true call count: the rows the limit state
+        # received, which the screened move keeps below S per particle per move
+        assert res.n_total == sum(received)
+        assert 2000 < res.n_total < 2000 + (T - 1) * 10 * 2000
+
+    def test_stage_records_hold_the_move_evaluations(self):
+        prob = _problem(float(ndtri(1 - 1e-4)))
+        res = run_subset_simulation(prob, SubsetSimConfig(m=2000, m0=200), 5)
+        assert res.n_total == 2000 + sum(s.n_evals for s in res.stages)
+        *moved, last = res.stages
+        assert all(s.n_evals > 0 for s in moved) and last.n_evals == 0 and not last.acceptance
+        for s in moved:
+            assert len(s.acceptance) == 10
+            assert all(0.0 <= lo <= hi <= 1.0 for lo, hi in s.acceptance)
+            # an interval left open lies clear of the adaptation target
+            assert all(lo == hi or not lo <= 0.3 <= hi for lo, hi in s.acceptance)
 
     def test_unbiasedness_1d_tail(self):
         # quick version of the statistical acceptance check
@@ -171,9 +191,28 @@ def test_kernel_threads_change_no_bit(kernel_threads):
     assert signature() == one
 
 
-def test_ss_oscillator_meets_nonfinite_values():
-    # proposals with x2 + x3 <= 0 make the oscillator's limit state NaN; the
-    # indicator target rejects them (NaN > u is False) and the run finishes
+def test_ss_rejects_nonfinite_values():
+    # a limit state that is NaN wherever x1 < -1.5, which holds real density
+    # mass (less than p0, so the first order statistic is finite): the
+    # indicator target rejects NaN values (NaN > u is False), the moves still
+    # meet them, and the run finishes
+    nonfinite = []
+
+    def nan_left(X):
+        values = np.where(X[:, 0] < -1.5, np.nan, X[:, 1])
+        nonfinite.append(int(np.count_nonzero(np.isnan(values))))
+        return values
+
+    problem = Problem(nan_left, InputDistribution.iid_normal(2), float(ndtri(1 - 1e-3)))
+    res = run_subset_simulation(problem, SubsetSimConfig(m=2000, m0=200), 0)
+    assert nonfinite[0] > 0 and sum(nonfinite[1:]) > 0
+    assert res.error is None and 0.0 < res.alpha_hat < 1.0
+
+
+def test_ss_oscillator_screen_meets_no_nan():
+    # the oscillator's limit state is NaN where x2 + x3 <= 0 or x1 <= 0,
+    # some ten standard deviations out: the screen rejects such proposals on
+    # their density alone, so the run evaluates none of them
     from failprob.bench import nonlinear_oscillator
 
     problem = nonlinear_oscillator().problem
@@ -186,7 +225,7 @@ def test_ss_oscillator_meets_nonfinite_values():
 
     counted = Problem(counting, problem.input, problem.threshold)
     res = run_subset_simulation(counted, SubsetSimConfig(m=10_000, m0=1000), 0)
-    assert sum(nonfinite) > 0
+    assert sum(nonfinite) == 0
     assert res.error is None and 0.0 < res.alpha_hat < 1e-6
 
 

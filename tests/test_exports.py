@@ -61,7 +61,8 @@ def _parameters(fn) -> list[str]:
 def test_entry_point_parameters():
     # one calling convention per entry point: an optional parameter that only
     # tests set keeps a second path alive, so a new one is a deliberate change
-    assert _parameters(rwmh_move) == ["points", "log_target", "log_sigma", "rng", "current"]
+    assert _parameters(rwmh_move) == ["points", "log_density", "log_factor", "log_sigma", "rng",
+                                      "current", "screen"]
     assert _parameters(select_next_point) == ["model", "points", "mean", "sd", "log_g_prev", "u_t"]
     assert _parameters(prune) == ["scores"]
     assert _parameters(reml_objective) == [

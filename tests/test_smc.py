@@ -9,7 +9,7 @@ import pytest
 from scipy import stats as spstats
 
 from failprob import smc
-from failprob.core import substream
+from failprob.core import InputDistribution, substream
 from failprob.smc import (
     LOG_STEP_DELTA,
     TARGET_ACCEPTANCE,
@@ -111,9 +111,40 @@ class TestResidualResample:
             residual_resample(np.array([0.9, 0.3]), substream(0, "x"))
 
 
-def _gaussian_target(X):
-    lp = -0.5 * np.sum(X * X, axis=1) - 0.5 * X.shape[1] * math.log(2 * math.pi)
-    return lp, {}
+def _sq_norm(X):
+    # sum of squares column by column: elementwise, so a row's bits do not
+    # depend on which rows share the call
+    out = X[:, 0] * X[:, 0]
+    for k in range(1, X.shape[1]):
+        out = out + X[:, k] * X[:, k]
+    return out
+
+
+def _gaussian_density(X):
+    return -0.5 * _sq_norm(X) - 0.5 * X.shape[1] * math.log(2 * math.pi)
+
+
+def _no_factor(X):
+    return np.zeros(X.shape[0]), {}
+
+
+def _start(density, factor, pts):
+    lf, aux = factor(pts)
+    return density(pts), lf, aux
+
+
+def _move(pts, density, factor, log_sigma, rng, screen=True):
+    return rwmh_move(pts, density, factor, log_sigma, rng, _start(density, factor, pts), screen)
+
+
+def _bimodal_split(X):
+    # log of 0.5 N(-2, 0.5^2) + 0.5 N(2, 0.5^2) up to a constant, as the larger
+    # component's log kernel plus log 2 (the density) and a log factor <= 0
+    x = X[:, 0]
+    la = -0.5 * ((x + 2) / 0.5) ** 2
+    lb = -0.5 * ((x - 2) / 0.5) ** 2
+    top = np.maximum(la, lb) + math.log(2.0)
+    return top, np.minimum(np.logaddexp(la, lb) - top, 0.0)
 
 
 class TestRwmhMove:
@@ -121,35 +152,36 @@ class TestRwmhMove:
         m, d = 10_000, 1
         rng = substream(5, "move")
         pts = rng.standard_normal((m, d))
-        out, (logp, _), _, diag = rwmh_move(pts, _gaussian_target, initial_log_steps(np.ones(d)),
-                                            rng, _gaussian_target(pts))
+        out, _, _, diag = _move(pts, _gaussian_density, _no_factor, initial_log_steps(np.ones(d)),
+                                rng)
         ks = spstats.kstest(out[:, 0], "norm")
         assert ks.pvalue > 0.01
-        assert len(diag.acceptance) == smc.SWEEPS == 10
+        assert len(diag.acceptance) == len(diag.acceptance_hi) == smc.SWEEPS == 10
 
     def test_step_adaptation_arithmetic(self, monkeypatch):
         # flat target: every proposal accepted, abar = 1 > target, so the log
         # step grows by delta/1, then delta/2, ...
         def flat(X):
-            return np.zeros(X.shape[0]), {}
+            return np.zeros(X.shape[0])
 
         monkeypatch.setattr(smc, "SWEEPS", 4)
         d = 3
         log_sigma = initial_log_steps(np.ones(d))
         rng = substream(6, "move")
         pts = rng.standard_normal((50, d))
-        _, _, log_sigma2, diag = rwmh_move(pts, flat, log_sigma, rng, flat(pts))
+        _, _, log_sigma2, diag = _move(pts, flat, _no_factor, log_sigma, rng)
         want = log_sigma + LOG_STEP_DELTA * (1.0 + 1 / 2 + 1 / 3 + 1 / 4)
         np.testing.assert_allclose(log_sigma2, want, atol=1e-12)
-        assert diag.acceptance == [1.0] * 4
+        assert diag.acceptance == diag.acceptance_hi == [1.0] * 4
+        assert diag.intervals() == [[1.0, 1.0]] * 4
 
     def test_state_persists_across_stages(self):
         d = 2
         s0 = initial_log_steps(np.ones(d))
         rng = substream(7, "move")
         pts = rng.standard_normal((100, d))
-        _, _, s1, _ = rwmh_move(pts, _gaussian_target, s0, rng, _gaussian_target(pts))
-        _, _, s2, _ = rwmh_move(pts, _gaussian_target, s1, rng, _gaussian_target(pts))
+        _, _, s1, _ = _move(pts, _gaussian_density, _no_factor, s0, rng)
+        _, _, s2, _ = _move(pts, _gaussian_density, _no_factor, s1, rng)
         assert s2.shape == s1.shape == s0.shape == (d,)
         assert not np.allclose(s1, s0)
         assert s0.tobytes() == initial_log_steps(np.ones(d)).tobytes()  # input left unwritten
@@ -160,32 +192,38 @@ class TestRwmhMove:
                                    rtol=1e-12)
 
     def test_aux_threading(self):
-        # aux values stay consistent with the particle positions
-        def target(X):
-            return -0.5 * np.sum(X * X, axis=1), {"first": X[:, 0].copy()}
+        # aux values, log pdf and log factor stay consistent with the positions
+        def density(X):
+            return -0.5 * _sq_norm(X)
+
+        def factor(X):
+            return np.where(X[:, 1] > -1.0, 0.0, -np.inf), {"first": X[:, 0].copy()}
 
         rng = substream(8, "move")
-        pts = rng.standard_normal((500, 2))
-        out, (logp, aux), _, _ = rwmh_move(pts, target, initial_log_steps(np.ones(2)), rng,
-                                           target(pts))
+        pts = np.abs(rng.standard_normal((500, 2)))
+        out, (log_pdf, log_f, aux), _, _ = _move(pts, density, factor,
+                                                 initial_log_steps(np.ones(2)), rng)
         np.testing.assert_array_equal(aux["first"], out[:, 0])
-        np.testing.assert_allclose(logp, -0.5 * np.sum(out * out, axis=1), atol=1e-12)
+        np.testing.assert_array_equal(log_pdf, density(out))
+        np.testing.assert_array_equal(log_f, 0.0)
+        assert np.all(out[:, 1] > -1.0)
 
     def test_rejects_nonfinite_start(self):
-        def target(X):
+        def factor(X):
             return np.where(X[:, 0] > 0, 0.0, -np.inf), {}
 
         pts = np.array([[1.0], [-1.0]])
         rng = substream(9, "x")
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="current log target must be finite"):
-            rwmh_move(pts, target, initial_log_steps(np.ones(1)), rng, target(pts))
+            _move(pts, _gaussian_density, factor, initial_log_steps(np.ones(1)), rng)
         assert rng.bit_generator.state == before  # raised before any draw
 
     def test_bimodal_invariance_chi2(self, monkeypatch):
         # 2-component Gaussian mixture target, exact i.i.d. start, 50 fixed-step
         # sweeps (a zero adaptation step adds +-0.0 to each log step, which
-        # keeps every bit); chi-squared GOF on the moved population
+        # keeps every bit); chi-squared GOF on the moved population; the
+        # screened move calls the mixture's factor only where it can accept
         monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         monkeypatch.setattr(smc, "SWEEPS", 50)
         rng = substream(10, "move")
@@ -193,13 +231,13 @@ class TestRwmhMove:
         comp = rng.random(m) < 0.5
         pts = np.where(comp, -2.0, 2.0)[:, None] + 0.5 * rng.standard_normal((m, 1))
 
-        def target(X):
-            x = X[:, 0]
-            la = -0.5 * ((x + 2) / 0.5) ** 2
-            lb = -0.5 * ((x - 2) / 0.5) ** 2
-            return np.logaddexp(la, lb), {}
+        def density(X):
+            return _bimodal_split(X)[0]
 
-        out, _, _, _ = rwmh_move(pts, target, np.array([math.log(0.8)]), rng, target(pts))
+        def factor(X):
+            return _bimodal_split(X)[1], {}
+
+        out, _, _, _ = _move(pts, density, factor, np.array([math.log(0.8)]), rng)
         x = out[:, 0]
 
         def mix_cdf(z):
@@ -214,7 +252,8 @@ class TestRwmhMove:
 
 def _serial_move(points, log_target, log_sigma, rng, current=None, adapt=True):
     # the move as a plain loop of smc.SWEEPS sweeps, every draw made where it
-    # is used: the reference for the draw-ahead kernel
+    # is used and every proposal scored: the reference for the draw-ahead,
+    # blocked and screened kernel
     pts = np.array(points, dtype=float)
     m, d = pts.shape
     logp, aux = log_target(pts) if current is None else current
@@ -241,11 +280,25 @@ def _serial_move(points, log_target, log_sigma, rng, current=None, adapt=True):
     return pts, logp, aux, log_sigma, acceptance, steps
 
 
-def _shell_target(X):
-    # a target with a hard edge (rejections at -inf) and an aux array
-    r2 = np.sum(X * X, axis=1)
-    lp = np.where(r2 > 1.0, -0.5 * r2, -np.inf)
-    return lp, {"r2": r2}
+def _joint(density, factor):
+    # the reference's one-piece target: log density + log factor, with aux
+    def target(X):
+        lf, aux = factor(X)
+        return density(X) + lf, aux
+    return target
+
+
+def _shell_density(X):
+    return -0.5 * _sq_norm(X)
+
+
+def _shell_factor(X):
+    # a hard edge (rejections at -inf) and an aux array
+    r2 = _sq_norm(X)
+    return np.where(r2 > 1.0, 0.0, -np.inf), {"r2": r2}
+
+
+_shell_target = _joint(_shell_density, _shell_factor)
 
 
 def _shell_start(m, d, seed):
@@ -253,25 +306,42 @@ def _shell_start(m, d, seed):
     return 2.0 * z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _assert_same(ref, out, rng_ref, rng):
+    """The move's output is the reference's, bit for bit; where the move
+    left proposals unscored, its acceptance interval holds the reference's
+    mean and clears the adaptation target."""
+    pts, (log_pdf, log_f, aux), log_sigma, diag = out
+    np.testing.assert_array_equal(pts, ref[0])
+    np.testing.assert_array_equal(log_pdf + log_f, ref[1])
+    assert aux.keys() == ref[2].keys()
+    for key in aux:
+        np.testing.assert_array_equal(aux[key], ref[2][key])
+    np.testing.assert_array_equal(log_sigma, ref[3])
+    assert len(diag.acceptance) == len(diag.acceptance_hi) == len(ref[4])
+    for lo, hi, abar in zip(diag.acceptance, diag.acceptance_hi, ref[4]):
+        if lo == hi:
+            assert lo == abar
+        else:
+            assert lo - 1e-12 <= abar <= hi + 1e-12
+            assert not lo - smc._SCREEN_MARGIN <= TARGET_ACCEPTANCE <= hi + smc._SCREEN_MARGIN
+    assert len(diag.step_log_sigma) == len(ref[5])
+    for a, b in zip(diag.step_log_sigma, ref[5]):
+        np.testing.assert_array_equal(a, b)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _counted(fn, rows):
+    # fn, appending the row count of each call to `rows`
+    def wrapped(X):
+        rows.append(X.shape[0])
+        return fn(X)
+    return wrapped
+
+
 class TestDrawAhead:
     """The move draws sweep s + 1's random numbers on the kernel pool while
     sweep s evaluates its target; that changes no bit of any output nor of
     the generator's final state, at any kernel thread count."""
-
-    @staticmethod
-    def _assert_same(ref, out, rng_ref, rng):
-        pts, (logp, aux), log_sigma, diag = out
-        np.testing.assert_array_equal(pts, ref[0])
-        np.testing.assert_array_equal(logp, ref[1])
-        assert aux.keys() == ref[2].keys()
-        for key in aux:
-            np.testing.assert_array_equal(aux[key], ref[2][key])
-        np.testing.assert_array_equal(log_sigma, ref[3])
-        assert diag.acceptance == ref[4]
-        assert len(diag.step_log_sigma) == len(ref[5])
-        for a, b in zip(diag.step_log_sigma, ref[5]):
-            np.testing.assert_array_equal(a, b)
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("adapt", [True, False])
@@ -286,21 +356,24 @@ class TestDrawAhead:
         d = 3
         pts = _shell_start(m, d, 11)
         log_sigma = initial_log_steps(np.ones(d))
-        rng_ref, rng = substream(12, "move"), substream(12, "move")
-        ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
-        out = rwmh_move(pts, _shell_target, log_sigma, rng, _shell_target(pts))
-        self._assert_same(ref, out, rng_ref, rng)
-        assert len(out[3].acceptance) == 6
-        if not adapt:
-            np.testing.assert_array_equal(out[2], log_sigma)
+        for screen in (True, False):
+            rng_ref, rng = substream(12, "move"), substream(12, "move")
+            ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
+            out = _move(pts, _shell_density, _shell_factor, log_sigma, rng, screen)
+            _assert_same(ref, out, rng_ref, rng)
+            assert len(out[3].acceptance) == 6
+            if not screen:
+                assert out[3].acceptance == out[3].acceptance_hi == ref[4]
+            if not adapt:
+                np.testing.assert_array_equal(out[2], log_sigma)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [1, 300])
     def test_reused_buffers_reach_no_output(self, kernel_threads, monkeypatch, threads, m):
         # the move forms each sweep's proposals in a draw buffer that is
-        # refilled two sweeps later: a target whose aux array is a view of
-        # its input, or that keeps its input, changes no bit, and no output
-        # shares memory with what the target was given
+        # refilled two sweeps later: a factor whose aux array is a view of
+        # its input, or functions that keep their input, change no bit, and
+        # no output shares memory with what they were given
         kernel_threads(threads)
         monkeypatch.setattr(smc, "SWEEPS", 6)
         d = 3
@@ -308,24 +381,29 @@ class TestDrawAhead:
         log_sigma = initial_log_steps(np.ones(d))
         seen = []
 
-        def view_target(X):
-            lp, _ = _shell_target(X)
-            return lp, {"x0": X[:, 0]}
+        def keeping(fn):
+            def wrapped(X):
+                seen.append(X)
+                return fn(X)
+            return wrapped
 
-        def keeping_target(X):
-            seen.append(X)
-            return _shell_target(X)
+        def view_factor(X):
+            lf, _ = _shell_factor(X)
+            return lf, {"x0": X[:, 0]}
 
-        for target in (view_target, keeping_target):
-            rng_ref, rng = substream(17, "move"), substream(17, "move")
-            ref = _serial_move(pts, target, log_sigma, rng_ref)
-            current = target(pts)
-            seen.clear()
-            out = rwmh_move(pts, target, log_sigma, rng, current)
-            self._assert_same(ref, out, rng_ref, rng)
-        assert len(seen) == smc.SWEEPS  # one call per sweep, none at the start
-        outputs = [out[0], out[1][0], *out[1][1].values()]
-        assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
+        for screen in (False, True):
+            for density, factor in ((_shell_density, view_factor),
+                                    (keeping(_shell_density), keeping(_shell_factor))):
+                rng_ref, rng = substream(17, "move"), substream(17, "move")
+                ref = _serial_move(pts, _joint(density, factor), log_sigma, rng_ref)
+                current = _start(density, factor, pts)
+                seen.clear()
+                out = rwmh_move(pts, density, factor, log_sigma, rng, current, screen)
+                _assert_same(ref, out, rng_ref, rng)
+            if not screen:  # one density and one factor call per sweep
+                assert len(seen) == 2 * smc.SWEEPS
+            outputs = [out[0], *out[1][:2], *out[1][2].values()]
+            assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, monkeypatch, threads):
@@ -347,11 +425,11 @@ class TestDrawAhead:
         rng_ref, rng = substream(14, "move"), substream(14, "move")
         pts_ref, current_ref = pts, None
         log_sigma_ref = log_sigma = initial_log_steps(np.ones(d))
-        current = _shell_target(pts)
+        current = _start(_shell_density, _shell_factor, pts)
         for _ in range(3):
             ref = _serial_move(pts_ref, _shell_target, log_sigma_ref, rng_ref, current_ref)
-            out = rwmh_move(pts, _shell_target, log_sigma, rng, current)
-            self._assert_same(ref, out, rng_ref, rng)
+            out = rwmh_move(pts, _shell_density, _shell_factor, log_sigma, rng, current, True)
+            _assert_same(ref, out, rng_ref, rng)
             pts_ref, current_ref, log_sigma_ref = ref[0], (ref[1], ref[2]), ref[3]
             pts, current, log_sigma, _ = out
 
@@ -362,19 +440,23 @@ class TestDrawAhead:
             pass
 
         raised = SweepTwo("sweep 2")
+        m, d = 100_000, 6
+        blocks = math.ceil(m / smc._BLOCK_ROWS)
+        assert blocks > 1
         calls = []
 
-        def target(X):
+        def density(X):
+            # one call per row block: call blocks + 1 is sweep 2's first block
             calls.append(X.shape)
-            if len(calls) == 2:
+            if len(calls) == blocks + 1:
                 raise raised
-            return _gaussian_target(X)
+            return _gaussian_density(X)
 
-        m, d = 100_000, 6
         pts = np.zeros((m, d))
         rng = substream(15, "move")
+        current = (_gaussian_density(pts), np.zeros(m), {})
         with pytest.raises(SweepTwo) as info:
-            rwmh_move(pts, target, initial_log_steps(np.ones(d)), rng, _gaussian_target(pts))
+            rwmh_move(pts, density, _no_factor, initial_log_steps(np.ones(d)), rng, current, True)
         assert info.value is raised
         before = rng.bit_generator.state
         time.sleep(0.2)
@@ -386,3 +468,99 @@ class TestDrawAhead:
             rng_ref.standard_normal((m, d))
             rng_ref.random(m)
         assert before == rng_ref.bit_generator.state
+
+
+class TestScreen:
+    """A screened move calls the factor only on proposals that the full
+    target could accept, row block by row block, and scores the others only
+    while they decide the step adaptation; every output bit is the
+    unscreened move's."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocked_sweep_matches_serial_loop(self, kernel_threads, monkeypatch, threads):
+        # 300 rows in blocks of 64: four full blocks and an uneven tail
+        kernel_threads(threads)
+        monkeypatch.setattr(smc, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(smc, "SWEEPS", 8)
+        m, d = 300, 3
+        pts = _shell_start(m, d, 21)
+        log_sigma = initial_log_steps(np.ones(d))
+        densities = []
+        density = _counted(_shell_density, densities)
+        rng_ref, rng = substream(22, "move"), substream(22, "move")
+        ref = _serial_move(pts, _shell_target, log_sigma, rng_ref)
+        out = rwmh_move(pts, density, _shell_factor, log_sigma, rng,
+                        _start(_shell_density, _shell_factor, pts), True)
+        _assert_same(ref, out, rng_ref, rng)
+        assert densities == [64, 64, 64, 64, 44] * smc.SWEEPS
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screened_equals_unscreened_on_indicator_target(self, monkeypatch, seed):
+        # the level x1 + x2 > 1 of N(0, 1)^2, 2,000 particles in blocks of 256
+        monkeypatch.setattr(smc, "_BLOCK_ROWS", 256)
+        m, d = 2000, 2
+        start = substream(seed, "start").standard_normal((6 * m, d))
+        pts = start[start[:, 0] + start[:, 1] > 1.0][:m]
+        assert pts.shape == (m, d)
+
+        def factor(X):
+            f = X[:, 0] + X[:, 1]
+            return np.where(f > 1.0, 0.0, -np.inf), {"f": f}
+
+        law_density = InputDistribution.iid_normal(d).log_density
+        log_sigma = initial_log_steps(np.ones(d))
+        outs, rows, rngs = {}, {}, {}
+        for screen in (False, True):
+            rows[screen] = []
+            rngs[screen] = substream(seed, "move")
+            outs[screen] = rwmh_move(pts, law_density, _counted(factor, rows[screen]), log_sigma,
+                                     rngs[screen], _start(law_density, factor, pts), screen)
+        (p0, (lp0, lf0, aux0), s0, d0), (p1, (lp1, lf1, aux1), s1, d1) = outs[False], outs[True]
+        np.testing.assert_array_equal(p1, p0)
+        np.testing.assert_array_equal(lp1, lp0)
+        np.testing.assert_array_equal(lf1, lf0)
+        np.testing.assert_array_equal(aux1["f"], aux0["f"])
+        np.testing.assert_array_equal(s1, s0)
+        for a, b in zip(d1.step_log_sigma, d0.step_log_sigma):
+            np.testing.assert_array_equal(a, b)
+        assert rngs[True].bit_generator.state == rngs[False].bit_generator.state
+        # the unscreened move scores all: its interval is the exact mean,
+        # which the screened move's interval holds
+        assert d0.acceptance == d0.acceptance_hi
+        for lo, hi, abar in zip(d1.acceptance, d1.acceptance_hi, d0.acceptance):
+            assert lo - 1e-12 <= abar <= hi + 1e-12
+        # the factor sees fewer rows, in one call per block plus the
+        # fallbacks of the sweeps whose interval held the target
+        assert rows[False] == [m] * smc.SWEEPS
+        assert sum(rows[True]) < smc.SWEEPS * m
+        assert 0 < min(rows[True]) and max(rows[True]) <= 256
+        assert len(rows[True]) > math.ceil(m / 256) * smc.SWEEPS
+
+    def test_fallback_scores_highest_bounds_first(self, monkeypatch):
+        # one sweep of 4 proposals whose bounds straddle the target: the
+        # screen passes none, so the fallback scores rows in descending
+        # bound order, 2 at a time, until the interval clears 0.30
+        monkeypatch.setattr(smc, "_BLOCK_ROWS", 2)
+        accept_prob = np.array([0.1, 0.9, 0.5, 0.7])  # bounds of unscored rows
+        scored = np.zeros(4, dtype=bool)
+        calls = []
+
+        def score(rows):
+            calls.append(sorted(rows.tolist()))
+            accept_prob[rows] = 0.0  # every scored proposal is outside the level
+
+        lo, hi = smc._acceptance_bounds(accept_prob, scored, score)
+        assert calls == [[1, 3]]  # 0.9 and 0.7; after them hi = 0.6 / 4 < 0.30
+        assert lo == 0.0 and hi == pytest.approx(0.15, abs=1e-15)
+
+    def test_fallback_scoring_all_gives_exact_mean(self, monkeypatch):
+        monkeypatch.setattr(smc, "_BLOCK_ROWS", 2)
+        accept_prob = np.array([0.2, 0.4, 0.3, 0.6, 0.5])
+        exact = np.array([0.2, 0.25, 0.3, 0.35, 0.4])
+        scored = np.array([True, False, True, False, False])
+
+        def score(rows):
+            accept_prob[rows] = exact[rows]
+
+        lo, hi = smc._acceptance_bounds(accept_prob, scored, score)
+        assert lo == hi == float(exact.mean())

@@ -9,6 +9,12 @@ Each run has its seed, `alpha_hat` (as `float.hex()`) and `n_total`. Runs
 are matched by workload, kind and run index. A run differs when its seed,
 `alpha_hat` or `n_total` differs, or when it is in only one of the files.
 
+Each differing run is printed with the fields that differ. The summary on
+stderr counts the runs compared, the runs that differ, and how many differ
+in each field, so a change that moves only `n_total` reads as one:
+
+    23 runs compared, 9 differ: seed 0, alpha_hat 0, n_total 9
+
 Exit status: 0 when every run is identical, 1 when any differs, 2 when a
 file cannot be read as a perfbench output.
 """
@@ -54,6 +60,20 @@ def differences(a: dict[tuple, dict], b: dict[tuple, dict]) -> list[str]:
     return out
 
 
+def summary(a: dict[tuple, dict], b: dict[tuple, dict], n_differ: int) -> str:
+    """Runs compared and differing, and per field the runs in both files
+    whose field differs."""
+    both = a.keys() & b.keys()
+    line = f"{len(both)} runs compared, {n_differ} differ"
+    if n_differ:
+        line += ": " + ", ".join(
+            f"{f} {sum(a[key].get(f) != b[key].get(f) for key in both)}" for f in FIELDS)
+        only = len(a.keys() ^ b.keys())
+        if only:
+            line += f", in one file only {only}"
+    return line
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -67,7 +87,7 @@ def main(argv=None) -> int:
     diffs = differences(a, b)
     for line in diffs:
         print(line)
-    print(f"{len(a.keys() & b.keys())} runs compared, {len(diffs)} differ", file=sys.stderr)
+    print(summary(a, b, len(diffs)), file=sys.stderr)
     return 1 if diffs else 0
 
 
