@@ -3,9 +3,9 @@
 Reference probabilities are the published values for these cases (obtained
 from one hundred subset simulation runs at m = 1e7); a study of method "ss"
 at m = 1e6 is a cheaper sanity check of them. `run_rmse_experiment` is the
-one way to run a replication study, `run_estimator` the one place that maps
-a method name to its estimator, and `csv_table` the one CSV writer, for this
-module and the command line alike.
+one way to run a replication study, `_estimator` the one place that maps a
+method name to its configured estimator (for it and `run_estimator`), and
+`csv_table` the one CSV writer, for this module and the command line alike.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .bss import BssConfig, run_bss
-from .core import Direction, EstimationResult, InputDistribution, Problem, set_kernel_threads
+from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
+                   set_kernel_threads)
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "RmseTable",
     "csv_table",
     "run_estimator",
-    "run_single",
     "run_rmse_experiment",
     "per_run_seed",
 ]
@@ -136,27 +137,23 @@ def per_run_seed(root_seed: int, case: str, method: str, m: int, run: int) -> in
 
 def run_estimator(problem: Problem, method: str, m: int, seed: int,
                   p0: float = 0.1) -> EstimationResult:
-    """One seeded run of method "mc", "ss" or "bss" at sample size m. The
-    configuration is built before the estimator starts; a rejected one
-    raises ConfigError."""
+    """One seeded run of method "mc", "ss" or "bss" at sample size m; a
+    rejected configuration raises ConfigError before the run starts."""
+    return _estimator(method, m, p0)(problem, seed=seed)
+
+
+def _estimator(method: str, m: int, p0: float = 0.1):
+    """Method "mc", "ss" or "bss" at sample size m, configured: a picklable
+    function of (problem, seed=...). A rejected configuration raises ConfigError."""
     if method == "mc":
-        return monte_carlo_estimate(problem, m, seed)
+        if m < 1:
+            raise ConfigError("m must be >= 1")
+        return partial(monte_carlo_estimate, m=m)
     if method == "ss":
-        return run_subset_simulation(problem, SubsetSimConfig(m=m, m0=int(round(p0 * m))), seed)
+        return partial(run_subset_simulation, config=SubsetSimConfig(m=m, m0=int(round(p0 * m))))
     if method == "bss":
-        return run_bss(problem, BssConfig(m=m, p0=p0), seed)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def run_single(case_name: str, method: str, m: int, run: int,
-               root_seed: int) -> tuple[EstimationResult, float]:
-    """One seeded estimator run on a benchmark case, and the wall time of the
-    estimator call in ms (picklable for pools)."""
-    problem = CASES[case_name]().problem
-    seed = per_run_seed(root_seed, case_name, method, m, run)
-    t0 = time.perf_counter()
-    res = run_estimator(problem, method, m, seed)
-    return res, (time.perf_counter() - t0) * 1e3
+        return partial(run_bss, config=BssConfig(m=m, p0=p0))
+    raise ConfigError(f"unknown method {method!r}")
 
 
 def _csv_cell(v) -> str:
@@ -277,8 +274,9 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
     in its row's `failures`, and its per-run `error` says which (the
     message, or "degenerate"); every row stays, with no statistics when no
     run is usable. Warnings raised in a run, in this process or in a worker,
-    are issued again here, in run order. An unknown case, fewer than two
-    runs, or a repeated method or m raises ValueError before any run.
+    are issued again here, in run order. Before any run, an unknown case,
+    fewer than two runs, or a repeated method or m raises ValueError, and a
+    (method, m) configuration its estimator rejects raises ConfigError.
     """
     if case_name not in CASES:
         raise ValueError(f"unknown case {case_name!r}")
@@ -290,8 +288,15 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
         if len(set(values)) != len(values):
             raise ValueError(f"{what} must be distinct, got {values}")
     ref = CASES[case_name]().alpha_ref
-    tasks = [(case_name, method, m, r, seed)
-             for method in methods for m in m_values for r in range(runs)]
+    tasks = []
+    for method in methods:
+        for m in m_values:
+            try:
+                estimate = _estimator(method, m)
+            except ConfigError as exc:
+                raise ConfigError(f"method {method} at m = {m}: {exc}") from None
+            tasks += [(case_name, method, m, estimate, per_run_seed(seed, case_name, method, m, r))
+                      for r in range(runs)]
     if jobs > 1:
         with _worker_pool(jobs) as pool:
             results = list(pool.map(_study_run, tasks, chunksize=1))
@@ -341,15 +346,19 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
 
 
 def _study_run(task) -> tuple[EstimationResult, float, list[tuple[type, str]]]:
-    """`run_single` for one study task, in this process or a worker: the
-    result, its wall time in ms, and the category and message of every
+    """One study run, in this process or a worker: the result, the wall time
+    of the estimator call in ms, and the category and message of every
     warning the run raised. A run that raises gives an error result."""
+    case_name, method, _, estimate, seed = task
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            res, wall_ms = run_single(*task)
+            problem = CASES[case_name]().problem
+            t0 = time.perf_counter()
+            res = estimate(problem, seed=seed)
+            wall_ms = (time.perf_counter() - t0) * 1e3
         except Exception as exc:  # individual run failures are recorded, not fatal
-            res = EstimationResult(method=task[1], alpha_hat=float("nan"), error=str(exc))
+            res = EstimationResult(method=method, alpha_hat=float("nan"), error=str(exc))
             wall_ms = float("nan")
     return res, wall_ms, [(w.category, str(w.message)) for w in caught]
 

@@ -13,6 +13,8 @@ import datetime
 import json
 import platform
 import sys
+from collections import namedtuple
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -23,53 +25,118 @@ from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
 _METHODS = ("mc", "ss", "bss")
+_DEFAULT_P0 = 0.1
 
 
-def _load_custom_problem(spec: dict) -> Problem:
-    try:
-        params = [entry["normal"] for entry in spec["marginals"]]
-        law = InputDistribution([float(p["mean"]) for p in params],
-                                [float(p["sd"]) for p in params])
-        direction = spec.get("direction", "above")
-        if not isinstance(direction, str):
-            raise TypeError(f"direction must be 'above' or 'below', got {direction!r}")
-        direction = Direction(direction.lower())
-        expression = spec["limit_state"]
-        if not isinstance(expression, str):
-            raise TypeError(f"limit_state must be an expression string, got {expression!r}")
-        fn = compile_limit_state(expression, law.dim)
-        return Problem(
-            limit_state=fn,
-            input=law,
-            threshold=float(spec["threshold"]),
-            direction=direction,
-        )
-    except ExprError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid problem file: {exc}") from None
+# The declared shapes of the problem file, the `estimate` manifest and the run,
+# which `_check` walks. A dict is a JSON object with exactly its keys, but a key
+# marked "?" may be left out; a _OneOf holds one of its keys; a one-item list
+# is a non-empty array of that item; a _Leaf is a value that passes its test
+# `ok`, and `what` says what that is.
+_Leaf = namedtuple("_Leaf", "what ok")
 
 
-def _resolve_problem(name: str) -> tuple[Problem, dict]:
-    if name in CASES:
-        return CASES[name]().problem, {"case": name}
-    if name.startswith("file:"):
-        spec = _read_json(Path(name[5:]), "--problem")
-        return _load_custom_problem(spec), {"custom": spec}
-    raise ConfigError(f"unknown problem {name!r} (expected a case name or file:<path>)")
+class _OneOf(dict):
+    """An object that holds exactly one of these keys."""
 
 
-def _read_json(path: Path, flag: str):
-    """The JSON document in the file `flag` names; a path that is not a
-    readable UTF-8 file is a configuration error naming `flag`."""
+_OBJECT = _Leaf("a JSON object", lambda v: isinstance(v, dict))
+_ARRAY = _Leaf("a non-empty JSON array", lambda v: isinstance(v, list) and len(v) > 0)
+_ANY = _Leaf("any value", lambda v: True)
+_NUMBER = _Leaf("a finite number",
+                lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_POSITIVE = _Leaf("a finite number > 0", lambda v: _NUMBER.ok(v) and v > 0)
+_COUNT = _Leaf("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_METHOD = _Leaf(f"one of {', '.join(_METHODS)}", lambda v: v in _METHODS)
+_CASE = _Leaf(f"one of {', '.join(CASES)}", lambda v: isinstance(v, str) and v in CASES)
+_PROBLEM_FLAG = _CASE._replace(what=f"file:<path> or {_CASE.what}")
+_RUN = {"method": _METHOD,
+        "config": {"m": _COUNT,
+                   "p0": _Leaf("a number in (0, 1)", lambda v: _NUMBER.ok(v) and 0 < v < 1)},
+        "seed": _Leaf("an integer >= 0", lambda v: type(v) is int and v >= 0)}
+_PROBLEM_FILE = {
+    "marginals": [{"normal": {"mean": _NUMBER, "sd": _POSITIVE}}],
+    "threshold": _NUMBER,
+    "direction?": _Leaf("'above' or 'below', in any case", lambda v: (
+        isinstance(v, str) and v.lower() in {d.value for d in Direction})),
+    "limit_state": _Leaf("an expression string", lambda v: isinstance(v, str)),
+}
+_MANIFEST = {
+    "schema": _Leaf(str(SCHEMA_VERSION), lambda v: type(v) is int and v == SCHEMA_VERSION),
+    "command": _Leaf("'estimate', as written by failprob estimate", lambda v: v == "estimate"),
+    "problem": _OneOf({"case?": _CASE, "custom?": _PROBLEM_FILE}),
+    **_RUN,
+    # written by the program and, but for alpha_hat, never read back
+    **dict.fromkeys(("tool?", "version?", "timestamps?", "host?"), _ANY),
+    "result": {"alpha_hat": _Leaf("a number", lambda v: type(v) in (int, float)),
+               **{f"{f.name}?": _ANY for f in fields(EstimationResult)
+                  if f.name not in ("alpha_hat", "trace")}},
+}
+
+
+def _check(value, shape, path: tuple):
+    """`value` if it has `shape`; else ConfigError naming the key path of the
+    first departure. `path` is the document's name, then the keys down to `value`."""
+    leaf = shape if isinstance(shape, _Leaf) else _ARRAY if isinstance(shape, list) else _OBJECT
+    if not leaf.ok(value):
+        shown = type(value).__name__ if isinstance(value, (dict, list)) and value else repr(value)
+        raise ConfigError(f"{_name(path)} must be {leaf.what}, not {shown}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _check(item, shape[0], path + (i,))
+    elif isinstance(shape, dict):
+        keys = {key.rstrip("?"): key for key in shape}
+        for key, declared in keys.items():
+            if key in value:
+                _check(value[key], shape[declared], path + (key,))
+            elif key == declared:
+                raise ConfigError(f"missing key {_name(path + (key,))!r}")
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"unknown key {_name(path + (key,))!r}")
+        if isinstance(shape, _OneOf) and len(value) != 1:
+            named = " or ".join(repr(_name(path + (key,))) for key in keys)
+            raise ConfigError(f"{_name(path)} must hold one key: {named}")
+    return value
+
+
+def _name(path: tuple) -> str:
+    root, *keys = path
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:] if keys else root
+
+
+def _problem(spec: dict) -> Problem:
+    """The problem a checked `problem` entry names: a benchmark case or a custom problem."""
+    if "case" in spec:
+        return CASES[spec["case"]]().problem
+    custom = spec["custom"]
+    normals = [marginal["normal"] for marginal in custom["marginals"]]
+    law = InputDistribution([float(p["mean"]) for p in normals], [float(p["sd"]) for p in normals])
+    return Problem(compile_limit_state(custom["limit_state"], law.dim), law,
+                   float(custom["threshold"]), Direction(custom.get("direction", "above").lower()))
+
+
+def _read_json(path: Path, flag: str, shape):
+    """The JSON document in the file `flag` names, checked against `shape`; a
+    path that is not a readable UTF-8 file is a configuration error."""
     if not path.is_file():
         raise ConfigError(f"{flag}: {path} is not a file")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{flag}: {path} is not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from None
+    return _check(json.loads(text, object_pairs_hook=_unique_keys), shape, (flag,))
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _check_output(path: str | None, flag: str) -> None:
@@ -83,61 +150,45 @@ def _check_output(path: str | None, flag: str) -> None:
         raise ConfigError(f"{flag}: directory {target.parent} does not exist")
 
 
-def _write_trace(path: str, result, dim: int) -> None:
-    cols = ["n", *(f"x{i + 1}" for i in range(dim)), "criterion", "u_t", "stage"]
-    rows = ([row["n"], *row["x_new"], row["criterion"], row["u_t"], row["stage"]]
-            for row in result.trace or [])
-    Path(path).write_text(csv_table(cols, rows), encoding="utf-8")
-
-
-_RUN_FLAGS = ("method", "problem", "m", "seed", "p0", "out", "trace")  # --replay takes none
-_DEFAULT_P0 = 0.1
-
-
 def cmd_estimate(args) -> int:
     if args.replay:
-        given = [f"--{flag}" for flag in _RUN_FLAGS if getattr(args, flag) is not None]
+        given = [f"--{flag}" for flag in ("method", "problem", "m", "seed", "p0", "out", "trace")
+                 if getattr(args, flag) is not None]
         if given:
             raise ConfigError(f"--replay takes its run from the manifest; "
                               f"remove {', '.join(given)}")
-        return _cmd_replay(args)
-    if args.method is None or args.problem is None or args.m is None or args.seed is None:
-        raise ConfigError("--method, --problem, --m and --seed are required")
-    p0 = _DEFAULT_P0 if args.p0 is None else args.p0
-    _check_run(args.method, args.m, p0, args.seed)
-    _check_output(args.out, "--out")
-    _check_output(args.trace, "--trace")
-    problem, problem_spec = _resolve_problem(args.problem)
-    manifest, result = _run_to_manifest(args.method, problem, problem_spec,
-                                        args.m, p0, args.seed)
-    if args.trace:
-        _write_trace(args.trace, result, problem.dim)
+        recorded = _read_json(Path(args.replay), "--replay", _MANIFEST)
+        method, spec, config, seed = (recorded[k] for k in ("method", "problem", "config", "seed"))
+    else:
+        if None in (args.method, args.problem, args.m, args.seed):
+            raise ConfigError("--method, --problem, --m and --seed are required")
+        method, seed = args.method, args.seed
+        config = {"m": args.m, "p0": _DEFAULT_P0 if args.p0 is None else args.p0}
+        _check({"method": method, "config": config, "seed": seed}, _RUN, ("command line",))
+        for flag in ("out", "trace"):
+            _check_output(getattr(args, flag), f"--{flag}")
+        spec = ({"custom": _read_json(Path(args.problem[5:]), "--problem", _PROBLEM_FILE)}
+                if args.problem.startswith("file:")
+                else {"case": _check(args.problem, _PROBLEM_FLAG, ("--problem",))})
+    problem = _problem(spec)
+    manifest, result = _run_to_manifest(method, problem, spec, config["m"], config["p0"], seed)
     text = json.dumps(manifest, indent=2)
+    if args.trace:
+        cols = ["n", *(f"x{i + 1}" for i in range(problem.dim)), "criterion", "u_t", "stage"]
+        rows = ([row["n"], *row["x_new"], row["criterion"], row["u_t"], row["stage"]]
+                for row in result.trace or [])
+        Path(args.trace).write_text(csv_table(cols, rows), encoding="utf-8")
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    return 0 if manifest["result"]["error"] is None else 3
-
-
-def _check_run(method, m, p0, seed, keys=("method", "m", "p0", "seed")) -> None:
-    """Reject a run configuration of the wrong type or range before it runs.
-
-    The command line and `--replay` share these checks; each message names
-    the offending value by its entry in `keys` (a flag or a manifest key).
-    """
-    k_method, k_m, k_p0, k_seed = keys
-    if not isinstance(method, str) or method not in _METHODS:
-        raise ConfigError(f"{k_method} must be one of {', '.join(_METHODS)}, not {method!r}")
-    if not _is_int(m) or m < 1:
-        raise ConfigError(f"{k_m} must be an integer >= 1, not {m!r}")
-    if isinstance(p0, bool) or not isinstance(p0, (int, float)) or not 0.0 < p0 < 1.0:
-        raise ConfigError(f"{k_p0} must be a number in (0, 1), not {p0!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"{k_seed} must be an integer >= 0, not {seed!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    if not args.replay:
+        return 0 if result.error is None else 3
+    recorded_alpha = recorded["result"]["alpha_hat"]
+    same = result.alpha_hat == recorded_alpha  # a NaN estimate is never reproduced
+    print("replay ok: alpha_hat reproduced exactly" if same else
+          f"replay mismatch: alpha_hat {result.alpha_hat!r} != recorded {recorded_alpha!r}",
+          file=sys.stderr)
+    return 0 if same else 3
 
 
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
@@ -162,64 +213,12 @@ def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
     }, result
 
 
-def _cmd_replay(args) -> int:
-    manifest = _read_json(Path(args.replay), "--replay")
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"manifest must be a JSON object, not {type(manifest).__name__}")
-    if manifest.get("schema") != SCHEMA_VERSION:
-        raise ConfigError("unsupported manifest schema")
-    if manifest.get("command") != "estimate":
-        raise ConfigError(f"--replay needs a manifest written by 'failprob estimate', "
-                          f"not {manifest.get('command')!r}")
-    try:
-        spec, method, config, seed = (manifest[k] for k in ("problem", "method", "config", "seed"))
-        _require_object(spec, "problem")
-        _require_object(config, "config")
-        m, p0 = config["m"], config["p0"]
-        old_alpha = manifest["result"]["alpha_hat"]
-        _check_run(method, m, p0, seed, keys=("method", "config.m", "config.p0", "seed"))
-        if "case" in spec:
-            case = spec["case"]
-            if not isinstance(case, str):
-                raise ConfigError(f"problem.case must be a string, not {case!r}")
-            if case not in CASES:
-                raise ConfigError(f"problem.case must name a benchmark case "
-                                  f"({', '.join(CASES)}), not {case!r}")
-            problem, problem_spec = CASES[case]().problem, {"case": case}
-        else:
-            _require_object(spec["custom"], "problem.custom")
-            problem, problem_spec = _load_custom_problem(spec["custom"]), spec
-    except KeyError as exc:
-        raise ConfigError(f"manifest has no {exc.args[0]!r} key") from None
-    except TypeError as exc:
-        raise ConfigError(f"invalid manifest: {exc}") from None
-    new, _ = _run_to_manifest(method, problem, problem_spec, m, p0, seed)
-    print(json.dumps(new, indent=2))
-    new_alpha = new["result"]["alpha_hat"]
-    if new_alpha != old_alpha:
-        print(f"replay mismatch: alpha_hat {new_alpha!r} != recorded {old_alpha!r}",
-              file=sys.stderr)
-        return 3
-    print("replay ok: alpha_hat reproduced exactly", file=sys.stderr)
-    return 0
-
-
-def _require_object(value, key: str) -> None:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, not {type(value).__name__}")
-
-
 def cmd_benchmark(args) -> int:
-    if args.case not in CASES:
-        raise ConfigError(f"unknown case {args.case!r}")
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError(f"--methods must name at least one of {', '.join(_METHODS)}")
-    for m in methods:
-        if m not in _METHODS:
-            raise ConfigError(f"unknown method {m!r}")
+    _check({"--jobs": args.jobs, "--methods": methods}, {"--jobs": _COUNT, "--methods": [_METHOD]},
+           ("command line",))
     try:
         m_values = [int(v) for v in args.m_list.split(",") if v.strip()]
     except ValueError:
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(fn=cmd_estimate)
 
     ben = sub.add_parser("benchmark", help="replication study on a benchmark case")
-    ben.add_argument("--case", required=True, help="|".join(CASES))
+    ben.add_argument("--case", required=True, choices=CASES)
     ben.add_argument("--methods", default="bss", help="comma-separated subset of mc,ss,bss")
     ben.add_argument("--m-list", dest="m_list", default="1000", help="comma-separated sample sizes")
     ben.add_argument("--runs", type=int, default=20)

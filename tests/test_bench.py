@@ -16,8 +16,8 @@ from failprob.bench import (
     four_branch,
     nonlinear_oscillator,
     per_run_seed,
+    run_estimator,
     run_rmse_experiment,
-    run_single,
 )
 from failprob.bench import (
     _BLAS_THREAD_VARS,
@@ -27,7 +27,7 @@ from failprob.bench import (
     _oscillator_f,
     _worker_pool,
 )
-from failprob.core import InputDistribution, Problem, kernel_threads, substream
+from failprob.core import ConfigError, InputDistribution, Problem, kernel_threads, substream
 
 
 class TestFourBranch:
@@ -283,13 +283,28 @@ class TestRmseExperiment:
         finally:
             CASES.pop("broken", None)
 
-    def test_run_single_dispatch(self):
-        CASES["toy"] = _toy_case
-        res, wall_ms = run_single("toy", "mc", 1000, 0, 11)
+    def test_estimator_dispatch(self):
+        res = run_estimator(_toy_case().problem, "mc", 1000, 11)
         assert res.method == "mc" and 0.4 < res.alpha_hat < 0.6
-        assert wall_ms > 0.0
-        with pytest.raises(ValueError):
-            run_single("toy", "nope", 100, 0, 0)
+        with pytest.raises(ConfigError, match="unknown method 'nope'"):
+            run_estimator(_toy_case().problem, "nope", 100, 0)
+
+    @pytest.mark.parametrize("method,m,message", [
+        ("mc", 0, "m must be >= 1"), ("ss", 5, "need 1 <= m0 < m"), ("bss", 1, "m must be >= 2"),
+        ("nope", 100, "unknown method 'nope'")])
+    def test_rejected_configuration_raises_before_any_run(self, monkeypatch, method, m, message):
+        # every (method, m) configuration is built before the first run
+        def no_run(task):
+            raise AssertionError(f"ran {task}")
+
+        monkeypatch.setattr(bench, "_study_run", no_run)
+        with pytest.raises(ConfigError, match=f"^method {method} at m = {m}: {message}$"):
+            run_rmse_experiment("toy", ["mc", method] if method != "mc" else [method],
+                                [2000, m], runs=2, seed=0)
+
+    def test_runs_record_their_wall_time(self):
+        table = run_rmse_experiment("toy", ["mc"], [1000], runs=2, seed=11)
+        assert all(row.wall_ms > 0.0 for row in table.per_run)
 
 
 def _strip_wall(csv):

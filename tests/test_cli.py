@@ -1,5 +1,7 @@
 """Command-line interface: manifests, exit codes, determinism, file export."""
 
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -7,7 +9,10 @@ import json
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from failprob import __version__
 from failprob.bench import CASES
 from failprob.cli import _run_to_manifest, main
 from failprob.core import kernel_threads
@@ -142,7 +147,7 @@ class TestEstimateCommand:
             "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
         ])
         assert code == 2 and out == ""
-        assert "config error: invalid problem file: normal marginal needs sd > 0" in err
+        assert "config error: marginals[1].normal.sd must be a finite number > 0, not 0" in err
 
     def test_non_string_direction_exit_2(self, capsys, tmp_path):
         spec = {
@@ -157,7 +162,7 @@ class TestEstimateCommand:
             "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
         ])
         assert code == 2 and out == ""
-        assert "config error: invalid problem file: direction must be" in err
+        assert "config error: direction must be 'above' or 'below', in any case, not 5" in err
 
     @pytest.mark.parametrize("limit_state", [5, None])
     def test_non_string_limit_state_exit_2(self, capsys, tmp_path, limit_state):
@@ -172,7 +177,7 @@ class TestEstimateCommand:
             "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
         ])
         assert code == 2 and out == ""
-        assert "config error: invalid problem file: limit_state must be" in err
+        assert f"config error: limit_state must be an expression string, not {limit_state!r}" in err
 
     def test_bad_expression_exit_2(self, capsys, tmp_path):
         spec = {
@@ -482,7 +487,8 @@ class TestBenchmarkCommand:
             "seed": 0, "result": {"alpha_hat": 0.0}}))
         code, out, err = _run(capsys, ["estimate", "--replay", str(manifest)])
         assert code == 2 and out == ""
-        assert "config error: problem.case must name a benchmark case" in err
+        assert ("config error: problem.case must be one of four-branch, cantilever, oscillator"
+                in err)
         assert f"not 'file:{problem}'" in err
 
     def test_replay_rejects_benchmark_manifest(self, capsys, tmp_path):
@@ -504,3 +510,280 @@ class TestBenchmarkCommand:
         ])
         assert code == 2 and out == ""
         assert f"config error: --out-dir: cannot make directory {path}" in err
+
+
+def _main_quietly(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _key_path(path):
+    """A key path as the error messages write it: marginals[0].normal.sd."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _names(err, path):
+    """Whether a configuration error message names the key at `path`."""
+    return f"{_key_path(path)!r}" in err or f"error: {_key_path(path)} must be" in err
+
+
+def _walk(doc, path=()):
+    """(path, value) of `doc` and of everything inside it, at any depth."""
+    yield path, doc
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _walk(value, path + (key,))
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+_VALUES = [None, True, False, 0, 1, -1, 2.5, float("nan"), "", "x", "above", "mc", [], [1], {},
+           {"a": 1}]
+_NEW_KEYS = ["extra", "x", "", "Threshold", "normal ", "m"]
+
+
+@st.composite
+def _mutations(draw, doc):
+    """One mutation of a JSON object `doc`: a key dropped, renamed or given a
+    value of another JSON type, or a key added to an object, at any depth.
+    Returns (kind, path, new document, path of the renamed or added key)."""
+    nodes = list(_walk(doc))
+    kind = draw(st.sampled_from(["drop", "rename", "retype", "add"]))
+    if kind == "add":
+        path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]))
+    else:
+        path = draw(st.sampled_from([p for p, _ in nodes if p and isinstance(p[-1], str)]))
+    new = copy.deepcopy(doc)
+    target = new  # the object that holds the key, or gets the new one
+    for key in path if kind == "add" else path[:-1]:
+        target = target[key]
+    new_path = None
+    if kind == "drop":
+        del target[path[-1]]
+    elif kind == "retype":
+        old_type = _json_type(target[path[-1]])
+        target[path[-1]] = draw(st.sampled_from([v for v in _VALUES if _json_type(v) != old_type]))
+    else:
+        name = draw(st.sampled_from([k for k in _NEW_KEYS if k not in target]))
+        if kind == "rename":
+            target[name] = target.pop(path[-1])
+            new_path = path[:-1] + (name,)
+        else:
+            target[name] = draw(st.sampled_from(_VALUES))
+            new_path = path + (name,)
+    return kind, path, new, new_path
+
+
+_SPEC = {
+    "marginals": [{"normal": {"mean": 0, "sd": 1.0}}, {"normal": {"mean": 0.5, "sd": 2}}],
+    "threshold": 1,
+    "direction": "below",
+    "limit_state": "x1 + 0.5*x2",
+}
+
+
+class TestDeclaredShapes:
+    """Each JSON document is declared once and checked by one walker: an
+    error exits 2 and names the key path; a valid document runs as before."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"threshold": True}, "threshold must be a finite number, not True"),
+        ({"threshold": "3"}, "threshold must be a finite number, not '3'"),
+        ({"threshold": float("nan")}, "threshold must be a finite number, not nan"),
+        ({"direciton": "below"}, "unknown key 'direciton'"),
+        ({"marginals": [{"normal": {"mean": 0.0, "sd": 1.0}, "uniform": {}}]},
+         "unknown key 'marginals[0].uniform'"),
+        ({"marginals": {"a": 1}}, "marginals must be a non-empty JSON array, not dict"),
+        ({"marginals": []}, "marginals must be a non-empty JSON array, not []"),
+        ({"marginals": [{"normal": {"mean": 0, "sd": 1}}, {"normal": {"mean": True, "sd": 1}}]},
+         "marginals[1].normal.mean must be a finite number, not True"),
+        ({"marginals": [{"normal": {"mean": 10 ** 400, "sd": 1}}]},
+         "marginals[0].normal.mean must be a finite number"),
+        ({"direction": "sideways"}, "direction must be 'above' or 'below', in any case"),
+    ], ids=["threshold-bool", "threshold-str", "threshold-nan", "misspelled-key",
+            "two-laws", "marginals-object", "marginals-empty", "mean-bool", "mean-too-big",
+            "direction-value"])
+    def test_problem_file_departure_exit_2(self, capsys, tmp_path, change, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**_SPEC, **change}))
+        code, out, err = _run(capsys, ["estimate", "--method", "mc", "--problem", f"file:{path}",
+                                       "--m", "10", "--seed", "0"])
+        assert code == 2 and out == ""
+        assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(confg=d.pop("config")), "missing key 'config'"),
+        (lambda d: d["config"].update(extra=1), "unknown key 'config.extra'"),
+        (lambda d: d.update(extra=1), "unknown key 'extra'"),
+        (lambda d: d["problem"].update(custom=_SPEC),
+         "problem must hold one key: 'problem.case' or 'problem.custom'"),
+        (lambda d: d.update(problem={}),
+         "problem must hold one key: 'problem.case' or 'problem.custom'"),
+        (lambda d: d.update(problem={"custom": {**_SPEC, "threshold": True}}),
+         "problem.custom.threshold must be a finite number, not True"),
+        (lambda d: d.update(schema=True), "schema must be 1, not True"),
+        (lambda d: d["result"].update(alpha_hat="0.0"), "result.alpha_hat must be a number"),
+        (lambda d: d["result"].update(trace=[]), "unknown key 'result.trace'"),
+        (lambda d: d.pop("result"), "missing key 'result'"),
+        (lambda d: d["config"].update(p0=float("nan")), "config.p0 must be a number in (0, 1)"),
+    ], ids=["config-renamed", "config-extra", "extra", "case-and-custom", "no-problem-key",
+            "custom-threshold-bool", "schema-bool", "alpha-str", "result-trace", "no-result",
+            "p0-nan"])
+    def test_manifest_departure_exit_2(self, capsys, tmp_path, edit, message):
+        manifest = tmp_path / "m.json"
+        _run(capsys, ["estimate", "--method", "mc", "--problem", "cantilever", "--m", "100",
+                      "--seed", "0", "--out", str(manifest)])
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 2 and out == ""
+        assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--problem", '{"marginals": [{"normal": {"mean": 0, "sd": 1}}], "threshold": 3,'
+                      ' "threshold": -50, "limit_state": "x1"}', "threshold"),
+        ("--problem", '{"marginals": [{"normal": {"mean": 0, "sd": 1, "sd": 2}}], "threshold": 3,'
+                      ' "limit_state": "x1"}', "sd"),
+        ("--replay", '{"schema": 1, "command": "estimate", "method": "mc", "seed": 1, "seed": 2,'
+                     ' "problem": {"case": "cantilever"}, "config": {"m": 100, "p0": 0.1},'
+                     ' "result": {"alpha_hat": 0.0}}', "seed"),
+        ("--replay", '{"schema": 1, "command": "estimate", "method": "mc", "seed": 1,'
+                     ' "problem": {"case": "cantilever"}, "config": {"m": 100, "p0": 0.1},'
+                     ' "host": {"python": "3", "python": "4"}, "result": {"alpha_hat": 0.0}}',
+         "python"),
+    ], ids=["problem-top", "problem-nested", "manifest-top", "manifest-program-written"])
+    def test_repeated_key_exit_2(self, capsys, tmp_path, flag, text, key):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = (["--replay", str(path)] if flag == "--replay" else
+                ["--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0"])
+        code, out, err = _run(capsys, ["estimate", *argv])
+        assert code == 2 and out == ""
+        assert f"config error: repeated key {key!r}" in err
+
+    def test_valid_problem_file_gives_the_same_manifest(self, capsys, tmp_path):
+        # integer-valued mean, sd and threshold and an upper-case direction
+        # stay valid, and are recorded as written; the expected manifest is
+        # the one the hand-written checks produced, apart from timestamps and host
+        path = tmp_path / "p.json"
+        path.write_text('{"marginals": [{"normal": {"mean": 0, "sd": 1}}, {"normal": {"mean": 1,'
+                        ' "sd": 2.5}}], "threshold": -3, "direction": "BELOW",'
+                        ' "limit_state": "x1 - 0.5*x2"}')
+        manifest = tmp_path / "m.json"
+        code, out, _ = _run(capsys, ["estimate", "--method", "mc", "--problem", f"file:{path}",
+                                     "--m", "2000", "--seed", "3", "--out", str(manifest)])
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc["timestamps"]) == {"start", "end"}
+        assert set(doc["host"]) == {"platform", "python", "kernel_threads"}
+        doc["timestamps"] = doc["host"] = None
+        assert json.dumps(doc, indent=2) == json.dumps({
+            "schema": 1, "tool": "failprob", "version": __version__, "command": "estimate",
+            "method": "mc",
+            "problem": {"custom": {
+                "marginals": [{"normal": {"mean": 0, "sd": 1}}, {"normal": {"mean": 1, "sd": 2.5}}],
+                "threshold": -3, "direction": "BELOW", "limit_state": "x1 - 0.5*x2"}},
+            "config": {"m": 2000, "p0": 0.1}, "seed": 3, "timestamps": None, "host": None,
+            "result": {"method": "mc", "alpha_hat": 0.056, "delta_hat": 0.09180725150319788,
+                       "std_err": 0.005141206084179081, "n_total": 2000, "n_reported": 2000.0,
+                       "n_initial": 2000, "n_intermediate": 0, "n_final": 0, "degenerate": False,
+                       "error": None, "underflow_floors": 0, "stages": []},
+        }, indent=2)
+        code, _, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 0 and "replay ok" in err
+
+    @pytest.mark.parametrize("methods,m_list,message", [
+        ("mc", "0", "method mc at m = 0: m must be >= 1"),
+        ("ss", "5", "method ss at m = 5: need 1 <= m0 < m"),
+        ("bss", "1", "method bss at m = 1: m must be >= 2"),
+        ("mc,bss", "1000,1", "method bss at m = 1: m must be >= 2"),
+    ])
+    def test_benchmark_rejected_configuration_exit_2(self, capsys, tmp_path, methods, m_list,
+                                                     message):
+        code, out, err = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--methods", methods, "--m-list", m_list,
+            "--runs", "2", "--out-dir", str(tmp_path / "b"),
+        ])
+        assert code == 2 and out == ""
+        assert f"config error: {message}" in err
+        assert not (tmp_path / "b" / "rmse.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--methods", "mc,nope", "--methods[1] must be one of mc, ss, bss, not 'nope'"),
+        ("--jobs", "0", "--jobs must be an integer >= 1, not 0"),
+    ])
+    def test_benchmark_flag_departure_exit_2(self, capsys, tmp_path, flag, value, message):
+        argv = {"--methods": "mc", "--jobs": "1", flag: value}
+        code, out, err = _run(capsys, [
+            "benchmark", "--case", "cantilever", "--m-list", "100", "--runs", "2",
+            "--out-dir", str(tmp_path / "b"), *(item for pair in argv.items() for item in pair)])
+        assert code == 2 and out == ""
+        assert f"config error: {message}" in err
+
+    def test_problem_flag_names_its_forms(self, capsys):
+        code, _, err = _run(capsys, ["estimate", "--method", "mc", "--problem", "p.json",
+                                     "--m", "10", "--seed", "0"])
+        assert code == 2
+        assert ("config error: --problem must be file:<path> or one of four-branch, cantilever,"
+                " oscillator, not 'p.json'") in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_problem_file_runs_or_names_the_key(self, tmp_path_factory, data):
+        # only dropping the optional direction leaves a valid file, which
+        # then estimates the upper tail, as a file with "direction": "above"
+        kind, path, spec, new_path = data.draw(_mutations(_SPEC))
+        directory = tmp_path_factory.mktemp("mutated")
+        (directory / "p.json").write_text(json.dumps(spec))
+        code, out, err = _main_quietly(["estimate", "--method", "mc", "--problem",
+                                        f"file:{directory / 'p.json'}", "--m", "200",
+                                        "--seed", "1"])
+        if (kind, path) == ("drop", ("direction",)):
+            (directory / "above.json").write_text(json.dumps({**_SPEC, "direction": "above"}))
+            _, above, _ = _main_quietly(["estimate", "--method", "mc", "--problem",
+                                         f"file:{directory / 'above.json'}", "--m", "200",
+                                         "--seed", "1"])
+            assert code == 0
+            assert json.loads(out)["problem"] == {"custom": spec}
+            assert json.loads(out)["result"] == json.loads(above)["result"]
+        else:
+            assert code == 2, (kind, path, spec, err)
+            assert out == ""
+            assert _names(err, path) or (new_path and _names(err, new_path)), (kind, path, err)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), case=st.booleans())
+    def test_mutated_manifest_replays_or_names_the_key(self, tmp_path_factory, data, case):
+        # the run's keys are closed; keys the program writes and does not read
+        # back (tool, version, timestamps, host and the result but alpha_hat)
+        # may be dropped or hold anything. The custom problem states the
+        # default direction, so dropping it leaves the same run
+        directory = tmp_path_factory.mktemp("manifest")
+        (directory / "p.json").write_text(json.dumps({**_SPEC, "direction": "above"}))
+        problem = "cantilever" if case else f"file:{directory / 'p.json'}"
+        _main_quietly(["estimate", "--method", "mc", "--problem", problem, "--m", "200",
+                       "--seed", "1", "--out", str(directory / "m.json")])
+        kind, path, doc, new_path = data.draw(_mutations(
+            json.loads((directory / "m.json").read_text())))
+        (directory / "m.json").write_text(json.dumps(doc))
+        code, out, err = _main_quietly(["estimate", "--replay", str(directory / "m.json")])
+
+        def free(p):  # a value the program wrote and does not read back, or inside one
+            return len(p) >= 1 and p[0] in ("tool", "version", "timestamps", "host") or (
+                len(p) >= 2 and p[0] == "result" and p[1] != "alpha_hat")
+
+        runs = {"drop": free(path) or path == ("problem", "custom", "direction"),
+                "retype": free(path), "rename": free(path[:-1]), "add": free(path)}[kind]
+        if runs:
+            assert code == 0 and "replay ok" in err, (kind, path, err)
+        else:
+            assert code == 2, (kind, path, doc, err)
+            assert out == ""
+            assert _names(err, path) or (new_path and _names(err, new_path)), (kind, path, err)
