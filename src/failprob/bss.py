@@ -38,7 +38,8 @@ from .core import (
 )
 from .design import maximin_lhs
 from .gp import GpModel, fit_reml
-from .smc import DegenerateWeightsError, initial_log_steps, residual_resample, reweight, rwmh_move
+from .smc import (DegenerateWeightsError, initial_log_steps, product_estimate, residual_resample,
+                  reweight, rwmh_move, stage_record)
 from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
 
 __all__ = [
@@ -46,8 +47,6 @@ __all__ = [
     "ThresholdSolverError",
     "solve_threshold",
     "misclass_sum",
-    "kappa_hat",
-    "cov_recursion",
     "run_bss",
 ]
 
@@ -180,28 +179,6 @@ def misclass_sum(mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
     return float(terms.sum())
 
 
-def kappa_hat(ratios: np.ndarray, p_hat: float) -> float:
-    """Per-stage relative variance term: mean((r - p_hat)^2) / p_hat^2."""
-    if not p_hat > 0.0:
-        raise ValueError("degenerate stage: p_hat must be positive")
-    r = np.asarray(ratios, dtype=float)
-    return float(np.mean((r - p_hat) ** 2) / (p_hat * p_hat))
-
-
-def cov_recursion(kappas, m: int) -> np.ndarray:
-    """Coefficient of variation per stage from
-    delta^2_t = kappa_t/m + (1 + kappa_t/m) * delta^2_{t-1}, delta^2_0 = 0."""
-    delta2 = 0.0
-    out = []
-    for k in kappas:
-        k = float(k)
-        if k < 0.0:
-            raise ValueError("kappa values must be non-negative")
-        delta2 = k / m + (1.0 + k / m) * delta2
-        out.append(math.sqrt(delta2))
-    return np.array(out)
-
-
 def _default_model_factory(X, y, prev_hyper, rng):
     n_starts = REML_STARTS if prev_hyper is None else REML_REFIT_STARTS
     hyper = fit_reml(X, y, n_starts=n_starts, rng=rng, init=prev_hyper)
@@ -274,10 +251,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
             u_t = u if is_final else u_cand
             log_g_t = log_coverage_g(mean_p, sd_p, u_t)
             ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
-            p_hat = float(ratios.mean())
-            kap = kappa_hat(ratios, p_hat) if p_hat > 0.0 else 0.0
-            delta = float(cov_recursion([s.kappa_hat for s in stages] + [kap], m)[-1])
-            eta = ETA_FINAL_FACTOR * delta if is_final else ETA_INTERMEDIATE
+            record = stage_record(t, u_t, ratios, stages)
+            eta = ETA_FINAL_FACTOR * record.delta_hat if is_final else ETA_INTERMEDIATE
             if n_t >= N_MIN and misclass_sum(
                 mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
             ) <= eta * m * p0:
@@ -311,8 +286,8 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
             n_t += 1
 
         # stage complete (or ended): record it with the last solved threshold
-        stages.append(StageRecord(t=t, u_t=u_t, n_evals=n_t, p_hat=p_hat,
-                                  kappa_hat=kap, delta_hat=delta))
+        record.n_evals = n_t
+        stages.append(record)
         if error is not None or is_final:
             break
         if t == MAX_STAGES:  # no stage is left to use the moved cloud
@@ -340,10 +315,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
         )
         stages[-1].acceptance = diag.intervals()
 
-    log_alpha = 0.0  # a plain sum in stage order: alpha_hat's bits depend on it
-    for s in stages:
-        log_alpha += math.log(s.p_hat) if s.p_hat > 0.0 else -math.inf
-    alpha = math.exp(log_alpha) if math.isfinite(log_alpha) else 0.0
+    alpha = product_estimate(s.p_hat for s in stages)
     # a stage cut short below u counts as intermediate
     n_final = stages[-1].n_evals if stages[-1].u_t == u else 0
     return EstimationResult(

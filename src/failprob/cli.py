@@ -105,15 +105,20 @@ def _name(path: tuple) -> str:
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:] if keys else root
 
 
-def _problem(spec: dict) -> Problem:
-    """The problem a checked `problem` entry names: a benchmark case or a custom problem."""
+def _problem(spec: dict, path: tuple) -> Problem:
+    """The problem a checked `problem` entry names: a benchmark case or a
+    custom problem, whose key path `path` an expression error names."""
     if "case" in spec:
         return CASES[spec["case"]]().problem
     custom = spec["custom"]
     normals = [marginal["normal"] for marginal in custom["marginals"]]
     law = InputDistribution([float(p["mean"]) for p in normals], [float(p["sd"]) for p in normals])
-    return Problem(compile_limit_state(custom["limit_state"], law.dim), law,
-                   float(custom["threshold"]), Direction(custom.get("direction", "above").lower()))
+    try:
+        limit_state = compile_limit_state(custom["limit_state"], law.dim)
+    except ExprError as exc:
+        raise ConfigError(f"{_name(path + ('limit_state',))}: {exc}") from None
+    return Problem(limit_state, law, float(custom["threshold"]),
+                   Direction(custom.get("direction", "above").lower()))
 
 
 def _read_json(path: Path, flag: str, shape):
@@ -159,6 +164,7 @@ def cmd_estimate(args) -> int:
                               f"remove {', '.join(given)}")
         recorded = _read_json(Path(args.replay), "--replay", _MANIFEST)
         method, spec, config, seed = (recorded[k] for k in ("method", "problem", "config", "seed"))
+        custom_path = ("--replay", "problem", "custom")
     else:
         if None in (args.method, args.problem, args.m, args.seed):
             raise ConfigError("--method, --problem, --m and --seed are required")
@@ -170,7 +176,8 @@ def cmd_estimate(args) -> int:
         spec = ({"custom": _read_json(Path(args.problem[5:]), "--problem", _PROBLEM_FILE)}
                 if args.problem.startswith("file:")
                 else {"case": _check(args.problem, _PROBLEM_FLAG, ("--problem",))})
-    problem = _problem(spec)
+        custom_path = ("--problem",)
+    problem = _problem(spec, custom_path)
     manifest, result = _run_to_manifest(method, problem, spec, config["m"], config["p0"], seed)
     text = json.dumps(manifest, indent=2)
     if args.trace:
@@ -230,12 +237,19 @@ def cmd_benchmark(args) -> int:
         if repeated:
             raise ConfigError(f"{flag} repeats {', '.join(map(str, repeated))}")
     out_dir = Path(args.out_dir)
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out-dir: cannot make directory {out_dir}: {exc.strerror}") from None
-
-    study = run_rmse_experiment(args.case, methods, m_values, args.runs, args.seed, jobs=args.jobs)
+    try:
+        study = run_rmse_experiment(args.case, methods, m_values, args.runs, args.seed,
+                                    jobs=args.jobs)
+    except BaseException:
+        for path in made:  # a study that did not run leaves no directory it made
+            if not any(path.iterdir()):
+                path.rmdir()
+        raise
     (out_dir / "rmse.csv").write_text(study.to_csv(), encoding="utf-8")
     (out_dir / "runs.csv").write_text(study.per_run_csv(), encoding="utf-8")
     print((out_dir / "rmse.csv").read_text(encoding="utf-8"), end="")
@@ -283,7 +297,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
-    except (ConfigError, ExprError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError) as exc:
         print(f"failprob: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # estimator failures

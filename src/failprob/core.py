@@ -310,7 +310,7 @@ class EvaluationLedger:
 @dataclass
 class StageRecord:
     """Per-stage bookkeeping: threshold, evaluation count, ratio estimate,
-    and the variance-recursion terms when available.
+    and the variance-recursion terms (`smc.stage_record` builds it).
 
     `n_evals` is the ledger's count at stage t: the SUR evaluations in
     `bss`, the move's evaluations in `ss`. `acceptance` holds, per sweep of
@@ -322,8 +322,8 @@ class StageRecord:
     u_t: float
     n_evals: int
     p_hat: float
-    kappa_hat: float | None = None
-    delta_hat: float | None = None
+    kappa_hat: float
+    delta_hat: float
     acceptance: list[list[float]] = field(default_factory=list)
 
 

@@ -7,9 +7,9 @@ its factor the level's indicator, so the screened move evaluates f only at
 proposals that pass the density step (Au & Beck's modified Metropolis), and
 at the few others it scores to keep its step adaptation exact. Thresholds
 are the (m - m0)-th order statistic of the current population's
-limit-state values, so each intermediate conditional probability estimate
-equals p0 = m0/m by construction, and the final estimate is
-(m_u / m) * p0^(T-1).
+limit-state values (NaN ranks below every level). Stages are recorded as in
+`bss`, the level's indicator being the coverage ratio, so the estimate is
+the product of the fractions above each level, with the kappa-recursion CoV.
 
 Both take an int root seed and draw from named substreams of it. Every
 limit-state call goes through an `EvaluationLedger` (the stage 0 sample
@@ -34,13 +34,12 @@ from .core import (
     StageRecord,
     substream,
 )
-from .smc import initial_log_steps, residual_resample, rwmh_move
+from .smc import initial_log_steps, product_estimate, residual_resample, rwmh_move, stage_record
 
 __all__ = [
     "SubsetSimConfig",
     "monte_carlo_estimate",
     "run_subset_simulation",
-    "ss_relative_variance_approx",
 ]
 
 MAX_STAGES = 50  # stages before a run ends with `error` set
@@ -108,9 +107,9 @@ def monte_carlo_estimate(problem: Problem, m: int, seed: int) -> EstimationResul
 def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) -> EstimationResult:
     """Subset simulation with adaptive thresholds (order-statistic levels).
 
-    A run whose `MAX_STAGES` stages all end below u returns p0^MAX_STAGES,
-    the product of its recorded stage estimates, with `error` set; it makes
-    no move after its last stage."""
+    It returns the product of its recorded stage estimates once the order
+    statistic passes u, or with `error` set once a level below u keeps no
+    particle or `MAX_STAGES` stages end below u; no move follows the last."""
     # stream names shared with the Bayesian variant: with a perfect surrogate
     # both algorithms consume identical draws and produce identical trajectories
     rng_init = substream(seed, "particle-init")
@@ -130,26 +129,26 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     stages: list[StageRecord] = []
     error: str | None = None
     for t in range(1, MAX_STAGES + 1):
-        order = np.sort(vals)
-        u_t0 = float(order[m - m0 - 1])  # (m - m0)-th order statistic, 1-indexed
-        if u_t0 > u:
-            m_u = int(np.count_nonzero(vals > u))
-            alpha = (m_u / m) * p0 ** (t - 1)
-            stages.append(StageRecord(t=t, u_t=u, n_evals=0, p_hat=m_u / m))
+        order = np.sort(np.where(np.isnan(vals), -np.inf, vals))  # NaN lies in no level
+        is_final = order[m - m0 - 1] > u  # the (m - m0)-th order statistic, 1-indexed
+        u_t = u if is_final else float(order[m - m0 - 1])
+        survivors = vals > u_t
+        ratios = survivors.astype(float)
+        stages.append(stage_record(t, u_t, ratios, stages))
+        if is_final:
             break
-        stages.append(StageRecord(t=t, u_t=u_t0, n_evals=0, p_hat=p0))
         if t == MAX_STAGES:  # the threshold may be unreachable or the kernel stuck
             error = f"max_stages={MAX_STAGES} exceeded"
-            alpha = p0 ** MAX_STAGES
             break
-        survivors = vals > u_t0
         m_t = int(np.count_nonzero(survivors))
+        if m_t == 0:
+            error = f"no particle lies above the level u_t = {u_t!r}"
+            break
         # reweight to the indicator of the new level, then resample
-        w = survivors.astype(float) / m_t
-        idx = residual_resample(w, rng_resample)
+        idx = residual_resample(ratios / m_t, rng_resample)
         pts, vals, log_pdf = pts[idx], vals[idx], log_pdf[idx]
 
-        def log_factor(X, _u=u_t0, _t=t):
+        def log_factor(X, _u=u_t, _t=t):
             # the level's indicator: f is evaluated only where the move asks
             fv = ledger.evaluate(problem.limit_state, X, stage=_t)
             return np.where(fv > _u, 0.0, -np.inf), {"f": fv}
@@ -164,13 +163,13 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         stages[-1].n_evals = ledger.n_total - n_before
         stages[-1].acceptance = diag.intervals()
 
+    alpha = product_estimate(s.p_hat for s in stages)
     n_moves = len(stages) - 1  # every stage but the last moves the cloud
     n_reported = m + n_moves * (1.0 - p0) * m
-    delta = math.sqrt(ss_relative_variance_approx(alpha, p0, m)) if 0.0 < alpha < 1.0 else None
     return EstimationResult(
         method="ss",
         alpha_hat=alpha,
-        delta_hat=delta,
+        delta_hat=stages[-1].delta_hat,
         stages=stages,
         n_total=ledger.n_total,
         n_reported=n_reported,
@@ -180,14 +179,3 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         degenerate=alpha == 0.0,
         error=error,
     )
-
-
-def ss_relative_variance_approx(alpha: float, p0: float, m: int) -> float:
-    """Asymptotic Var(alpha_SS / alpha) when all conditional probabilities
-    equal p0: (T/m)(1 - p0)/p0 with T = ceil(log alpha / log p0)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if not 0.0 < p0 < 1.0:
-        raise ValueError("p0 must be in (0, 1)")
-    T = max(1, math.ceil(math.log(alpha) / math.log(p0) - 1e-12))
-    return (T / m) * (1.0 - p0) / p0

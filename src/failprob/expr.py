@@ -45,13 +45,17 @@ class ExprError(ValueError):
 
 
 def compile_limit_state(expression: str, dim: int):
-    """Compile an expression over x1..x<dim> into a vectorized (n, d) -> (n,) function."""
+    """Compile an expression over x1..x<dim> into a vectorized (n, d) -> (n,) function.
+
+    An expression nested too deeply for the parser or the compiler (a
+    `RecursionError` or `MemoryError`) is an `ExprError` too."""
     source = expression.replace("^", "**")
     try:
-        tree = ast.parse(source, mode="eval")
+        evaluate = _compile(ast.parse(source, mode="eval").body, dim)
     except SyntaxError as exc:
         raise ExprError(f"cannot parse expression: {exc}") from None
-    evaluate = _compile(tree.body, dim)
+    except (RecursionError, MemoryError):
+        raise ExprError("expression is nested too deeply to compile") from None
 
     def limit_state(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -1,5 +1,5 @@
 """Sequential Monte Carlo transitions: reweight, residual resampling, and
-the adaptive Gaussian random-walk Metropolis move.
+the adaptive Gaussian random-walk Metropolis move; and the estimate `ss` and `bss` share.
 
 The move kernel runs `SWEEPS` sweeps over the whole population. Each
 sweep proposes a joint d-dimensional Gaussian perturbation per particle
@@ -44,12 +44,16 @@ from functools import partial
 
 import numpy as np
 
-from .core import _kernel_submit, log_sum_exp
+from .core import StageRecord, _kernel_submit, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
     "reweight",
     "residual_resample",
+    "kappa_hat",
+    "cov_recursion",
+    "stage_record",
+    "product_estimate",
     "initial_log_steps",
     "MoveDiagnostics",
     "rwmh_move",
@@ -102,6 +106,48 @@ def residual_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
         extra = rng.choice(m, size=r, p=residual)
         counts += np.bincount(extra, minlength=m)
     return np.repeat(np.arange(m), counts)
+
+
+def kappa_hat(ratios: np.ndarray, p_hat: float) -> float:
+    """Per-stage relative variance term: mean((r - p_hat)^2) / p_hat^2."""
+    if not p_hat > 0.0:
+        raise ValueError("degenerate stage: p_hat must be positive")
+    r = np.asarray(ratios, dtype=float)
+    return float(np.mean((r - p_hat) ** 2) / (p_hat * p_hat))
+
+
+def cov_recursion(kappas, m: int) -> np.ndarray:
+    """Coefficient of variation per stage from
+    delta^2_t = kappa_t/m + (1 + kappa_t/m) * delta^2_{t-1}, delta^2_0 = 0."""
+    delta2 = 0.0
+    out = []
+    for k in kappas:
+        k = float(k)
+        if k < 0.0:
+            raise ValueError("kappa values must be non-negative")
+        delta2 = k / m + (1.0 + k / m) * delta2
+        out.append(math.sqrt(delta2))
+    return np.array(out)
+
+
+def stage_record(t: int, u_t: float, ratios: np.ndarray, stages) -> StageRecord:
+    """The record of stage t at level u_t, from the coverage ratios
+    g_t / g_{t-1} at its m particles (in `ss`, the level's indicator) and the
+    records of the stages before it: `p_hat` is the ratios' mean, `kappa_hat`
+    0 where that is 0, `delta_hat` the recursion's value, `n_evals` 0."""
+    p_hat = float(ratios.mean())
+    kap = kappa_hat(ratios, p_hat) if p_hat > 0.0 else 0.0
+    delta = float(cov_recursion([s.kappa_hat for s in stages] + [kap], len(ratios))[-1])
+    return StageRecord(t=t, u_t=u_t, n_evals=0, p_hat=p_hat, kappa_hat=kap, delta_hat=delta)
+
+
+def product_estimate(p_hats) -> float:
+    """The product of the stages' p_hat, as the exp of their logs summed in
+    stage order (the estimate's bits depend on that order); 0 if any is 0."""
+    log_alpha = 0.0
+    for p in p_hats:
+        log_alpha += math.log(p) if p > 0.0 else -math.inf
+    return math.exp(log_alpha) if math.isfinite(log_alpha) else 0.0
 
 
 def initial_log_steps(marginal_sds: np.ndarray) -> np.ndarray:

@@ -16,11 +16,10 @@ from scipy import stats as spstats
 
 from failprob import smc, sur
 from failprob.bench import cantilever_beam, four_branch, nonlinear_oscillator, run_rmse_experiment
-from failprob.bss import cov_recursion, kappa_hat
 from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, _neg_sq_diffs, reml_objective
-from failprob.smc import residual_resample, rwmh_move
+from failprob.smc import cov_recursion, kappa_hat, residual_resample, rwmh_move
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import model_var_floor, select_next_point
 

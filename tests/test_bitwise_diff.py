@@ -74,7 +74,36 @@ def test_every_kind_of_difference_is_listed(tmp_path, capsys):
     ]
     assert bitwise_diff.main([a, b]) == 1
     assert capsys.readouterr().err.strip() == (
-        "3 runs compared, 3 differ: seed 0, alpha_hat 1, n_total 1, in one file only 1")
+        "3 runs compared, 3 differ: seed 0, alpha_hat 1 (at most 1.8e-16 relative), n_total 1, "
+        "in one file only 1")
+
+
+def test_last_bit_change_reads_as_one(tmp_path, capsys):
+    # alpha_hat moves in its last bits on every run: the summary gives the
+    # largest relative difference among them
+    changed = copy.deepcopy(_REPORT)
+    wl = changed["workloads"][0]
+    for run, ulps in ((wl["warmup"], 1), (wl["runs"][0], 20), (wl["runs"][1], -3)):
+        value = float.fromhex(run["alpha_hat"])
+        for _ in range(abs(ulps)):
+            value = math.nextafter(value, math.copysign(1.0, ulps))
+        run["alpha_hat"] = value.hex()
+    a = _write(tmp_path, "a.out", _REPORT)
+    b = _write(tmp_path, "b.out", changed)
+    assert bitwise_diff.main([a, b]) == 1
+    largest = 20 * math.ulp(2.5e-7) / 2.5e-7
+    assert capsys.readouterr().err.strip() == (
+        f"4 runs compared, 3 differ: seed 0, alpha_hat 3 (at most {largest:.2g} relative), "
+        "n_total 0")
+
+
+def test_relative_difference():
+    rel = bitwise_diff.relative_difference
+    assert rel((2.0).hex(), (2.5).hex()) == 0.25
+    assert rel((2.0).hex(), (1.5).hex()) == 0.25
+    assert rel((0.0).hex(), (1e-300).hex()) == math.inf
+    assert rel((1.0).hex(), "nan") == math.inf
+    assert rel((1.0).hex(), None) == math.inf
 
 
 def test_unreadable_input_exits_two(tmp_path):

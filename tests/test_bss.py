@@ -17,14 +17,13 @@ from failprob.bss import (
     _MAX_EXPANSIONS,
     BssConfig,
     ThresholdSolverError,
-    cov_recursion,
-    kappa_hat,
     misclass_sum,
     run_bss,
     solve_threshold,
 )
 from failprob.core import InputDistribution, Problem, log_sum_exp, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
+from failprob.smc import cov_recursion, kappa_hat
 from failprob.sur import log_coverage_g
 
 
@@ -349,6 +348,7 @@ class TestRunBss:
             rs = run_subset_simulation(prob, SubsetSimConfig(m=2000, m0=200), seed)
             assert rb.alpha_hat == pytest.approx(rs.alpha_hat, rel=1e-10)
             assert len(rb.stages) == len(rs.stages)
+            assert [s.p_hat for s in rb.stages] == [s.p_hat for s in rs.stages]
 
     @pytest.mark.usefixtures("eight_design_points")
     def test_max_total_evaluations_partial_result(self, monkeypatch):

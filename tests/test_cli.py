@@ -187,11 +187,44 @@ class TestEstimateCommand:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))
-        code, _, _ = _run(capsys, [
+        code, _, err = _run(capsys, [
             "estimate", "--method", "mc", "--problem", f"file:{path}",
             "--m", "10", "--seed", "0",
         ])
         assert code == 2
+        assert "config error: limit_state: only min, max, abs" in err
+
+    @pytest.mark.parametrize("expression", [
+        "+".join(["x1"] * 1500),  # too deep for the compiler
+        "+".join(["x1"] * 3001),  # too deep for the parser
+        "-" * 100_000 + "x1",  # the parser runs out of memory
+    ], ids=["sum-of-1500", "sum-of-3001", "100000-minus-signs"])
+    def test_deep_expression_exit_2(self, capsys, tmp_path, expression):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}],
+                                    "threshold": 0.0, "limit_state": expression}))
+        code, out, err = _run(capsys, [
+            "estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10", "--seed", "0",
+        ])
+        assert code == 2 and out == ""
+        assert "config error: limit_state: expression is nested too deeply to compile" in err
+
+    def test_expression_error_names_the_manifest_key(self, capsys, tmp_path):
+        spec = {"marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}], "threshold": 0.0,
+                "limit_state": "x1"}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        manifest = tmp_path / "m.json"
+        assert main(["estimate", "--method", "mc", "--problem", f"file:{path}", "--m", "10",
+                     "--seed", "0", "--out", str(manifest)]) == 0
+        capsys.readouterr()
+        doc = json.loads(manifest.read_text())
+        doc["problem"]["custom"]["limit_state"] = "x2"
+        manifest.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, ["estimate", "--replay", str(manifest)])
+        assert code == 2 and out == ""
+        assert ("config error: problem.custom.limit_state: unknown variable 'x2' (expected x1..x1)"
+                in err)
 
     def test_out_and_trace_files(self, capsys, tmp_path):
         out_path = tmp_path / "manifest.json"
@@ -331,8 +364,7 @@ class TestEstimateCommand:
         assert f"config error: {message}" in err and out == ""
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("method,message", [("ss", "Probabilities contain NaN"),
-                                                ("bss", "limit state returned nan at x = ")])
+    @pytest.mark.parametrize("method,message", [("bss", "limit state returned nan at x = ")])
     def test_error_raised_mid_run_exit_3(self, capsys, tmp_path, method, message):
         # log(x1) is NaN for half the inputs: the run starts and then fails
         spec = {
@@ -348,6 +380,25 @@ class TestEstimateCommand:
         ])
         assert code == 3
         assert f"estimator error: {message}" in err
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("limit_state, threshold, code, error", [
+        ("log(x1) + x2", 2.0, 0, None),  # NaN for half the inputs: in no level
+        ("0 * x1 + 0", 1.0, 3, "no particle lies above the level u_t = 0.0"),
+    ], ids=["nan-for-half-the-inputs", "constant-below-u"])
+    def test_ss_nan_values_rank_below_every_level(self, capsys, tmp_path, limit_state,
+                                                  threshold, code, error):
+        # a level that keeps no particle ends the run with its error recorded
+        spec = {"marginals": [{"normal": {"mean": 0.0, "sd": 1.0}}] * 2,
+                "threshold": threshold, "limit_state": limit_state}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        got, out, _ = _run(capsys, [
+            "estimate", "--method", "ss", "--problem", f"file:{path}", "--m", "1000", "--seed", "1",
+        ])
+        result = json.loads(out)["result"]
+        assert (got, result["error"]) == (code, error)
+        assert (result["alpha_hat"] > 0.0) == (error is None)
 
     @pytest.mark.usefixtures("setulb_of_another_scipy")
     def test_setulb_of_another_scipy_exit_3(self, capsys):
@@ -713,7 +764,19 @@ class TestDeclaredShapes:
         ])
         assert code == 2 and out == ""
         assert f"config error: {message}" in err
-        assert not (tmp_path / "b" / "rmse.csv").exists()
+        assert not (tmp_path / "b").exists()
+
+    def test_benchmark_rejected_configuration_leaves_no_out_dir(self, capsys, tmp_path):
+        # the directories the command made are removed; one that was there stays
+        (tmp_path / "kept").mkdir()
+        for out_dir in (tmp_path / "od" / "sub", tmp_path / "kept" / "sub"):
+            code, _, err = _run(capsys, [
+                "benchmark", "--case", "four-branch", "--methods", "ss", "--m-list", "5",
+                "--runs", "2", "--out-dir", str(out_dir),
+            ])
+            assert code == 2 and "method ss at m = 5" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--methods", "mc,nope", "--methods[1] must be one of mc, ss, bss, not 'nope'"),

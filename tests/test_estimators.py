@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from failprob import estimators
 from failprob.core import ConfigError, InputDistribution, Problem
@@ -12,8 +12,8 @@ from failprob.estimators import (
     SubsetSimConfig,
     monte_carlo_estimate,
     run_subset_simulation,
-    ss_relative_variance_approx,
 )
+from failprob.smc import product_estimate, rwmh_move
 
 
 def _linear(X):
@@ -47,28 +47,6 @@ class TestMonteCarlo:
             monte_carlo_estimate(_problem(0.0), 0, 0)
 
 
-class TestVarianceApprox:
-    def test_paper_example(self):
-        # alpha 1e-6, p0 0.1, m 5400: T = 6 stages, 10% coefficient of variation
-        v = ss_relative_variance_approx(1e-6, 0.1, 5400)
-        assert v == pytest.approx(0.01, rel=1e-9)
-
-    def test_single_stage_is_bernoulli(self):
-        v = ss_relative_variance_approx(0.1, 0.1, 1000)
-        assert v == pytest.approx(0.9 / (0.1 * 1000), rel=1e-12)
-
-    def test_m_scaling(self):
-        a = ss_relative_variance_approx(1e-4, 0.1, 1000)
-        b = ss_relative_variance_approx(1e-4, 0.1, 2000)
-        assert a == pytest.approx(2 * b, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ss_relative_variance_approx(0.0, 0.1, 100)
-        with pytest.raises(ValueError):
-            ss_relative_variance_approx(0.5, 1.0, 100)
-
-
 class TestSubsetSimulation:
     def test_single_stage_collapse_is_pure_mc(self):
         # threshold below the first order statistic: T = 1, alpha = m_u / m
@@ -88,7 +66,8 @@ class TestSubsetSimulation:
         res = run_subset_simulation(prob, cfg, 11)
         T = len(res.stages)
         m_u_over_m = res.stages[-1].p_hat
-        assert res.alpha_hat == (0.1 ** (T - 1)) * m_u_over_m
+        assert res.alpha_hat == product_estimate(s.p_hat for s in res.stages)
+        assert res.alpha_hat == pytest.approx((0.1 ** (T - 1)) * m_u_over_m, rel=1e-14)
         for s in res.stages[:-1]:
             assert s.p_hat == 0.1
         thresholds = [s.u_t for s in res.stages]
@@ -125,6 +104,39 @@ class TestSubsetSimulation:
             # an interval left open lies clear of the adaptation target
             assert all(lo == hi or not lo <= 0.3 <= hi for lo, hi in s.acceptance)
 
+    def test_stage_records_follow_the_kappa_recursion(self, monkeypatch):
+        # oracle: the cloud each stage sees (the initial sample, then each
+        # move's output) gives p_hat = survivors / m; the indicator's kappa is
+        # (1 - p) / p, and delta_hat the recursion rolled by hand
+        m = 2000
+        clouds = []
+
+        def linear(X):
+            values = X[:, 0]
+            if not clouds:
+                clouds.append(values.copy())
+            return values
+
+        def recording_move(*args, **kwargs):
+            out = rwmh_move(*args, **kwargs)
+            clouds.append(out[1][2]["f"].copy())
+            return out
+
+        monkeypatch.setattr(estimators, "rwmh_move", recording_move)
+        problem = Problem(linear, InputDistribution.iid_normal(1), float(ndtri(1 - 1e-4)))
+        res = run_subset_simulation(problem, SubsetSimConfig(m=m, m0=200), 7)
+        assert len(res.stages) == len(clouds) >= 3
+        delta2 = 0.0
+        for stage, vals in zip(res.stages, clouds):
+            p = int(np.count_nonzero(vals > stage.u_t)) / m
+            kappa = (1.0 - p) / p
+            delta2 = kappa / m + (1.0 + kappa / m) * delta2
+            assert stage.p_hat == p
+            assert stage.kappa_hat == pytest.approx(kappa, rel=1e-12)
+            assert stage.delta_hat == pytest.approx(math.sqrt(delta2), rel=1e-12)
+        assert res.delta_hat == res.stages[-1].delta_hat
+        assert res.alpha_hat == pytest.approx(math.prod(s.p_hat for s in res.stages), rel=1e-14)
+
     def test_unbiasedness_1d_tail(self):
         # quick version of the statistical acceptance check
         alpha = 1e-4
@@ -143,7 +155,7 @@ class TestSubsetSimulation:
         res = run_subset_simulation(prob, cfg, 0)
         assert res.error == "max_stages=1 exceeded"
         assert [(s.t, s.p_hat) for s in res.stages] == [(1, 0.1)]
-        assert res.alpha_hat == 0.1 and not res.degenerate
+        assert res.alpha_hat == product_estimate([0.1]) and not res.degenerate
         # stage 0's sample only: no stage is left to use a move after stage 1
         assert res.n_reported == 200 and res.n_intermediate == 0
         assert res.n_total == 200
@@ -207,6 +219,48 @@ def test_ss_rejects_nonfinite_values():
     res = run_subset_simulation(problem, SubsetSimConfig(m=2000, m0=200), 0)
     assert nonfinite[0] > 0 and sum(nonfinite[1:]) > 0
     assert res.error is None and 0.0 < res.alpha_hat < 1.0
+
+
+def _nan_left_of(cut):
+    """Limit state x2 on N(0,1)^2, NaN wherever x1 < cut, and its exact
+    P(f > u) at u = Phi^-1(1 - 1e-3): a NaN value is no failure."""
+    problem = Problem(lambda X: np.where(X[:, 0] < cut, np.nan, X[:, 1]),
+                      InputDistribution.iid_normal(2), float(ndtri(1 - 1e-3)))
+    return problem, float(ndtr(-cut)) * 1e-3
+
+
+def test_ss_ranks_nan_below_every_level():
+    # NaN mass below p0 (x1 < -1.5, 6.7%): with NaN ranked as the largest
+    # value, fewer than m0 finite particles survived the first level, which
+    # was still credited p0, and seeds 0-2 gave 2.3e-3 to 3.8e-3 against 9.33e-4
+    problem, alpha = _nan_left_of(-1.5)
+    for seed in range(5):
+        res = run_subset_simulation(problem, SubsetSimConfig(m=2000, m0=200), seed)
+        assert res.error is None
+        assert res.stages[0].p_hat == 0.1
+        assert 0.7 * alpha < res.alpha_hat < 1.4 * alpha
+
+
+def test_ss_finishes_with_nan_mass_above_p0():
+    # NaN wherever x1 < -1 (16% > p0): the first order statistic used to be
+    # NaN, so no particle survived and the resampling weights divided by zero
+    problem, alpha = _nan_left_of(-1.0)
+    for seed in range(3):
+        res = run_subset_simulation(problem, SubsetSimConfig(m=2000, m0=200), seed)
+        assert res.error is None and not res.degenerate
+        assert 0.7 * alpha < res.alpha_hat < 1.4 * alpha
+
+
+@pytest.mark.parametrize("value, u_t", [(0.0, 0.0), (np.nan, -np.inf)])
+def test_ss_level_keeping_no_particle_ends_the_run(value, u_t):
+    # a constant limit state below u: the first level is that constant (or,
+    # for NaN, -inf) and no particle lies above it
+    problem = Problem(lambda X: np.full(len(X), value), InputDistribution.iid_normal(2), 1.0)
+    res = run_subset_simulation(problem, SubsetSimConfig(m=200, m0=20), 0)
+    assert res.error == f"no particle lies above the level u_t = {u_t!r}"
+    assert [(s.u_t, s.p_hat) for s in res.stages] == [(u_t, 0.0)]
+    assert res.alpha_hat == 0.0 and res.degenerate
+    assert res.n_total == 200  # no move follows
 
 
 def test_ss_oscillator_screen_meets_no_nan():

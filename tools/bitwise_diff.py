@@ -15,6 +15,12 @@ in each field, so a change that moves only `n_total` reads as one:
 
     23 runs compared, 9 differ: seed 0, alpha_hat 0, n_total 9
 
+Where `alpha_hat` differs, the summary also gives the largest relative
+difference |B / A - 1| among those runs (inf where A is 0 or a value is not
+a finite number), so a change in the last bits reads as one:
+
+    23 runs compared, 8 differ: seed 0, alpha_hat 8 (at most 4.2e-15 relative), n_total 0
+
 Exit status: 0 when every run is identical, 1 when any differs, 2 when a
 file cannot be read as a perfbench output.
 """
@@ -22,6 +28,7 @@ file cannot be read as a perfbench output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 FIELDS = ("seed", "alpha_hat", "n_total")
@@ -60,14 +67,31 @@ def differences(a: dict[tuple, dict], b: dict[tuple, dict]) -> list[str]:
     return out
 
 
+def relative_difference(hex_a, hex_b) -> float:
+    """|B / A - 1| of two `float.hex()` strings; inf where A is 0 or either
+    is not the hex of a finite number."""
+    try:
+        x, y = float.fromhex(hex_a), float.fromhex(hex_b)
+    except (TypeError, ValueError):
+        return math.inf
+    rel = abs(y - x) / abs(x) if x != 0.0 else math.inf
+    return rel if math.isfinite(rel) else math.inf
+
+
 def summary(a: dict[tuple, dict], b: dict[tuple, dict], n_differ: int) -> str:
-    """Runs compared and differing, and per field the runs in both files
-    whose field differs."""
+    """Runs compared and differing, per field the runs in both files whose
+    field differs, and the largest relative `alpha_hat` difference."""
     both = a.keys() & b.keys()
     line = f"{len(both)} runs compared, {n_differ} differ"
     if n_differ:
-        line += ": " + ", ".join(
-            f"{f} {sum(a[key].get(f) != b[key].get(f) for key in both)}" for f in FIELDS)
+        counts = []
+        for f in FIELDS:
+            keys = [key for key in both if a[key].get(f) != b[key].get(f)]
+            counts.append(f"{f} {len(keys)}")
+            if f == "alpha_hat" and keys:
+                largest = max(relative_difference(a[key].get(f), b[key].get(f)) for key in keys)
+                counts[-1] += f" (at most {largest:.2g} relative)"
+        line += ": " + ", ".join(counts)
         only = len(a.keys() ^ b.keys())
         if only:
             line += f", in one file only {only}"
