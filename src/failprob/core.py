@@ -138,15 +138,17 @@ def _kernel_submit(fn: Callable[[], object]):
     return None if pool is None else pool.submit(fn)
 
 
-def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int) -> None:
+def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int,
+                scale: int = 1) -> None:
     """Call fn(i, j) on consecutive row ranges [i, j) of an (n_rows, n_cols)
-    matrix, about _BLOCK_PAIRS entries each, on `kernel_threads()` threads.
+    matrix, about scale * _BLOCK_PAIRS entries each, on `kernel_threads()`
+    threads. The split depends on the shape and `scale` only.
 
     fn writes rows i:j of its output and nothing else; it must not print.
     A single block, or a single thread, runs inline. An exception raised in a
     block re-raises here once every block has finished.
     """
-    step = max(1, _BLOCK_PAIRS // max(n_cols, 1))
+    step = max(1, scale * _BLOCK_PAIRS // max(n_cols, 1))
     bounds = [(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
     pool = _shared_pool() if len(bounds) > 1 else None
     if pool is None:

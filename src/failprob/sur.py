@@ -3,26 +3,49 @@ reduction acquisition rule.
 
 The next evaluation point is chosen among the current particles by
 minimizing the sum over the pruned particles (`PRUNE_RHO`, `PRUNE_M0_MAX`),
-each weighted by 1 / (m g_prev), of the expected posterior misclassification
-probability after the candidate evaluation. The particles are plain arrays:
-the m points of an equally weighted cloud and the posterior mean and sd there.
-The expectation has a closed form in the posterior mean/variance at the
-integration point and the cross quantity s_n(x, x_new). With
-b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
+each weighted by c = 1 / (m g_prev), of the expected posterior
+misclassification probability after the candidate evaluation. The particles
+are plain arrays: the m points of an equally weighted cloud and the posterior
+mean and sd there. The expectation has a closed form in the posterior
+mean/variance at the integration point and the cross quantity s_n(x, x_new).
+With b2 = (u - mean)/sd, rho = s_n/sd and b1 = b2/rho it is
 Phi(b1) + Phi(b2) - 2 Phi2(b1, b2; rho) = 2 T(b2, sqrt(1 - rho^2)/rho), T
 being Owen's T function: in Owen's (1956) T-function form of Phi2 the
 T(b1, .) term has second argument (b2 - rho b1)/(b1 sqrt(1 - rho^2)) = 0.
 With tau = Phi(-|b2|) and k = |b2| a, a = sqrt(1 - rho^2)/rho, Owen's identity
 2 T(b2, a) = tau + Phi(-k)(1 - 2 tau) - 2 T(k, 1/a) bounds each entry's
 distance from tau by exp(-k^2/2)/2, which is at most 2^-56 tau, below
-rounding, once k^2 >= 2 (55 ln 2 - ln tau); Owen's T is evaluated only on
-the pairs short of that cut, and every other entry is tau.
-Everything is evaluated as one (integration point x candidate) matrix;
+rounding, once k^2 >= 2 (55 ln 2 - ln tau); such pairs are tau.
 `expected_misclass_after` keeps the Phi2 form as the reference that tests
-compare against. The pair matrix, and the posterior covariance it is built
-from, are computed in row blocks on every usable core (`core._row_blocks`);
-each entry is computed on its own, so the bits are the same at any thread
-count. `--jobs` workers run one thread each (`core.set_kernel_threads`).
+compare against.
+
+The search is an exact branch and bound over the candidates (the columns of
+the integration point x candidate matrix E; J = c @ E). Put rho = sin(phi).
+Substituting x = tan(psi) in Owen's integral gives the reduction
+tau - 2 T(b2, cot phi) = (1/pi) int_0^phi exp(-b2^2 / (2 sin^2 t)) dt, whose
+integrand grows with t: the reduction is convex and increasing in phi. So
+per row a table of the reduction at `_BINS` + 1 equally spaced angles, from
+the screen's cut to phi = pi/2 (rho = 1, E = 0), bounds every pair's
+reduction by the chord over its bin, and the column sums of c times these
+chords bound each candidate's J from below (J_lb). The exact J of the
+column with the lowest J_lb bounds the minimum from above (J_ub), and
+Owen's T then runs only on the columns with J_lb <= J_ub + margin, the
+margin being `_MARGIN_REL` (1 + sum c tau). It covers the rounding of
+Owen's T (relative 1e-12 at worst, `_TABLE_B2_MAX`), of the angles, the
+chords and the sums (relative 1e-13 for 1000 terms), and the 1e-12 tie
+tolerance of the pick, with three orders of magnitude to spare. Rows with
+|b2| >= `_TABLE_B2_MAX`, where Owen's T values near the smallest normal
+double lose their order, take the trivial bound tau. J stays one gemv
+over the full-size matrix, the pruned columns holding tau and then set to
++inf: a gemv entry depends only on its own column, and a live column holds
+exactly the values the dense search computes, so every live J, the minimum
+and the pick keep their bits.
+
+The bound pass and the exact pairs run in row blocks on every usable core
+(`core._row_blocks`), like the posterior covariance the pairs are built
+from; each entry is computed on its own and the column bounds are summed in
+block order, so the bits, the live set and the counts are the same at any
+thread count. `--jobs` workers run one thread each (`core.set_kernel_threads`).
 
 Degenerate-variance guards: points whose posterior variance is below
 1e-12 * sigma2 count as classified; pairs with s_n^2 below the same floor
@@ -33,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -61,6 +85,10 @@ VAR_FLOOR_REL = 1e-12
 PRUNE_RHO = 0.99  # the pruned SUR set holds this fraction of the score mass
 PRUNE_M0_MAX = 1000  # and at most this many particles
 _TIE_TOL = 1e-12
+_BINS = 8  # angle bins per row of the reduction table
+_MARGIN_REL = 1e-9  # pruning margin, relative to 1 + sum c tau
+_TABLE_B2_MAX = 37.0  # beyond, Owen's T values near the smallest normal double lose their order
+_BOUND_BLOCK_SCALE = 2  # larger blocks for the bound pass, which makes many small numpy calls
 _LOG_FLOOR = -700.0  # floor of log g_prev and of clipped log terms, here and in bss
 
 
@@ -124,25 +152,24 @@ def log_misclass_tau(mean, sd, u):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
-    """Expected post-evaluation misclassification, rows = integration points,
-    columns = candidates. Applies the degenerate-variance guards.
+class _Rows(NamedTuple):
+    """Per-row terms of the pair matrix: tau(x), the sd that scales the row
+    (1 on classified rows), b2 = (u - mean)/sd, and s_min, the cross sd at
+    or below which a pair keeps tau(x) (inf on classified rows)."""
 
-    Each pair is 2 T(b2, a), a = sqrt(1 - rho^2)/rho (module docstring);
-    `expected_misclass_after` computes the same value through Phi2. Owen's T
-    runs only on the pairs where that value can differ from the row's tau:
-    with k = |b2| a, the identity 2 T(b2, a) = tau + Phi(-k)(1 - 2 tau)
-    - 2 T(k, 1/a) leaves two corrections of opposite sign in
-    [0, exp(-k^2/2)/2], so wherever k^2 >= cut = 2 (55 ln 2 - ln tau) the
-    entry is tau to within 2^-56 tau, below rounding. Per row that is
-    rho <= rho_max = |b2| / sqrt(b2^2 + cut). The pairs are evaluated in row
-    blocks on the kernel thread pool (`core._row_blocks`), each into its rows
-    of one output matrix.
-    """
+    tau: np.ndarray
+    sd: np.ndarray
+    b2: np.ndarray
+    s_min: np.ndarray
+
+
+def _rows(mean_x, sd_x, u, var_floor) -> _Rows:
+    """The row terms, with the guards and the Owen's T screen of the module
+    docstring: a pair keeps tau(x) where rho <= |b2| / sqrt(b2^2 + cut),
+    cut = 2 (55 ln 2 - ln tau), or where s is at the sd floor."""
     sd_floor = np.sqrt(var_floor)
     mean_x = np.asarray(mean_x, dtype=float)
     sd_x = np.asarray(sd_x, dtype=float)
-    s_mat = np.asarray(s_mat, dtype=float)
     row_ok = sd_x > sd_floor
     tau_x = np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor)))
@@ -154,22 +181,97 @@ def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
     # far above the few ulps of rounding in s_max, rho and a.
     cut = 2.0 * (55.0 * math.log(2.0) - log_ndtr(-np.abs(b2)))
     s_max = np.abs(b2) / np.sqrt(b2 * b2 + cut) * sd_row
-    # pairs with s <= s_min keep tau(x): screened, uninformative candidate
-    # (s <= sd_floor), or classified row (tau(x) = 0)
     s_min = np.where(row_ok, np.maximum(s_max * (1.0 - 1e-9), sd_floor), np.inf)
-    out = np.empty(s_mat.shape)
+    return _Rows(tau_x, sd_row, b2, s_min)
+
+
+def _exact_columns(out, rows: _Rows, s_mat, cols) -> int:
+    """Write 2 T(b2, a) into out[:, cols] wherever s > s_min, in row blocks on
+    the kernel thread pool (`core._row_blocks`); every other entry of those
+    columns must already hold tau(x). Each entry is computed on its own, so
+    its bits depend on neither the block split nor the thread count.
+    Returns the number of pairs evaluated."""
+    sizes = []
 
     def block(i, j):
-        out[i:j] = tau_x[i:j, None]
-        r, c = np.nonzero(s_mat[i:j] > s_min[i:j, None])
+        sub = s_mat[i:j, cols]
+        r, k = np.nonzero(sub > rows.s_min[i:j, None])
+        sizes.append(r.size)
         r += i
-        rho = np.clip(s_mat[r, c] / sd_row[r], 0.0, 1.0)
+        rho = np.clip(sub[r - i, k] / rows.sd[r], 0.0, 1.0)
         with np.errstate(divide="ignore"):  # rho = 0 on underflow: a = inf, T finite
             a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-        out[r, c] = np.clip(2.0 * owens_t(b2[r], a), 0.0, 1.0)
+        out[r, cols[k]] = np.clip(2.0 * owens_t(rows.b2[r], a), 0.0, 1.0)
 
-    _row_blocks(block, *out.shape)
-    return out, tau_x
+    _row_blocks(block, s_mat.shape[0], cols.size)
+    return sum(sizes)
+
+
+def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
+    """The pair matrix E (rows = integration points, columns = candidates),
+    exact on the columns that can still minimize coeff @ E and tau(x) on the
+    others, by the branch and bound of the module docstring. Returns E, the
+    mask of those live columns and the number of pairs that reached Owen's T.
+    """
+    s_mat = np.asarray(s_mat, dtype=float)
+    rows = _rows(mean_x, sd_x, u, var_floor)
+    n_rows, n_cols = s_mat.shape
+    # the reduction tau - E at _BINS + 1 angles phi = asin(rho) per row, from
+    # the screen's cut to rho = 1, where E = 0; rows that Owen's T may not
+    # keep in order get the trivial bound tau at every angle
+    usable = rows.s_min < np.inf
+    phi_lo = np.arcsin(np.where(usable, rows.s_min / rows.sd, 0.0))
+    per_rad = _BINS / (0.5 * np.pi - phi_lo)  # bins per radian
+    offset = phi_lo * per_rad
+    tabled = usable & (np.abs(rows.b2) < _TABLE_B2_MAX)
+    out = np.empty(s_mat.shape)
+    partial = {}  # first row of a block -> the column sums of its bounds
+    sizes = []
+
+    def bound_block(i, j):
+        out[i:j] = rows.tau[i:j, None]
+        table = np.repeat(rows.tau[i:j, None], _BINS + 1, axis=1)
+        t = np.flatnonzero(tabled[i:j]) + i
+        phi = (offset[t, None] + np.arange(_BINS + 1)) / per_rad[t, None]
+        a = np.cos(phi) / np.sin(phi)
+        a[:, -1] = 0.0  # rho = 1: the evaluation resolves x
+        table[t - i] = rows.tau[t, None] - np.clip(2.0 * owens_t(rows.b2[t, None], a), 0.0, 1.0)
+        sizes.append(a.size)
+        # the chord over bin k, c (table[k] + (x - k) slope[k]) at x = phi
+        # per_rad - offset, as u + x v on a flat (row, bin) index
+        slope = np.diff(table, axis=1)
+        u_cell = (coeff[i:j, None] * (table[:, :-1] - np.arange(_BINS) * slope)).ravel()
+        v_cell = (coeff[i:j, None] * slope).ravel()
+        sub = s_mat[i:j]
+        above = sub > rows.s_min[i:j, None]
+        per_row = np.count_nonzero(above, axis=1)
+        col = np.flatnonzero(above)  # row-major, so rows come in order
+        x = sub.take(col)
+        x /= np.repeat(rows.sd[i:j], per_row)
+        np.arcsin(np.minimum(x, 1.0, out=x), out=x)
+        x *= np.repeat(per_rad[i:j], per_row)
+        x -= np.repeat(offset[i:j], per_row)
+        col -= np.repeat(np.arange(0, (j - i) * n_cols, n_cols), per_row)
+        cell = x.astype(np.intp)
+        np.minimum(cell, _BINS - 1, out=cell)
+        cell += np.repeat(np.arange(0, (j - i) * _BINS, _BINS), per_row)
+        x *= v_cell.take(cell)
+        x += u_cell.take(cell)
+        partial[i] = np.bincount(col, x, minlength=n_cols)
+
+    _row_blocks(bound_block, n_rows, n_cols, scale=_BOUND_BLOCK_SCALE)
+    reduction = np.zeros(n_cols)
+    for i in sorted(partial):  # block order: the same sums at any thread count
+        reduction += partial[i]
+    total = float(coeff @ rows.tau)
+    j_lb = total - reduction
+    seed = int(np.argmin(j_lb))  # its exact J is the upper bound
+    n_owens_t = sum(sizes) + _exact_columns(out, rows, s_mat, np.array([seed]))
+    live = j_lb <= float(coeff @ out[:, seed]) + _MARGIN_REL * (1.0 + total)
+    live[seed] = True
+    rest = np.flatnonzero(live)
+    n_owens_t += _exact_columns(out, rows, s_mat, rest[rest != seed])
+    return out, live, n_owens_t
 
 
 def expected_misclass_after(model: GpModel, x, x_new, u) -> float:
@@ -215,11 +317,15 @@ class SurSelection:
     n_scored: int
     n_pruned: int
     n_candidates: int
+    n_live: int
+    n_owens_t: int
 
 
 def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: np.ndarray,
                       log_g_prev: np.ndarray, u_t: float) -> SurSelection:
-    """Exhaustive discrete SUR search over the pruned particle set.
+    """Exact discrete SUR search over the pruned particle set: the minimum
+    and the pick of the exhaustive search, found by branch and bound (module
+    docstring).
 
     `points` is the (m, d) cloud of equally weighted particles, `mean` and
     `sd` the posterior there, and `log_g_prev` the previous stage's log
@@ -232,6 +338,8 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     Duplicate particle locations (resampling copies) are merged: their
     integration coefficients add exactly, and the merged candidate keeps
     the lowest original particle index for tie-breaking.
+    `n_live` counts the candidates whose criterion was computed exactly, and
+    `n_owens_t` the pairs that reached Owen's T, bound tables included.
     """
     m = points.shape[0]
     var_floor = model_var_floor(model)
@@ -264,8 +372,9 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     s_mat = np.abs(model.posterior_cov(U, U))
     s_mat /= np.where(sd_u > sd_floor, sd_u, np.inf)[None, :]
 
-    E, _ = _expected_misclass_matrix(mean_u, sd_u, s_mat, u_t, var_floor)
+    E, live, n_owens_t = _misclass_matrix(mean_u, sd_u, s_mat, coeff, u_t, var_floor)
     J = coeff @ E
+    J[~live] = np.inf
     j_min = float(J.min())
     pick = int(np.argmax(J <= j_min + _TIE_TOL * (1.0 + abs(j_min))))
     return SurSelection(
@@ -275,4 +384,6 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
         n_scored=m,
         n_pruned=keep.shape[0],
         n_candidates=n_u,
+        n_live=int(np.count_nonzero(live)),
+        n_owens_t=n_owens_t,
     )

@@ -1,10 +1,14 @@
 """Golden bits: fixed-seed estimates that a refactor must leave unchanged.
 
 Each entry pins `alpha_hat` to its exact double (as `float.hex()`) and the
-raw evaluation count `n_total` of one seeded run. A change that alters the
-numerics on purpose updates these values and says so in CHANGES.md; any
-other change must leave them as they are.
+raw evaluation count `n_total` of one seeded run; each `bss` run also pins
+a digest of its SUR trace, so every pick and criterion bit is checked. A
+change that alters the numerics on purpose updates these values and says
+so in CHANGES.md; any other change must leave them as they are.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -22,6 +26,14 @@ GOLDEN = {
     ("cantilever", "bss", 500): ("0x1.fb0bf273b87c0p-19", 22),
     ("oscillator", "ss", 2000): ("0x1.b6162f9fde620p-27", 99236),
     ("oscillator", "bss", 500): ("0x1.99226b73d6c04p-27", 46),
+}
+
+# sha256 of each golden bss run's SUR trace: one [n, stage, u_t, x_new,
+# criterion] row per selection, every float as float.hex(), in JSON
+TRACE_GOLDEN = {
+    "four-branch": "113230e14a670a137df5d7ce2786f97c6a53f042e08f4445a4c61c5d247be292",
+    "cantilever": "7433cd44047fabc59e40a6e49ec4a6769834302f17d07ce790d591c2f95308fb",
+    "oscillator": "50f7de87d7a0caada64d7a9e267689422322135ab9c7da5d3a1fc12f196c77d7",
 }
 
 # bss partial results on four-branch at m = 500, one per budget that stops
@@ -44,6 +56,14 @@ def test_benchmark_case_bits(case, method, m):
     res = run_estimator(CASES[case]().problem, method, m, SEED)
     assert (res.alpha_hat.hex(), res.n_total) == GOLDEN[case, method, m]
     assert res.error is None and not res.degenerate
+    if method == "bss":
+        assert _trace_digest(res.trace) == TRACE_GOLDEN[case]
+
+
+def _trace_digest(trace):
+    rows = [[e["n"], e["stage"], e["u_t"].hex(), [v.hex() for v in e["x_new"]],
+             e["criterion"].hex()] for e in trace]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 @pytest.mark.filterwarnings("ignore:ReML optimizer did not converge")

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr, ndtr, owens_t
 
 from failprob import core, sur
+from failprob.bench import _four_branch_f
 from failprob.core import substream
 from failprob.gp import CovarianceHyperparams, GpModel
 from failprob.stats import binorm_cdf, norm_cdf
 from failprob.sur import (
-    _expected_misclass_matrix,
     coverage_g,
     expected_misclass_after,
     log_coverage_g,
@@ -148,6 +148,43 @@ def _bivariate_reference(mean_x, sd_x, s_mat, u):
     return norm_cdf(b1) + norm_cdf(b2) - 2.0 * binorm_cdf(b1, b2, rho)
 
 
+def _rho_max(b2):
+    """The largest rho at which an entry is tau to rounding, per row."""
+    cut = 2.0 * (55.0 * math.log(2.0) - log_ndtr(-np.abs(b2)))
+    return np.abs(b2) / np.sqrt(b2 * b2 + cut)
+
+
+def _pair_kernel(mean_x, sd_x, s_mat, u, var_floor):
+    """The pair kernel of `select_next_point` (`sur._exact_columns`) over
+    every column: the matrix and each row's tau."""
+    rows = sur._rows(mean_x, sd_x, u, var_floor)
+    s_mat = np.asarray(s_mat, dtype=float)
+    E = np.repeat(rows.tau[:, None], s_mat.shape[1], axis=1)
+    sur._exact_columns(E, rows, s_mat, np.arange(s_mat.shape[1]))
+    return E, rows.tau
+
+
+def _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor):
+    """The dense reference: the pair matrix as one whole-matrix expression,
+    without row blocks, gathering or pruning. Owen's T runs on every pair,
+    then the screen and the guards apply as one mask. The pair kernel must
+    reproduce it bit for bit."""
+    mean_x, sd_x, s_mat = (np.asarray(v, dtype=float) for v in (mean_x, sd_x, s_mat))
+    sd_floor = np.sqrt(var_floor)
+    row_ok = sd_x > sd_floor
+    tau_x = np.where(row_ok, np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
+                                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor))), 0.0)
+    sd_row = np.where(row_ok, sd_x, 1.0)
+    b2 = (u - mean_x) / sd_row
+    rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
+    vals = np.clip(2.0 * owens_t(b2[:, None], a), 0.0, 1.0)
+    s_max = _rho_max(b2) * sd_row
+    kept = row_ok[:, None] & (s_mat > np.maximum(s_max * (1.0 - 1e-9), sd_floor)[:, None])
+    return np.where(kept, vals, tau_x[:, None]), tau_x
+
+
 class TestExpectedMisclassMatrix:
     """The Owen's T kernel of select_next_point against its bivariate form."""
 
@@ -170,7 +207,7 @@ class TestExpectedMisclassMatrix:
         sd_x = np.append(sd_x, [sd_floor, 0.0])
         s_mat = np.vstack([s_mat, np.full((2, s_mat.shape[1]), 0.3)])
 
-        E, tau = _expected_misclass_matrix(mean_x, sd_x, s_mat, self.U, self.VAR_FLOOR)
+        E, tau = _pair_kernel(mean_x, sd_x, s_mat, self.U, self.VAR_FLOOR)
         n_rho = rho.size
         ref = _bivariate_reference(mean_x[:-2], sd_x[:-2], s_mat[:-2, :n_rho], self.U)
         np.testing.assert_allclose(E[:-2, :n_rho], ref, rtol=0.0, atol=1e-12)
@@ -191,8 +228,8 @@ class TestExpectedMisclassMatrix:
         lo, hi = sorted((rho_a, rho_b))
         mean_x = np.array([self.U - b2 * sd])
         sd_x = np.array([sd])
-        E, tau = _expected_misclass_matrix(mean_x, sd_x, np.array([[lo * sd, hi * sd]]),
-                                           self.U, self.VAR_FLOOR)
+        E, tau = _pair_kernel(mean_x, sd_x, np.array([[lo * sd, hi * sd]]),
+                              self.U, self.VAR_FLOOR)
         e_lo, e_hi = E[0]
         assert 0.0 <= e_hi and 0.0 <= e_lo
         assert e_lo <= tau[0] + 1e-15 and e_hi <= tau[0] + 1e-15
@@ -217,12 +254,6 @@ class _GridModel:
         return self.s[int(x[0]), int(x_new[0])]
 
 
-def _rho_max(b2):
-    """The largest rho at which an entry is tau to rounding, per row."""
-    cut = 2.0 * (55.0 * math.log(2.0) - log_ndtr(-np.abs(b2)))
-    return np.abs(b2) / np.sqrt(b2 * b2 + cut)
-
-
 class TestOwensTScreen:
     """Owen's T runs only where 2 T(b2, a) can differ from tau = Phi(-|b2|)."""
 
@@ -245,7 +276,7 @@ class TestOwensTScreen:
         mean_x, sd_x, s_mat, b2 = self._grid()
         model = _GridModel(mean_x, sd_x, s_mat)
         var_floor = model_var_floor(model)
-        E, tau = _expected_misclass_matrix(mean_x, sd_x, s_mat, self.U, var_floor)
+        E, tau = _pair_kernel(mean_x, sd_x, s_mat, self.U, var_floor)
         rho = np.clip(s_mat / sd_x[:, None], 0.0, 1.0)
         a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
         unscreened = np.clip(2.0 * owens_t(((self.U - mean_x) / sd_x)[:, None], a), 0.0, 1.0)
@@ -276,29 +307,10 @@ class TestOwensTScreen:
         b2 = np.array([0.0, 6.0, -12.0, 25.0])
         sd_x = np.full(4, 0.8)
         s_mat = np.linspace(0.01, 1.0, 50)[None, :] * sd_x[:, None]
-        _expected_misclass_matrix(self.U - b2 * sd_x, sd_x, s_mat, self.U, 1e-12)
+        _pair_kernel(self.U - b2 * sd_x, sd_x, s_mat, self.U, 1e-12)
         h = np.concatenate(seen)
         assert h.size < s_mat.size
         assert np.count_nonzero(h == 0.0) == s_mat.shape[1]  # the h = 0 row in full
-
-
-def _dense_kernel(mean_x, sd_x, s_mat, u, var_floor):
-    """`_expected_misclass_matrix` as one whole-matrix expression, without
-    row blocks or gathering: Owen's T on every pair, then the screen and the
-    guards as one mask. The form the blocked kernel must reproduce bit for bit."""
-    sd_floor = np.sqrt(var_floor)
-    row_ok = sd_x > sd_floor
-    tau_x = np.where(row_ok, np.minimum(ndtr((mean_x - u) / np.maximum(sd_x, sd_floor)),
-                                        ndtr((u - mean_x) / np.maximum(sd_x, sd_floor))), 0.0)
-    sd_row = np.where(row_ok, sd_x, 1.0)
-    b2 = (u - mean_x) / sd_row
-    rho = np.clip(s_mat / sd_row[:, None], 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
-    vals = np.clip(2.0 * owens_t(b2[:, None], a), 0.0, 1.0)
-    s_max = _rho_max(b2) * sd_row
-    kept = row_ok[:, None] & (s_mat > np.maximum(s_max * (1.0 - 1e-9), sd_floor)[:, None])
-    return np.where(kept, vals, tau_x[:, None]), tau_x
 
 
 _BLOCK = core._BLOCK_PAIRS
@@ -306,7 +318,7 @@ _RAGGED = (3 * (_BLOCK // 333) + 14, 333)  # three full row blocks and a short o
 
 
 def _kernel_in_child(args, want):
-    sys.exit(0 if _expected_misclass_matrix(*args)[0].tobytes() == want else 1)
+    sys.exit(0 if _pair_kernel(*args)[0].tobytes() == want else 1)
 
 
 class TestRowBlocks:
@@ -333,14 +345,14 @@ class TestRowBlocks:
     ])
     def test_threads_and_blocks_change_no_bit(self, kernel_threads, n_rows, n_cols):
         args = self._case(n_rows, n_cols)
-        want_E, want_tau = _dense_kernel(*args)
+        want_E, want_tau = _expected_misclass_matrix(*args)
         assert 0.0 < np.mean(want_E == want_tau[:, None]) < 1.0  # guards hit and missed
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the block threads as often as possible
         try:
             for n in (1, 2, 5):  # 5: more threads than a small host has cores
                 kernel_threads(n)
-                E, tau = _expected_misclass_matrix(*args)
+                E, tau = _pair_kernel(*args)
                 assert E.tobytes() == want_E.tobytes()
                 assert tau.tobytes() == want_tau.tobytes()
         finally:
@@ -355,16 +367,16 @@ class TestRowBlocks:
 
         monkeypatch.setattr(sur, "owens_t", broken)
         with pytest.raises(RuntimeError, match="owens_t failed"):
-            _expected_misclass_matrix(*args)
+            _pair_kernel(*args)
         monkeypatch.undo()
-        E, _ = _expected_misclass_matrix(*args)  # the pool still works
-        assert E.tobytes() == _dense_kernel(*args)[0].tobytes()
+        E, _ = _pair_kernel(*args)  # the pool still works
+        assert E.tobytes() == _expected_misclass_matrix(*args)[0].tobytes()
 
     def test_forked_child_builds_its_own_pool(self, kernel_threads):
         # a forked child inherits the pool object but none of its threads
         kernel_threads(2)
         args = self._case(*_RAGGED)
-        want = _expected_misclass_matrix(*args)[0].tobytes()  # the pool exists now
+        want = _pair_kernel(*args)[0].tobytes()  # the pool exists now
         child = multiprocessing.get_context("fork").Process(
             target=_kernel_in_child, args=(args, want))
         child.start()
@@ -377,6 +389,140 @@ class TestRowBlocks:
     def test_thread_count_validated(self):
         with pytest.raises(ValueError):
             core.set_kernel_threads(0)
+
+    def test_search_same_at_any_thread_count(self, kernel_threads):
+        # the bound pass sums its blocks in block order, so the live set
+        # and the Owen's T count do not depend on the thread count either
+        mean_x, sd_x, s_mat, u, var_floor = self._case(*_RAGGED)
+        coeff = substream(1, "row-blocks").uniform(0.5, 2.0, s_mat.shape[0])
+        kernel_threads(1)
+        want = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
+        assert 0 < np.count_nonzero(want[1]) < want[1].size
+        for n in (2, 5):
+            kernel_threads(n)
+            E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
+            assert E.tobytes() == want[0].tobytes()
+            assert live.tobytes() == want[1].tobytes() and n_owens_t == want[2]
+
+
+def _pick(J):
+    """select_next_point's tie rule: the first column within the tolerance."""
+    j_min = float(J.min())
+    return int(np.argmax(J <= j_min + sur._TIE_TOL * (1.0 + abs(j_min))))
+
+
+_B2 = st.one_of(st.just(0.0), st.floats(-6.0, 6.0), st.floats(37.0, 40.0),
+                st.floats(-40.0, -37.0))
+
+
+@st.composite
+def _sur_inputs(draw):
+    """Random SUR inputs: classified rows, rows with b2 = 0 and |b2| >= 37,
+    rho >= 1 (clipped), uncorrelated pairs, exactly duplicated columns and
+    columns within rounding of another; n = 1 is the one-candidate fallback."""
+    n = draw(st.integers(1, 30))
+    b2 = np.array(draw(st.lists(_B2, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    var_floor = 1e-10
+    sd_x = rng.uniform(0.05, 2.0, n)
+    mean_x = 0.3 - b2 * sd_x
+    sd_x[rng.uniform(size=n) < 0.1] = 0.0  # classified
+    sd_x[rng.uniform(size=n) < 0.05] = math.sqrt(var_floor)  # at the floor: classified
+    rho = rng.uniform(0.0, 1.3, (n, n)) ** draw(st.floats(0.2, 4.0))
+    rho[rng.uniform(size=(n, n)) < 0.1] = 0.0  # uncorrelated
+    np.fill_diagonal(rho, 1.0)  # a candidate resolves its own point
+    s_mat = rho * np.where(sd_x > 0.0, sd_x, 1.0)[:, None]
+    for _ in range(draw(st.integers(0, n // 2))):
+        j, k = rng.integers(0, n, 2)
+        s_mat[:, j] = s_mat[:, k] * draw(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 - 1e-13]))
+    coeff = np.exp(rng.uniform(-draw(st.floats(0.0, 5.0)), 0.0, n))
+    return mean_x, sd_x, s_mat, coeff, 0.3, var_floor
+
+
+class TestBranchAndBound:
+    """The pruned search against the dense one: coeff @ the full pair matrix."""
+
+    @given(args=_sur_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_search_is_the_dense_search(self, args):
+        mean_x, sd_x, s_mat, coeff, u, var_floor = args
+        J_dense = coeff @ _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor)[0]
+        want = _pick(J_dense)
+        j_min = float(J_dense.min())
+        got = []
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_BLOCK_PAIRS", 60)  # several row blocks
+                for n in (1, 2):
+                    core.set_kernel_threads(n)
+                    E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u,
+                                                              var_floor)
+                    J = coeff @ E
+                    J[~live] = np.inf
+                    pick = _pick(J)
+                    assert pick == want and J[pick].hex() == J_dense[want].hex()
+                    assert np.all(J_dense[~live] > j_min + sur._TIE_TOL * (1.0 + abs(j_min)))
+                    got.append((E.tobytes(), live.tobytes(), n_owens_t))
+        finally:
+            core.set_kernel_threads(None)
+        assert got[0] == got[1]
+
+    def test_far_rows_take_the_trivial_bound(self, monkeypatch):
+        # rows with |b2| >= 37 get no table: every Owen's T call is a pair
+        # of a live column
+        rng = substream(8, "far-rows")
+        n = 25
+        b2 = rng.choice([-1.0, 1.0], n) * rng.uniform(37.0, 40.0, n)
+        sd_x = rng.uniform(0.05, 2.0, n)
+        s_mat = rng.uniform(0.0, 1.0, (n, n)) * sd_x[:, None]
+        args = (0.3 - b2 * sd_x, sd_x, s_mat, np.ones(n), 0.3, 1e-10)
+        calls = []
+
+        def counting(h, a):
+            calls.append(np.broadcast(h, a).size)
+            return owens_t(h, a)
+
+        monkeypatch.setattr(sur, "owens_t", counting)
+        E, live, n_owens_t = sur._misclass_matrix(*args)
+        rows = sur._rows(*args[:2], 0.3, 1e-10)
+        assert sum(calls) == n_owens_t
+        assert n_owens_t == np.count_nonzero((s_mat > rows.s_min[:, None])[:, live])
+        J = np.ones(n) @ E
+        J[~live] = np.inf
+        J_dense = np.ones(n) @ _expected_misclass_matrix(*args[:3], 0.3, 1e-10)[0]
+        assert _pick(J) == _pick(J_dense)
+
+    def test_owens_t_runs_on_few_pairs(self, monkeypatch):
+        # on a SUR-bound case, the table and the live columns take far
+        # fewer Owen's T pairs than the screen alone sends to it (about 25x
+        # here); a later refactor must not quietly restore the dense pass
+        rng = substream(0, "sur-bound")
+        X = rng.normal(0.0, 2.0, (20, 2))
+        y = _four_branch_f(X)
+        model = GpModel(X, y, CovarianceHyperparams(float(np.var(y)), np.array([1.5, 1.5])))
+        pts = rng.normal(0.0, 1.5, (1200, 2))
+        mean, var = model.predict(pts)
+        calls = []
+        kernel_args = []
+
+        def counting(h, a):
+            calls.append(np.broadcast(h, a).size)
+            return owens_t(h, a)
+
+        def spy(*args):
+            kernel_args.append(args)
+            return search(*args)
+
+        search = sur._misclass_matrix
+        monkeypatch.setattr(sur, "owens_t", counting)
+        monkeypatch.setattr(sur, "_misclass_matrix", spy)
+        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(1200), 1.0)
+        assert sel.n_owens_t == sum(calls)
+        assert 0 < sel.n_live < sel.n_candidates
+        mean_u, sd_u, s_mat, _, u, var_floor = kernel_args[0]
+        calls.clear()
+        _pair_kernel(mean_u, sd_u, s_mat, u, var_floor)  # the screen alone
+        assert sum(calls) >= 3 * sel.n_owens_t
 
 
 @pytest.fixture
