@@ -9,8 +9,9 @@ eta tied to the estimator's own coefficient of variation at the final
 stage), and otherwise evaluates the limit state at the point chosen by the
 SUR criterion and refits the GP. The sampling phase is the standard
 reweight / residual-resample / move transition with target proportional to
-pdf * g_t under the stage-final model. As in `ss`, the cloud of m equally
-weighted particles is three arrays: the points, their log g_t and log pdf.
+pdf * g_t under the stage-final model, whose g_t the move scores only where
+the density step may accept, as in `ss`. The cloud of m equally weighted
+particles is three arrays: the points, their log g_t and log pdf.
 
 The final estimate is the product over stages of the mean coverage ratios,
 with its coefficient of variation from the per-stage kappa recursion. The
@@ -307,12 +308,9 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
             mu, v = _model.predict(Z)
             return log_coverage_g(mu, np.sqrt(v), _u), {}
 
-        # every proposal is scored: the surrogate costs no evaluation, and
-        # predict's bits depend on which rows share a call
         pts, (log_pdf, log_g, _), log_sigma, diag = rwmh_move(
             pts, problem.input.log_density, log_factor, log_sigma, rng_move,
-            current=(log_pdf[idx], log_g_t[idx], {}), screen=False,
-        )
+            current=(log_pdf[idx], log_g_t[idx], {}))
         stages[-1].acceptance = diag.intervals()
 
     alpha = product_estimate(s.p_hat for s in stages)

@@ -171,6 +171,8 @@ def cmd_estimate(args) -> int:
         method, seed = args.method, args.seed
         config = {"m": args.m, "p0": _DEFAULT_P0 if args.p0 is None else args.p0}
         _check({"method": method, "config": config, "seed": seed}, _RUN, ("command line",))
+        if args.trace is not None and method != "bss":
+            raise ConfigError(f"--trace: only bss records a SUR trace, not {method}")
         for flag in ("out", "trace"):
             _check_output(getattr(args, flag), f"--{flag}")
         spec = ({"custom": _read_json(Path(args.problem[5:]), "--problem", _PROBLEM_FILE)}

@@ -316,8 +316,8 @@ class StageRecord:
 
     `n_evals` is the ledger's count at stage t: the SUR evaluations in
     `bss`, the move's evaluations in `ss`. `acceptance` holds, per sweep of
-    the move that follows the stage, the interval [lo, hi] of its mean
-    acceptance probability; lo == hi where the move scored every proposal.
+    the move after the stage (in `ss` and `bss` alike), the interval [lo, hi]
+    of its mean acceptance probability; lo == hi where it scored every proposal.
     """
 
     t: int

@@ -3,7 +3,7 @@ with adaptive thresholds.
 
 Subset simulation runs the reweight/residual-resample/move scheme on the
 indicator targets 1{f > u_t} * pdf: the move's density is the input law and
-its factor the level's indicator, so the screened move evaluates f only at
+its factor the level's indicator, so the move evaluates f only at
 proposals that pass the density step (Au & Beck's modified Metropolis), and
 at the few others it scores to keep its step adaptation exact. Thresholds
 are the (m - m0)-th order statistic of the current population's
@@ -157,8 +157,7 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
         n_before = ledger.n_total
         pts, (log_pdf, _, aux), log_sigma, diag = rwmh_move(
             pts, dist.log_density, log_factor, log_sigma, rng_move,
-            current=(log_pdf, np.zeros(m), {"f": vals}), screen=True,
-        )
+            current=(log_pdf, np.zeros(m), {"f": vals}))
         vals = aux["f"]
         stages[-1].n_evals = ledger.n_total - n_before
         stages[-1].acceptance = diag.intervals()

@@ -47,6 +47,7 @@ DEFAULT_JITTER = 1e-10
 REML_MAXITER = 100  # L-BFGS-B iterations per ReML start
 _SQRT10 = math.sqrt(10.0)
 _LOG_2PI = math.log(2.0 * math.pi)
+_PAD_ROWS = 8  # predict pads its batches to a multiple of this many rows
 
 
 def matern52_corr(h):
@@ -142,20 +143,25 @@ class GpModel:
         return self.design_points.shape[1]
 
     def predict(self, x):
-        """Posterior mean and variance at one point (d,) or a batch (k, d)."""
+        """Posterior mean and variance at one point (d,) or a batch (k, d),
+        computed on the batch padded by its last row to a multiple of
+        `_PAD_ROWS` rows, so that a row gets the same bits in any batch (BLAS
+        takes a partial block of rows by another path)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
+        k = X.shape[0]
+        X = np.concatenate([X, np.repeat(X[-1:], -k % _PAD_ROWS, axis=0)])
         r = _corr_matrix(X, self.design_points, self.hyper.ranges)
         mean = self._mu + r @ self._alpha
         rinv_r = _chol_solve(self._factor, r.T)
         quad = np.einsum("ij,ji->i", r, rinv_r)
         defect = 1.0 - r @ self._rinv_one
         var = self.hyper.sigma2 * (1.0 - quad + defect * defect / self._one_rinv_one)
-        var = np.maximum(var, 0.0)
+        var = np.maximum(var[:k], 0.0)
         if single:
             return float(mean[0]), float(var[0])
-        return mean, var
+        return mean[:k], var
 
     def posterior_cov(self, Xa, Xb) -> np.ndarray:
         """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term.

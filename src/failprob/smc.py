@@ -12,16 +12,14 @@ adaptation index restarts at 1.
 
 The target is the input density times a factor of at most 1, given as two
 log functions. A proposal z from x whose uniform draw is at least
-min(1, pdf(z) / target(x)) is rejected whatever the factor is, so a
-screened move calls the factor only on the other proposals: delayed
-acceptance (Christen & Fox 2005), as in Au & Beck's (2001) modified
+min(1, pdf(z) / target(x)) is rejected whatever the factor is, so the move
+(of `ss` and `bss` alike) calls the factor only on the other proposals:
+delayed acceptance (Christen & Fox 2005), as in Au & Beck's (2001) modified
 Metropolis. It runs each sweep in row blocks of `_BLOCK_ROWS`, whose
-temporaries stay in cache. The proposals it did not score bound the
-sweep's mean acceptance probability to an interval; only while that
-interval holds `TARGET_ACCEPTANCE` does the move score them, highest bound
-first, so every accept decision and step size is the one of the move that
-scores every proposal. An unscreened move scores every proposal of a sweep
-in one factor call.
+temporaries stay in cache. The proposals it did not score bound the sweep's
+mean acceptance probability to an interval; only while that interval holds
+`TARGET_ACCEPTANCE` does the move score them, highest bound first, so every
+accept decision and step size is the one of a move that scores them all.
 
 A sweep's random numbers do not depend on the particles, so the move draws
 them one sweep ahead on the kernel pool (`core._kernel_submit`) while the
@@ -64,7 +62,7 @@ TARGET_ACCEPTANCE = 0.30  # the target of the step adaptation
 LOG_STEP_DELTA = math.log(10.0)  # delta: sweep s moves each log step by +-delta/s
 INIT_SCALE = 2.0  # initial steps INIT_SCALE / sqrt(d) times the marginal sds
 SWEEPS = 10  # sweeps per move
-_BLOCK_ROWS = 8192  # rows per block of a screened sweep, a multiple of 64
+_BLOCK_ROWS = 8192  # rows per block of a sweep, a multiple of 64
 _SCREEN_MARGIN = 1e-9  # how far the acceptance interval must clear the target
 
 
@@ -162,7 +160,7 @@ class MoveDiagnostics:
     acceptance probability, and the log step sizes after the adaptation.
 
     `acceptance` holds lo and `acceptance_hi` holds hi; they are equal, and
-    that average exactly, where the move scored every proposal.
+    that average exactly, where the move scored every proposal of the sweep.
     """
 
     acceptance: list[float] = field(default_factory=list)
@@ -175,7 +173,7 @@ class MoveDiagnostics:
 
 
 def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray,
-              rng: np.random.Generator, current, screen: bool):
+              rng: np.random.Generator, current):
     """Run S = `SWEEPS` adaptive RWMH sweeps over a particle population.
 
     The log target is `log_density(X) + log_factor(X)[0]`. `log_density`
@@ -187,15 +185,15 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     start log target raises ValueError before anything is drawn. A proposal
     at log target -inf has acceptance exp(-inf - logp) = 0.
 
-    With `screen`, the factor is called, block by block, only on proposals
-    whose uniform draw is below min(1, exp(log_pdf(z) - logp(x))), the
-    bound on their acceptance probability, and then on unscored proposals
-    in descending bound order, `_BLOCK_ROWS` at a time, until the interval
-    of the sweep's mean acceptance probability lies `_SCREEN_MARGIN` clear
-    of `TARGET_ACCEPTANCE`, or until all are scored. Accept decisions and
-    step sizes are those of an unscreened move on the same draws, as long
-    as exp is monotone; for a factor of 0 or -inf they are exact. Without
-    `screen`, every proposal of a sweep goes to one `log_factor` call.
+    The factor is called, block by block, only on proposals whose uniform
+    draw is below min(1, exp(log_pdf(z) - logp(x))), the bound on their
+    acceptance probability, and then on unscored proposals in descending
+    bound order, `_BLOCK_ROWS` at a time, until the interval of the sweep's
+    mean acceptance probability lies `_SCREEN_MARGIN` clear of
+    `TARGET_ACCEPTANCE`, or until all are scored. Accept decisions and step
+    sizes are those of a move that scores every proposal on the same draws,
+    as long as exp is monotone and both functions give a row the same bits
+    whichever rows share the call; for a factor of 0 or -inf they are exact.
 
     Sweep s takes `rng.standard_normal((m, d))` and then `rng.random(m)`,
     and nothing else: `rng` must not be used elsewhere while the move runs.
@@ -225,7 +223,6 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     logp = log_pdf + log_f
     if np.any(~np.isfinite(logp)):
         raise ValueError("rwmh_move: the current log target must be finite")
-    block = _BLOCK_ROWS if screen else m
     buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]  # sweep s reads [s % 2]
 
     def draw(z, u):
@@ -248,7 +245,7 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     try:
         lp_prop = np.empty(m)  # log density at the sweep's proposals
         accept_prob = np.empty(m)  # acceptance probability, or its bound if unscored
-        scored = np.ones(m, dtype=bool)
+        scored = np.empty(m, dtype=bool)
         diag = MoveDiagnostics()
         for s in range(1, SWEEPS + 1):
             proposal, u = buffers[s % 2]
@@ -258,25 +255,22 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
                 pending.result()
             pending = (_kernel_submit(partial(draw, *buffers[(s + 1) % 2]))
                        if s < SWEEPS else None)
-            steps = np.broadcast_to(np.exp(log_sigma), (block, d)).copy()  # contiguous
-            for i in range(0, m, block):
-                j = min(i + block, m)
+            steps = np.broadcast_to(np.exp(log_sigma), (min(m, _BLOCK_ROWS), d)).copy()
+            for i in range(0, m, _BLOCK_ROWS):
+                j = min(i + _BLOCK_ROWS, m)
                 z = proposal[i:j]
                 z *= steps[:j - i]  # pts + step * z, formed in place
                 z += pts[i:j]
                 lp_prop[i:j] = log_density(z)
-                if screen:  # bound = exp(min(log pdf(z) - logp(x), 0))
-                    bound = accept_prob[i:j]
-                    np.subtract(lp_prop[i:j], logp[i:j], out=bound)
-                    np.minimum(bound, 0.0, out=bound)
-                    np.exp(bound, out=bound)
-                    np.less(u[i:j], bound, out=scored[i:j])
-                    rows = i + np.flatnonzero(scored[i:j])
-                    if rows.size == 0:  # the block accepts nothing
-                        continue
-                    x = proposal.take(rows, axis=0)
-                else:  # one block: the factor sees the whole sweep
-                    rows, x = np.arange(m), proposal
+                bound = accept_prob[i:j]  # exp(min(log pdf(z) - logp(x), 0))
+                np.subtract(lp_prop[i:j], logp[i:j], out=bound)
+                np.minimum(bound, 0.0, out=bound)
+                np.exp(bound, out=bound)
+                np.less(u[i:j], bound, out=scored[i:j])
+                rows = i + np.flatnonzero(scored[i:j])
+                if rows.size == 0:  # the block accepts nothing
+                    continue
+                x = proposal.take(rows, axis=0)
                 lf, lt, aux_prop, a = score(x, rows)
                 k = np.flatnonzero(u.take(rows) < a)  # accepted, as positions in x
                 idx = rows.take(k)

@@ -161,9 +161,10 @@ def test_acceptance_3_smc(monkeypatch):
     assert np.all(dev <= 3 * se + 1e-12)
 
     # RWMH invariance on a bimodal target, chi-squared GOF: once with the
-    # whole target as the density and every proposal scored, once split into
-    # a density and a log factor <= 0 (the larger component's kernel times 2,
-    # and the mixture's ratio to it) with the screen on
+    # whole target as the density and a factor of 1, once split into a
+    # density and a log factor <= 0 (the larger component's kernel times 2,
+    # and the mixture's ratio to it) that the move scores only where the
+    # density step may accept
     m = 10_000
     comp = rng.random(m) < 0.5
     pts = np.where(comp, -2.0, 2.0)[:, None] + 0.5 * rng.standard_normal((m, 1))
@@ -193,17 +194,15 @@ def test_acceptance_3_smc(monkeypatch):
     monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
     monkeypatch.setattr(smc, "SWEEPS", 50)
     pvalues = []
-    for density, factor, screen in ((whole, no_factor, False),
-                                    (split_density, split_factor, True)):
+    for density, factor in ((whole, no_factor), (split_density, split_factor)):
         current = (density(pts), factor(pts)[0], {})
-        out, _, _, _ = rwmh_move(pts, density, factor, np.array([math.log(0.8)]), rng, current,
-                                 screen)
+        out, _, _, _ = rwmh_move(pts, density, factor, np.array([math.log(0.8)]), rng, current)
         observed = np.histogram(out[:, 0], bins=[-1e12, *edges, 1e12])[0]
         pvalues.append(spstats.chisquare(observed, probs * m).pvalue)
     assert min(pvalues) > 0.001
     _report(3, f"resampling count dev within 3 se (max {float(np.max(dev)):.4f}); "
                f"RWMH bimodal invariance chi2 p = {pvalues[0]:.3f} whole, "
-               f"{pvalues[1]:.3f} split and screened")
+               f"{pvalues[1]:.3f} split")
 
 
 # --------------------------------------------------------------------------

@@ -326,6 +326,34 @@ class TestRunBss:
         assert res.n_initial == 8
 
     @pytest.mark.usefixtures("eight_design_points")
+    def test_move_scores_only_proposals_it_may_accept(self, monkeypatch):
+        # the move calls the surrogate only on proposals the density step may
+        # accept, and on the few others that decide the step adaptation; the
+        # sweeps it leaves unscored keep an interval for their acceptance
+        scored = []
+
+        def counting_move(points, log_density, log_factor, *args, **kwargs):
+            rows = []
+
+            def factor(Z):
+                rows.append(Z.shape[0])
+                return log_factor(Z)
+
+            out = smc.rwmh_move(points, log_density, factor, *args, **kwargs)
+            scored.append(sum(rows))
+            return out
+
+        monkeypatch.setattr(bss, "rwmh_move", counting_move)
+        m = 500
+        res = run_bss(_problem(float(ndtri(1 - 1e-4))), BssConfig(m=m), seed=3)
+        assert res.error is None and len(scored) == len(res.stages) - 1 >= 2
+        assert all(0 < k < smc.SWEEPS * m for k in scored)
+        for s in res.stages[:-1]:
+            assert len(s.acceptance) == smc.SWEEPS
+            assert all(0.0 <= lo <= hi <= 1.0 for lo, hi in s.acceptance)
+        assert any(lo < hi for s in res.stages for lo, hi in s.acceptance)
+
+    @pytest.mark.usefixtures("eight_design_points")
     def test_estimate_quality_1d_tail(self):
         alpha = 1e-4
         prob = _problem(float(ndtri(1 - alpha)))
@@ -384,8 +412,7 @@ class TestRunBss:
         assert res.n_initial + res.n_intermediate + res.n_final == res.n_total
         if budget == "max_stages":
             assert res.stages[0].acceptance and not res.stages[-1].acceptance
-            # bss scores every proposal: each sweep's interval is one point
-            assert all(lo == hi for lo, hi in res.stages[0].acceptance)
+            assert all(lo <= hi for lo, hi in res.stages[0].acceptance)
 
     @pytest.mark.usefixtures("eight_design_points")
     def test_trace_collection(self, recwarn):

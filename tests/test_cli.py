@@ -252,6 +252,17 @@ class TestEstimateCommand:
             assert code == 2 and out == ""  # no manifest: the run did not start
             assert f"config error: {flag}: {message}" in err
 
+    @pytest.mark.parametrize("method", ["mc", "ss"])
+    def test_trace_without_bss_exit_2_before_the_run(self, capsys, tmp_path, method):
+        trace_path = tmp_path / "trace.csv"
+        code, out, err = _run(capsys, [
+            "estimate", "--method", method, "--problem", "four-branch",
+            "--m", "1000", "--seed", "2", "--trace", str(trace_path),
+        ])
+        assert code == 2 and out == ""  # no manifest: the run did not start
+        assert f"config error: --trace: only bss records a SUR trace, not {method}" in err
+        assert not trace_path.exists()
+
     def test_replay_reproduces(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"
         _run(capsys, [

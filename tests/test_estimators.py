@@ -88,7 +88,7 @@ class TestSubsetSimulation:
         T = len(res.stages)
         assert res.n_reported == 2000 + (T - 1) * 0.9 * 2000
         # the ledger records the true call count: the rows the limit state
-        # received, which the screened move keeps below S per particle per move
+        # received, which the move keeps below S per particle per move
         assert res.n_total == sum(received)
         assert 2000 < res.n_total < 2000 + (T - 1) * 10 * 2000
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy
 from conftest import requires_scipy_117
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -204,6 +206,33 @@ class TestKrigingPosterior:
             b = rng.uniform(-2.5, 2.5, 2)
             _, va = m.predict(a)
             assert m.cross_sd(a, b, floor) <= math.sqrt(va) + 1e-10
+
+
+class TestPredictRowInvariance:
+    """`predict` pads each batch to a multiple of `gp._PAD_ROWS` rows, so a
+    row's mean and variance are the same bits whichever rows share its call.
+    The moves of `bss` score proposals in blocks and subsets of a sweep; a
+    BLAS build under which this fails would re-roll them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.sampled_from([2, 6]), n=st.integers(10, 60),
+           k=st.one_of(st.integers(1, 40), st.integers(41, 300)), seed=st.integers(0, 2**32 - 1))
+    def test_subset_or_permutation_gets_the_batch_bits(self, data, d, n, k, seed):
+        rng = np.random.default_rng(seed)
+        m = _random_model(rng, d=d, n=n)
+        X = rng.uniform(-2.5, 2.5, (k, d))
+        mean, var = m.predict(X)
+        assert mean.shape == var.shape == (k,)
+        rows = data.draw(st.one_of(
+            st.permutations(range(k)),
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=min(k, 7), unique=True),
+            st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)))
+        sub_mean, sub_var = m.predict(X[rows])
+        assert sub_mean.tobytes() == mean[rows].tobytes()
+        assert sub_var.tobytes() == var[rows].tobytes()
+        mu, v = m.predict(X[rows[0]])  # one point, as a (d,) vector
+        assert np.float64(mu).tobytes() == mean[rows[0]].tobytes()
+        assert np.float64(v).tobytes() == var[rows[0]].tobytes()
 
 
 class TestReml:

@@ -133,8 +133,8 @@ def _start(density, factor, pts):
     return density(pts), lf, aux
 
 
-def _move(pts, density, factor, log_sigma, rng, screen=True):
-    return rwmh_move(pts, density, factor, log_sigma, rng, _start(density, factor, pts), screen)
+def _move(pts, density, factor, log_sigma, rng):
+    return rwmh_move(pts, density, factor, log_sigma, rng, _start(density, factor, pts))
 
 
 def _bimodal_split(X):
@@ -223,7 +223,7 @@ class TestRwmhMove:
         # 2-component Gaussian mixture target, exact i.i.d. start, 50 fixed-step
         # sweeps (a zero adaptation step adds +-0.0 to each log step, which
         # keeps every bit); chi-squared GOF on the moved population; the
-        # screened move calls the mixture's factor only where it can accept
+        # move calls the mixture's factor only where it can accept
         monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         monkeypatch.setattr(smc, "SWEEPS", 50)
         rng = substream(10, "move")
@@ -252,8 +252,8 @@ class TestRwmhMove:
 
 def _serial_move(points, log_target, log_sigma, rng, current=None, adapt=True):
     # the move as a plain loop of smc.SWEEPS sweeps, every draw made where it
-    # is used and every proposal scored: the reference for the draw-ahead,
-    # blocked and screened kernel
+    # is used and every proposal scored in one call: the reference for the
+    # draw-ahead, blocked and screened kernel
     pts = np.array(points, dtype=float)
     m, d = pts.shape
     logp, aux = log_target(pts) if current is None else current
@@ -356,16 +356,13 @@ class TestDrawAhead:
         d = 3
         pts = _shell_start(m, d, 11)
         log_sigma = initial_log_steps(np.ones(d))
-        for screen in (True, False):
-            rng_ref, rng = substream(12, "move"), substream(12, "move")
-            ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
-            out = _move(pts, _shell_density, _shell_factor, log_sigma, rng, screen)
-            _assert_same(ref, out, rng_ref, rng)
-            assert len(out[3].acceptance) == 6
-            if not screen:
-                assert out[3].acceptance == out[3].acceptance_hi == ref[4]
-            if not adapt:
-                np.testing.assert_array_equal(out[2], log_sigma)
+        rng_ref, rng = substream(12, "move"), substream(12, "move")
+        ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
+        out = _move(pts, _shell_density, _shell_factor, log_sigma, rng)
+        _assert_same(ref, out, rng_ref, rng)
+        assert len(out[3].acceptance) == 6
+        if not adapt:
+            np.testing.assert_array_equal(out[2], log_sigma)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [1, 300])
@@ -391,19 +388,17 @@ class TestDrawAhead:
             lf, _ = _shell_factor(X)
             return lf, {"x0": X[:, 0]}
 
-        for screen in (False, True):
-            for density, factor in ((_shell_density, view_factor),
-                                    (keeping(_shell_density), keeping(_shell_factor))):
-                rng_ref, rng = substream(17, "move"), substream(17, "move")
-                ref = _serial_move(pts, _joint(density, factor), log_sigma, rng_ref)
-                current = _start(density, factor, pts)
-                seen.clear()
-                out = rwmh_move(pts, density, factor, log_sigma, rng, current, screen)
-                _assert_same(ref, out, rng_ref, rng)
-            if not screen:  # one density and one factor call per sweep
-                assert len(seen) == 2 * smc.SWEEPS
-            outputs = [out[0], *out[1][:2], *out[1][2].values()]
-            assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
+        for density, factor in ((_shell_density, view_factor),
+                                (keeping(_shell_density), keeping(_shell_factor))):
+            rng_ref, rng = substream(17, "move"), substream(17, "move")
+            ref = _serial_move(pts, _joint(density, factor), log_sigma, rng_ref)
+            current = _start(density, factor, pts)
+            seen.clear()
+            out = rwmh_move(pts, density, factor, log_sigma, rng, current)
+            _assert_same(ref, out, rng_ref, rng)
+        assert seen
+        outputs = [out[0], *out[1][:2], *out[1][2].values()]
+        assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, monkeypatch, threads):
@@ -428,7 +423,7 @@ class TestDrawAhead:
         current = _start(_shell_density, _shell_factor, pts)
         for _ in range(3):
             ref = _serial_move(pts_ref, _shell_target, log_sigma_ref, rng_ref, current_ref)
-            out = rwmh_move(pts, _shell_density, _shell_factor, log_sigma, rng, current, True)
+            out = rwmh_move(pts, _shell_density, _shell_factor, log_sigma, rng, current)
             _assert_same(ref, out, rng_ref, rng)
             pts_ref, current_ref, log_sigma_ref = ref[0], (ref[1], ref[2]), ref[3]
             pts, current, log_sigma, _ = out
@@ -456,7 +451,7 @@ class TestDrawAhead:
         rng = substream(15, "move")
         current = (_gaussian_density(pts), np.zeros(m), {})
         with pytest.raises(SweepTwo) as info:
-            rwmh_move(pts, density, _no_factor, initial_log_steps(np.ones(d)), rng, current, True)
+            rwmh_move(pts, density, _no_factor, initial_log_steps(np.ones(d)), rng, current)
         assert info.value is raised
         before = rng.bit_generator.state
         time.sleep(0.2)
@@ -471,10 +466,10 @@ class TestDrawAhead:
 
 
 class TestScreen:
-    """A screened move calls the factor only on proposals that the full
-    target could accept, row block by row block, and scores the others only
-    while they decide the step adaptation; every output bit is the
-    unscreened move's."""
+    """The move calls the factor only on proposals that the full target
+    could accept, row block by row block, and scores the others only while
+    they decide the step adaptation; every output bit is the one of the
+    serial loop that scores every proposal."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_blocked_sweep_matches_serial_loop(self, kernel_threads, monkeypatch, threads):
@@ -490,7 +485,7 @@ class TestScreen:
         rng_ref, rng = substream(22, "move"), substream(22, "move")
         ref = _serial_move(pts, _shell_target, log_sigma, rng_ref)
         out = rwmh_move(pts, density, _shell_factor, log_sigma, rng,
-                        _start(_shell_density, _shell_factor, pts), True)
+                        _start(_shell_density, _shell_factor, pts))
         _assert_same(ref, out, rng_ref, rng)
         assert densities == [64, 64, 64, 64, 44] * smc.SWEEPS
 
@@ -509,32 +504,22 @@ class TestScreen:
 
         law_density = InputDistribution.iid_normal(d).log_density
         log_sigma = initial_log_steps(np.ones(d))
-        outs, rows, rngs = {}, {}, {}
-        for screen in (False, True):
-            rows[screen] = []
-            rngs[screen] = substream(seed, "move")
-            outs[screen] = rwmh_move(pts, law_density, _counted(factor, rows[screen]), log_sigma,
-                                     rngs[screen], _start(law_density, factor, pts), screen)
-        (p0, (lp0, lf0, aux0), s0, d0), (p1, (lp1, lf1, aux1), s1, d1) = outs[False], outs[True]
-        np.testing.assert_array_equal(p1, p0)
-        np.testing.assert_array_equal(lp1, lp0)
-        np.testing.assert_array_equal(lf1, lf0)
-        np.testing.assert_array_equal(aux1["f"], aux0["f"])
-        np.testing.assert_array_equal(s1, s0)
-        for a, b in zip(d1.step_log_sigma, d0.step_log_sigma):
-            np.testing.assert_array_equal(a, b)
-        assert rngs[True].bit_generator.state == rngs[False].bit_generator.state
-        # the unscreened move scores all: its interval is the exact mean,
-        # which the screened move's interval holds
-        assert d0.acceptance == d0.acceptance_hi
-        for lo, hi, abar in zip(d1.acceptance, d1.acceptance_hi, d0.acceptance):
-            assert lo - 1e-12 <= abar <= hi + 1e-12
+        rows = []
+        rng_ref, rng = substream(seed, "move"), substream(seed, "move")
+        # the reference scores every proposal: its acceptance is the exact
+        # mean, which the move's interval holds
+        ref = _serial_move(pts, _joint(law_density, factor), log_sigma, rng_ref)
+        out = rwmh_move(pts, law_density, _counted(factor, rows), log_sigma, rng,
+                        _start(law_density, factor, pts))
+        _assert_same(ref, out, rng_ref, rng)
+        p1, (lp1, lf1, _) = out[:2]
+        np.testing.assert_array_equal(lp1, law_density(p1))
+        np.testing.assert_array_equal(lf1, 0.0)
         # the factor sees fewer rows, in one call per block plus the
         # fallbacks of the sweeps whose interval held the target
-        assert rows[False] == [m] * smc.SWEEPS
-        assert sum(rows[True]) < smc.SWEEPS * m
-        assert 0 < min(rows[True]) and max(rows[True]) <= 256
-        assert len(rows[True]) > math.ceil(m / 256) * smc.SWEEPS
+        assert sum(rows) < smc.SWEEPS * m
+        assert 0 < min(rows) and max(rows) <= 256
+        assert len(rows) > math.ceil(m / 256) * smc.SWEEPS
 
     def test_fallback_scores_highest_bounds_first(self, monkeypatch):
         # one sweep of 4 proposals whose bounds straddle the target: the
