@@ -39,8 +39,8 @@ from .core import (
 )
 from .design import maximin_lhs
 from .gp import GpModel, fit_reml
-from .smc import (DegenerateWeightsError, initial_log_steps, product_estimate, residual_resample,
-                  reweight, rwmh_move, stage_record)
+from .smc import (DegenerateWeightsError, DrawStream, initial_log_steps, product_estimate,
+                  residual_resample, reweight, rwmh_move, stage_record)
 from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
 
 __all__ = [
@@ -221,7 +221,6 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     rng_design = substream(seed, "design")
     rng_init = substream(seed, "particle-init")
     rng_resample = substream(seed, "resample")
-    rng_move = substream(seed, "move")
     rng_reml = substream(seed, "reml")
 
     # stage 0: initial design, first fit, particle cloud from the input law
@@ -231,87 +230,92 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     _require_finite(y, X)
     model = _default_model_factory(X, y, None, rng_reml)
 
-    pts = problem.input.sample(m, rng_init)
-    log_g = np.zeros(m)  # g_0 = 1
-    log_pdf = problem.input.log_density(pts)
-    log_sigma = initial_log_steps(problem.input.sd)
+    # made after the design, whose candidate search can be the run's memory peak
+    draws = DrawStream(substream(seed, "move"), m, problem.dim)
+    try:
+        pts = problem.input.sample(m, rng_init)
+        log_g = np.zeros(m)  # g_0 = 1
+        log_pdf = problem.input.log_density(pts)
+        log_sigma = initial_log_steps(problem.input.sd)
 
-    stages: list[StageRecord] = []
-    trace: list[dict] = []
-    underflows = 0
-    error: str | None = None
-    for t in range(1, MAX_STAGES + 1):
-        underflows += int(np.count_nonzero(log_g < _LOG_FLOOR))
-        log_g_prev = np.maximum(log_g, _LOG_FLOOR)
-        n_t = 0
-        while True:
-            mean_p, var_p = model.predict(pts)
-            sd_p = np.sqrt(var_p)
-            u_cand = solve_threshold(model, mean_p, sd_p, log_g_prev, p0)
-            is_final = u_cand >= u
-            u_t = u if is_final else u_cand
-            log_g_t = log_coverage_g(mean_p, sd_p, u_t)
-            ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
-            record = stage_record(t, u_t, ratios, stages)
-            eta = ETA_FINAL_FACTOR * record.delta_hat if is_final else ETA_INTERMEDIATE
-            if n_t >= N_MIN and misclass_sum(
-                mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
-            ) <= eta * m * p0:
-                break
-            if ledger.n_total >= MAX_TOTAL_EVALUATIONS:
-                error = f"max_total_evaluations={MAX_TOTAL_EVALUATIONS} exceeded"
-                break
-            sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
-            x_new = sel.x_new[None, :]
-            y_new = ledger.evaluate(problem.limit_state, x_new, stage=t)
-            _require_finite(y_new, x_new)
-            trace.append({
-                "n": ledger.n_total,
-                "x_new": [float(v) for v in sel.x_new],
-                "criterion": sel.criterion,
-                "u_t": u_t,
-                "stage": t,
-            })
-            X = np.vstack([X, x_new])
-            y = np.append(y, y_new)
-            try:
-                model = _default_model_factory(X, y, model.hyper, rng_reml)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
-                              RuntimeWarning, stacklevel=2)
+        stages: list[StageRecord] = []
+        trace: list[dict] = []
+        underflows = 0
+        error: str | None = None
+        for t in range(1, MAX_STAGES + 1):
+            underflows += int(np.count_nonzero(log_g < _LOG_FLOOR))
+            log_g_prev = np.maximum(log_g, _LOG_FLOOR)
+            n_t = 0
+            while True:
+                mean_p, var_p = model.predict(pts)
+                sd_p = np.sqrt(var_p)
+                u_cand = solve_threshold(model, mean_p, sd_p, log_g_prev, p0)
+                is_final = u_cand >= u
+                u_t = u if is_final else u_cand
+                log_g_t = log_coverage_g(mean_p, sd_p, u_t)
+                ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
+                record = stage_record(t, u_t, ratios, stages)
+                eta = ETA_FINAL_FACTOR * record.delta_hat if is_final else ETA_INTERMEDIATE
+                if n_t >= N_MIN and misclass_sum(
+                    mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
+                ) <= eta * m * p0:
+                    break
+                if ledger.n_total >= MAX_TOTAL_EVALUATIONS:
+                    error = f"max_total_evaluations={MAX_TOTAL_EVALUATIONS} exceeded"
+                    break
+                sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
+                x_new = sel.x_new[None, :]
+                y_new = ledger.evaluate(problem.limit_state, x_new, stage=t)
+                _require_finite(y_new, x_new)
+                trace.append({
+                    "n": ledger.n_total,
+                    "x_new": [float(v) for v in sel.x_new],
+                    "criterion": sel.criterion,
+                    "u_t": u_t,
+                    "stage": t,
+                })
+                X = np.vstack([X, x_new])
+                y = np.append(y, y_new)
                 try:
-                    model = GpModel(X, y, model.hyper)
+                    model = _default_model_factory(X, y, model.hyper, rng_reml)
                 except (np.linalg.LinAlgError, ValueError) as exc:
-                    warnings.warn("bss refit on the previous hyperparameters failed, previous "
-                                  f"model kept: {exc!r}", RuntimeWarning, stacklevel=2)
-            n_t += 1
+                    warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
+                                  RuntimeWarning, stacklevel=2)
+                    try:
+                        model = GpModel(X, y, model.hyper)
+                    except (np.linalg.LinAlgError, ValueError) as exc:
+                        warnings.warn("bss refit on the previous hyperparameters failed, previous "
+                                      f"model kept: {exc!r}", RuntimeWarning, stacklevel=2)
+                n_t += 1
 
-        # stage complete (or ended): record it with the last solved threshold
-        record.n_evals = n_t
-        stages.append(record)
-        if error is not None or is_final:
-            break
-        if t == MAX_STAGES:  # no stage is left to use the moved cloud
-            error = f"max_stages={MAX_STAGES} exceeded"
-            break
+            # stage complete (or ended): record it with the last solved threshold
+            record.n_evals = n_t
+            stages.append(record)
+            if error is not None or is_final:
+                break
+            if t == MAX_STAGES:  # no stage is left to use the moved cloud
+                error = f"max_stages={MAX_STAGES} exceeded"
+                break
 
-        # sampling phase: reweight -> residual resample -> move
-        try:
-            weights = reweight(log_g_t, log_g_prev)
-        except DegenerateWeightsError as exc:
-            error = str(exc)
-            break
-        idx = residual_resample(weights, rng_resample)
-        pts = pts[idx]
+            # sampling phase: reweight -> residual resample -> move
+            try:
+                weights = reweight(log_g_t, log_g_prev)
+            except DegenerateWeightsError as exc:
+                error = str(exc)
+                break
+            idx = residual_resample(weights, rng_resample)
+            pts = pts[idx]
 
-        def log_factor(Z, _u=u_t, _model=model):
-            mu, v = _model.predict(Z)
-            return log_coverage_g(mu, np.sqrt(v), _u), {}
+            def log_factor(Z, _u=u_t, _model=model):
+                mu, v = _model.predict(Z)
+                return log_coverage_g(mu, np.sqrt(v), _u), {}
 
-        pts, (log_pdf, log_g, _), log_sigma, diag = rwmh_move(
-            pts, problem.input.log_density, log_factor, log_sigma, rng_move,
-            current=(log_pdf[idx], log_g_t[idx], {}))
-        stages[-1].acceptance = diag.intervals()
+            pts, (log_pdf, log_g, _), log_sigma, diag = rwmh_move(
+                pts, problem.input.log_density, log_factor, log_sigma, draws,
+                current=(log_pdf[idx], log_g_t[idx], {}))
+            stages[-1].acceptance = diag.intervals()
+    finally:
+        draws.close()
 
     alpha = product_estimate(s.p_hat for s in stages)
     # a stage cut short below u counts as intermediate

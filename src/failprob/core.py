@@ -16,11 +16,12 @@ Limit-state functions are vectorized: they map an (n, d) array of points to
 an (n,) array of values. All densities are handled in log space so that the
 machinery survives failure probabilities down to ~1e-9.
 
-One process-wide thread pool, `kernel_threads()` threads wide, runs the
-work that leaves the bits unchanged at any thread count: `_row_blocks` runs
-elementwise matrix kernels in row blocks on it, and `_kernel_submit` runs
-one call on it (the move kernel draws its next sweep's random numbers that
-way). At one thread there is no pool and both run inline.
+Elementwise matrix kernels run in row blocks of about `_BLOCK_PAIRS`
+entries (`_row_blocks`), in order on the calling thread, so that their
+temporaries stay in cache. One process-wide thread pool, `kernel_threads()`
+threads wide, does one job: `_kernel_submit` runs a call on it, with which
+`smc.DrawStream` draws the move's next sweep of random numbers while the
+current sweep runs. At one thread there is no pool and the call runs inline.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import wait
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
@@ -141,24 +141,12 @@ def _kernel_submit(fn: Callable[[], object]):
 def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int,
                 scale: int = 1) -> None:
     """Call fn(i, j) on consecutive row ranges [i, j) of an (n_rows, n_cols)
-    matrix, about scale * _BLOCK_PAIRS entries each, on `kernel_threads()`
-    threads. The split depends on the shape and `scale` only.
-
-    fn writes rows i:j of its output and nothing else; it must not print.
-    A single block, or a single thread, runs inline. An exception raised in a
-    block re-raises here once every block has finished.
+    matrix, about scale * _BLOCK_PAIRS entries each, in row order on the
+    calling thread. The split depends on the shape and `scale` only.
     """
     step = max(1, scale * _BLOCK_PAIRS // max(n_cols, 1))
-    bounds = [(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
-    pool = _shared_pool() if len(bounds) > 1 else None
-    if pool is None:
-        for i, j in bounds:
-            fn(i, j)
-        return
-    futures = [pool.submit(fn, i, j) for i, j in bounds]
-    wait(futures)
-    for f in futures:
-        f.result()
+    for i in range(0, n_rows, step):
+        fn(i, min(i + step, n_rows))
 
 
 class ConfigError(ValueError):

@@ -34,7 +34,8 @@ from .core import (
     StageRecord,
     substream,
 )
-from .smc import initial_log_steps, product_estimate, residual_resample, rwmh_move, stage_record
+from .smc import (DrawStream, initial_log_steps, product_estimate, residual_resample, rwmh_move,
+                  stage_record)
 
 __all__ = [
     "SubsetSimConfig",
@@ -114,53 +115,58 @@ def run_subset_simulation(problem: Problem, config: SubsetSimConfig, seed: int) 
     # both algorithms consume identical draws and produce identical trajectories
     rng_init = substream(seed, "particle-init")
     rng_resample = substream(seed, "resample")
-    rng_move = substream(seed, "move")
     m, m0 = config.m, config.m0
     p0 = config.p0
     u = problem.threshold
     dist = problem.input
     ledger = EvaluationLedger()
 
-    pts = dist.sample(m, rng_init)
-    vals = ledger.evaluate(problem.limit_state, pts, stage=0)
-    log_pdf = dist.log_density(pts)
-    log_sigma = initial_log_steps(dist.sd)
+    # the first sweep's draw is made while the initial sample is evaluated
+    draws = DrawStream(substream(seed, "move"), m, dist.dim)
+    try:
+        pts = dist.sample(m, rng_init)
+        vals = ledger.evaluate(problem.limit_state, pts, stage=0)
+        log_pdf = dist.log_density(pts)
+        log_sigma = initial_log_steps(dist.sd)
 
-    stages: list[StageRecord] = []
-    error: str | None = None
-    for t in range(1, MAX_STAGES + 1):
-        order = np.sort(np.where(np.isnan(vals), -np.inf, vals))  # NaN lies in no level
-        is_final = order[m - m0 - 1] > u  # the (m - m0)-th order statistic, 1-indexed
-        u_t = u if is_final else float(order[m - m0 - 1])
-        survivors = vals > u_t
-        ratios = survivors.astype(float)
-        stages.append(stage_record(t, u_t, ratios, stages))
-        if is_final:
-            break
-        if t == MAX_STAGES:  # the threshold may be unreachable or the kernel stuck
-            error = f"max_stages={MAX_STAGES} exceeded"
-            break
-        m_t = int(np.count_nonzero(survivors))
-        if m_t == 0:
-            error = f"no particle lies above the level u_t = {u_t!r}"
-            break
-        # reweight to the indicator of the new level, then resample
-        idx = residual_resample(ratios / m_t, rng_resample)
-        pts, vals, log_pdf = pts[idx], vals[idx], log_pdf[idx]
+        stages: list[StageRecord] = []
+        error: str | None = None
+        for t in range(1, MAX_STAGES + 1):
+            # the (m - m0)-th order statistic, 1-indexed; NaN lies in no level
+            level = np.partition(np.where(np.isnan(vals), -np.inf, vals), m - m0 - 1)[m - m0 - 1]
+            is_final = level > u
+            u_t = u if is_final else float(level)
+            survivors = vals > u_t
+            ratios = survivors.astype(float)
+            stages.append(stage_record(t, u_t, ratios, stages))
+            if is_final:
+                break
+            if t == MAX_STAGES:  # the threshold may be unreachable or the kernel stuck
+                error = f"max_stages={MAX_STAGES} exceeded"
+                break
+            m_t = int(np.count_nonzero(survivors))
+            if m_t == 0:
+                error = f"no particle lies above the level u_t = {u_t!r}"
+                break
+            # reweight to the indicator of the new level, then resample
+            idx = residual_resample(ratios / m_t, rng_resample)
+            pts, vals, log_pdf = pts[idx], vals[idx], log_pdf[idx]
 
-        def log_factor(X, _u=u_t, _t=t):
-            # the level's indicator: f is evaluated only where the move asks
-            fv = ledger.evaluate(problem.limit_state, X, stage=_t)
-            return np.where(fv > _u, 0.0, -np.inf), {"f": fv}
+            def log_factor(X, _u=u_t, _t=t):
+                # the level's indicator: f is evaluated only where the move asks
+                fv = ledger.evaluate(problem.limit_state, X, stage=_t)
+                return np.where(fv > _u, 0.0, -np.inf), {"f": fv}
 
-        # every resampled particle is inside the level, so its log factor is 0
-        n_before = ledger.n_total
-        pts, (log_pdf, _, aux), log_sigma, diag = rwmh_move(
-            pts, dist.log_density, log_factor, log_sigma, rng_move,
-            current=(log_pdf, np.zeros(m), {"f": vals}))
-        vals = aux["f"]
-        stages[-1].n_evals = ledger.n_total - n_before
-        stages[-1].acceptance = diag.intervals()
+            # every resampled particle is inside the level, so its log factor is 0
+            n_before = ledger.n_total
+            pts, (log_pdf, _, aux), log_sigma, diag = rwmh_move(
+                pts, dist.log_density, log_factor, log_sigma, draws,
+                current=(log_pdf, np.zeros(m), {"f": vals}))
+            vals = aux["f"]
+            stages[-1].n_evals = ledger.n_total - n_before
+            stages[-1].acceptance = diag.intervals()
+    finally:
+        draws.close()
 
     alpha = product_estimate(s.p_hat for s in stages)
     n_moves = len(stages) - 1  # every stage but the last moves the cloud

@@ -166,9 +166,9 @@ class GpModel:
     def posterior_cov(self, Xa, Xb) -> np.ndarray:
         """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term.
 
-        The prior term and the sum are built in row blocks on the kernel
-        thread pool (`core._row_blocks`), entry by entry, so the bits do not
-        depend on the split; the cross term stays one matrix product. Passing
+        The prior term and the sum are built in row blocks
+        (`core._row_blocks`), entry by entry, so the bits do not depend on
+        the split; the cross term stays one matrix product. Passing
         the same array as Xa and Xb computes the design correlations once.
         """
         same = Xb is Xa

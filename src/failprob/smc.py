@@ -21,22 +21,24 @@ mean acceptance probability to an interval; only while that interval holds
 `TARGET_ACCEPTANCE` does the move score them, highest bound first, so every
 accept decision and step size is the one of a move that scores them all.
 
-A sweep's random numbers do not depend on the particles, so the move draws
-them one sweep ahead on the kernel pool (`core._kernel_submit`) while the
-current sweep evaluates its target. The generator gives the same numbers in
-the same order at any thread count; at one kernel thread (as in `--jobs`
-workers) they are drawn inline.
+A sweep's random numbers do not depend on the particles, so one
+`DrawStream` per run supplies them: it owns the two buffer pairs the move
+reads, one (m, d) and one (m,) each, and keeps the next sweep's draw in
+flight on the kernel pool (`core._kernel_submit`) across sweep, move and
+stage boundaries, so even a move's first sweep finds its draw made while
+the driver did its stage bookkeeping. The generator gives the same numbers
+in the same order at any thread count; at one kernel thread (as in `--jobs`
+workers) they are drawn inline at the same points. A run draws one sweep it
+never uses, so its generator ends one sweep ahead of the draws it consumed.
 
-A move allocates its sweep arrays once per call: two alternating draw
-buffers, in which the proposals are formed in place, and the proposals'
-log densities and acceptance probabilities. Accepted rows are copied
-through one index array per block.
+A move allocates the proposals' log densities and acceptance probabilities
+once per call and forms each sweep's proposals in place in the draw buffer
+it read. Accepted rows are copied through one index array per block.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -54,6 +56,7 @@ __all__ = [
     "product_estimate",
     "initial_log_steps",
     "MoveDiagnostics",
+    "DrawStream",
     "rwmh_move",
 ]
 
@@ -172,8 +175,64 @@ class MoveDiagnostics:
         return [[lo, hi] for lo, hi in zip(self.acceptance, self.acceptance_hi)]
 
 
+class DrawStream:
+    """A run's random numbers for every move sweep, one sweep ahead.
+
+    Sweep by sweep, the stream takes `rng.standard_normal((m, d))` and then
+    `rng.random(m)`, and nothing else: `rng` must not be used elsewhere
+    until `close()` returns. It owns two buffer pairs and keeps the next
+    sweep's draw in flight on the kernel pool from construction to
+    `close()`, across moves and stages; at one kernel thread each draw is
+    made inline at the point where it would be submitted. So the numbers,
+    their order and the generator's state after `close()` (one sweep ahead
+    of the draws taken) are the same bits at any thread count.
+
+    The driver that creates a stream closes it in a `finally`, so that no
+    pool thread still holds `rng` once the run returns or raises.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int, d: int) -> None:
+        self._rng = rng
+        self._buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]
+        self._next = 0  # the buffer pair that holds, or receives, the next sweep
+        self._pending = None
+        self._fill(0)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(m, d): the shape of the particle clouds the stream serves."""
+        return self._buffers[0][0].shape
+
+    def _draw(self, z: np.ndarray, u: np.ndarray) -> None:
+        self._rng.standard_normal(out=z)
+        self._rng.random(out=u)
+
+    def _fill(self, k: int) -> None:
+        self._pending = _kernel_submit(partial(self._draw, *self._buffers[k]))
+        if self._pending is None:  # one kernel thread: draw here
+            self._draw(*self._buffers[k])
+
+    def _wait(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    def take(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next sweep's (z, u); the draw of the sweep after it then
+        starts into the other pair. The next `take()` refills the pair
+        returned, so a caller may write into it until then."""
+        self._wait()
+        k, self._next = self._next, 1 - self._next
+        self._fill(self._next)
+        return self._buffers[k]
+
+    def close(self) -> None:
+        """Wait for the draw in flight; the stream takes nothing after this."""
+        self._wait()
+
+
 def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray,
-              rng: np.random.Generator, current):
+              draws: DrawStream, current):
     """Run S = `SWEEPS` adaptive RWMH sweeps over a particle population.
 
     The log target is `log_density(X) + log_factor(X)[0]`. `log_density`
@@ -182,7 +241,7 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     0, and `aux` a dict of per-point arrays carried through accept/reject
     (e.g. cached limit-state values). `current` is `(log_pdf, log_f, aux)`
     at the starting points, which the drivers already hold; a non-finite
-    start log target raises ValueError before anything is drawn. A proposal
+    start log target raises ValueError before any draw is taken. A proposal
     at log target -inf has acceptance exp(-inf - logp) = 0.
 
     The factor is called, block by block, only on proposals whose uniform
@@ -195,21 +254,14 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     as long as exp is monotone and both functions give a row the same bits
     whichever rows share the call; for a factor of 0 or -inf they are exact.
 
-    Sweep s takes `rng.standard_normal((m, d))` and then `rng.random(m)`,
-    and nothing else: `rng` must not be used elsewhere while the move runs.
-    The pair for sweep s + 1 is drawn on the kernel pool while sweep s
-    evaluates its target, so results and the generator's final state are
-    the same bits at any thread count, and nothing is drawn beyond sweep S.
-    If the target raises, the pending draw is waited for before the
-    exception propagates, and the generator is then up to one sweep ahead
-    of where a serial move would have left it.
-
-    The draws fill two buffers allocated once per call, and sweep s forms
-    its proposals in place in the buffer it read, which the draw for sweep
-    s + 2 refills while the target runs on sweep s + 1. So neither function
-    may rely on its argument after it returns: returned arrays may be views
-    of it, since accepted rows are copied out before the refill, but it
-    must keep no reference to read on a later call.
+    Sweep s takes one `draws.take()`: its normals z, from which it forms
+    the proposals x + exp(log_sigma) z in place, and its uniforms. The
+    stream's shape must be the population's. The buffer a sweep reads is
+    refilled while the next sweep runs, so neither function may rely on its
+    argument after it returns: returned arrays may be views of it, since
+    accepted rows are copied out before the refill, but it must keep no
+    reference to read on a later call. If the target raises, the stream is
+    left as it is, and its owner's `close()` waits for the draw in flight.
 
     `log_sigma` holds the per-coordinate log step sizes the move starts from.
     Returns (moved points, final (log_pdf, log_f, aux), adapted log steps,
@@ -217,17 +269,15 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     """
     pts = np.array(np.atleast_2d(np.asarray(points, dtype=float)))
     m, d = pts.shape
+    if draws.shape != (m, d):
+        raise ValueError(f"rwmh_move: a draw stream of shape {draws.shape} "
+                         f"cannot move {m} points in {d} dimensions")
     log_pdf = np.array(current[0], dtype=float)
     log_f = np.array(current[1], dtype=float)
     aux = {k: np.array(v) for k, v in current[2].items()}
     logp = log_pdf + log_f
     if np.any(~np.isfinite(logp)):
         raise ValueError("rwmh_move: the current log target must be finite")
-    buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]  # sweep s reads [s % 2]
-
-    def draw(z, u):
-        rng.standard_normal(out=z)
-        rng.random(out=u)
 
     def score(x, rows):
         # the factor at x = the proposals `rows`; records their acceptance
@@ -241,55 +291,44 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
         accept_prob[rows] = a
         return lf, lt, aux_prop, a
 
-    pending = _kernel_submit(partial(draw, *buffers[1]))
-    try:
-        lp_prop = np.empty(m)  # log density at the sweep's proposals
-        accept_prob = np.empty(m)  # acceptance probability, or its bound if unscored
-        scored = np.empty(m, dtype=bool)
-        diag = MoveDiagnostics()
-        for s in range(1, SWEEPS + 1):
-            proposal, u = buffers[s % 2]
-            if pending is None:
-                draw(proposal, u)
-            else:
-                pending.result()
-            pending = (_kernel_submit(partial(draw, *buffers[(s + 1) % 2]))
-                       if s < SWEEPS else None)
-            steps = np.broadcast_to(np.exp(log_sigma), (min(m, _BLOCK_ROWS), d)).copy()
-            for i in range(0, m, _BLOCK_ROWS):
-                j = min(i + _BLOCK_ROWS, m)
-                z = proposal[i:j]
-                z *= steps[:j - i]  # pts + step * z, formed in place
-                z += pts[i:j]
-                lp_prop[i:j] = log_density(z)
-                bound = accept_prob[i:j]  # exp(min(log pdf(z) - logp(x), 0))
-                np.subtract(lp_prop[i:j], logp[i:j], out=bound)
-                np.minimum(bound, 0.0, out=bound)
-                np.exp(bound, out=bound)
-                np.less(u[i:j], bound, out=scored[i:j])
-                rows = i + np.flatnonzero(scored[i:j])
-                if rows.size == 0:  # the block accepts nothing
-                    continue
-                x = proposal.take(rows, axis=0)
-                lf, lt, aux_prop, a = score(x, rows)
-                k = np.flatnonzero(u.take(rows) < a)  # accepted, as positions in x
-                idx = rows.take(k)
-                pts[idx] = x.take(k, axis=0)
-                logp[idx] = lt.take(k)
-                log_pdf[idx] = lp_prop.take(idx)
-                log_f[idx] = lf.take(k)
-                for key in aux:
-                    aux[key][idx] = np.asarray(aux_prop[key]).take(k, axis=0)
-            lo, hi = _acceptance_bounds(
-                accept_prob, scored, lambda rows: score(proposal.take(rows, axis=0), rows))
-            diag.acceptance.append(lo)
-            diag.acceptance_hi.append(hi)
-            delta = LOG_STEP_DELTA / s
-            log_sigma = log_sigma + (delta if lo > TARGET_ACCEPTANCE else -delta)
-            diag.step_log_sigma.append(log_sigma.copy())
-    finally:
-        if pending is not None:  # only when raising: let no pool thread hold rng
-            wait((pending,))
+    lp_prop = np.empty(m)  # log density at the sweep's proposals
+    accept_prob = np.empty(m)  # acceptance probability, or its bound if unscored
+    scored = np.empty(m, dtype=bool)
+    diag = MoveDiagnostics()
+    for s in range(1, SWEEPS + 1):
+        proposal, u = draws.take()
+        steps = np.broadcast_to(np.exp(log_sigma), (min(m, _BLOCK_ROWS), d)).copy()
+        for i in range(0, m, _BLOCK_ROWS):
+            j = min(i + _BLOCK_ROWS, m)
+            z = proposal[i:j]
+            z *= steps[:j - i]  # pts + step * z, formed in place
+            z += pts[i:j]
+            lp_prop[i:j] = log_density(z)
+            bound = accept_prob[i:j]  # exp(min(log pdf(z) - logp(x), 0))
+            np.subtract(lp_prop[i:j], logp[i:j], out=bound)
+            np.minimum(bound, 0.0, out=bound)
+            np.exp(bound, out=bound)
+            np.less(u[i:j], bound, out=scored[i:j])
+            rows = i + np.flatnonzero(scored[i:j])
+            if rows.size == 0:  # the block accepts nothing
+                continue
+            x = proposal.take(rows, axis=0)
+            lf, lt, aux_prop, a = score(x, rows)
+            k = np.flatnonzero(u.take(rows) < a)  # accepted, as positions in x
+            idx = rows.take(k)
+            pts[idx] = x.take(k, axis=0)
+            logp[idx] = lt.take(k)
+            log_pdf[idx] = lp_prop.take(idx)
+            log_f[idx] = lf.take(k)
+            for key in aux:
+                aux[key][idx] = np.asarray(aux_prop[key]).take(k, axis=0)
+        lo, hi = _acceptance_bounds(
+            accept_prob, scored, lambda rows: score(proposal.take(rows, axis=0), rows))
+        diag.acceptance.append(lo)
+        diag.acceptance_hi.append(hi)
+        delta = LOG_STEP_DELTA / s
+        log_sigma = log_sigma + (delta if lo > TARGET_ACCEPTANCE else -delta)
+        diag.step_log_sigma.append(log_sigma.copy())
     return pts, (log_pdf, log_f, aux), log_sigma, diag
 
 

@@ -41,11 +41,10 @@ over the full-size matrix, the pruned columns holding tau and then set to
 exactly the values the dense search computes, so every live J, the minimum
 and the pick keep their bits.
 
-The bound pass and the exact pairs run in row blocks on every usable core
+The bound pass and the exact pairs run in row blocks on the calling thread
 (`core._row_blocks`), like the posterior covariance the pairs are built
 from; each entry is computed on its own and the column bounds are summed in
-block order, so the bits, the live set and the counts are the same at any
-thread count. `--jobs` workers run one thread each (`core.set_kernel_threads`).
+block order.
 
 Degenerate-variance guards: points whose posterior variance is below
 1e-12 * sigma2 count as classified; pairs with s_n^2 below the same floor
@@ -186,11 +185,10 @@ def _rows(mean_x, sd_x, u, var_floor) -> _Rows:
 
 
 def _exact_columns(out, rows: _Rows, s_mat, cols) -> int:
-    """Write 2 T(b2, a) into out[:, cols] wherever s > s_min, in row blocks on
-    the kernel thread pool (`core._row_blocks`); every other entry of those
-    columns must already hold tau(x). Each entry is computed on its own, so
-    its bits depend on neither the block split nor the thread count.
-    Returns the number of pairs evaluated."""
+    """Write 2 T(b2, a) into out[:, cols] wherever s > s_min, in row blocks
+    (`core._row_blocks`); every other entry of those columns must already
+    hold tau(x). Each entry is computed on its own, so its bits do not
+    depend on the block split. Returns the number of pairs evaluated."""
     sizes = []
 
     def block(i, j):
@@ -225,7 +223,7 @@ def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
     offset = phi_lo * per_rad
     tabled = usable & (np.abs(rows.b2) < _TABLE_B2_MAX)
     out = np.empty(s_mat.shape)
-    partial = {}  # first row of a block -> the column sums of its bounds
+    reduction = np.zeros(n_cols)  # the column sums of c times the chords
     sizes = []
 
     def bound_block(i, j):
@@ -257,12 +255,9 @@ def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
         cell += np.repeat(np.arange(0, (j - i) * _BINS, _BINS), per_row)
         x *= v_cell.take(cell)
         x += u_cell.take(cell)
-        partial[i] = np.bincount(col, x, minlength=n_cols)
+        np.add(reduction, np.bincount(col, x, minlength=n_cols), out=reduction)
 
     _row_blocks(bound_block, n_rows, n_cols, scale=_BOUND_BLOCK_SCALE)
-    reduction = np.zeros(n_cols)
-    for i in sorted(partial):  # block order: the same sums at any thread count
-        reduction += partial[i]
     total = float(coeff @ rows.tau)
     j_lb = total - reduction
     seed = int(np.argmin(j_lb))  # its exact J is the upper bound

@@ -196,7 +196,12 @@ def test_acceptance_3_smc(monkeypatch):
     pvalues = []
     for density, factor in ((whole, no_factor), (split_density, split_factor)):
         current = (density(pts), factor(pts)[0], {})
-        out, _, _, _ = rwmh_move(pts, density, factor, np.array([math.log(0.8)]), rng, current)
+        draws = smc.DrawStream(rng, m, 1)
+        try:
+            out, _, _, _ = rwmh_move(pts, density, factor, np.array([math.log(0.8)]), draws,
+                                     current)
+        finally:
+            draws.close()
         observed = np.histogram(out[:, 0], bins=[-1e12, *edges, 1e12])[0]
         pvalues.append(spstats.chisquare(observed, probs * m).pvalue)
     assert min(pvalues) > 0.001

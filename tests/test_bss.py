@@ -604,8 +604,8 @@ class TestRunBss:
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):
-    # the SUR pair matrix and posterior_cov run in row blocks on the kernel
-    # pool; one thread and two (the default on a 2-CPU host) give the same run
+    # the kernel pool only draws the move's next sweep of random numbers
+    # ahead; one thread and two (the default on a 2-CPU host) give the same run
     case = four_branch()
 
     def signature():

@@ -1,13 +1,14 @@
 """Monte Carlo and subset simulation baselines."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from failprob import estimators
-from failprob.core import ConfigError, InputDistribution, Problem
+from failprob import estimators, smc
+from failprob.core import ConfigError, InputDistribution, Problem, substream
 from failprob.estimators import (
     SubsetSimConfig,
     monte_carlo_estimate,
@@ -185,14 +186,16 @@ class TestSubsetSimulation:
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):
-    # the move draws its next sweep's random numbers on the kernel pool; one
-    # thread and two (the default on a 2-CPU host) give the same run
+    # the draw stream keeps the move's next sweep of random numbers in flight
+    # on the kernel pool; one thread and two (the default on a 2-CPU host)
+    # give the same run, here over three row blocks of the move's sweep
     from failprob.bench import nonlinear_oscillator
 
     case = nonlinear_oscillator()
+    m = 3 * smc._BLOCK_ROWS
 
     def signature():
-        res = run_subset_simulation(case.problem, SubsetSimConfig(m=2000, m0=200), 21)
+        res = run_subset_simulation(case.problem, SubsetSimConfig(m=m, m0=m // 10), 21)
         return (res.alpha_hat.hex(), res.n_total,
                 [(s.u_t.hex(), s.acceptance) for s in res.stages])
 
@@ -201,6 +204,43 @@ def test_kernel_threads_change_no_bit(kernel_threads):
     kernel_threads(2)
     assert len(one[2]) > 2
     assert signature() == one
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_raising_limit_state_leaves_generator_quiescent(kernel_threads, monkeypatch, threads):
+    # the limit state raises in the first move's first block, while the
+    # stream's second sweep is in flight: the run closes the stream before
+    # the exception is out, and the move's generator has drawn two sweeps
+    kernel_threads(threads)
+    m, d = 100_000, 6
+    generators = {}
+
+    def recording(seed, *path):
+        generators[path] = substream(seed, *path)
+        return generators[path]
+
+    calls = []
+
+    def raising(X):
+        calls.append(len(X))  # the initial sample, then the move's first block
+        if len(calls) == 2:
+            raise RuntimeError("limit state failed")
+        return X[:, 0]
+
+    monkeypatch.setattr(estimators, "substream", recording)
+    problem = Problem(raising, InputDistribution.iid_normal(d), 6.0)
+    with pytest.raises(RuntimeError, match="limit state failed"):
+        run_subset_simulation(problem, SubsetSimConfig(m=m, m0=m // 10), 4)
+    assert calls[0] == m and calls[1] <= smc._BLOCK_ROWS
+    rng = generators[("move",)]
+    before = rng.bit_generator.state
+    time.sleep(0.2)
+    assert rng.bit_generator.state == before
+    rng_ref = substream(4, "move")
+    for _ in range(2):
+        rng_ref.standard_normal((m, d))
+        rng_ref.random(m)
+    assert before == rng_ref.bit_generator.state
 
 
 def test_ss_rejects_nonfinite_values():

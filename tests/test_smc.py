@@ -1,6 +1,7 @@
 """SMC transitions: reweighting, residual resampling, adaptive RWMH."""
 
 import math
+import multiprocessing
 import sys
 import time
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from failprob import smc
+from failprob import core, smc
 from failprob.core import InputDistribution, substream
 from failprob.smc import (
     LOG_STEP_DELTA,
     TARGET_ACCEPTANCE,
     DegenerateWeightsError,
+    DrawStream,
     initial_log_steps,
     residual_resample,
     reweight,
@@ -133,8 +135,14 @@ def _start(density, factor, pts):
     return density(pts), lf, aux
 
 
-def _move(pts, density, factor, log_sigma, rng):
-    return rwmh_move(pts, density, factor, log_sigma, rng, _start(density, factor, pts))
+def _move(pts, density, factor, log_sigma, rng, current=None):
+    # one move on a draw stream of its own, closed before this returns
+    draws = DrawStream(rng, *np.shape(pts))
+    try:
+        return rwmh_move(pts, density, factor, log_sigma, draws,
+                         _start(density, factor, pts) if current is None else current)
+    finally:
+        draws.close()
 
 
 def _bimodal_split(X):
@@ -213,11 +221,21 @@ class TestRwmhMove:
             return np.where(X[:, 0] > 0, 0.0, -np.inf), {}
 
         pts = np.array([[1.0], [-1.0]])
-        rng = substream(9, "x")
-        before = rng.bit_generator.state
+        rng, rng_ref = substream(9, "x"), substream(9, "x")
         with pytest.raises(ValueError, match="current log target must be finite"):
             _move(pts, _gaussian_density, factor, initial_log_steps(np.ones(1)), rng)
-        assert rng.bit_generator.state == before  # raised before any draw
+        # raised before taking a draw: the stream drew its first sweep only
+        _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
+
+    def test_rejects_stream_of_another_shape(self):
+        pts = np.zeros((4, 2))
+        draws = DrawStream(substream(9, "x"), 4, 3)
+        try:
+            with pytest.raises(ValueError, match=r"shape \(4, 3\) cannot move 4 points in 2"):
+                rwmh_move(pts, _gaussian_density, _no_factor, initial_log_steps(np.ones(2)),
+                          draws, _start(_gaussian_density, _no_factor, pts))
+        finally:
+            draws.close()
 
     def test_bimodal_invariance_chi2(self, monkeypatch):
         # 2-component Gaussian mixture target, exact i.i.d. start, 50 fixed-step
@@ -306,7 +324,7 @@ def _shell_start(m, d, seed):
     return 2.0 * z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _assert_same(ref, out, rng_ref, rng):
+def _assert_same(ref, out):
     """The move's output is the reference's, bit for bit; where the move
     left proposals unscored, its acceptance interval holds the reference's
     mean and clears the adaptation target."""
@@ -327,6 +345,15 @@ def _assert_same(ref, out, rng_ref, rng):
     assert len(diag.step_log_sigma) == len(ref[5])
     for a, b in zip(diag.step_log_sigma, ref[5]):
         np.testing.assert_array_equal(a, b)
+
+
+def _assert_one_sweep_ahead(rng, rng_ref, shape):
+    """`rng`, behind a closed draw stream, is `rng_ref` (the reference's
+    generator) after one more sweep's draw: the stream draws one sweep
+    beyond those its moves took, and nothing else."""
+    m, d = shape
+    rng_ref.standard_normal((m, d))
+    rng_ref.random(m)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -338,10 +365,24 @@ def _counted(fn, rows):
     return wrapped
 
 
+def _two_sweeps(seed):
+    # a stream's first two sweeps of draws, as bytes
+    draws = DrawStream(substream(seed, "fork"), 50, 3)
+    try:
+        return b"".join(a.tobytes() for _ in range(2) for a in draws.take())
+    finally:
+        draws.close()
+
+
+def _two_sweeps_in_child(want):
+    sys.exit(0 if _two_sweeps(18) == want else 1)
+
+
 class TestDrawAhead:
-    """The move draws sweep s + 1's random numbers on the kernel pool while
-    sweep s evaluates its target; that changes no bit of any output nor of
-    the generator's final state, at any kernel thread count."""
+    """The draw stream keeps the next sweep's random numbers in flight on the
+    kernel pool while the current sweep evaluates its target, across moves;
+    that changes no bit of any output, and leaves the generator one sweep
+    past the reference's once the stream is closed, at any thread count."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("adapt", [True, False])
@@ -359,7 +400,8 @@ class TestDrawAhead:
         rng_ref, rng = substream(12, "move"), substream(12, "move")
         ref = _serial_move(pts, _shell_target, log_sigma, rng_ref, adapt=adapt)
         out = _move(pts, _shell_density, _shell_factor, log_sigma, rng)
-        _assert_same(ref, out, rng_ref, rng)
+        _assert_same(ref, out)
+        _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
         assert len(out[3].acceptance) == 6
         if not adapt:
             np.testing.assert_array_equal(out[2], log_sigma)
@@ -367,8 +409,8 @@ class TestDrawAhead:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [1, 300])
     def test_reused_buffers_reach_no_output(self, kernel_threads, monkeypatch, threads, m):
-        # the move forms each sweep's proposals in a draw buffer that is
-        # refilled two sweeps later: a factor whose aux array is a view of
+        # the move forms each sweep's proposals in a draw buffer that the
+        # stream refills one sweep later: a factor whose aux array is a view of
         # its input, or functions that keep their input, change no bit, and
         # no output shares memory with what they were given
         kernel_threads(threads)
@@ -394,15 +436,16 @@ class TestDrawAhead:
             ref = _serial_move(pts, _joint(density, factor), log_sigma, rng_ref)
             current = _start(density, factor, pts)
             seen.clear()
-            out = rwmh_move(pts, density, factor, log_sigma, rng, current)
-            _assert_same(ref, out, rng_ref, rng)
+            out = _move(pts, density, factor, log_sigma, rng, current)
+            _assert_same(ref, out)
+            _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
         assert seen
         outputs = [out[0], *out[1][:2], *out[1][2].values()]
         assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
     @pytest.mark.parametrize("threads", [1, 2, 5])
     def test_multi_call_sequence_carries_state(self, kernel_threads, monkeypatch, threads):
-        # three stages on one generator, the later ones from cached values,
+        # three stages on one draw stream, the later ones from cached values,
         # as the subset simulation driver calls the move; five threads on a
         # short switch interval stress the hand-over of the generator
         kernel_threads(threads)
@@ -421,12 +464,17 @@ class TestDrawAhead:
         pts_ref, current_ref = pts, None
         log_sigma_ref = log_sigma = initial_log_steps(np.ones(d))
         current = _start(_shell_density, _shell_factor, pts)
-        for _ in range(3):
-            ref = _serial_move(pts_ref, _shell_target, log_sigma_ref, rng_ref, current_ref)
-            out = rwmh_move(pts, _shell_density, _shell_factor, log_sigma, rng, current)
-            _assert_same(ref, out, rng_ref, rng)
-            pts_ref, current_ref, log_sigma_ref = ref[0], (ref[1], ref[2]), ref[3]
-            pts, current, log_sigma, _ = out
+        draws = DrawStream(rng, *pts.shape)
+        try:
+            for _ in range(3):
+                ref = _serial_move(pts_ref, _shell_target, log_sigma_ref, rng_ref, current_ref)
+                out = rwmh_move(pts, _shell_density, _shell_factor, log_sigma, draws, current)
+                _assert_same(ref, out)
+                pts_ref, current_ref, log_sigma_ref = ref[0], (ref[1], ref[2]), ref[3]
+                pts, current, log_sigma, _ = out
+        finally:
+            draws.close()
+        _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
 
     def test_raising_target_leaves_generator_quiescent(self, kernel_threads):
         kernel_threads(2)
@@ -451,18 +499,33 @@ class TestDrawAhead:
         rng = substream(15, "move")
         current = (_gaussian_density(pts), np.zeros(m), {})
         with pytest.raises(SweepTwo) as info:
-            rwmh_move(pts, density, _no_factor, initial_log_steps(np.ones(d)), rng, current)
+            _move(pts, density, _no_factor, initial_log_steps(np.ones(d)), rng, current)
         assert info.value is raised
         before = rng.bit_generator.state
         time.sleep(0.2)
         assert rng.bit_generator.state == before
-        # sweep 3's draw was pending when sweep 2 raised: it finished, and
-        # nothing beyond it was drawn
+        # sweep 3's draw was in flight when sweep 2 raised: close() waited
+        # for it, and nothing beyond it was drawn
         rng_ref = substream(15, "move")
         for _ in range(3):
             rng_ref.standard_normal((m, d))
             rng_ref.random(m)
         assert before == rng_ref.bit_generator.state
+
+
+    def test_forked_child_builds_its_own_pool(self, kernel_threads):
+        # a forked child inherits the pool object but none of its threads
+        kernel_threads(2)
+        want = _two_sweeps(18)
+        assert core._kernel_pool is not None  # the pool exists now
+        child = multiprocessing.get_context("fork").Process(
+            target=_two_sweeps_in_child, args=(want,))
+        child.start()
+        child.join(60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        assert not hung and child.exitcode == 0
 
 
 class TestScreen:
@@ -484,9 +547,10 @@ class TestScreen:
         density = _counted(_shell_density, densities)
         rng_ref, rng = substream(22, "move"), substream(22, "move")
         ref = _serial_move(pts, _shell_target, log_sigma, rng_ref)
-        out = rwmh_move(pts, density, _shell_factor, log_sigma, rng,
-                        _start(_shell_density, _shell_factor, pts))
-        _assert_same(ref, out, rng_ref, rng)
+        out = _move(pts, density, _shell_factor, log_sigma, rng,
+                    _start(_shell_density, _shell_factor, pts))
+        _assert_same(ref, out)
+        _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
         assert densities == [64, 64, 64, 64, 44] * smc.SWEEPS
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -509,9 +573,10 @@ class TestScreen:
         # the reference scores every proposal: its acceptance is the exact
         # mean, which the move's interval holds
         ref = _serial_move(pts, _joint(law_density, factor), log_sigma, rng_ref)
-        out = rwmh_move(pts, law_density, _counted(factor, rows), log_sigma, rng,
-                        _start(law_density, factor, pts))
-        _assert_same(ref, out, rng_ref, rng)
+        out = _move(pts, law_density, _counted(factor, rows), log_sigma, rng,
+                    _start(law_density, factor, pts))
+        _assert_same(ref, out)
+        _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
         p1, (lp1, lf1, _) = out[:2]
         np.testing.assert_array_equal(lp1, law_density(p1))
         np.testing.assert_array_equal(lf1, 0.0)

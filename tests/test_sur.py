@@ -1,8 +1,6 @@
 """Coverage/misclassification functions and the SUR acquisition rule."""
 
 import math
-import multiprocessing
-import sys
 
 import numpy as np
 import pytest
@@ -317,13 +315,9 @@ _BLOCK = core._BLOCK_PAIRS
 _RAGGED = (3 * (_BLOCK // 333) + 14, 333)  # three full row blocks and a short one
 
 
-def _kernel_in_child(args, want):
-    sys.exit(0 if _pair_kernel(*args)[0].tobytes() == want else 1)
-
-
 class TestRowBlocks:
-    """The pair matrix is built in row blocks on the kernel thread pool; the
-    split and the thread count change no bit of it."""
+    """The pair matrix is built in row blocks on the calling thread; neither
+    the split nor the kernel pool's thread count changes a bit of it."""
 
     U = 0.3
     VAR_FLOOR = 1e-10  # sd floor 1e-5
@@ -347,16 +341,11 @@ class TestRowBlocks:
         args = self._case(n_rows, n_cols)
         want_E, want_tau = _expected_misclass_matrix(*args)
         assert 0.0 < np.mean(want_E == want_tau[:, None]) < 1.0  # guards hit and missed
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the block threads as often as possible
-        try:
-            for n in (1, 2, 5):  # 5: more threads than a small host has cores
-                kernel_threads(n)
-                E, tau = _pair_kernel(*args)
-                assert E.tobytes() == want_E.tobytes()
-                assert tau.tobytes() == want_tau.tobytes()
-        finally:
-            sys.setswitchinterval(switch)
+        for n in (1, 2, 5):  # 5: more threads than a small host has cores
+            kernel_threads(n)
+            E, tau = _pair_kernel(*args)
+            assert E.tobytes() == want_E.tobytes()
+            assert tau.tobytes() == want_tau.tobytes()
 
     def test_block_exception_reaches_caller(self, kernel_threads, monkeypatch):
         kernel_threads(2)
@@ -369,22 +358,8 @@ class TestRowBlocks:
         with pytest.raises(RuntimeError, match="owens_t failed"):
             _pair_kernel(*args)
         monkeypatch.undo()
-        E, _ = _pair_kernel(*args)  # the pool still works
+        E, _ = _pair_kernel(*args)  # nothing is left half done
         assert E.tobytes() == _expected_misclass_matrix(*args)[0].tobytes()
-
-    def test_forked_child_builds_its_own_pool(self, kernel_threads):
-        # a forked child inherits the pool object but none of its threads
-        kernel_threads(2)
-        args = self._case(*_RAGGED)
-        want = _pair_kernel(*args)[0].tobytes()  # the pool exists now
-        child = multiprocessing.get_context("fork").Process(
-            target=_kernel_in_child, args=(args, want))
-        child.start()
-        child.join(60)
-        hung = child.is_alive()
-        if hung:
-            child.kill()
-        assert not hung and child.exitcode == 0
 
     def test_thread_count_validated(self):
         with pytest.raises(ValueError):
