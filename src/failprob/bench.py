@@ -232,8 +232,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 @contextmanager
 def _worker_pool(jobs: int):
-    """`jobs` spawned worker processes, each with one BLAS thread and a
-    one-thread kernel pool, so the study keeps at most `jobs` threads busy.
+    """`jobs` spawned worker processes, each with one BLAS thread and one
+    kernel thread (its runs draw inline), so the study keeps at most `jobs`
+    threads busy.
 
     Spawned workers import numpy afresh under one BLAS thread each; forked
     ones keep the BLAS pool size the parent loaded numpy with, and `jobs`

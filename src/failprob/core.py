@@ -16,12 +16,11 @@ Limit-state functions are vectorized: they map an (n, d) array of points to
 an (n,) array of values. All densities are handled in log space so that the
 machinery survives failure probabilities down to ~1e-9.
 
-Elementwise matrix kernels run in row blocks of about `_BLOCK_PAIRS`
-entries (`_row_blocks`), in order on the calling thread, so that their
-temporaries stay in cache. One process-wide thread pool, `kernel_threads()`
-threads wide, does one job: `_kernel_submit` runs a call on it, with which
-`smc.DrawStream` draws the move's next sweep of random numbers while the
-current sweep runs. At one thread there is no pool and the call runs inline.
+Elementwise matrix kernels loop over row blocks of about `_BLOCK_PAIRS`
+entries (`_row_spans`), in order, so that their temporaries stay in cache.
+`kernel_threads()` is the one concurrency setting: above 1, each
+`smc.DrawStream` draws the move's next sweep of random numbers on a thread
+of its own while the current sweep runs; at 1 it draws inline.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -78,13 +76,11 @@ def log_sum_exp(a: np.ndarray) -> np.float64:
 
 _BLOCK_PAIRS = 1 << 15  # entries per row block: block temporaries stay ~256 kB
 _kernel_threads: int | None = None
-_kernel_pool = None  # a ThreadPoolExecutor, built by the first call that needs one
-_kernel_lock = threading.Lock()
 
 
 def kernel_threads() -> int:
-    """Threads of the kernel pool: the value given to
-    `set_kernel_threads`, else the number of CPUs this process may use."""
+    """The kernel thread count: the value given to `set_kernel_threads`,
+    else the number of CPUs this process may use."""
     if _kernel_threads is not None:
         return _kernel_threads
     try:
@@ -94,59 +90,22 @@ def kernel_threads() -> int:
 
 
 def set_kernel_threads(n: int | None) -> None:
-    """Fix this process's kernel pool thread count (n >= 1); None restores
-    the default, one thread per usable CPU."""
-    global _kernel_threads, _kernel_pool
+    """Fix this process's kernel thread count (n >= 1); None restores the
+    default, one thread per usable CPU."""
+    global _kernel_threads
     if n is not None and n < 1:
         raise ValueError("kernel threads must be >= 1")
-    with _kernel_lock:
-        if _kernel_pool is not None:
-            _kernel_pool.shutdown()
-        _kernel_threads, _kernel_pool = None if n is None else int(n), None
+    _kernel_threads = None if n is None else int(n)
 
 
-def _forget_kernel_pool() -> None:
-    # a forked child has no pool threads: it must build its own pool
-    global _kernel_pool, _kernel_lock
-    _kernel_pool, _kernel_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_kernel_pool)
-
-
-def _shared_pool():
-    """The process-wide kernel pool, built on first use; None when
-    `kernel_threads()` is 1, so a one-thread process never starts a thread."""
-    global _kernel_pool
-    threads = kernel_threads()
-    if threads == 1:
-        return None
-    with _kernel_lock:
-        if _kernel_pool is None:
-            # imported here: a process that never needs the pool keeps ~0.2 MB
-            from concurrent.futures import ThreadPoolExecutor
-
-            _kernel_pool = ThreadPoolExecutor(threads, thread_name_prefix="failprob-kernel")
-        return _kernel_pool
-
-
-def _kernel_submit(fn: Callable[[], object]):
-    """A future for fn() running on the kernel pool, or None when there is
-    no pool (one kernel thread): the caller then calls fn itself."""
-    pool = _shared_pool()
-    return None if pool is None else pool.submit(fn)
-
-
-def _row_blocks(fn: Callable[[int, int], None], n_rows: int, n_cols: int,
-                scale: int = 1) -> None:
-    """Call fn(i, j) on consecutive row ranges [i, j) of an (n_rows, n_cols)
-    matrix, about scale * _BLOCK_PAIRS entries each, in row order on the
-    calling thread. The split depends on the shape and `scale` only.
+def _row_spans(n_rows: int, n_cols: int, scale: int = 1) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [i, j) of an (n_rows, n_cols) matrix, about
+    scale * _BLOCK_PAIRS entries each, in row order. The split depends on
+    the shape and `scale` only.
     """
     step = max(1, scale * _BLOCK_PAIRS // max(n_cols, 1))
     for i in range(0, n_rows, step):
-        fn(i, min(i + step, n_rows))
+        yield i, min(i + step, n_rows)
 
 
 class ConfigError(ValueError):

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize._lbfgsb import setulb
 from scipy.spatial.distance import cdist
 
-from .core import _row_blocks
+from .core import _row_spans
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -111,8 +111,8 @@ def _corr_matrix(Xa: np.ndarray, Xb: np.ndarray, ranges: np.ndarray) -> np.ndarr
 class GpModel:
     """Ordinary-kriging posterior from design data and fixed hyperparameters.
 
-    Immutable once factorized: predictions and posterior covariances are
-    read-only and may run concurrently. Refitting builds a fresh model.
+    Immutable once factorized: predictions and posterior covariances only
+    read it. Refitting builds a fresh model.
     """
 
     jitter = DEFAULT_JITTER  # the nugget on the correlation diagonal
@@ -167,7 +167,7 @@ class GpModel:
         """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term.
 
         The prior term and the sum are built in row blocks
-        (`core._row_blocks`), entry by entry, so the bits do not depend on
+        (`core._row_spans`), entry by entry, so the bits do not depend on
         the split; the cross term stays one matrix product. Passing
         the same array as Xa and Xb computes the design correlations once.
         """
@@ -181,15 +181,11 @@ class GpModel:
         cov = ra @ _chol_solve(self._factor, rb.T)  # overwritten block by block
         da = 1.0 - ra @ self._rinv_one
         db = da if same else 1.0 - rb @ self._rinv_one
-        sigma2, one_rinv_one = self.hyper.sigma2, self._one_rinv_one
-
-        def block(i, j):
+        for i, j in _row_spans(*cov.shape):
             k = matern52_corr(cdist(za[i:j], zb))
             k -= cov[i:j]
-            k += np.outer(da[i:j], db) / one_rinv_one
-            np.multiply(sigma2, k, out=cov[i:j])
-
-        _row_blocks(block, *cov.shape)
+            k += np.outer(da[i:j], db) / self._one_rinv_one
+            np.multiply(self.hyper.sigma2, k, out=cov[i:j])
         return cov
 
     def cross_sd(self, x, x_new, var_floor: float):

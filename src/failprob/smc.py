@@ -24,12 +24,13 @@ accept decision and step size is the one of a move that scores them all.
 A sweep's random numbers do not depend on the particles, so one
 `DrawStream` per run supplies them: it owns the two buffer pairs the move
 reads, one (m, d) and one (m,) each, and keeps the next sweep's draw in
-flight on the kernel pool (`core._kernel_submit`) across sweep, move and
-stage boundaries, so even a move's first sweep finds its draw made while
-the driver did its stage bookkeeping. The generator gives the same numbers
-in the same order at any thread count; at one kernel thread (as in `--jobs`
-workers) they are drawn inline at the same points. A run draws one sweep it
-never uses, so its generator ends one sweep ahead of the draws it consumed.
+flight on a thread of its own across sweep, move and stage boundaries, so
+even a move's first sweep finds its draw made while the driver did its
+stage bookkeeping. The generator gives the same numbers in the same order
+at any thread count; at one kernel thread (as in `--jobs` workers) the
+stream starts no thread and draws inline at the same points. A run draws
+one sweep it never uses, so its generator ends one sweep ahead of the
+draws it consumed.
 
 A move allocates the proposals' log densities and acceptance probabilities
 once per call and forms each sweep's proposals in place in the draw buffer
@@ -40,11 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .core import StageRecord, _kernel_submit, log_sum_exp
+from .core import StageRecord, kernel_threads, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
@@ -75,11 +75,14 @@ class DegenerateWeightsError(RuntimeError):
 
 def reweight(log_g_new: np.ndarray, log_g_old: np.ndarray) -> np.ndarray:
     """Normalized weights of m equally weighted particles moved from target
-    g_old to target g_new: w_j proportional to g_new(x_j) / g_old(x_j)."""
+    g_old to target g_new: w_j proportional to g_new(x_j) / g_old(x_j).
+    log g_new = -inf (zero coverage) is allowed; NaN and +inf are not."""
     log_g_new = np.asarray(log_g_new, dtype=float)
     log_g_old = np.asarray(log_g_old, dtype=float)
     if np.any(~np.isfinite(log_g_old)):
         raise ValueError("reweight: log_g_old must be finite at every particle")
+    if not np.all(log_g_new < np.inf):  # False for NaN as for +inf
+        raise ValueError("reweight: log_g_new holds NaN or +inf")
     lw = -math.log(log_g_new.shape[0]) + log_g_new - log_g_old
     norm = log_sum_exp(lw)
     if not np.isfinite(norm):
@@ -97,7 +100,7 @@ def residual_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
     """
     w = np.asarray(weights, dtype=float)
     m = w.shape[0]
-    if w.min() < 0.0 or abs(w.sum() - 1.0) > 1e-8:
+    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-8):  # NaN fails both
         raise ValueError("weights must be normalized and non-negative")
     counts = np.floor(m * w).astype(int)
     r = m - int(counts.sum())
@@ -180,22 +183,29 @@ class DrawStream:
 
     Sweep by sweep, the stream takes `rng.standard_normal((m, d))` and then
     `rng.random(m)`, and nothing else: `rng` must not be used elsewhere
-    until `close()` returns. It owns two buffer pairs and keeps the next
-    sweep's draw in flight on the kernel pool from construction to
-    `close()`, across moves and stages; at one kernel thread each draw is
-    made inline at the point where it would be submitted. So the numbers,
-    their order and the generator's state after `close()` (one sweep ahead
-    of the draws taken) are the same bits at any thread count.
+    until `close()` returns. It owns two buffer pairs and, when
+    `kernel_threads()` exceeds 1, one `failprob-draw` thread, which keeps
+    the next sweep's draw in flight from construction to `close()`, across
+    moves and stages; at one kernel thread there is no thread and each draw
+    is made inline at the point where it would be submitted. So the
+    numbers, their order and the generator's state after `close()` (one
+    sweep ahead of the draws taken) are the same bits at any thread count.
 
-    The driver that creates a stream closes it in a `finally`, so that no
-    pool thread still holds `rng` once the run returns or raises.
+    The driver that creates a stream closes it in a `finally`, so that its
+    thread has stopped, and no longer holds `rng`, once the run returns or
+    raises.
     """
 
     def __init__(self, rng: np.random.Generator, m: int, d: int) -> None:
         self._rng = rng
         self._buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]
         self._next = 0  # the buffer pair that holds, or receives, the next sweep
-        self._pending = None
+        self._pending = self._thread = None
+        if kernel_threads() > 1:
+            # imported here: a process that draws inline keeps ~0.2 MB
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._thread = ThreadPoolExecutor(1, thread_name_prefix="failprob-draw")
         self._fill(0)
 
     @property
@@ -208,9 +218,10 @@ class DrawStream:
         self._rng.random(out=u)
 
     def _fill(self, k: int) -> None:
-        self._pending = _kernel_submit(partial(self._draw, *self._buffers[k]))
-        if self._pending is None:  # one kernel thread: draw here
+        if self._thread is None:  # one kernel thread: draw here
             self._draw(*self._buffers[k])
+        else:
+            self._pending = self._thread.submit(self._draw, *self._buffers[k])
 
     def _wait(self) -> None:
         pending, self._pending = self._pending, None
@@ -227,8 +238,13 @@ class DrawStream:
         return self._buffers[k]
 
     def close(self) -> None:
-        """Wait for the draw in flight; the stream takes nothing after this."""
-        self._wait()
+        """Wait for the draw in flight, then stop the stream's thread, also
+        when that draw raised; the stream takes nothing after this."""
+        try:
+            self._wait()
+        finally:
+            if self._thread is not None:
+                self._thread.shutdown()
 
 
 def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray,
@@ -261,7 +277,8 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     argument after it returns: returned arrays may be views of it, since
     accepted rows are copied out before the refill, but it must keep no
     reference to read on a later call. If the target raises, the stream is
-    left as it is, and its owner's `close()` waits for the draw in flight.
+    left as it is, and its owner's `close()` waits for the draw in flight
+    and stops the stream's thread.
 
     `log_sigma` holds the per-coordinate log step sizes the move starts from.
     Returns (moved points, final (log_pdf, log_f, aux), adapted log steps,

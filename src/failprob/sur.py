@@ -41,8 +41,8 @@ over the full-size matrix, the pruned columns holding tau and then set to
 exactly the values the dense search computes, so every live J, the minimum
 and the pick keep their bits.
 
-The bound pass and the exact pairs run in row blocks on the calling thread
-(`core._row_blocks`), like the posterior covariance the pairs are built
+The bound pass and the exact pairs loop over row blocks
+(`core._row_spans`), like the posterior covariance the pairs are built
 from; each entry is computed on its own and the column bounds are summed in
 block order.
 
@@ -61,7 +61,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import log_ndtr, ndtr, owens_t
 
-from .core import _row_blocks
+from .core import _row_spans
 from .gp import GpModel
 from .stats import binorm_cdf
 
@@ -186,23 +186,20 @@ def _rows(mean_x, sd_x, u, var_floor) -> _Rows:
 
 def _exact_columns(out, rows: _Rows, s_mat, cols) -> int:
     """Write 2 T(b2, a) into out[:, cols] wherever s > s_min, in row blocks
-    (`core._row_blocks`); every other entry of those columns must already
+    (`core._row_spans`); every other entry of those columns must already
     hold tau(x). Each entry is computed on its own, so its bits do not
     depend on the block split. Returns the number of pairs evaluated."""
-    sizes = []
-
-    def block(i, j):
+    pairs = 0
+    for i, j in _row_spans(s_mat.shape[0], cols.size):
         sub = s_mat[i:j, cols]
         r, k = np.nonzero(sub > rows.s_min[i:j, None])
-        sizes.append(r.size)
+        pairs += r.size
         r += i
         rho = np.clip(sub[r - i, k] / rows.sd[r], 0.0, 1.0)
         with np.errstate(divide="ignore"):  # rho = 0 on underflow: a = inf, T finite
             a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
         out[r, cols[k]] = np.clip(2.0 * owens_t(rows.b2[r], a), 0.0, 1.0)
-
-    _row_blocks(block, s_mat.shape[0], cols.size)
-    return sum(sizes)
+    return pairs
 
 
 def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
@@ -224,9 +221,8 @@ def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
     tabled = usable & (np.abs(rows.b2) < _TABLE_B2_MAX)
     out = np.empty(s_mat.shape)
     reduction = np.zeros(n_cols)  # the column sums of c times the chords
-    sizes = []
-
-    def bound_block(i, j):
+    n_owens_t = 0
+    for i, j in _row_spans(n_rows, n_cols, scale=_BOUND_BLOCK_SCALE):
         out[i:j] = rows.tau[i:j, None]
         table = np.repeat(rows.tau[i:j, None], _BINS + 1, axis=1)
         t = np.flatnonzero(tabled[i:j]) + i
@@ -234,7 +230,7 @@ def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
         a = np.cos(phi) / np.sin(phi)
         a[:, -1] = 0.0  # rho = 1: the evaluation resolves x
         table[t - i] = rows.tau[t, None] - np.clip(2.0 * owens_t(rows.b2[t, None], a), 0.0, 1.0)
-        sizes.append(a.size)
+        n_owens_t += a.size
         # the chord over bin k, c (table[k] + (x - k) slope[k]) at x = phi
         # per_rad - offset, as u + x v on a flat (row, bin) index
         slope = np.diff(table, axis=1)
@@ -256,12 +252,10 @@ def _misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor):
         x *= v_cell.take(cell)
         x += u_cell.take(cell)
         np.add(reduction, np.bincount(col, x, minlength=n_cols), out=reduction)
-
-    _row_blocks(bound_block, n_rows, n_cols, scale=_BOUND_BLOCK_SCALE)
     total = float(coeff @ rows.tau)
     j_lb = total - reduction
     seed = int(np.argmin(j_lb))  # its exact J is the upper bound
-    n_owens_t = sum(sizes) + _exact_columns(out, rows, s_mat, np.array([seed]))
+    n_owens_t += _exact_columns(out, rows, s_mat, np.array([seed]))
     live = j_lb <= float(coeff @ out[:, seed]) + _MARGIN_REL * (1.0 + total)
     live[seed] = True
     rest = np.flatnonzero(live)

@@ -7,13 +7,16 @@ the same either way. Values already set in the environment win.
 Also defines `requires_scipy_117`, for tests that compare a result bit for bit
 with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces,
 or with `scipy.optimize.minimize`'s L-BFGS-B loop, which `gp._lbfgsb`
-reproduces, the `kernel_threads` fixture, which sets the row-block thread
-count for one test and restores the default afterwards, and the
-`setulb_of_another_scipy` fixture, which gives the ReML fit a stand-in for
-scipy's L-BFGS-B routine with another argument list.
+reproduces, the `kernel_threads` fixture, which sets the kernel thread
+count (above 1, each draw stream draws on a thread of its own) for one test
+and restores the default afterwards, `draw_threads`, which lists the live
+threads that draw streams started, and the `setulb_of_another_scipy`
+fixture, which gives the ReML fit a stand-in for scipy's L-BFGS-B routine
+with another argument list.
 """
 
 import os
+import threading
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -27,6 +30,10 @@ requires_scipy_117 = pytest.mark.skipif(
     reason="core.log_sum_exp and gp._lbfgsb reproduce scipy 1.17's logsumexp "
            "formula and L-BFGS-B loop; other scipy versions may differ",
 )
+
+
+def draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("failprob-draw")]
 
 
 @pytest.fixture

@@ -604,8 +604,9 @@ class TestRunBss:
 
 
 def test_kernel_threads_change_no_bit(kernel_threads):
-    # the kernel pool only draws the move's next sweep of random numbers
-    # ahead; one thread and two (the default on a 2-CPU host) give the same run
+    # the draw stream's thread only draws the move's next sweep of random
+    # numbers ahead; one kernel thread and two (the default on a 2-CPU host)
+    # give the same run
     case = four_branch()
 
     def signature():

@@ -1,13 +1,16 @@
 """Monte Carlo and subset simulation baselines."""
 
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
+from conftest import draw_threads
 from scipy.special import ndtr, ndtri
 
 from failprob import estimators, smc
+from failprob.bss import BssConfig, run_bss
 from failprob.core import ConfigError, InputDistribution, Problem, substream
 from failprob.estimators import (
     SubsetSimConfig,
@@ -187,7 +190,7 @@ class TestSubsetSimulation:
 
 def test_kernel_threads_change_no_bit(kernel_threads):
     # the draw stream keeps the move's next sweep of random numbers in flight
-    # on the kernel pool; one thread and two (the default on a 2-CPU host)
+    # on its own thread; one kernel thread and two (the default on a 2-CPU host)
     # give the same run, here over three row blocks of the move's sweep
     from failprob.bench import nonlinear_oscillator
 
@@ -241,6 +244,39 @@ def test_raising_limit_state_leaves_generator_quiescent(kernel_threads, monkeypa
         rng_ref.standard_normal((m, d))
         rng_ref.random(m)
     assert before == rng_ref.bit_generator.state
+    assert not draw_threads()
+
+
+def _run(method, problem, seed):
+    if method == "ss":
+        return run_subset_simulation(problem, SubsetSimConfig(m=500, m0=50), seed)
+    return run_bss(problem, BssConfig(m=300), seed)
+
+
+@pytest.mark.parametrize("method", ["ss", "bss"])
+@pytest.mark.parametrize("raises", [False, True])
+def test_no_draw_thread_outlives_its_run(kernel_threads, monkeypatch, method, raises):
+    # at two kernel threads the run's draw stream owns one draw thread while
+    # it moves, and stops it whether the run returns or the move's target
+    # raises (the input density, on the first move's first block)
+    kernel_threads(2)
+    log_density = InputDistribution.log_density
+    alive = []
+
+    def watched(self, x):
+        alive.append(len(draw_threads()))
+        if raises and len(alive) == 2:  # the initial cloud, then the move
+            raise RuntimeError("target failed")
+        return log_density(self, x)
+
+    monkeypatch.setattr(InputDistribution, "log_density", watched)
+    if raises:
+        with pytest.raises(RuntimeError, match="target failed"):
+            _run(method, _problem(3.0), 4)
+    else:
+        assert _run(method, _problem(3.0), 4).error is None
+    assert len(alive) >= 2 and alive[1] == 1
+    assert not draw_threads()
 
 
 def test_ss_rejects_nonfinite_values():
@@ -323,11 +359,20 @@ def test_ss_oscillator_screen_meets_no_nan():
     assert res.error is None and 0.0 < res.alpha_hat < 1e-6
 
 
-def test_one_kernel_thread_builds_no_pool(kernel_threads):
-    # a `--jobs` worker runs one kernel thread: it draws inline, on no pool
-    from failprob import core
+def test_one_kernel_thread_builds_no_pool(kernel_threads, monkeypatch):
+    # a `--jobs` worker runs one kernel thread: its runs draw inline and
+    # start no thread; at two, each run's draw stream starts one
+    started = []
+    start = threading.Thread.start
 
-    kernel_threads(1)
-    assert core._kernel_pool is None
-    run_subset_simulation(_problem(2.0), SubsetSimConfig(m=500, m0=50), 3)
-    assert core._kernel_pool is None
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    for threads, want in ((1, 0), (2, 2)):
+        kernel_threads(threads)
+        started.clear()
+        for method in ("ss", "bss"):
+            _run(method, _problem(2.0), 3)
+        assert sum(name.startswith("failprob-draw") for name in started) == want

@@ -7,9 +7,10 @@ import time
 
 import numpy as np
 import pytest
+from conftest import draw_threads
 from scipy import stats as spstats
 
-from failprob import core, smc
+from failprob import smc
 from failprob.core import InputDistribution, substream
 from failprob.smc import (
     LOG_STEP_DELTA,
@@ -56,6 +57,15 @@ class TestReweight:
     def test_nonfinite_old_g_rejected(self):
         with pytest.raises(ValueError):
             reweight(np.zeros(4), np.array([0.0, -np.inf, 0.0, 0.0]))
+
+    def test_nan_new_g_rejected(self):
+        # not a zero weight: a ValueError that names the cause
+        with pytest.raises(ValueError, match="NaN or [+]inf"):
+            reweight(np.array([0.0, np.nan, 0.0, 0.0]), np.zeros(4))
+
+    def test_inf_new_g_rejected(self):
+        with pytest.raises(ValueError, match="NaN or [+]inf"):
+            reweight(np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(4))
 
 
 class TestResidualResample:
@@ -111,6 +121,11 @@ class TestResidualResample:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             residual_resample(np.array([0.9, 0.3]), substream(0, "x"))
+
+    def test_nan_weight_rejected(self):
+        # by the weight check, before any cast or draw
+        with pytest.raises(ValueError, match="weights must be normalized"):
+            residual_resample(np.array([0.5, np.nan, 0.5]), substream(0, "x"))
 
 
 def _sq_norm(X):
@@ -378,23 +393,29 @@ def _two_sweeps_in_child(want):
     sys.exit(0 if _two_sweeps(18) == want else 1)
 
 
+def _with_dims(name, values):
+    # `values` crossed with d = 1, 3, 7; d = 3 keeps the value's own id
+    return pytest.mark.parametrize(f"{name},d", [
+        pytest.param(v, d, id=str(v) if d == 3 else f"{v}-d{d}")
+        for v in values for d in (1, 3, 7)])
+
+
 class TestDrawAhead:
-    """The draw stream keeps the next sweep's random numbers in flight on the
-    kernel pool while the current sweep evaluates its target, across moves;
+    """The draw stream keeps the next sweep's random numbers in flight on its
+    own thread while the current sweep evaluates its target, across moves;
     that changes no bit of any output, and leaves the generator one sweep
     past the reference's once the stream is closed, at any thread count."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("adapt", [True, False])
-    @pytest.mark.parametrize("m", [1, 300])
-    def test_matches_serial_loop(self, kernel_threads, monkeypatch, threads, adapt, m):
+    @_with_dims("m", [1, 300])
+    def test_matches_serial_loop(self, kernel_threads, monkeypatch, threads, adapt, m, d):
         # adapt=False: the move with a zero adaptation step, which adds +-0.0
         # to each log step and so keeps every bit of the loop without one
         kernel_threads(threads)
         if not adapt:
             monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         monkeypatch.setattr(smc, "SWEEPS", 6)
-        d = 3
         pts = _shell_start(m, d, 11)
         log_sigma = initial_log_steps(np.ones(d))
         rng_ref, rng = substream(12, "move"), substream(12, "move")
@@ -513,18 +534,35 @@ class TestDrawAhead:
         assert before == rng_ref.bit_generator.state
 
 
+    def test_close_stops_the_thread_when_the_draw_raised(self, kernel_threads):
+        kernel_threads(2)
+
+        class Broken:
+            def standard_normal(self, out):
+                raise RuntimeError("draw failed")
+
+        draws = DrawStream(Broken(), 4, 2)  # its first draw raises on its thread
+        with pytest.raises(RuntimeError, match="draw failed"):
+            draws.close()
+        assert not draw_threads()
+
     def test_forked_child_builds_its_own_pool(self, kernel_threads):
-        # a forked child inherits the pool object but none of its threads
+        # a child forked while a stream's draw thread runs inherits none of
+        # its threads: the child's own stream starts and stops its own
         kernel_threads(2)
         want = _two_sweeps(18)
-        assert core._kernel_pool is not None  # the pool exists now
-        child = multiprocessing.get_context("fork").Process(
-            target=_two_sweeps_in_child, args=(want,))
-        child.start()
-        child.join(60)
-        hung = child.is_alive()
-        if hung:
-            child.kill()
+        held = DrawStream(substream(19, "fork"), 50, 3)
+        try:
+            assert draw_threads()  # alive at the fork
+            child = multiprocessing.get_context("fork").Process(
+                target=_two_sweeps_in_child, args=(want,))
+            child.start()
+            child.join(60)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+        finally:
+            held.close()
         assert not hung and child.exitcode == 0
 
 
@@ -534,13 +572,13 @@ class TestScreen:
     they decide the step adaptation; every output bit is the one of the
     serial loop that scores every proposal."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_blocked_sweep_matches_serial_loop(self, kernel_threads, monkeypatch, threads):
+    @_with_dims("threads", [1, 2])
+    def test_blocked_sweep_matches_serial_loop(self, kernel_threads, monkeypatch, threads, d):
         # 300 rows in blocks of 64: four full blocks and an uneven tail
         kernel_threads(threads)
         monkeypatch.setattr(smc, "_BLOCK_ROWS", 64)
         monkeypatch.setattr(smc, "SWEEPS", 8)
-        m, d = 300, 3
+        m = 300
         pts = _shell_start(m, d, 21)
         log_sigma = initial_log_steps(np.ones(d))
         densities = []

@@ -317,7 +317,7 @@ _RAGGED = (3 * (_BLOCK // 333) + 14, 333)  # three full row blocks and a short o
 
 class TestRowBlocks:
     """The pair matrix is built in row blocks on the calling thread; neither
-    the split nor the kernel pool's thread count changes a bit of it."""
+    the split nor the kernel thread count changes a bit of it."""
 
     U = 0.3
     VAR_FLOOR = 1e-10  # sd floor 1e-5
