@@ -4,8 +4,13 @@ Reference probabilities are the published values for these cases (obtained
 from one hundred subset simulation runs at m = 1e7); a study of method "ss"
 at m = 1e6 is a cheaper sanity check of them. `run_rmse_experiment` is the
 one way to run a replication study, `_estimator` the one place that maps a
-method name to its configured estimator (for it and `run_estimator`), and
-`csv_table` the one CSV writer, for this module and the command line alike.
+method name to its configured estimator (for it, `run_estimator` and the
+command line), and `csv_table` the one CSV writer, for this module and the
+command line alike.
+
+Importing this module, and running `mc` or `ss`, loads numpy but not scipy:
+`_estimator` imports `bss`, which needs scipy, only for method "bss", and
+`_worker_pool` imports the process pool only for a study with `jobs` > 1.
 """
 
 from __future__ import annotations
@@ -13,18 +18,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .bss import BssConfig, run_bss
 from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
                    set_kernel_threads)
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
@@ -152,6 +154,8 @@ def _estimator(method: str, m: int, p0: float = 0.1):
     if method == "ss":
         return partial(run_subset_simulation, config=SubsetSimConfig(m=m, m0=int(round(p0 * m))))
     if method == "bss":
+        from .bss import BssConfig, run_bss  # the one scipy-bound method
+
         return partial(run_bss, config=BssConfig(m=m, p0=p0))
     raise ConfigError(f"unknown method {method!r}")
 
@@ -240,6 +244,9 @@ def _worker_pool(jobs: int):
     ones keep the BLAS pool size the parent loaded numpy with, and `jobs`
     such pools oversubscribe the cores.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread_env(), ProcessPoolExecutor(
             max_workers=jobs, mp_context=spawn,

@@ -205,11 +205,12 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     exception propagates. A non-finite limit-state value, in the initial
     design or at a SUR point, raises ValueError before any fit sees it.
 
-    Each estimation pass takes the posterior at the particles, solves the
-    threshold and checks the stopping rule, or else makes one SUR evaluation
-    and refits. The run returns the product of its recorded stage estimates:
-    after the first stage that reaches u, or with `error` set once an
-    evaluation is due with `MAX_TOTAL_EVALUATIONS` spent, the reweight raises
+    Each estimation pass takes the posterior at the particles (predicted
+    after each fit, or carried by the move into a stage's first pass),
+    solves the threshold and checks the stopping rule, or else makes one SUR
+    evaluation and refits. The run returns the product of its recorded stage
+    estimates: after the first stage that reaches u, or with `error` set once
+    an evaluation is due with `MAX_TOTAL_EVALUATIONS` spent, the reweight raises
     `DegenerateWeightsError`, or `MAX_STAGES` stages end below u (with no
     move after the last). `n_final` counts the last stage's evaluations only
     if that stage reached u; a stage cut short counts as intermediate.
@@ -237,6 +238,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
         log_g = np.zeros(m)  # g_0 = 1
         log_pdf = problem.input.log_density(pts)
         log_sigma = initial_log_steps(problem.input.sd)
+        posterior = model.predict(pts)  # mean and variance at the particles
 
         stages: list[StageRecord] = []
         trace: list[dict] = []
@@ -247,7 +249,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
             log_g_prev = np.maximum(log_g, _LOG_FLOOR)
             n_t = 0
             while True:
-                mean_p, var_p = model.predict(pts)
+                mean_p, var_p = posterior
                 sd_p = np.sqrt(var_p)
                 u_cand = solve_threshold(model, mean_p, sd_p, log_g_prev, p0)
                 is_final = u_cand >= u
@@ -286,6 +288,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                     except (np.linalg.LinAlgError, ValueError) as exc:
                         warnings.warn("bss refit on the previous hyperparameters failed, previous "
                                       f"model kept: {exc!r}", RuntimeWarning, stacklevel=2)
+                posterior = model.predict(pts)
                 n_t += 1
 
             # stage complete (or ended): record it with the last solved threshold
@@ -308,11 +311,15 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
 
             def log_factor(Z, _u=u_t, _model=model):
                 mu, v = _model.predict(Z)
-                return log_coverage_g(mu, np.sqrt(v), _u), {}
+                return log_coverage_g(mu, np.sqrt(v), _u), {"mean": mu, "var": v}
 
-            pts, (log_pdf, log_g, _), log_sigma, diag = rwmh_move(
+            # the move carries each particle's posterior under `model`, which
+            # the next stage starts from; `predict` gives a row the same bits
+            # in any batch, so these are the bits of `model.predict(pts)`
+            pts, (log_pdf, log_g, aux), log_sigma, diag = rwmh_move(
                 pts, problem.input.log_density, log_factor, log_sigma, draws,
-                current=(log_pdf[idx], log_g_t[idx], {}))
+                current=(log_pdf[idx], log_g_t[idx], {"mean": mean_p[idx], "var": var_p[idx]}))
+            posterior = aux["mean"], aux["var"]
             stages[-1].acceptance = diag.intervals()
     finally:
         draws.close()

@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .bench import CASES, csv_table, run_estimator, run_rmse_experiment
+from .bench import CASES, _estimator, csv_table, run_rmse_experiment
 from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
                    kernel_threads)
 from .expr import ExprError, compile_limit_state
@@ -202,9 +202,12 @@ def cmd_estimate(args) -> int:
 
 def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
                      m: int, p0: float, seed: int) -> tuple[dict, EstimationResult]:
-    """The run manifest of one seeded estimator run, and the run's result."""
+    """The run manifest of one seeded estimator run, and the run's result.
+    The estimator is configured, and `bss` imported, before the start
+    timestamp, so that the timestamps span the run alone."""
+    estimate = _estimator(method, m, p0)
     start = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    result = run_estimator(problem, method, m, seed, p0)
+    result = estimate(problem, seed=seed)
     end = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {
         "schema": SCHEMA_VERSION,

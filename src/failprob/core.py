@@ -21,6 +21,10 @@ entries (`_row_spans`), in order, so that their temporaries stay in cache.
 `kernel_threads()` is the one concurrency setting: above 1, each
 `smc.DrawStream` draws the move's next sweep of random numbers on a thread
 of its own while the current sweep runs; at 1 it draws inline.
+
+This module needs numpy only, like `import failprob`, `mc` and `ss`:
+scipy is `bss`'s alone, and `InputDistribution.quantile`, which only `bss`
+calls, imports it when called.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from enum import Enum
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "ConfigError",
@@ -180,6 +183,9 @@ class InputDistribution:
 
     def quantile(self, p) -> np.ndarray:
         """Per-marginal quantiles at a common probability level."""
+        # imported here: only `bss` calls this, and only `bss` needs scipy
+        from scipy.special import ndtri
+
         return self.mean + self.sd * ndtri(p)
 
 

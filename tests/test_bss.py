@@ -354,6 +354,39 @@ class TestRunBss:
         assert any(lo < hi for s in res.stages for lo, hi in s.acceptance)
 
     @pytest.mark.usefixtures("eight_design_points")
+    def test_cloud_predicted_once_per_fit(self, monkeypatch):
+        # the posterior at the m particles is predicted after the first fit
+        # and after each refit, never at a stage's start: the move carries
+        # it, with the bits a predict at the moved cloud gives
+        m = 500
+        cloud_rows = []
+        in_move = []
+        predict = gp.GpModel.predict
+
+        def counting_predict(self, Z):
+            if not in_move:
+                cloud_rows.append(np.atleast_2d(Z).shape[0])
+            return predict(self, Z)
+
+        def checked_move(points, log_density, log_factor, *args, **kwargs):
+            in_move.append(True)
+            try:
+                out = smc.rwmh_move(points, log_density, log_factor, *args, **kwargs)
+                log_g, carried = log_factor(out[0])
+            finally:
+                in_move.pop()
+            np.testing.assert_array_equal(out[1][1], log_g)
+            for key in ("mean", "var"):
+                np.testing.assert_array_equal(out[1][2][key], carried[key])
+            return out
+
+        monkeypatch.setattr(gp.GpModel, "predict", counting_predict)
+        monkeypatch.setattr(bss, "rwmh_move", checked_move)
+        res = run_bss(_problem(float(ndtri(1 - 1e-4))), BssConfig(m=m), seed=3)
+        assert res.error is None and len(res.stages) >= 3
+        assert cloud_rows.count(m) == len(res.trace) + 1
+
+    @pytest.mark.usefixtures("eight_design_points")
     def test_estimate_quality_1d_tail(self):
         alpha = 1e-4
         prob = _problem(float(ndtri(1 - alpha)))

@@ -3,8 +3,10 @@
 import contextlib
 import copy
 import csv
+import datetime
 import io
 import json
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failprob import __version__
+from failprob import __version__, cli
 from failprob.bench import CASES
 from failprob.cli import _run_to_manifest, main
 from failprob.core import kernel_threads
@@ -446,6 +448,38 @@ class TestEstimateCommand:
         manifest, _ = _run_to_manifest(method, CASES["cantilever"]().problem,
                                        {"case": "cantilever"}, m, 0.1, 1)
         json.dumps(manifest)
+
+    @pytest.mark.parametrize("method", ["mc", "bss"])
+    def test_timestamps_span_the_run_alone(self, monkeypatch, method):
+        # the estimator is configured, and for bss its modules imported,
+        # before the start timestamp is taken
+        events = []
+        configure = cli._estimator
+
+        def recorded_configure(*args):
+            events.append("configure")
+            estimate = configure(*args)
+
+            def run(problem, seed):
+                events.append("run")
+                return estimate(problem, seed=seed)
+
+            return run
+
+        class Clock(datetime.datetime):
+            @classmethod
+            def now(cls, tz=None):
+                events.append("clock")
+                return datetime.datetime.now(tz)
+
+        monkeypatch.setattr(cli, "_estimator", recorded_configure)
+        monkeypatch.setattr(cli, "datetime",
+                            types.SimpleNamespace(datetime=Clock, timezone=datetime.timezone))
+        manifest, result = _run_to_manifest(method, CASES["cantilever"]().problem,
+                                            {"case": "cantilever"}, 300, 0.1, 1)
+        assert events == ["configure", "clock", "run", "clock"]
+        assert result.error is None
+        assert manifest["timestamps"]["start"] <= manifest["timestamps"]["end"]
 
     def test_negative_seed_exit_2(self, capsys):
         code, _, err = _run(capsys, [
