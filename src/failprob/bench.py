@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
-                   set_kernel_threads)
+from . import smc
+from .core import ConfigError, Direction, EstimationResult, InputDistribution, Problem
 from .estimators import SubsetSimConfig, monte_carlo_estimate, run_subset_simulation
 
 __all__ = [
@@ -234,11 +234,15 @@ class RmseTable:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _draw_inline() -> None:
+    """Turn `smc.DRAW_AHEAD` off in this process: its runs draw inline."""
+    smc.DRAW_AHEAD = False
+
+
 @contextmanager
 def _worker_pool(jobs: int):
-    """`jobs` spawned worker processes, each with one BLAS thread and one
-    kernel thread (its runs draw inline), so the study keeps at most `jobs`
-    threads busy.
+    """`jobs` spawned worker processes, each with one BLAS thread and no
+    draw thread (`_draw_inline`): the study keeps at most `jobs` threads busy.
 
     Spawned workers import numpy afresh under one BLAS thread each; forked
     ones keep the BLAS pool size the parent loaded numpy with, and `jobs`
@@ -250,7 +254,7 @@ def _worker_pool(jobs: int):
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread_env(), ProcessPoolExecutor(
             max_workers=jobs, mp_context=spawn,
-            initializer=set_kernel_threads, initargs=(1,)) as pool:
+            initializer=_draw_inline) as pool:
         yield pool
 
 

@@ -180,7 +180,8 @@ def misclass_sum(mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
     return float(terms.sum())
 
 
-def _default_model_factory(X, y, prev_hyper, rng):
+def _fit_model(X, y, prev_hyper, rng):
+    """The kriging model of (X, y) on ReML hyperparameters, refit from `prev_hyper` if given."""
     n_starts = REML_STARTS if prev_hyper is None else REML_REFIT_STARTS
     hyper = fit_reml(X, y, n_starts=n_starts, rng=rng, init=prev_hyper)
     return GpModel(X, y, hyper)
@@ -199,10 +200,10 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     """Run Bayesian subset simulation; deterministic given the root seed.
 
     The surrogate is the ordinary-kriging model on ReML hyperparameters
-    that `_default_model_factory(X, y, prev_hyper, rng)` fits. A refit that
-    raises LinAlgError or ValueError warns and keeps the previous
-    hyperparameters, or failing that the previous model; any other
-    exception propagates. A non-finite limit-state value, in the initial
+    that `_fit_model` fits, and refits from the last hyperparameters after
+    each SUR evaluation. A refit that raises LinAlgError or ValueError warns
+    and keeps the previous hyperparameters, or failing that the previous
+    model; any other exception propagates. A non-finite limit-state value, in the initial
     design or at a SUR point, raises ValueError before any fit sees it.
 
     Each estimation pass takes the posterior at the particles (predicted
@@ -229,7 +230,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                     problem.input.quantile(1.0 - DESIGN_EPSILON), DESIGN_CANDIDATES, rng_design)
     y = ledger.evaluate(problem.limit_state, X, stage=0)
     _require_finite(y, X)
-    model = _default_model_factory(X, y, None, rng_reml)
+    model = _fit_model(X, y, None, rng_reml)
 
     # made after the design, whose candidate search can be the run's memory peak
     draws = DrawStream(substream(seed, "move"), m, problem.dim)
@@ -279,7 +280,7 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                 X = np.vstack([X, x_new])
                 y = np.append(y, y_new)
                 try:
-                    model = _default_model_factory(X, y, model.hyper, rng_reml)
+                    model = _fit_model(X, y, model.hyper, rng_reml)
                 except (np.linalg.LinAlgError, ValueError) as exc:
                     warnings.warn(f"bss refit failed, previous hyperparameters kept: {exc!r}",
                                   RuntimeWarning, stacklevel=2)

@@ -17,10 +17,9 @@ from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
+from . import __version__, smc
 from .bench import CASES, _estimator, csv_table, run_rmse_experiment
-from .core import (ConfigError, Direction, EstimationResult, InputDistribution, Problem,
-                   kernel_threads)
+from .core import ConfigError, Direction, EstimationResult, InputDistribution, Problem
 from .expr import ExprError, compile_limit_state
 
 SCHEMA_VERSION = 1
@@ -220,7 +219,7 @@ def _run_to_manifest(method: str, problem: Problem, problem_spec: dict,
         "seed": seed,
         "timestamps": {"start": start, "end": end},
         "host": {"platform": platform.platform(), "python": platform.python_version(),
-                 "kernel_threads": kernel_threads()},
+                 "draw_ahead": smc.DRAW_AHEAD},
         "result": result.to_dict(),
     }, result
 

@@ -18,9 +18,6 @@ machinery survives failure probabilities down to ~1e-9.
 
 Elementwise matrix kernels loop over row blocks of about `_BLOCK_PAIRS`
 entries (`_row_spans`), in order, so that their temporaries stay in cache.
-`kernel_threads()` is the one concurrency setting: above 1, each
-`smc.DrawStream` draws the move's next sweep of random numbers on a thread
-of its own while the current sweep runs; at 1 it draws inline.
 
 This module needs numpy only, like `import failprob`, `mc` and `ss`:
 scipy is `bss`'s alone, and `InputDistribution.quantile`, which only `bss`
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -48,8 +44,6 @@ __all__ = [
     "EstimationResult",
     "substream",
     "log_sum_exp",
-    "kernel_threads",
-    "set_kernel_threads",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -78,27 +72,6 @@ def log_sum_exp(a: np.ndarray) -> np.float64:
 
 
 _BLOCK_PAIRS = 1 << 15  # entries per row block: block temporaries stay ~256 kB
-_kernel_threads: int | None = None
-
-
-def kernel_threads() -> int:
-    """The kernel thread count: the value given to `set_kernel_threads`,
-    else the number of CPUs this process may use."""
-    if _kernel_threads is not None:
-        return _kernel_threads
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        return os.cpu_count() or 1
-
-
-def set_kernel_threads(n: int | None) -> None:
-    """Fix this process's kernel thread count (n >= 1); None restores the
-    default, one thread per usable CPU."""
-    global _kernel_threads
-    if n is not None and n < 1:
-        raise ValueError("kernel threads must be >= 1")
-    _kernel_threads = None if n is None else int(n)
 
 
 def _row_spans(n_rows: int, n_cols: int, scale: int = 1) -> Iterator[tuple[int, int]]:

@@ -26,11 +26,11 @@ A sweep's random numbers do not depend on the particles, so one
 reads, one (m, d) and one (m,) each, and keeps the next sweep's draw in
 flight on a thread of its own across sweep, move and stage boundaries, so
 even a move's first sweep finds its draw made while the driver did its
-stage bookkeeping. The generator gives the same numbers in the same order
-at any thread count; at one kernel thread (as in `--jobs` workers) the
-stream starts no thread and draws inline at the same points. A run draws
-one sweep it never uses, so its generator ends one sweep ahead of the
-draws it consumed.
+stage bookkeeping. With `DRAW_AHEAD` off (as in `--jobs` workers, or with
+one usable CPU) the stream starts no thread and draws inline at the same
+points, so the numbers and their order are the same bits either way. A run
+draws one sweep it never uses, so its generator ends one sweep ahead of
+the draws it consumed.
 
 A move allocates the proposals' log densities and acceptance probabilities
 once per call and forms each sweep's proposals in place in the draw buffer
@@ -40,11 +40,12 @@ it read. Accepted rows are copied through one index array per block.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StageRecord, kernel_threads, log_sum_exp
+from .core import StageRecord, log_sum_exp
 
 __all__ = [
     "DegenerateWeightsError",
@@ -67,6 +68,10 @@ INIT_SCALE = 2.0  # initial steps INIT_SCALE / sqrt(d) times the marginal sds
 SWEEPS = 10  # sweeps per move
 _BLOCK_ROWS = 8192  # rows per block of a sweep, a multiple of 64
 _SCREEN_MARGIN = 1e-9  # how far the acceptance interval must clear the target
+try:  # each DrawStream draws ahead on a thread of its own where 2+ CPUs are usable
+    DRAW_AHEAD = len(os.sched_getaffinity(0)) > 1
+except AttributeError:  # platforms without sched_getaffinity
+    DRAW_AHEAD = (os.cpu_count() or 1) > 1
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -184,12 +189,12 @@ class DrawStream:
     Sweep by sweep, the stream takes `rng.standard_normal((m, d))` and then
     `rng.random(m)`, and nothing else: `rng` must not be used elsewhere
     until `close()` returns. It owns two buffer pairs and, when
-    `kernel_threads()` exceeds 1, one `failprob-draw` thread, which keeps
-    the next sweep's draw in flight from construction to `close()`, across
-    moves and stages; at one kernel thread there is no thread and each draw
+    `DRAW_AHEAD` is on as it is built, one `failprob-draw` thread, which
+    keeps the next sweep's draw in flight from construction to `close()`,
+    across moves and stages; with it off there is no thread and each draw
     is made inline at the point where it would be submitted. So the
     numbers, their order and the generator's state after `close()` (one
-    sweep ahead of the draws taken) are the same bits at any thread count.
+    sweep ahead of the draws taken) are the same bits either way.
 
     The driver that creates a stream closes it in a `finally`, so that its
     thread has stopped, and no longer holds `rng`, once the run returns or
@@ -201,7 +206,7 @@ class DrawStream:
         self._buffers = [(np.empty((m, d)), np.empty(m)) for _ in range(2)]
         self._next = 0  # the buffer pair that holds, or receives, the next sweep
         self._pending = self._thread = None
-        if kernel_threads() > 1:
+        if DRAW_AHEAD:
             # imported here: a process that draws inline keeps ~0.2 MB
             from concurrent.futures import ThreadPoolExecutor
 
@@ -218,7 +223,7 @@ class DrawStream:
         self._rng.random(out=u)
 
     def _fill(self, k: int) -> None:
-        if self._thread is None:  # one kernel thread: draw here
+        if self._thread is None:  # not drawing ahead: draw here
             self._draw(*self._buffers[k])
         else:
             self._pending = self._thread.submit(self._draw, *self._buffers[k])

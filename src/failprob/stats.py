@@ -1,4 +1,4 @@
-"""Univariate and bivariate normal CDFs.
+"""The bivariate normal CDF.
 
 The bivariate CDF follows the classical Drezner-Wesolowsky approach in the
 double-precision form due to Genz: Gauss-Legendre quadrature over the
@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["norm_cdf", "binorm_cdf"]
+__all__ = ["binorm_cdf"]
 
 _TWOPI = 2.0 * math.pi
 _CORR_TOL = 1e-12
@@ -44,15 +44,6 @@ _GL_X20 = np.array(
      0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
      0.07652652113349733]
 )
-
-
-def norm_cdf(z):
-    """Standard normal CDF; accepts +-inf, rejects NaN."""
-    z = np.asarray(z, dtype=float)
-    if np.any(np.isnan(z)):
-        raise ValueError("norm_cdf: NaN input")
-    out = ndtr(z)
-    return float(out[()]) if out.ndim == 0 else out
 
 
 def binorm_cdf(b1, b2, corr):

@@ -70,10 +70,8 @@ __all__ = [
     "PRUNE_RHO",
     "PRUNE_M0_MAX",
     "model_var_floor",
-    "coverage_g",
     "log_coverage_g",
     "log_misclass_tau",
-    "misclass_tau",
     "expected_misclass_after",
     "prune",
     "SurSelection",
@@ -101,23 +99,8 @@ def model_var_floor(model) -> float:
     return max(VAR_FLOOR_REL, 10.0 * model.jitter) * model.hyper.sigma2
 
 
-def coverage_g(mean, sd, u):
-    """P(xi(x) > u) under the posterior: Phi((mean - u)/sd); indicator for sd = 0."""
-    mean = np.asarray(mean, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    if np.any(sd < 0.0):
-        raise ValueError("coverage_g requires sd >= 0")
-    mean_b, sd_b = np.broadcast_arrays(mean, sd)
-    out = np.where(
-        sd_b > 0.0,
-        ndtr(np.where(sd_b > 0.0, (mean_b - u) / np.where(sd_b > 0.0, sd_b, 1.0), 0.0)),
-        (mean_b > u).astype(float),
-    )
-    return float(out[()]) if out.ndim == 0 else out
-
-
 def log_coverage_g(mean, sd, u):
-    """log of coverage_g, exact in the deep tail via log_ndtr."""
+    """log Phi((mean - u)/sd), the log posterior P(xi(x) > u), via log_ndtr; 0 or -inf at sd = 0."""
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     if mean.ndim == 1 and mean.shape == sd.shape and sd.size and sd.min() > 0.0:
@@ -127,16 +110,6 @@ def log_coverage_g(mean, sd, u):
     z = (mean_b - u) / np.where(pos, sd_b, 1.0)
     out = np.where(pos, log_ndtr(np.where(pos, z, 0.0)),
                    np.where(mean_b > u, 0.0, -np.inf))
-    return float(out[()]) if out.ndim == 0 else out
-
-
-def misclass_tau(g):
-    """min(g, 1 - g) for g in [0, 1]."""
-    g = np.asarray(g, dtype=float)
-    if np.any(g < -1e-12) or np.any(g > 1.0 + 1e-12):
-        raise ValueError("misclass_tau requires g in [0, 1]")
-    g = np.clip(g, 0.0, 1.0)
-    out = np.minimum(g, 1.0 - g)
     return float(out[()]) if out.ndim == 0 else out
 
 

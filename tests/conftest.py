@@ -7,10 +7,10 @@ the same either way. Values already set in the environment win.
 Also defines `requires_scipy_117`, for tests that compare a result bit for bit
 with `scipy.special.logsumexp`, whose formula `core.log_sum_exp` reproduces,
 or with `scipy.optimize.minimize`'s L-BFGS-B loop, which `gp._lbfgsb`
-reproduces, the `kernel_threads` fixture, which sets the kernel thread
-count (above 1, each draw stream draws on a thread of its own) for one test
-and restores the default afterwards, `draw_threads`, which lists the live
-threads that draw streams started, and the `setulb_of_another_scipy`
+reproduces; `AHEAD`, the values of `smc.DRAW_AHEAD` (on: each draw stream
+draws on a thread of its own) for tests that run with the switch off and
+on, which set it with `monkeypatch`; `draw_threads`, which lists the live
+threads that draw streams started; and the `setulb_of_another_scipy`
 fixture, which gives the ReML fit a stand-in for scipy's L-BFGS-B routine
 with another argument list.
 """
@@ -32,16 +32,12 @@ requires_scipy_117 = pytest.mark.skipif(
 )
 
 
+# `smc.DRAW_AHEAD` off and on; each id is the number of threads a run then uses
+AHEAD = [pytest.param(False, id="1"), pytest.param(True, id="2")]
+
+
 def draw_threads():
     return [t for t in threading.enumerate() if t.name.startswith("failprob-draw")]
-
-
-@pytest.fixture
-def kernel_threads():
-    from failprob.core import set_kernel_threads
-
-    yield set_kernel_threads
-    set_kernel_threads(None)
 
 
 @pytest.fixture

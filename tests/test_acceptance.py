@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import norm_cdf
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy import stats as spstats
@@ -20,7 +21,7 @@ from failprob.core import InputDistribution, Problem, substream
 from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, _neg_sq_diffs, reml_objective
 from failprob.smc import cov_recursion, kappa_hat, residual_resample, rwmh_move
-from failprob.stats import binorm_cdf, norm_cdf
+from failprob.stats import binorm_cdf
 from failprob.sur import model_var_floor, select_next_point
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from failprob import bench
+from failprob import bench, smc
 from failprob.bench import (
     CASES,
     BenchmarkCase,
@@ -27,7 +27,12 @@ from failprob.bench import (
     _oscillator_f,
     _worker_pool,
 )
-from failprob.core import ConfigError, InputDistribution, Problem, kernel_threads, substream
+from failprob.core import ConfigError, InputDistribution, Problem, substream
+
+
+def _draws_ahead() -> bool:
+    # run in a worker process: module level, so that spawn can pickle it
+    return smc.DRAW_AHEAD
 
 
 class TestFourBranch:
@@ -265,10 +270,10 @@ class TestRmseExperiment:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
         assert "OMP_NUM_THREADS" not in os.environ
 
-    def test_spawned_worker_runs_one_kernel_thread(self):
-        # `jobs` workers keep at most `jobs` threads busy
+    def test_spawned_worker_draws_inline(self):
+        # `jobs` workers keep at most `jobs` threads busy: none has a draw thread
         with _worker_pool(2) as pool:
-            assert pool.submit(kernel_threads).result(timeout=120) == 1
+            assert pool.submit(_draws_ahead).result(timeout=120) is False
 
     def test_run_failures_are_counted(self):
         CASES["broken"] = lambda: BenchmarkCase(

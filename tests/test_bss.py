@@ -402,7 +402,7 @@ class TestRunBss:
         def factory(X, y, prev, rng):
             return _PerfectModel(X, y, prob.limit_state)
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         monkeypatch.setattr(bss, "N_MIN", 0)
         for seed in (0, 1, 5):
             rb = run_bss(prob, BssConfig(m=2000), seed)
@@ -479,7 +479,7 @@ class TestRunBss:
         # swallowing it, and refits on the first fit's hyperparameters
         prob = _problem(float(ndtri(1 - 1e-3)))
         prevs = []
-        default = bss._default_model_factory
+        default = bss._fit_model
 
         def factory(X, y, prev, rng):
             if prev is None:
@@ -487,7 +487,7 @@ class TestRunBss:
             prevs.append(prev)
             raise ValueError("refit refused")
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         with pytest.warns(RuntimeWarning) as record:
             res = run_bss(prob, BssConfig(m=400), seed=7)
         assert res.error is None
@@ -518,7 +518,7 @@ class TestRunBss:
             seen.append(model)
             return sur.select_next_point(model, *args)
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         monkeypatch.setattr(bss, "GpModel", no_model)
         monkeypatch.setattr(bss, "select_next_point", select)
         monkeypatch.setattr(bss, "MAX_TOTAL_EVALUATIONS", 14)
@@ -582,13 +582,13 @@ class TestRunBss:
             calls.append(X.copy())
             return np.full(len(X), np.nan) if len(calls) == 4 else X[:, 0] + X[:, 1]
 
-        default = bss._default_model_factory
+        default = bss._fit_model
 
         def factory(X, y, prev, rng):
             fitted.append(y.copy())
             return default(X, y, prev, rng)
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         with pytest.raises(ValueError) as info:
             run_bss(Problem(f, InputDistribution.iid_normal(2), 6.0), BssConfig(m=1000), seed=0)
         assert str(info.value) == (f"limit state returned nan at x = {calls[3][0].tolist()}; "
@@ -609,7 +609,7 @@ class TestRunBss:
         def factory(X, y, prev, rng):
             raise AssertionError("no fit may see the design")
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         with pytest.raises(ValueError) as info:
             run_bss(Problem(f, InputDistribution.iid_normal(2), 6.0), BssConfig(m=1000), seed=0)
         assert str(info.value) == (f"limit state returned -inf at x = {design[0][3].tolist()}; "
@@ -618,14 +618,14 @@ class TestRunBss:
     @pytest.mark.usefixtures("eight_design_points")
     def test_refit_error_of_other_type_propagates(self, monkeypatch):
         prob = _problem(float(ndtri(1 - 1e-3)))
-        default = bss._default_model_factory
+        default = bss._fit_model
 
         def factory(X, y, prev, rng):
             if prev is not None:
                 raise TypeError("not a numerical failure")
             return default(X, y, prev, rng)
 
-        monkeypatch.setattr(bss, "_default_model_factory", factory)
+        monkeypatch.setattr(bss, "_fit_model", factory)
         with pytest.raises(TypeError, match="not a numerical failure"):
             run_bss(prob, BssConfig(m=400), seed=7)
 
@@ -636,21 +636,21 @@ class TestRunBss:
             BssConfig(m=1)
 
 
-def test_kernel_threads_change_no_bit(kernel_threads):
+def test_draw_ahead_changes_no_bit(monkeypatch):
     # the draw stream's thread only draws the move's next sweep of random
-    # numbers ahead; one kernel thread and two (the default on a 2-CPU host)
-    # give the same run
+    # numbers ahead; with `DRAW_AHEAD` off (drawing inline) and on (the
+    # default on a 2-CPU host) the run is the same
     case = four_branch()
 
     def signature():
         res = run_bss(case.problem, BssConfig(m=300), 12)
         return res.alpha_hat.hex(), res.n_total, res.trace
 
-    kernel_threads(1)
-    one = signature()
-    kernel_threads(2)
-    assert len(one[2]) > 0
-    assert signature() == one
+    monkeypatch.setattr(smc, "DRAW_AHEAD", False)
+    inline = signature()
+    monkeypatch.setattr(smc, "DRAW_AHEAD", True)
+    assert len(inline[2]) > 0
+    assert signature() == inline
 
 
 @requires_scipy_117

@@ -14,10 +14,9 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failprob import __version__, cli
+from failprob import __version__, cli, smc
 from failprob.bench import CASES
 from failprob.cli import _run_to_manifest, main
-from failprob.core import kernel_threads
 from failprob.expr import ExprError, compile_limit_state
 
 
@@ -275,15 +274,29 @@ class TestEstimateCommand:
         assert code == 0
         assert "replay ok" in err
 
-    def test_host_records_kernel_threads_replay_ignores_them(self, capsys, tmp_path):
+    def test_host_records_draw_ahead_replay_ignores_it(self, capsys, tmp_path):
         out_path = tmp_path / "m.json"
         _run(capsys, [
             "estimate", "--method", "bss", "--problem", "cantilever",
             "--m", "400", "--seed", "11", "--out", str(out_path),
         ])
         doc = json.loads(out_path.read_text())
-        assert doc["host"]["kernel_threads"] == kernel_threads()
-        doc["host"]["kernel_threads"] += 7  # results do not depend on it
+        assert set(doc["host"]) == {"platform", "python", "draw_ahead"}
+        assert doc["host"]["draw_ahead"] is smc.DRAW_AHEAD
+        doc["host"]["draw_ahead"] = not smc.DRAW_AHEAD  # results do not depend on it
+        out_path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, ["estimate", "--replay", str(out_path)])
+        assert code == 0
+        assert "replay ok" in err
+
+    def test_manifest_with_the_old_host_fields_replays(self, capsys, tmp_path):
+        # manifests written before `draw_ahead` recorded a thread count
+        out_path = tmp_path / "m.json"
+        _run(capsys, ["estimate", "--method", "ss", "--problem", "cantilever",
+                      "--m", "1000", "--seed", "5", "--out", str(out_path)])
+        doc = json.loads(out_path.read_text())
+        doc["host"] = {"platform": doc["host"]["platform"], "python": doc["host"]["python"],
+                       "kernel_threads": 2}
         out_path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, ["estimate", "--replay", str(out_path)])
         assert code == 0
@@ -778,7 +791,7 @@ class TestDeclaredShapes:
         assert code == 0
         doc = json.loads(out)
         assert set(doc["timestamps"]) == {"start", "end"}
-        assert set(doc["host"]) == {"platform", "python", "kernel_threads"}
+        assert set(doc["host"]) == {"platform", "python", "draw_ahead"}
         doc["timestamps"] = doc["host"] = None
         assert json.dumps(doc, indent=2) == json.dumps({
             "schema": 1, "tool": "failprob", "version": __version__, "command": "estimate",

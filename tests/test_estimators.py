@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import draw_threads
+from conftest import AHEAD, draw_threads
 from scipy.special import ndtr, ndtri
 
 from failprob import estimators, smc
@@ -188,10 +188,11 @@ class TestSubsetSimulation:
             SubsetSimConfig(m=100, m0=0)
 
 
-def test_kernel_threads_change_no_bit(kernel_threads):
+def test_draw_ahead_changes_no_bit(monkeypatch):
     # the draw stream keeps the move's next sweep of random numbers in flight
-    # on its own thread; one kernel thread and two (the default on a 2-CPU host)
-    # give the same run, here over three row blocks of the move's sweep
+    # on its own thread; with `DRAW_AHEAD` off (drawing inline) and on (the
+    # default on a 2-CPU host) the run is the same, here over three row
+    # blocks of the move's sweep
     from failprob.bench import nonlinear_oscillator
 
     case = nonlinear_oscillator()
@@ -202,19 +203,19 @@ def test_kernel_threads_change_no_bit(kernel_threads):
         return (res.alpha_hat.hex(), res.n_total,
                 [(s.u_t.hex(), s.acceptance) for s in res.stages])
 
-    kernel_threads(1)
-    one = signature()
-    kernel_threads(2)
-    assert len(one[2]) > 2
-    assert signature() == one
+    monkeypatch.setattr(smc, "DRAW_AHEAD", False)
+    inline = signature()
+    monkeypatch.setattr(smc, "DRAW_AHEAD", True)
+    assert len(inline[2]) > 2
+    assert signature() == inline
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_raising_limit_state_leaves_generator_quiescent(kernel_threads, monkeypatch, threads):
+@pytest.mark.parametrize("ahead", AHEAD)
+def test_raising_limit_state_leaves_generator_quiescent(monkeypatch, ahead):
     # the limit state raises in the first move's first block, while the
     # stream's second sweep is in flight: the run closes the stream before
     # the exception is out, and the move's generator has drawn two sweeps
-    kernel_threads(threads)
+    monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
     m, d = 100_000, 6
     generators = {}
 
@@ -255,11 +256,11 @@ def _run(method, problem, seed):
 
 @pytest.mark.parametrize("method", ["ss", "bss"])
 @pytest.mark.parametrize("raises", [False, True])
-def test_no_draw_thread_outlives_its_run(kernel_threads, monkeypatch, method, raises):
-    # at two kernel threads the run's draw stream owns one draw thread while
+def test_no_draw_thread_outlives_its_run(monkeypatch, method, raises):
+    # with `DRAW_AHEAD` on, the run's draw stream owns one draw thread while
     # it moves, and stops it whether the run returns or the move's target
     # raises (the input density, on the first move's first block)
-    kernel_threads(2)
+    monkeypatch.setattr(smc, "DRAW_AHEAD", True)
     log_density = InputDistribution.log_density
     alive = []
 
@@ -359,9 +360,9 @@ def test_ss_oscillator_screen_meets_no_nan():
     assert res.error is None and 0.0 < res.alpha_hat < 1e-6
 
 
-def test_one_kernel_thread_builds_no_pool(kernel_threads, monkeypatch):
-    # a `--jobs` worker runs one kernel thread: its runs draw inline and
-    # start no thread; at two, each run's draw stream starts one
+def test_drawing_inline_starts_no_thread(monkeypatch):
+    # a `--jobs` worker turns `DRAW_AHEAD` off: its runs draw inline and
+    # start no thread; with it on, each run's draw stream starts one
     started = []
     start = threading.Thread.start
 
@@ -370,8 +371,8 @@ def test_one_kernel_thread_builds_no_pool(kernel_threads, monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recording)
-    for threads, want in ((1, 0), (2, 2)):
-        kernel_threads(threads)
+    for ahead, want in ((False, 0), (True, 2)):
+        monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
         started.clear()
         for method in ("ss", "bss"):
             _run(method, _problem(2.0), 3)

@@ -51,6 +51,7 @@ def test_module_constants():
         2, 5, 50, 2000)
     assert estimators.MAX_STAGES == 50
     assert smc.SWEEPS == 10
+    assert type(smc.DRAW_AHEAD) is bool  # a switch, set at import from the usable CPUs
 
 
 def _parameters(fn) -> list[str]:

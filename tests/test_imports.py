@@ -1,7 +1,9 @@
 """Only `bss` needs scipy: in a fresh interpreter, importing failprob and its
 command line, building the benchmark cases, running `mc` and `ss` and a
 command line that ends before any run load none of scipy, nor any module of
-the `bss` stack; a `bss` run in the same interpreter then imports them."""
+the `bss` stack; a `bss` run in the same interpreter then imports them.
+`import failprob` alone loads no thread pool either: a draw stream imports
+one when it starts its draw thread."""
 
 import json
 import os
@@ -40,13 +42,25 @@ print(json.dumps({{"codes": codes, "loaded": loaded,
 """
 
 
-def test_only_bss_loads_scipy():
+def _fresh(script: str):
+    # the JSON that `script` prints, run in a fresh interpreter
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_only_bss_loads_scipy():
+    report = _fresh(SCRIPT)
     assert report["codes"] == [0, 2]
     assert report["loaded"] == []
     assert report["bss_ok"]
     assert report["after_bss"] == sorted(BSS_STACK)
+
+
+def test_import_loads_no_thread_pool():
+    loaded = _fresh("import json, sys\nimport failprob\n"
+                    "print(json.dumps(sorted({'concurrent.futures', 'failprob.bss'}"
+                    " & set(sys.modules))))")
+    assert loaded == []

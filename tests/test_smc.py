@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import draw_threads
+from conftest import AHEAD, draw_threads
 from scipy import stats as spstats
 
 from failprob import smc
@@ -394,25 +394,28 @@ def _two_sweeps_in_child(want):
 
 
 def _with_dims(name, values):
-    # `values` crossed with d = 1, 3, 7; d = 3 keeps the value's own id
+    # `values`, plain or pytest.param, crossed with d = 1, 3, 7; d = 3 keeps
+    # the value's own id
+    params = [v if hasattr(v, "id") else pytest.param(v, id=str(v)) for v in values]
     return pytest.mark.parametrize(f"{name},d", [
-        pytest.param(v, d, id=str(v) if d == 3 else f"{v}-d{d}")
-        for v in values for d in (1, 3, 7)])
+        pytest.param(*p.values, d, id=p.id if d == 3 else f"{p.id}-d{d}")
+        for p in params for d in (1, 3, 7)])
 
 
 class TestDrawAhead:
     """The draw stream keeps the next sweep's random numbers in flight on its
     own thread while the current sweep evaluates its target, across moves;
     that changes no bit of any output, and leaves the generator one sweep
-    past the reference's once the stream is closed, at any thread count."""
+    past the reference's once the stream is closed, with `DRAW_AHEAD` on
+    or off."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ahead", AHEAD)
     @pytest.mark.parametrize("adapt", [True, False])
     @_with_dims("m", [1, 300])
-    def test_matches_serial_loop(self, kernel_threads, monkeypatch, threads, adapt, m, d):
+    def test_matches_serial_loop(self, monkeypatch, ahead, adapt, m, d):
         # adapt=False: the move with a zero adaptation step, which adds +-0.0
         # to each log step and so keeps every bit of the loop without one
-        kernel_threads(threads)
+        monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
         if not adapt:
             monkeypatch.setattr(smc, "LOG_STEP_DELTA", 0.0)
         monkeypatch.setattr(smc, "SWEEPS", 6)
@@ -427,14 +430,14 @@ class TestDrawAhead:
         if not adapt:
             np.testing.assert_array_equal(out[2], log_sigma)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ahead", AHEAD)
     @pytest.mark.parametrize("m", [1, 300])
-    def test_reused_buffers_reach_no_output(self, kernel_threads, monkeypatch, threads, m):
+    def test_reused_buffers_reach_no_output(self, monkeypatch, ahead, m):
         # the move forms each sweep's proposals in a draw buffer that the
         # stream refills one sweep later: a factor whose aux array is a view of
         # its input, or functions that keep their input, change no bit, and
         # no output shares memory with what they were given
-        kernel_threads(threads)
+        monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
         monkeypatch.setattr(smc, "SWEEPS", 6)
         d = 3
         pts = _shell_start(m, d, 16)
@@ -464,12 +467,12 @@ class TestDrawAhead:
         outputs = [out[0], *out[1][:2], *out[1][2].values()]
         assert not any(np.shares_memory(a, x) for a in outputs for x in seen)
 
-    @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_multi_call_sequence_carries_state(self, kernel_threads, monkeypatch, threads):
+    @pytest.mark.parametrize("ahead", AHEAD)
+    def test_multi_call_sequence_carries_state(self, monkeypatch, ahead):
         # three stages on one draw stream, the later ones from cached values,
-        # as the subset simulation driver calls the move; five threads on a
-        # short switch interval stress the hand-over of the generator
-        kernel_threads(threads)
+        # as the subset simulation driver calls the move; with the draw thread
+        # on, a short switch interval stresses the hand-over of the generator
+        monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
         monkeypatch.setattr(smc, "SWEEPS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -497,8 +500,8 @@ class TestDrawAhead:
             draws.close()
         _assert_one_sweep_ahead(rng, rng_ref, pts.shape)
 
-    def test_raising_target_leaves_generator_quiescent(self, kernel_threads):
-        kernel_threads(2)
+    def test_raising_target_leaves_generator_quiescent(self, monkeypatch):
+        monkeypatch.setattr(smc, "DRAW_AHEAD", True)
 
         class SweepTwo(Exception):
             pass
@@ -534,8 +537,8 @@ class TestDrawAhead:
         assert before == rng_ref.bit_generator.state
 
 
-    def test_close_stops_the_thread_when_the_draw_raised(self, kernel_threads):
-        kernel_threads(2)
+    def test_close_stops_the_thread_when_the_draw_raised(self, monkeypatch):
+        monkeypatch.setattr(smc, "DRAW_AHEAD", True)
 
         class Broken:
             def standard_normal(self, out):
@@ -546,10 +549,10 @@ class TestDrawAhead:
             draws.close()
         assert not draw_threads()
 
-    def test_forked_child_builds_its_own_pool(self, kernel_threads):
+    def test_forked_child_starts_its_own_draw_thread(self, monkeypatch):
         # a child forked while a stream's draw thread runs inherits none of
         # its threads: the child's own stream starts and stops its own
-        kernel_threads(2)
+        monkeypatch.setattr(smc, "DRAW_AHEAD", True)
         want = _two_sweeps(18)
         held = DrawStream(substream(19, "fork"), 50, 3)
         try:
@@ -572,10 +575,10 @@ class TestScreen:
     they decide the step adaptation; every output bit is the one of the
     serial loop that scores every proposal."""
 
-    @_with_dims("threads", [1, 2])
-    def test_blocked_sweep_matches_serial_loop(self, kernel_threads, monkeypatch, threads, d):
+    @_with_dims("ahead", AHEAD)
+    def test_blocked_sweep_matches_serial_loop(self, monkeypatch, ahead, d):
         # 300 rows in blocks of 64: four full blocks and an uneven tail
-        kernel_threads(threads)
+        monkeypatch.setattr(smc, "DRAW_AHEAD", ahead)
         monkeypatch.setattr(smc, "_BLOCK_ROWS", 64)
         monkeypatch.setattr(smc, "SWEEPS", 8)
         m = 300

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import coverage_g, misclass_tau, norm_cdf
 from scipy.special import log_ndtr, ndtr, owens_t
 
 from failprob import core, sur
 from failprob.bench import _four_branch_f
 from failprob.core import substream
 from failprob.gp import CovarianceHyperparams, GpModel
-from failprob.stats import binorm_cdf, norm_cdf
+from failprob.stats import binorm_cdf
 from failprob.sur import (
-    coverage_g,
     expected_misclass_after,
     log_coverage_g,
-    misclass_tau,
     model_var_floor,
     prune,
     select_next_point,
@@ -316,8 +315,8 @@ _RAGGED = (3 * (_BLOCK // 333) + 14, 333)  # three full row blocks and a short o
 
 
 class TestRowBlocks:
-    """The pair matrix is built in row blocks on the calling thread; neither
-    the split nor the kernel thread count changes a bit of it."""
+    """The pair matrix is built in row blocks on the calling thread; the
+    split changes no bit of it."""
 
     U = 0.3
     VAR_FLOOR = 1e-10  # sd floor 1e-5
@@ -337,18 +336,15 @@ class TestRowBlocks:
         _RAGGED,
         (3, _BLOCK + 7),  # wider than a block: one row per block
     ])
-    def test_threads_and_blocks_change_no_bit(self, kernel_threads, n_rows, n_cols):
+    def test_threads_and_blocks_change_no_bit(self, n_rows, n_cols):
         args = self._case(n_rows, n_cols)
         want_E, want_tau = _expected_misclass_matrix(*args)
         assert 0.0 < np.mean(want_E == want_tau[:, None]) < 1.0  # guards hit and missed
-        for n in (1, 2, 5):  # 5: more threads than a small host has cores
-            kernel_threads(n)
-            E, tau = _pair_kernel(*args)
-            assert E.tobytes() == want_E.tobytes()
-            assert tau.tobytes() == want_tau.tobytes()
+        E, tau = _pair_kernel(*args)
+        assert E.tobytes() == want_E.tobytes()
+        assert tau.tobytes() == want_tau.tobytes()
 
-    def test_block_exception_reaches_caller(self, kernel_threads, monkeypatch):
-        kernel_threads(2)
+    def test_block_exception_reaches_caller(self, monkeypatch):
         args = self._case(*_RAGGED)
 
         def broken(h, a):
@@ -361,20 +357,15 @@ class TestRowBlocks:
         E, _ = _pair_kernel(*args)  # nothing is left half done
         assert E.tobytes() == _expected_misclass_matrix(*args)[0].tobytes()
 
-    def test_thread_count_validated(self):
-        with pytest.raises(ValueError):
-            core.set_kernel_threads(0)
-
-    def test_search_same_at_any_thread_count(self, kernel_threads):
-        # the bound pass sums its blocks in block order, so the live set
-        # and the Owen's T count do not depend on the thread count either
+    def test_search_same_at_any_block_split(self, monkeypatch):
+        # the bound pass sums its blocks in block order, and on this case the
+        # live set and the Owen's T count do not depend on the split either
         mean_x, sd_x, s_mat, u, var_floor = self._case(*_RAGGED)
         coeff = substream(1, "row-blocks").uniform(0.5, 2.0, s_mat.shape[0])
-        kernel_threads(1)
         want = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
         assert 0 < np.count_nonzero(want[1]) < want[1].size
-        for n in (2, 5):
-            kernel_threads(n)
+        for pairs in (60, _BLOCK // 4):  # pair blocks of 1 and 24 rows, not 98
+            monkeypatch.setattr(core, "_BLOCK_PAIRS", pairs)
             E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
             assert E.tobytes() == want[0].tobytes()
             assert live.tobytes() == want[1].tobytes() and n_owens_t == want[2]
@@ -424,23 +415,14 @@ class TestBranchAndBound:
         J_dense = coeff @ _expected_misclass_matrix(mean_x, sd_x, s_mat, u, var_floor)[0]
         want = _pick(J_dense)
         j_min = float(J_dense.min())
-        got = []
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(core, "_BLOCK_PAIRS", 60)  # several row blocks
-                for n in (1, 2):
-                    core.set_kernel_threads(n)
-                    E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u,
-                                                              var_floor)
-                    J = coeff @ E
-                    J[~live] = np.inf
-                    pick = _pick(J)
-                    assert pick == want and J[pick].hex() == J_dense[want].hex()
-                    assert np.all(J_dense[~live] > j_min + sur._TIE_TOL * (1.0 + abs(j_min)))
-                    got.append((E.tobytes(), live.tobytes(), n_owens_t))
-        finally:
-            core.set_kernel_threads(None)
-        assert got[0] == got[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_PAIRS", 60)  # several row blocks
+            E, live, _ = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
+        J = coeff @ E
+        J[~live] = np.inf
+        pick = _pick(J)
+        assert pick == want and J[pick].hex() == J_dense[want].hex()
+        assert np.all(J_dense[~live] > j_min + sur._TIE_TOL * (1.0 + abs(j_min)))
 
     def test_far_rows_take_the_trivial_bound(self, monkeypatch):
         # rows with |b2| >= 37 get no table: every Owen's T call is a pair
