@@ -4,9 +4,8 @@ Reference probabilities are the published values for these cases (obtained
 from one hundred subset simulation runs at m = 1e7); a study of method "ss"
 at m = 1e6 is a cheaper sanity check of them. `run_rmse_experiment` is the
 one way to run a replication study, `_estimator` the one place that maps a
-method name to its configured estimator (for it, `run_estimator` and the
-command line), and `csv_table` the one CSV writer, for this module and the
-command line alike.
+method name to its configured estimator (for it and the command line), and
+`csv_table` the one CSV writer, for this module and the command line alike.
 
 Importing this module, and running `mc` or `ss`, loads numpy but not scipy:
 `_estimator` imports `bss`, which needs scipy, only for method "bss", and
@@ -41,7 +40,6 @@ __all__ = [
     "RunRow",
     "RmseTable",
     "csv_table",
-    "run_estimator",
     "run_rmse_experiment",
     "per_run_seed",
 ]
@@ -135,13 +133,6 @@ def per_run_seed(root_seed: int, case: str, method: str, m: int, run: int) -> in
 
     key = f"{root_seed}|{case}|{method}|{m}|{run}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little") >> 1
-
-
-def run_estimator(problem: Problem, method: str, m: int, seed: int,
-                  p0: float = 0.1) -> EstimationResult:
-    """One seeded run of method "mc", "ss" or "bss" at sample size m; a
-    rejected configuration raises ConfigError before the run starts."""
-    return _estimator(method, m, p0)(problem, seed=seed)
 
 
 def _estimator(method: str, m: int, p0: float = 0.1):
@@ -287,16 +278,21 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
     message, or "degenerate"); every row stays, with no statistics when no
     run is usable. Warnings raised in a run, in this process or in a worker,
     are issued again here, in run order. Before any run, an unknown case,
-    fewer than two runs, or a repeated method or m raises ValueError, and a
-    (method, m) configuration its estimator rejects raises ConfigError.
+    fewer than two runs, or a repeated method or m raises ValueError, and no
+    methods, no m values, `jobs` below 1, or a (method, m) configuration its
+    estimator rejects raises ConfigError.
     """
     if case_name not in CASES:
         raise ValueError(f"unknown case {case_name!r}")
     if runs < 2:
         raise ValueError("need runs >= 2")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     methods = list(methods)
     m_values = sorted(int(m) for m in m_values)
-    for what, values in (("methods", methods), ("m values", m_values)):
+    for what, values in (("methods", methods), ("m_values", m_values)):
+        if not values:
+            raise ConfigError(f"{what} must not be empty")
         if len(set(values)) != len(values):
             raise ValueError(f"{what} must be distinct, got {values}")
     ref = CASES[case_name]().alpha_ref

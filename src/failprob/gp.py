@@ -188,24 +188,6 @@ class GpModel:
             np.multiply(self.hyper.sigma2, k, out=cov[i:j])
         return cov
 
-    def cross_sd(self, x, x_new, var_floor: float):
-        """s_n(x, x_new) = |k_n(x, x_new)| / sigma_n(x_new).
-
-        Returns 0 when the posterior variance at x_new is at or below
-        `var_floor` (the candidate is already fully known; callers pass
-        `sur.model_var_floor`). `x` may be a batch.
-        """
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        _, var_new = self.predict(np.asarray(x_new, dtype=float))
-        if var_new <= var_floor:
-            out = np.zeros(X.shape[0])
-        else:
-            k = self.posterior_cov(X, np.atleast_2d(np.asarray(x_new, dtype=float)))[:, 0]
-            out = np.abs(k) / math.sqrt(var_new)
-        return float(out[0]) if single else out
-
 
 def reml_objective(design_points, design_values, log_ranges, *, neg_sq_diffs, sigma2_bounds):
     """Negative restricted log-likelihood, its gradient in the log-ranges,

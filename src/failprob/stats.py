@@ -5,8 +5,9 @@ double-precision form due to Genz: Gauss-Legendre quadrature over the
 correlation parameter for moderate correlations, and an asymptotic
 expansion plus quadrature for |corr| >= 0.925. Absolute accuracy is around
 5e-16, comfortably below the 1e-10 contract. Everything is vectorized.
-`sur.expected_misclass_after` uses it as the reference that tests compare
-the Owen's T form of the SUR kernel against.
+No estimator calls it: `tests/test_sur.py` checks the Owen's T form of the
+SUR kernel against the Phi2 form built on it (`_bivariate_reference`), and
+`sur` imports it only because perfbench traces it under that module.
 """
 
 from __future__ import annotations

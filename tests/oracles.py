@@ -1,7 +1,9 @@
 """Reference functions that only tests call: the posterior coverage and
 misclassification probabilities in linear space, and the standard normal
 CDF. The package computes the first two in log space (`sur.log_coverage_g`,
-`sur.log_misclass_tau`); these are what tests compare against."""
+`sur.log_misclass_tau`); these are what tests compare against. Also the
+inputs of the SUR pair kernel taken from a GP, and its guards on a
+reference pair matrix."""
 
 import numpy as np
 from scipy.special import ndtr
@@ -39,3 +41,32 @@ def norm_cdf(z):
         raise ValueError("norm_cdf: NaN input")
     out = ndtr(z)
     return float(out[()]) if out.ndim == 0 else out
+
+
+def sur_pair_inputs(model, X, var_floor):
+    """(mean, sd, s) at the rows of X, taken from the GP as
+    `sur.select_next_point` takes them: the posterior mean and sd from
+    `predict`, and s[i, j] = |k_n(x_i, x_j)| / sd(x_j), which is 0 where
+    sd(x_j) is at or below the floor sqrt(var_floor)."""
+    mean, var = model.predict(X)
+    sd = np.sqrt(var)
+    s = np.abs(model.posterior_cov(X, X))
+    s /= np.where(sd > np.sqrt(var_floor), sd, np.inf)[None, :]
+    return mean, sd, s
+
+
+def guarded_misclass_after(reference, mean_x, sd_x, s_mat, u, var_floor):
+    """`reference(mean_x, sd_x, s_mat, u)`, a (point x candidate) matrix of
+    the expected misclassification after evaluation, under the SUR kernel's
+    degenerate-variance guards: a classified row (sd at or below the floor
+    sqrt(var_floor)) gives 0, and a pair whose s is at or below the floor
+    gives tau(x). The guarded pairs reach the reference at rho = 1 (s = sd,
+    and sd = 1 on classified rows), and its values there are dropped."""
+    mean_x, sd_x, s_mat = (np.asarray(v, dtype=float) for v in (mean_x, sd_x, s_mat))
+    sd_floor = np.sqrt(var_floor)
+    row_ok = sd_x > sd_floor
+    pair_ok = row_ok[:, None] & (s_mat > sd_floor)
+    sd_row = np.where(row_ok, sd_x, 1.0)
+    ref = reference(mean_x, sd_row, np.where(pair_ok, s_mat, sd_row[:, None]), u)
+    tau = np.where(row_ok, misclass_tau(coverage_g(mean_x, sd_row, u)), 0.0)
+    return np.where(pair_ok, ref, tau[:, None])

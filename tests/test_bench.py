@@ -16,12 +16,12 @@ from failprob.bench import (
     four_branch,
     nonlinear_oscillator,
     per_run_seed,
-    run_estimator,
     run_rmse_experiment,
 )
 from failprob.bench import (
     _BLAS_THREAD_VARS,
     _cantilever_f,
+    _estimator,
     _four_branch_f,
     _one_blas_thread_env,
     _oscillator_f,
@@ -185,6 +185,22 @@ class TestRmseExperiment:
         with pytest.raises(ValueError, match="distinct"):
             run_rmse_experiment("toy", ["mc", "ss", "mc"], [1000], runs=3, seed=7)
 
+    @pytest.mark.parametrize("methods,m_values,jobs,message", [
+        pytest.param([], [1000], 1, "^methods must not be empty$", id="no-methods"),
+        pytest.param(["mc"], [], 1, "^m_values must not be empty$", id="no-m-values"),
+        pytest.param(["mc"], [1000], 0, "^jobs must be >= 1, got 0$", id="jobs-0"),
+        pytest.param(["mc"], [1000], -2, "^jobs must be >= 1, got -2$", id="jobs-minus-2")])
+    def test_empty_study_or_no_jobs_raises_before_any_run(self, monkeypatch, methods, m_values,
+                                                          jobs, message):
+        # `failprob benchmark` rejects these too; the library must not return
+        # an empty table or run inline
+        def no_run(task):
+            raise AssertionError(f"ran {task}")
+
+        monkeypatch.setattr(bench, "_study_run", no_run)
+        with pytest.raises(ConfigError, match=message):
+            run_rmse_experiment("toy", methods, m_values, runs=2, seed=0, jobs=jobs)
+
     def test_unknown_case_raises_before_any_run(self, monkeypatch):
         def no_run(task):
             raise AssertionError(f"ran {task}")
@@ -289,10 +305,10 @@ class TestRmseExperiment:
             CASES.pop("broken", None)
 
     def test_estimator_dispatch(self):
-        res = run_estimator(_toy_case().problem, "mc", 1000, 11)
+        res = _estimator("mc", 1000)(_toy_case().problem, seed=11)
         assert res.method == "mc" and 0.4 < res.alpha_hat < 0.6
         with pytest.raises(ConfigError, match="unknown method 'nope'"):
-            run_estimator(_toy_case().problem, "nope", 100, 0)
+            _estimator("nope", 100)
 
     @pytest.mark.parametrize("method,m,message", [
         ("mc", 0, "m must be >= 1"), ("ss", 5, "need 1 <= m0 < m"), ("bss", 1, "m must be >= 2"),

@@ -281,9 +281,6 @@ class _PerfectModel:
     def posterior_cov(self, A, B):
         return np.zeros((np.atleast_2d(A).shape[0], np.atleast_2d(B).shape[0]))
 
-    def cross_sd(self, x, x_new, var_floor):
-        return np.zeros(np.atleast_2d(x).shape[0])
-
 
 @pytest.fixture
 def eight_design_points(monkeypatch):

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from failprob import bss
-from failprob.bench import CASES, _four_branch_f, run_estimator
+from failprob.bench import CASES, _estimator, _four_branch_f
 from failprob.bss import BssConfig, run_bss
 from failprob.core import Direction, InputDistribution, Problem
 
@@ -53,7 +53,7 @@ MC_PROBLEM_GOLDEN = ("0x1.f75104d551d69p-13", 100_000)
 @pytest.mark.filterwarnings("ignore:ReML optimizer did not converge")
 @pytest.mark.parametrize("case,method,m", sorted(GOLDEN))
 def test_benchmark_case_bits(case, method, m):
-    res = run_estimator(CASES[case]().problem, method, m, SEED)
+    res = _estimator(method, m)(CASES[case]().problem, seed=SEED)
     assert (res.alpha_hat.hex(), res.n_total) == GOLDEN[case, method, m]
     assert res.error is None and not res.degenerate
     if method == "bss":
@@ -78,6 +78,6 @@ def test_bss_partial_result_bits(monkeypatch, budget):
 
 def test_mc_bits():
     problem = Problem(_four_branch_f, InputDistribution.iid_normal(2), -1.0, Direction.BELOW)
-    res = run_estimator(problem, "mc", 100_000, SEED)
+    res = _estimator("mc", 100_000)(problem, seed=SEED)
     assert (res.alpha_hat.hex(), res.n_total) == MC_PROBLEM_GOLDEN
     assert res.error is None and not res.degenerate

@@ -8,6 +8,7 @@ import scipy
 from conftest import requires_scipy_117
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sur_pair_inputs
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -189,21 +190,21 @@ class TestKrigingPosterior:
             assert v2 == pytest.approx(v_x - k * k / v_eff, abs=1e-8)
 
     def test_cross_sd_cases(self):
+        # s_n(x, x_new) = |k_n(x, x_new)| / sigma_n(x_new), as the SUR search
+        # forms it (`oracles.sur_pair_inputs`)
         rng = substream(6, "gp")
         m = _random_model(rng, d=2, n=15)
         x = rng.uniform(-2, 2, 2)
-        _, v_x = m.predict(x)
+        ab = rng.uniform(-2.5, 2.5, (50, 2, 2)).transpose(1, 0, 2)
+        X = np.vstack([x, m.design_points[0], *ab])
+        _, sd, s = sur_pair_inputs(m, X, model_var_floor(m))
         # x_new = x: Cauchy-Schwarz equality
-        floor = model_var_floor(m)
-        assert m.cross_sd(x, x, floor) == pytest.approx(math.sqrt(v_x), rel=1e-8)
+        assert s[0, 0] == pytest.approx(sd[0], rel=1e-8)
         # x_new at a design point: no residual information
-        assert m.cross_sd(x, m.design_points[0], floor) == 0.0
+        assert s[0, 1] == 0.0
         # bound s_n <= sigma_n(x)
-        for _ in range(50):
-            a = rng.uniform(-2.5, 2.5, 2)
-            b = rng.uniform(-2.5, 2.5, 2)
-            _, va = m.predict(a)
-            assert m.cross_sd(a, b, floor) <= math.sqrt(va) + 1e-10
+        a = 2 + np.arange(50)
+        assert np.all(s[a, a + 50] <= sd[a] + 1e-10)
 
 
 class TestPredictRowInvariance:

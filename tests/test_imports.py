@@ -26,7 +26,7 @@ from failprob import bench, cli
 cases = {{name: make() for name, make in bench.CASES.items()}}
 problem = cases["cantilever"].problem
 for method in ("mc", "ss"):
-    res = bench.run_estimator(problem, method, 2000, 1)
+    res = bench._estimator(method, 2000)(problem, seed=1)
     assert res.error is None, (method, res.error)
 bench.run_rmse_experiment("cantilever", ["mc"], [1000], runs=2, seed=1)
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -35,7 +35,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                        "--m", "100", "--seed", "0"])]
 loaded = sorted(name for name in sys.modules
                 if name.startswith("scipy") or name in {BSS_STACK!r})
-res = bench.run_estimator(problem, "bss", 300, 1)
+res = bench._estimator("bss", 300)(problem, seed=1)
 print(json.dumps({{"codes": codes, "loaded": loaded,
                   "bss_ok": res.error is None and 0.0 < res.alpha_hat < 1.0,
                   "after_bss": sorted(set({BSS_STACK!r}) & set(sys.modules))}}))

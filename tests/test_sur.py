@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import coverage_g, misclass_tau, norm_cdf
+from oracles import (
+    coverage_g,
+    guarded_misclass_after,
+    misclass_tau,
+    norm_cdf,
+    sur_pair_inputs,
+)
 from scipy.special import log_ndtr, ndtr, owens_t
 
 from failprob import core, sur
@@ -15,7 +21,6 @@ from failprob.core import substream
 from failprob.gp import CovarianceHyperparams, GpModel
 from failprob.stats import binorm_cdf
 from failprob.sur import (
-    expected_misclass_after,
     log_coverage_g,
     model_var_floor,
     prune,
@@ -89,23 +94,40 @@ def _toy_model(seed=0, n=6, u=0.4):
     return GpModel(X, y, CovarianceHyperparams(1.0, np.array([0.9]))), u
 
 
+def _after(model, X, u):
+    """The pair kernel of `select_next_point` at the rows of X, on the
+    (mean, sd, s) it takes from the GP, with each row's tau, and the guarded
+    Phi2 reference on the same inputs."""
+    var_floor = model_var_floor(model)
+    mean, sd, s_mat = sur_pair_inputs(model, np.atleast_2d(X), var_floor)
+    E, tau = _pair_kernel(mean, sd, s_mat, u, var_floor)
+    ref = guarded_misclass_after(_bivariate_reference, mean, sd, s_mat, u, var_floor)
+    np.testing.assert_allclose(E, ref, rtol=0.0, atol=1e-12)
+    return E, tau
+
+
 class TestExpectedMisclassAfter:
+    """The expected misclassification at x after evaluating at x_new: entry
+    [0, 1] of the pair kernel at the rows (x, x_new), checked against the
+    guarded Phi2 reference by `_after`."""
+
     def test_self_evaluation_resolves(self):
         m, u = _toy_model()
-        x = np.array([0.33])
-        assert expected_misclass_after(m, x, x, u) <= 1e-10
+        E, _ = _after(m, [[0.33]], u)
+        assert E[0, 0] <= 1e-10
 
     def test_design_point_is_uninformative(self):
         m, u = _toy_model()
         x = np.array([0.33])
         mu, v = m.predict(x)
         tau = misclass_tau(coverage_g(mu, math.sqrt(v), u))
-        got = expected_misclass_after(m, x, m.design_points[2], u)
-        assert got == pytest.approx(tau, abs=1e-12)
+        E, _ = _after(m, [x, m.design_points[2]], u)
+        assert E[0, 1] == pytest.approx(tau, abs=1e-12)
 
     def test_classified_point_returns_zero(self):
         m, u = _toy_model()
-        assert expected_misclass_after(m, m.design_points[1], np.array([0.9]), u) == 0.0
+        E, _ = _after(m, [m.design_points[1], [0.9]], u)
+        assert E[0, 1] == 0.0
 
     def test_monte_carlo_oracle(self):
         m, u = _toy_model()
@@ -114,7 +136,7 @@ class TestExpectedMisclassAfter:
         mu_x, v_x = m.predict(x)
         mu_n, v_n = m.predict(x_new)
         k = m.posterior_cov(x[None, :], x_new[None, :])[0, 0]
-        formula = expected_misclass_after(m, x, x_new, u)
+        formula = _after(m, [x, x_new], u)[0][0, 1]
         rng = substream(1, "mc-oracle")
         n_draw = 1_000_000
         y_new = mu_n + math.sqrt(v_n) * rng.standard_normal(n_draw)
@@ -128,12 +150,11 @@ class TestExpectedMisclassAfter:
     def test_information_never_hurts(self):
         m, u = _toy_model()
         rng = substream(2, "pairs")
-        for _ in range(300):
-            xa = rng.uniform(-2.5, 2.5, 1)
-            xb = rng.uniform(-2.5, 2.5, 1)
-            mu, v = m.predict(xa)
-            tau = misclass_tau(coverage_g(mu, math.sqrt(v), u))
-            assert expected_misclass_after(m, xa, xb, u) <= tau + 1e-10
+        xa, xb = rng.uniform(-2.5, 2.5, (300, 2, 1)).transpose(1, 0, 2)
+        mu, v = m.predict(xa)
+        tau = misclass_tau(coverage_g(mu, np.sqrt(v), u))
+        E, _ = _after(m, np.vstack([xa, xb]), u)
+        assert np.all(E[np.arange(300), 300 + np.arange(300)] <= tau + 1e-10)
 
 
 def _bivariate_reference(mean_x, sd_x, s_mat, u):
@@ -233,24 +254,6 @@ class TestExpectedMisclassMatrix:
         assert e_hi <= e_lo * (1.0 + 1e-12) + np.finfo(float).tiny
 
 
-class _GridModel:
-    """Stands in for a GpModel in `expected_misclass_after`: point [i] has
-    posterior mean[i] and sd[i], and s_n(point [i], point [j]) = s[i, j]."""
-
-    jitter = 0.0
-    hyper = CovarianceHyperparams(1.0, np.array([1.0]))
-
-    def __init__(self, mean, sd, s):
-        self.mean, self.sd, self.s = mean, sd, s
-
-    def predict(self, x):
-        i = int(x[0])
-        return self.mean[i], self.sd[i] ** 2
-
-    def cross_sd(self, x, x_new, var_floor):
-        return self.s[int(x[0]), int(x_new[0])]
-
-
 class TestOwensTScreen:
     """Owen's T runs only where 2 T(b2, a) can differ from tau = Phi(-|b2|)."""
 
@@ -271,8 +274,7 @@ class TestOwensTScreen:
 
     def test_matches_unscreened_owens_t_and_phi2(self):
         mean_x, sd_x, s_mat, b2 = self._grid()
-        model = _GridModel(mean_x, sd_x, s_mat)
-        var_floor = model_var_floor(model)
+        var_floor = sur.VAR_FLOOR_REL  # the floor of a model with sigma2 = 1 and no jitter
         E, tau = _pair_kernel(mean_x, sd_x, s_mat, self.U, var_floor)
         rho = np.clip(s_mat / sd_x[:, None], 0.0, 1.0)
         a = np.sqrt((1.0 - rho) * (1.0 + rho)) / rho
@@ -288,8 +290,8 @@ class TestOwensTScreen:
         # |b2| <= 37, 7e-15 for |b2| <= 5); 1e-12 leaves a factor of three.
         np.testing.assert_allclose(E, unscreened, rtol=1e-12, atol=0.0)
         # Phi2 holds an absolute 1e-12 (`test_matches_bivariate_reference`)
-        ref = np.array([[expected_misclass_after(model, [i], [j], self.U)
-                         for j in range(E.shape[1])] for i in range(E.shape[0])])
+        ref = guarded_misclass_after(_bivariate_reference, mean_x, sd_x, s_mat, self.U,
+                                     var_floor)
         np.testing.assert_allclose(E, ref, rtol=0.0, atol=1e-12)
 
     def test_owens_t_skips_screened_pairs(self, monkeypatch):
@@ -358,17 +360,23 @@ class TestRowBlocks:
         assert E.tobytes() == _expected_misclass_matrix(*args)[0].tobytes()
 
     def test_search_same_at_any_block_split(self, monkeypatch):
-        # the bound pass sums its blocks in block order, and on this case the
-        # live set and the Owen's T count do not depend on the split either
+        # the bound pass sums its blocks in block order, and on these cases
+        # the live set and the Owen's T count do not depend on the split
+        # either. The first case leaves one live column; in the second every
+        # column scales the first by 0.95 to 1, so the bound pass's block
+        # sums must decide among tens of close columns.
         mean_x, sd_x, s_mat, u, var_floor = self._case(*_RAGGED)
         coeff = substream(1, "row-blocks").uniform(0.5, 2.0, s_mat.shape[0])
-        want = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
-        assert 0 < np.count_nonzero(want[1]) < want[1].size
-        for pairs in (60, _BLOCK // 4):  # pair blocks of 1 and 24 rows, not 98
-            monkeypatch.setattr(core, "_BLOCK_PAIRS", pairs)
-            E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s_mat, coeff, u, var_floor)
-            assert E.tobytes() == want[0].tobytes()
-            assert live.tobytes() == want[1].tobytes() and n_owens_t == want[2]
+        close = s_mat[:, :1] * substream(2, "row-blocks").uniform(0.95, 1.0, s_mat.shape)
+        for s, min_live in ((s_mat, 1), (close, 10)):
+            monkeypatch.setattr(core, "_BLOCK_PAIRS", _BLOCK)
+            want = sur._misclass_matrix(mean_x, sd_x, s, coeff, u, var_floor)
+            assert min_live <= np.count_nonzero(want[1]) < want[1].size
+            for pairs in (60, _BLOCK // 4):  # pair blocks of 1 and 24 rows, not 98
+                monkeypatch.setattr(core, "_BLOCK_PAIRS", pairs)
+                E, live, n_owens_t = sur._misclass_matrix(mean_x, sd_x, s, coeff, u, var_floor)
+                assert E.tobytes() == want[0].tobytes()
+                assert live.tobytes() == want[1].tobytes() and n_owens_t == want[2]
 
 
 def _pick(J):
@@ -575,7 +583,8 @@ class TestSelectNextPoint:
 
     def test_plain_average_when_g_prev_is_one(self, no_pruning):
         # with g_prev = 1 and uniform weights the criterion is the plain
-        # Monte Carlo average of the expected misclassification
+        # Monte Carlo average of the expected misclassification, here its
+        # Phi2 reference on the (mean, sd, s) the search takes from the GP
         model, u = _toy_model(n=7)
         rng = substream(5, "avg")
         pts = rng.uniform(-2, 2, (12, 1))
@@ -583,12 +592,10 @@ class TestSelectNextPoint:
         mu, v = model.predict(pts)
         g = coverage_g(mu, np.sqrt(v), u)
         tau = np.minimum(g, 1 - g)
-        keep = tau > 0
-        manual = np.array([
-            sum(expected_misclass_after(model, pts[j], pts[k], u) for j in range(12)) / 12
-            for k in np.nonzero(keep)[0]
-        ])
-        want = manual.min()
+        var_floor = model_var_floor(model)
+        ref = guarded_misclass_after(_bivariate_reference, *sur_pair_inputs(model, pts, var_floor),
+                                     u, var_floor)
+        want = ref.mean(axis=0)[tau > 0].min()
         assert sel.criterion == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:.*roundoff.*")
