@@ -278,14 +278,14 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
     message, or "degenerate"); every row stays, with no statistics when no
     run is usable. Warnings raised in a run, in this process or in a worker,
     are issued again here, in run order. Before any run, an unknown case,
-    fewer than two runs, or a repeated method or m raises ValueError, and no
-    methods, no m values, `jobs` below 1, or a (method, m) configuration its
-    estimator rejects raises ConfigError.
+    fewer than two runs, no methods, no m values, a repeated method or m,
+    `jobs` below 1, or a (method, m) configuration its estimator rejects
+    raises ConfigError.
     """
     if case_name not in CASES:
-        raise ValueError(f"unknown case {case_name!r}")
+        raise ConfigError(f"unknown case {case_name!r}")
     if runs < 2:
-        raise ValueError("need runs >= 2")
+        raise ConfigError("need runs >= 2")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     methods = list(methods)
@@ -294,7 +294,7 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
         if not values:
             raise ConfigError(f"{what} must not be empty")
         if len(set(values)) != len(values):
-            raise ValueError(f"{what} must be distinct, got {values}")
+            raise ConfigError(f"{what} must be distinct, got {values}")
     ref = CASES[case_name]().alpha_ref
     tasks = []
     for method in methods:

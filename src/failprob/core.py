@@ -140,19 +140,18 @@ class InputDistribution:
         return out
 
     def log_density(self, x):
-        """Joint log density at a single point (d,) or a batch (n, d)."""
+        """Joint log density, an (n,) array, at an (n, d) batch; a point is a
+        batch of one row."""
         x = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(x)):
             raise ValueError("log_density requires finite input")
-        batch = x.ndim == 2
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"expected dimension {self.dim}, got {pts.shape[1]}")
-        out = np.zeros(pts.shape[0])
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"log_density takes an (n, {self.dim}) array, got shape {x.shape}")
+        out = np.zeros(x.shape[0])
         for i in range(self.dim):
-            z = (pts[:, i] - self.mean[i]) / self.sd[i]
+            z = (x[:, i] - self.mean[i]) / self.sd[i]
             out += -0.5 * z * z - math.log(self.sd[i]) - 0.5 * _LOG_2PI
-        return out if batch else float(out[0])
+        return out
 
     def quantile(self, p) -> np.ndarray:
         """Per-marginal quantiles at a common probability level."""

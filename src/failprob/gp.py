@@ -17,7 +17,8 @@ factorization stability; interpolation and the posterior-variance floor are
 exact up to that jitter. The Cholesky factorization and its solves call
 LAPACK `potrf`/`potrs` directly (the routines inside scipy's `cho_factor`
 and `cho_solve`, so the results are the same bits), with explicit
-finiteness checks in place of scipy's `check_finite`.
+finiteness checks in place of scipy's `check_finite`. `GpModel` and
+`reml_objective` solve the kriging system by one helper, `_gls`.
 """
 
 from __future__ import annotations
@@ -56,8 +57,7 @@ def matern52_corr(h):
     if np.any(h < 0.0):
         raise ValueError("matern52_corr requires h >= 0")
     t = _SQRT10 * h
-    out = (1.0 + t + t * t / 3.0) * np.exp(-t)
-    return float(out[()]) if out.ndim == 0 else out
+    return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,25 @@ def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _corr_matrix(Xa: np.ndarray, Xb: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    return matern52_corr(cdist(Xa / ranges, Xb / ranges))
+def _gls(R: np.ndarray, y: np.ndarray):
+    """The kriging system of the correlation matrix R (nugget included) and
+    the data y, solved once: the Cholesky factor c of R, R^-1 1, 1' R^-1 1,
+    the GLS mean mu and R^-1 (y - mu). Raises LinAlgError where R is not
+    positive definite."""
+    c = _chol(R)
+    ones = np.ones(R.shape[0])
+    rinv_one = _chol_solve(c, ones)
+    one_rinv_one = float(ones @ rinv_one)
+    mu = float(rinv_one @ y) / one_rinv_one
+    return c, rinv_one, one_rinv_one, mu, _chol_solve(c, y - mu)
 
 
 class GpModel:
     """Ordinary-kriging posterior from design data and fixed hyperparameters.
 
     Immutable once factorized: predictions and posterior covariances only
-    read it. Refitting builds a fresh model.
+    read it. Refitting builds a fresh model. Both queries take a (k, d)
+    batch, and a point is a batch of one row.
     """
 
     jitter = DEFAULT_JITTER  # the nugget on the correlation diagonal
@@ -127,64 +137,53 @@ class GpModel:
         self.design_points = X
         self.design_values = y
         self.hyper = hyper
+        self._zd = X / hyper.ranges  # the design in range units
 
-        n = X.shape[0]
-        R = _corr_matrix(X, X, hyper.ranges)
-        R[np.diag_indices(n)] += self.jitter
-        self._factor = _chol(R)
-        ones = np.ones(n)
-        self._rinv_one = _chol_solve(self._factor, ones)
-        self._one_rinv_one = float(ones @ self._rinv_one)
-        self._mu = float(self._rinv_one @ y) / self._one_rinv_one
-        self._alpha = _chol_solve(self._factor, y - self._mu)
+        R = matern52_corr(cdist(self._zd, self._zd))
+        R[np.diag_indices(X.shape[0])] += self.jitter
+        self._factor, self._rinv_one, self._one_rinv_one, self._mu, self._alpha = _gls(R, y)
 
-    @property
-    def dim(self) -> int:
-        return self.design_points.shape[1]
+    def _scaled(self, x, name: str) -> np.ndarray:
+        """The (k, d) batch x in range units; any other shape is a ValueError."""
+        x = np.asarray(x, dtype=float)
+        d = self._zd.shape[1]
+        if x.ndim != 2 or x.shape[1] != d:
+            raise ValueError(f"{name} takes a (k, {d}) array, got shape {x.shape}")
+        return x / self.hyper.ranges
 
     def predict(self, x):
-        """Posterior mean and variance at one point (d,) or a batch (k, d),
-        computed on the batch padded by its last row to a multiple of
+        """Posterior mean and variance, two (k,) arrays, at a (k, d) batch.
+
+        Computed on the batch padded by its last row to a multiple of
         `_PAD_ROWS` rows, so that a row gets the same bits in any batch (BLAS
         takes a partial block of rows by another path)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        k = X.shape[0]
-        X = np.concatenate([X, np.repeat(X[-1:], -k % _PAD_ROWS, axis=0)])
-        r = _corr_matrix(X, self.design_points, self.hyper.ranges)
+        z = self._scaled(x, "predict")
+        k = z.shape[0]
+        z = np.concatenate([z, np.repeat(z[-1:], -k % _PAD_ROWS, axis=0)])
+        r = matern52_corr(cdist(z, self._zd))
         mean = self._mu + r @ self._alpha
         rinv_r = _chol_solve(self._factor, r.T)
         quad = np.einsum("ij,ji->i", r, rinv_r)
         defect = 1.0 - r @ self._rinv_one
         var = self.hyper.sigma2 * (1.0 - quad + defect * defect / self._one_rinv_one)
-        var = np.maximum(var[:k], 0.0)
-        if single:
-            return float(mean[0]), float(var[0])
-        return mean[:k], var
+        return mean[:k], np.maximum(var[:k], 0.0)
 
-    def posterior_cov(self, Xa, Xb) -> np.ndarray:
-        """Posterior covariance matrix k_n(Xa, Xb), including the GLS mean term.
+    def posterior_cov(self, U) -> np.ndarray:
+        """Posterior covariance matrix k_n(U, U) of a (k, d) batch, including
+        the GLS mean term.
 
         The prior term and the sum are built in row blocks
         (`core._row_spans`), entry by entry, so the bits do not depend on
-        the split; the cross term stays one matrix product. Passing
-        the same array as Xa and Xb computes the design correlations once.
+        the split; the cross term stays one matrix product.
         """
-        same = Xb is Xa
-        ranges = self.hyper.ranges
-        za = np.atleast_2d(np.asarray(Xa, dtype=float)) / ranges
-        zb = za if same else np.atleast_2d(np.asarray(Xb, dtype=float)) / ranges
-        zd = self.design_points / ranges
-        ra = matern52_corr(cdist(za, zd))
-        rb = ra if same else matern52_corr(cdist(zb, zd))
-        cov = ra @ _chol_solve(self._factor, rb.T)  # overwritten block by block
-        da = 1.0 - ra @ self._rinv_one
-        db = da if same else 1.0 - rb @ self._rinv_one
+        z = self._scaled(U, "posterior_cov")
+        r = matern52_corr(cdist(z, self._zd))
+        cov = r @ _chol_solve(self._factor, r.T)  # overwritten block by block
+        defect = 1.0 - r @ self._rinv_one
         for i, j in _row_spans(*cov.shape):
-            k = matern52_corr(cdist(za[i:j], zb))
+            k = matern52_corr(cdist(z[i:j], z))
             k -= cov[i:j]
-            k += np.outer(da[i:j], db) / self._one_rinv_one
+            k += np.outer(defect[i:j], defect) / self._one_rinv_one
             np.multiply(self.hyper.sigma2, k, out=cov[i:j])
         return cov
 
@@ -202,8 +201,8 @@ def reml_objective(design_points, design_values, log_ranges, *, neg_sq_diffs, si
     (read at call time) on its diagonal. The range gradient is the full
     one at fixed sigma2, which is exact for the profiled objective: its
     sigma2-derivative vanishes at an interior maximizer, and a clipped
-    sigma2 is constant. Returns (nll, grad, sigma2); where R is not
-    positive definite, (1e14, zeros, hi).
+    sigma2 is constant. R is solved by `_gls`, as in `GpModel`. Returns
+    (nll, grad, sigma2); where R is not positive definite, (1e14, zeros, hi).
 
     `neg_sq_diffs` is the (d, n, n) array of -(x_ik - x_jk)^2 from
     `_neg_sq_diffs(X)`, which depends on the design only; `fit_reml`
@@ -225,17 +224,11 @@ def reml_objective(design_points, design_values, log_ranges, *, neg_sq_diffs, si
     R = (1.0 + t + t * t / 3.0) * exp_t
     R[np.diag_indices(n)] += DEFAULT_JITTER
     try:
-        c = _chol(R)
+        c, v, oro, mu, a = _gls(R, y)
     except np.linalg.LinAlgError:
         return 1e14, np.zeros(d), hi
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    ones = np.ones(n)
-    v = _chol_solve(c, ones)
-    oro = float(ones @ v)
-    mu = float(v @ y) / oro
-    resid = y - mu
-    a = _chol_solve(c, resid)
-    Q = float(resid @ a)
+    Q = float((y - mu) @ a)
     sigma2 = min(max(Q / (n - 1), lo), hi)
 
     nll = 0.5 * ((n - 1) * _LOG_2PI + (n - 1) * math.log(sigma2) + logdet + math.log(oro)

@@ -107,9 +107,8 @@ def log_coverage_g(mean, sd, u):
     mean_b, sd_b = np.broadcast_arrays(mean, sd)
     pos = sd_b > 0.0
     z = (mean_b - u) / np.where(pos, sd_b, 1.0)
-    out = np.where(pos, log_ndtr(np.where(pos, z, 0.0)),
-                   np.where(mean_b > u, 0.0, -np.inf))
-    return float(out[()]) if out.ndim == 0 else out
+    return np.where(pos, log_ndtr(np.where(pos, z, 0.0)),
+                    np.where(mean_b > u, 0.0, -np.inf))
 
 
 def log_misclass_tau(mean, sd, u):
@@ -119,8 +118,7 @@ def log_misclass_tau(mean, sd, u):
     mean_b, sd_b = np.broadcast_arrays(mean, sd)
     pos = sd_b > 0.0
     z = np.where(pos, (mean_b - u) / np.where(pos, sd_b, 1.0), 0.0)
-    out = np.where(pos, np.minimum(log_ndtr(z), log_ndtr(-z)), -np.inf)
-    return float(out[()]) if out.ndim == 0 else out
+    return np.where(pos, np.minimum(log_ndtr(z), log_ndtr(-z)), -np.inf)
 
 
 class _Rows(NamedTuple):
@@ -306,7 +304,7 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     coeff = coeff[order]
 
     # cross quantities: s_n(x_row, cand_col) = |k_n| / sd(cand)
-    s_mat = np.abs(model.posterior_cov(U, U))
+    s_mat = np.abs(model.posterior_cov(U))
     s_mat /= np.where(sd_u > sd_floor, sd_u, np.inf)[None, :]
 
     E, live, n_owens_t = _misclass_matrix(mean_u, sd_u, s_mat, coeff, u_t, var_floor)

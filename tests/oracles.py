@@ -2,11 +2,24 @@
 misclassification probabilities in linear space, and the standard normal
 CDF. The package computes the first two in log space (`sur.log_coverage_g`,
 `sur.log_misclass_tau`); these are what tests compare against. Also the
-inputs of the SUR pair kernel taken from a GP, and its guards on a
-reference pair matrix."""
+inputs of the SUR pair kernel taken from a GP, its guards on a reference
+pair matrix, and the Matern 5/2 correlation matrix of two point sets."""
+
+import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.special import ndtr
+
+
+def corr_matrix(Xa, Xb, ranges):
+    """Matern 5/2 correlations (1 + t + t^2/3) exp(-t), t = sqrt(10) h, between
+    the rows of Xa and of Xb, h the Euclidean distance in range units. These
+    are the operations `gp.GpModel` takes, so tests may compare its bits."""
+    ranges = np.asarray(ranges, dtype=float)
+    t = math.sqrt(10.0) * cdist(np.asarray(Xa, dtype=float) / ranges,
+                                np.asarray(Xb, dtype=float) / ranges)
+    return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
 def coverage_g(mean, sd, u):
@@ -50,7 +63,7 @@ def sur_pair_inputs(model, X, var_floor):
     sd(x_j) is at or below the floor sqrt(var_floor)."""
     mean, var = model.predict(X)
     sd = np.sqrt(var)
-    s = np.abs(model.posterior_cov(X, X))
+    s = np.abs(model.posterior_cov(X))
     s /= np.where(sd > np.sqrt(var_floor), sd, np.inf)[None, :]
     return mean, sd, s
 

@@ -102,13 +102,13 @@ def test_acceptance_2_gp_identities():
 
         x = rng.uniform(-2, 2, d)
         x_new = rng.uniform(-2, 2, d)
-        mu_x, v_x = model.predict(x)
-        mu_n, v_n = model.predict(x_new)
+        (mu_x,), (v_x,) = model.predict(x[None, :])
+        (mu_n,), (v_n,) = model.predict(x_new[None, :])
         v_eff = v_n + model.jitter * hyper.sigma2
-        k = model.posterior_cov(x[None, :], x_new[None, :])[0, 0]
+        k = model.posterior_cov(np.stack([x, x_new]))[0, 1]
         y_new = float(rng.normal())
         m_up = GpModel(np.vstack([X, x_new]), np.append(y, y_new), hyper)
-        mu2, v2_ = m_up.predict(x)
+        (mu2,), (v2_,) = m_up.predict(x[None, :])
         worst_update = max(
             worst_update,
             abs(mu2 - (mu_x + k / v_eff * (y_new - mu_n))) / scale,
@@ -304,7 +304,7 @@ def test_acceptance_5_sur_oracle(monkeypatch):
         c = np.full(50, 1.0 / 50)
         Js = np.empty(50)
         for j in range(50):
-            mu_j, v_j = model.predict(pts[j])
+            (mu_j,), (v_j,) = model.predict(pts[j:j + 1])
             Js[j] = _oracle_criterion(Xd, yd, 0.8, model.jitter, pts, c, u, floor,
                                       pts[j], mu_j, math.sqrt(v_j))
         j_min = Js.min()

@@ -178,12 +178,14 @@ class TestRmseExperiment:
 
     def test_repeated_m_rejected(self):
         # a repeated m would pool its runs into one row, each seed twice
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="distinct") as info:
             run_rmse_experiment("toy", ["mc"], [1000, 1000], runs=3, seed=7)
+        assert info.type is ConfigError
 
     def test_repeated_method_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match="distinct") as info:
             run_rmse_experiment("toy", ["mc", "ss", "mc"], [1000], runs=3, seed=7)
+        assert info.type is ConfigError
 
     @pytest.mark.parametrize("methods,m_values,jobs,message", [
         pytest.param([], [1000], 1, "^methods must not be empty$", id="no-methods"),
@@ -206,8 +208,19 @@ class TestRmseExperiment:
             raise AssertionError(f"ran {task}")
 
         monkeypatch.setattr(bench, "_study_run", no_run)
-        with pytest.raises(ValueError, match="unknown case 'nope'"):
+        with pytest.raises(ValueError, match="unknown case 'nope'") as info:
             run_rmse_experiment("nope", ["mc"], [100], runs=2, seed=0)
+        assert info.type is ConfigError
+
+    @pytest.mark.parametrize("runs", [1, 0])
+    def test_fewer_than_two_runs_raise_before_any_run(self, monkeypatch, runs):
+        def no_run(task):
+            raise AssertionError(f"ran {task}")
+
+        monkeypatch.setattr(bench, "_study_run", no_run)
+        with pytest.raises(ValueError, match="^need runs >= 2$") as info:
+            run_rmse_experiment("toy", ["mc"], [100], runs=runs, seed=0)
+        assert info.type is ConfigError
 
     def test_unsorted_m_values_give_ascending_rows(self):
         table = run_rmse_experiment("toy", ["mc", "ss"], [2000, 500, 1000], runs=2, seed=7)

@@ -278,8 +278,8 @@ class _PerfectModel:
         Z = np.atleast_2d(Z)
         return self.fn(Z), np.zeros(Z.shape[0])
 
-    def posterior_cov(self, A, B):
-        return np.zeros((np.atleast_2d(A).shape[0], np.atleast_2d(B).shape[0]))
+    def posterior_cov(self, U):
+        return np.zeros((U.shape[0], U.shape[0]))
 
 
 @pytest.fixture

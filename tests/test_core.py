@@ -46,28 +46,39 @@ class TestInputDistribution:
 
     def test_log_density_standard_normal_origin(self):
         dist = InputDistribution.iid_normal(2)
-        assert dist.log_density(np.zeros(2)) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
+        assert dist.log_density(np.zeros((1, 2)))[0] == pytest.approx(-math.log(2 * math.pi),
+                                                                    abs=1e-12)
 
     def test_log_density_at_mode(self):
         mu, sd = 1.7, 0.4
         dist = InputDistribution([mu], [sd])
         want = -math.log(sd * math.sqrt(2 * math.pi))
-        assert dist.log_density(np.array([mu])) == pytest.approx(want, abs=1e-12)
+        assert dist.log_density(np.array([[mu]]))[0] == pytest.approx(want, abs=1e-12)
 
     def test_log_density_translation_invariance(self):
         rng = substream(5, "t")
         for _ in range(20):
             mu, x, c = rng.normal(size=3)
-            a = InputDistribution([mu], [1.3]).log_density(np.array([x]))
-            b = InputDistribution([mu + c], [1.3]).log_density(np.array([x + c]))
+            a = InputDistribution([mu], [1.3]).log_density(np.array([[x]]))[0]
+            b = InputDistribution([mu + c], [1.3]).log_density(np.array([[x + c]]))[0]
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_log_density_rejects_non_finite(self):
         dist = InputDistribution.iid_normal(2)
-        with pytest.raises(ValueError):
-            dist.log_density(np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            dist.log_density(np.array([np.inf, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            dist.log_density(np.array([[np.nan, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            dist.log_density(np.array([[np.inf, 0.0]]))
+
+    def test_log_density_takes_a_batch_only(self):
+        # a point is a 1-row batch; a (d,) vector or a wrong d names the shape
+        dist = InputDistribution.iid_normal(2)
+        with pytest.raises(ValueError,
+                           match=r"^log_density takes an \(n, 2\) array, got shape \(2,\)$"):
+            dist.log_density(np.zeros(2))
+        with pytest.raises(ValueError, match=r"takes an \(n, 2\) array, got shape \(4, 3\)$"):
+            dist.log_density(np.zeros((4, 3)))
+        assert dist.log_density(np.zeros((1, 2))).shape == (1,)
 
     def test_log_density_empty_batch(self):
         # the subset simulation target asks for the density of the proposals
@@ -165,8 +176,8 @@ class TestAgainstPerMarginalOracle:
         assert X.tobytes() == ref.tobytes()
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         assert dist.log_density(X).tobytes() == _oracle_log_density(marginals, ref).tobytes()
-        one = dist.log_density(X[0])
-        assert isinstance(one, float) and one == _oracle_log_density(marginals, ref[:1])[0]
+        one = dist.log_density(X[:1])  # one point, as a 1-row batch
+        assert one.tobytes() == _oracle_log_density(marginals, ref[:1]).tobytes()
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_quantile_bytes(self, law):
@@ -218,12 +229,12 @@ class TestParticleSystem:
 
     def test_cache_consistency_is_reproducible(self):
         # a cloud's cached log pdf: the batch density of a reproducible draw,
-        # the same bits as the density taken point by point
+        # the same bits as the density taken one 1-row batch at a time
         dist = InputDistribution.iid_normal(3)
         pts = dist.sample(64, substream(1, "p"))
         np.testing.assert_array_equal(pts, dist.sample(64, substream(1, "p")))
         np.testing.assert_array_equal(dist.log_density(pts),
-                                      [dist.log_density(x) for x in pts])
+                                      [dist.log_density(x[None, :])[0] for x in pts])
 
 
 class TestEvaluationLedger:

@@ -18,7 +18,7 @@ from failprob.bss import BssConfig, run_bss
 from failprob.core import InputDistribution
 from failprob.design import maximin_lhs
 from failprob.estimators import SubsetSimConfig
-from failprob.gp import fit_reml, reml_objective
+from failprob.gp import GpModel, fit_reml, reml_objective
 from failprob.smc import rwmh_move
 from failprob.sur import prune, select_next_point
 
@@ -83,3 +83,7 @@ def test_entry_point_parameters():
     assert _parameters(_estimator) == ["method", "m", "p0=0.1"]
     assert _parameters(run_rmse_experiment) == [
         "case_name", "methods", "m_values", "runs", "seed", "jobs=1"]
+    # one shape per query: a (k, d) batch, and the covariance of one set with itself
+    assert _parameters(GpModel.predict) == ["self", "x"]
+    assert _parameters(GpModel.posterior_cov) == ["self", "U"]
+    assert _parameters(InputDistribution.log_density) == ["self", "x"]

@@ -8,7 +8,7 @@ import scipy
 from conftest import requires_scipy_117
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sur_pair_inputs
+from oracles import corr_matrix, sur_pair_inputs
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -21,7 +21,6 @@ from failprob.gp import (
     GpModel,
     _chol,
     _chol_solve,
-    _corr_matrix,
     _neg_sq_diffs,
     fit_reml,
     matern52_corr,
@@ -82,7 +81,7 @@ class TestMaternCorrelation:
 
 def _corr(x, y, ranges):
     # the scaled-distance correlation between two points, as GpModel builds it
-    return float(_corr_matrix(np.array([x]), np.array([y]), np.asarray(ranges))[0, 0])
+    return float(corr_matrix(np.array([x]), np.array([y]), ranges)[0, 0])
 
 
 class TestCovariance:
@@ -131,7 +130,7 @@ class TestKrigingPosterior:
         far = np.full((1, 2), 100.0)  # >= 20 ranges away
         mean, var = m.predict(far)
         # the GLS mean 1'R^-1 y / 1'R^-1 1, from a dense solve
-        R = _corr_matrix(m.design_points, m.design_points, m.hyper.ranges)
+        R = corr_matrix(m.design_points, m.design_points, m.hyper.ranges)
         R[np.diag_indices(len(R))] += m.jitter
         rinv_one = np.linalg.solve(R, np.ones(len(R)))
         gls_mean = float(rinv_one @ m.design_values) / float(rinv_one.sum())
@@ -142,33 +141,31 @@ class TestKrigingPosterior:
         rng = substream(4, "gp")
         for _ in range(20):
             m = _random_model(rng)
-            Z = rng.uniform(-2.5, 2.5, (5, m.dim))
-            K = m.posterior_cov(Z, Z)
+            Z = rng.uniform(-2.5, 2.5, (5, m.design_points.shape[1]))
+            K = m.posterior_cov(Z)
             np.testing.assert_allclose(K, K.T, atol=1e-10)
             eig = np.linalg.eigvalsh(0.5 * (K + K.T))
             assert eig.min() >= -1e-8 * max(np.trace(K), 1e-300)
 
     def test_posterior_cov_blocks_change_no_bit(self):
-        # the whole-matrix formula; the model builds it in row blocks
-        # (300 columns: blocks of 109 rows) and shares one side when Xb is Xa
+        # the whole-matrix formula; the model builds it in row blocks (of 109
+        # rows at 300 columns, of 93 at 350, the last block partial in both)
         rng = substream(9, "gp-blocks")
         m = _random_model(rng, d=3, n=40)
         U = rng.uniform(-2.5, 2.5, (300, 3))
         V = rng.uniform(-2.5, 2.5, (50, 3))
 
-        def whole(A, B):
+        def whole(A):
             ranges = m.hyper.ranges
-            ra = _corr_matrix(A, m.design_points, ranges)
-            rb = _corr_matrix(B, m.design_points, ranges)
-            cross = ra @ _chol_solve(m._factor, rb.T)
-            da = 1.0 - ra @ m._rinv_one
-            db = 1.0 - rb @ m._rinv_one
-            return m.hyper.sigma2 * (_corr_matrix(A, B, ranges) - cross
-                                     + np.outer(da, db) / m._one_rinv_one)
+            r = corr_matrix(A, m.design_points, ranges)
+            cross = r @ _chol_solve(m._factor, r.T)
+            defect = 1.0 - r @ m._rinv_one
+            return m.hyper.sigma2 * (corr_matrix(A, A, ranges) - cross
+                                     + np.outer(defect, defect) / m._one_rinv_one)
 
-        assert m.posterior_cov(U, U).tobytes() == whole(U, U.copy()).tobytes()
-        assert m.posterior_cov(U, V).tobytes() == whole(U, V).tobytes()
-        assert m.posterior_cov(V, U).tobytes() == whole(V, U).tobytes()
+        assert m.posterior_cov(U).tobytes() == whole(U).tobytes()
+        W = np.vstack([U, V])
+        assert m.posterior_cov(W).tobytes() == whole(W).tobytes()
 
     def test_one_point_update_consistency(self):
         # conditioning on one more observation is the rank-1 Gaussian update;
@@ -176,18 +173,29 @@ class TestKrigingPosterior:
         rng = substream(5, "gp")
         for _ in range(20):
             m = _random_model(rng)
-            x = rng.uniform(-2, 2, m.dim)
-            x_new = rng.uniform(-2, 2, m.dim)
-            mu_x, v_x = m.predict(x)
-            mu_n, v_n = m.predict(x_new)
+            d = m.design_points.shape[1]
+            x = rng.uniform(-2, 2, d)
+            x_new = rng.uniform(-2, 2, d)
+            (mu_x,), (v_x,) = m.predict(x[None, :])
+            (mu_n,), (v_n,) = m.predict(x_new[None, :])
             v_eff = v_n + m.jitter * m.hyper.sigma2
-            k = m.posterior_cov(x[None, :], x_new[None, :])[0, 0]
+            k = m.posterior_cov(np.stack([x, x_new]))[0, 1]
             y_new = float(rng.normal())
             m2 = GpModel(np.vstack([m.design_points, x_new]), np.append(m.design_values, y_new),
                          m.hyper)
-            mu2, v2 = m2.predict(x)
+            (mu2,), (v2,) = m2.predict(x[None, :])
             assert mu2 == pytest.approx(mu_x + k / v_eff * (y_new - mu_n), abs=1e-8)
             assert v2 == pytest.approx(v_x - k * k / v_eff, abs=1e-8)
+
+    @pytest.mark.parametrize("query", ["predict", "posterior_cov"])
+    def test_query_takes_a_batch_only(self, query):
+        # a point is a 1-row batch; a (d,) vector or a wrong d names the shape
+        m = _random_model(substream(10, "gp-shape"), d=3, n=12)
+        with pytest.raises(ValueError, match=rf"^{query} takes a \(k, 3\) array, got shape \(3,\)$"):
+            getattr(m, query)(np.zeros(3))
+        with pytest.raises(ValueError, match=r"takes a \(k, 3\) array, got shape \(4, 2\)$"):
+            getattr(m, query)(np.zeros((4, 2)))
+        assert np.shape(getattr(m, query)(np.zeros((1, 3)))[0]) == (1,)
 
     def test_cross_sd_cases(self):
         # s_n(x, x_new) = |k_n(x, x_new)| / sigma_n(x_new), as the SUR search
@@ -229,9 +237,9 @@ class TestPredictRowInvariance:
         sub_mean, sub_var = m.predict(X[rows])
         assert sub_mean.tobytes() == mean[rows].tobytes()
         assert sub_var.tobytes() == var[rows].tobytes()
-        mu, v = m.predict(X[rows[0]])  # one point, as a (d,) vector
-        assert np.float64(mu).tobytes() == mean[rows[0]].tobytes()
-        assert np.float64(v).tobytes() == var[rows[0]].tobytes()
+        mu, v = m.predict(X[rows[0]][None, :])  # one point, as a 1-row batch
+        assert mu.tobytes() == mean[rows[0]].tobytes()
+        assert v.tobytes() == var[rows[0]].tobytes()
 
 
 class TestReml:
@@ -264,19 +272,35 @@ class TestReml:
     def test_range_recovery_simulation_study(self):
         # data simulated from the model itself; >= 80% of seeds recover the
         # log-range within +-0.3
-        from failprob.gp import _corr_matrix
-
         true_range = 0.5
         hits = 0
         seeds = 50
         for s in range(seeds):
             rng = substream(1000 + s, "recover")
             X = rng.uniform(0, 5, (200, 1))
-            R = 2.0 * _corr_matrix(X, X, np.array([true_range])) + 1e-10 * np.eye(200)
+            R = 2.0 * corr_matrix(X, X, [true_range]) + 1e-10 * np.eye(200)
             y = np.linalg.cholesky(R) @ rng.standard_normal(200)
             hyper = fit_reml(X, y, n_starts=3, rng=rng)
             hits += abs(math.log(hyper.ranges[0]) - math.log(true_range)) < 0.3
         assert hits >= 0.8 * seeds
+
+    def test_profiled_sigma2_is_the_models_quadratic_form(self):
+        # `GpModel` and `reml_objective` solve the kriging system by one helper:
+        # at the model's ranges the profiled sigma2 is, bit for bit, Q / (n-1)
+        # clipped to the bounds, with Q = (y - mu) . alpha taken from the model
+        rng = substream(13, "gp-gls")
+        for d in range(1, 7):
+            for _ in range(5):
+                n = int(rng.integers(d + 3, 41))
+                X = _random_design(rng, n, d)
+                y = np.sin(X @ rng.uniform(0.5, 2.0, d)) + 0.1 * rng.standard_normal(n)
+                lr = np.log(rng.uniform(0.5, 2.5, d))
+                m = GpModel(X, y, CovarianceHyperparams(1.0, np.exp(lr)))
+                bounds = _bounds(y)
+                _, _, sigma2 = reml_objective(X, y, lr, neg_sq_diffs=_neg_sq_diffs(X),
+                                              sigma2_bounds=bounds)
+                Q = float((y - m._mu) @ m._alpha)
+                assert sigma2 == np.clip(Q / (n - 1), *bounds)
 
     def test_constant_data_hits_floor(self):
         X = np.linspace(0, 1, 8)[:, None]
@@ -634,7 +658,7 @@ def _spd_matrices(n):
     kind: ill-conditioned) and a well-conditioned A A' + n I, both seeded."""
     rng = substream(n, "spd")
     X = _random_design(rng, n, 3)
-    R = _corr_matrix(X, X, np.array([0.7, 1.1, 1.6]))
+    R = corr_matrix(X, X, [0.7, 1.1, 1.6])
     R[np.diag_indices(n)] += 1e-10
     A = rng.standard_normal((n, n))
     return [R, A @ A.T + n * np.eye(n)]

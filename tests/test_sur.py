@@ -119,7 +119,7 @@ class TestExpectedMisclassAfter:
     def test_design_point_is_uninformative(self):
         m, u = _toy_model()
         x = np.array([0.33])
-        mu, v = m.predict(x)
+        (mu,), (v,) = m.predict(x[None, :])
         tau = misclass_tau(coverage_g(mu, math.sqrt(v), u))
         E, _ = _after(m, [x, m.design_points[2]], u)
         assert E[0, 1] == pytest.approx(tau, abs=1e-12)
@@ -133,9 +133,9 @@ class TestExpectedMisclassAfter:
         m, u = _toy_model()
         x = np.array([0.33])
         x_new = np.array([0.9])
-        mu_x, v_x = m.predict(x)
-        mu_n, v_n = m.predict(x_new)
-        k = m.posterior_cov(x[None, :], x_new[None, :])[0, 0]
+        (mu_x,), (v_x,) = m.predict(x[None, :])
+        (mu_n,), (v_n,) = m.predict(x_new[None, :])
+        k = m.posterior_cov(np.stack([x, x_new]))[0, 1]
         formula = _after(m, [x, x_new], u)[0][0, 1]
         rng = substream(1, "mc-oracle")
         n_draw = 1_000_000
@@ -618,7 +618,7 @@ class TestSelectNextPoint:
             Js = np.empty(20)
             for j in range(20):
                 xj = pts[j]
-                mu_j, v_j = model.predict(xj)
+                (mu_j,), (v_j,) = model.predict(xj[None, :])
                 sd_j = math.sqrt(v_j)
 
                 def integrand(y_new, _xj=xj, _mu=mu_j, _sd=sd_j):
