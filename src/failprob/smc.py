@@ -18,8 +18,10 @@ delayed acceptance (Christen & Fox 2005), as in Au & Beck's (2001) modified
 Metropolis. It runs each sweep in row blocks of `_BLOCK_ROWS`, whose
 temporaries stay in cache. The proposals it did not score bound the sweep's
 mean acceptance probability to an interval; only while that interval holds
-`TARGET_ACCEPTANCE` does the move score them, highest bound first, so every
-accept decision and step size is the one of a move that scores them all.
+`TARGET_ACCEPTANCE` does the move score them, highest bound first, and each
+time only as many as could carry the interval past the target, so it scores
+the rows a one-at-a-time scan would. Every accept decision and step size is
+the one of a move that scores them all.
 
 A sweep's random numbers do not depend on the particles, so one
 `DrawStream` per run supplies them: it owns the two buffer pairs the move
@@ -268,8 +270,9 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
     The factor is called, block by block, only on proposals whose uniform
     draw is below min(1, exp(log_pdf(z) - logp(x))), the bound on their
     acceptance probability, and then on unscored proposals in descending
-    bound order, `_BLOCK_ROWS` at a time, until the interval of the sweep's
-    mean acceptance probability lies `_SCREEN_MARGIN` clear of
+    bound order, each call on the shortest run of them whose bounds could
+    carry the interval of the sweep's mean acceptance probability past the
+    nearer of its edges, until that interval lies `_SCREEN_MARGIN` clear of
     `TARGET_ACCEPTANCE`, or until all are scored. Accept decisions and step
     sizes are those of a move that scores every proposal on the same draws,
     as long as exp is monotone and both functions give a row the same bits
@@ -356,9 +359,14 @@ def rwmh_move(points: np.ndarray, log_density, log_factor, log_sigma: np.ndarray
 
 def _acceptance_bounds(accept_prob: np.ndarray, scored: np.ndarray, score) -> tuple[float, float]:
     """[lo, hi] around the mean of `accept_prob`, whose unscored entries hold
-    upper bounds, after `score(rows)` has filled in unscored rows, highest
-    bound first, `_BLOCK_ROWS` at a time, until the interval lies
-    `_SCREEN_MARGIN` clear of `TARGET_ACCEPTANCE`. Once every row is scored,
+    upper bounds, after `score(rows)` has filled in unscored rows until the
+    interval lies `_SCREEN_MARGIN` clear of `TARGET_ACCEPTANCE`. Each call
+    scores, in descending bound order, the shortest run of unscored rows
+    whose bounds sum past the nearer edge's distance, min(above - lo,
+    hi - below): a row's value lies in [0, bound], so no shorter run can
+    clear the interval, and the rows scored are those of a one-row-at-a-time
+    scan. The order comes from the top `_BLOCK_ROWS` unscored bounds, sorted,
+    and the next such set once those are scored. Once every row is scored,
     lo = hi = the exact mean, so `lo > TARGET_ACCEPTANCE` is the
     adaptation's decision either way."""
     m = accept_prob.shape[0]
@@ -367,18 +375,30 @@ def _acceptance_bounds(accept_prob: np.ndarray, scored: np.ndarray, score) -> tu
     lo = hi - float(accept_prob[rest].sum())
     above = (TARGET_ACCEPTANCE + _SCREEN_MARGIN) * m  # sums, not means
     below = (TARGET_ACCEPTANCE - _SCREEN_MARGIN) * m
-    while rest.size:
-        if lo > above or hi < below:  # the interval decides the adaptation
-            return lo / m, hi / m
-        if rest.size > _BLOCK_ROWS:
-            top = np.argpartition(accept_prob[rest], rest.size - _BLOCK_ROWS)
-            chunk, rest = rest[top[-_BLOCK_ROWS:]], rest[top[:-_BLOCK_ROWS]]
-        else:
-            chunk, rest = rest, rest[:0]
+    order = rest[:0]  # the sorted set, highest bound first
+    done = 0  # rows of `order` scored
+    while lo <= above and hi >= below:  # the interval holds the target
+        if done == order.size:
+            if rest.size == 0:
+                break
+            if rest.size > _BLOCK_ROWS:
+                top = np.argpartition(accept_prob[rest], rest.size - _BLOCK_ROWS)
+                order, rest = rest[top[-_BLOCK_ROWS:]], rest[top[:-_BLOCK_ROWS]]
+            else:
+                order, rest = rest, rest[:0]
+            bounds = accept_prob[order]
+            top = np.argsort(bounds)[::-1]
+            order, done = order[top], 0
+            cum = np.concatenate(([0.0], np.cumsum(bounds[top])))  # cum[i]: order[:i]'s bounds
+        reach = cum[done] + min(above - lo, hi - below)
+        end = int(np.searchsorted(cum, reach, side="right"))  # the first cum[end] > reach
+        chunk, done = order[done:end], min(end, order.size)
         bound = float(accept_prob[chunk].sum())
         score(chunk)
         exact = float(accept_prob[chunk].sum())
         lo += exact
         hi += exact - bound
-    abar = float(accept_prob.mean())
-    return abar, abar
+    if done == order.size and rest.size == 0:  # every row is scored
+        abar = float(accept_prob.mean())
+        return abar, abar
+    return lo / m, hi / m

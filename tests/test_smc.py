@@ -4,10 +4,13 @@ import math
 import multiprocessing
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import AHEAD, draw_threads
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as spstats
 
 from failprob import smc
@@ -569,6 +572,18 @@ class TestDrawAhead:
         assert not hung and child.exitcode == 0
 
 
+@st.composite
+def _fallback_case(draw, grid=256):
+    """Bounds of distinct sizes (so the descending order is unique), values in
+    [0, bound] and a scored mask, all multiples of 1 / grid so that every
+    sum is exact; and the size of the fallback's sorted sets."""
+    ticks = draw(st.lists(st.integers(0, grid), min_size=1, max_size=40, unique=True))
+    values = [draw(st.integers(0, t)) for t in ticks]
+    scored = draw(st.lists(st.booleans(), min_size=len(ticks), max_size=len(ticks)))
+    return (np.array(ticks) / grid, np.array(values) / grid, np.array(scored),
+            draw(st.integers(1, 8)))
+
+
 class TestScreen:
     """The move calls the factor only on proposals that the full target
     could accept, row block by row block, and scores the others only while
@@ -629,8 +644,9 @@ class TestScreen:
 
     def test_fallback_scores_highest_bounds_first(self, monkeypatch):
         # one sweep of 4 proposals whose bounds straddle the target: the
-        # screen passes none, so the fallback scores rows in descending
-        # bound order, 2 at a time, until the interval clears 0.30
+        # screen passes none, so the fallback scores, highest bound first,
+        # the fewest rows whose bounds can carry the interval past 0.30:
+        # hi - below = 2.2 - 1.2, so 0.9 alone cannot, 0.9 + 0.7 can
         monkeypatch.setattr(smc, "_BLOCK_ROWS", 2)
         accept_prob = np.array([0.1, 0.9, 0.5, 0.7])  # bounds of unscored rows
         scored = np.zeros(4, dtype=bool)
@@ -655,3 +671,39 @@ class TestScreen:
 
         lo, hi = smc._acceptance_bounds(accept_prob, scored, score)
         assert lo == hi == float(exact.mean())
+
+    @settings(max_examples=400, deadline=None)
+    @given(_fallback_case())
+    def test_fallback_against_one_row_scan(self, case):
+        # the oracle scores unscored rows one at a time, highest bound first,
+        # until the interval clears the target; the fallback must score the
+        # same rows, each once, and decide as the exact mean does
+        bound, exact, scored, block = case
+        m = bound.size
+        accept_prob = np.where(scored, exact, bound)
+        above = (TARGET_ACCEPTANCE + smc._SCREEN_MARGIN) * m
+        below = (TARGET_ACCEPTANCE - smc._SCREEN_MARGIN) * m
+        rest = np.flatnonzero(~scored)
+        lo = float(exact[scored].sum())
+        hi = lo + float(bound[rest].sum())
+        want = []
+        for row in rest[np.argsort(-bound[rest])]:
+            if lo > above or hi < below:
+                break
+            want.append(int(row))
+            lo += exact[row]
+            hi += exact[row] - bound[row]
+        got = []
+
+        def score(rows):
+            assert not scored[rows].any()  # no row is scored twice
+            scored[rows] = True
+            accept_prob[rows] = exact[rows]
+            got.extend(rows.tolist())
+
+        with mock.patch.object(smc, "_BLOCK_ROWS", block):
+            lo, hi = smc._acceptance_bounds(accept_prob, scored, score)
+        assert sorted(got) == sorted(want)
+        abar = float(exact.mean())
+        assert lo <= abar <= hi
+        assert (lo > TARGET_ACCEPTANCE) == (abar > TARGET_ACCEPTANCE)

@@ -34,19 +34,22 @@ def _write(tmp_path, name, rows):
 
 def test_known_shift(tmp_path, capsys):
     # bss: every run spends 3 more evaluations, and |log(alpha_hat / ref)|
-    # falls from 0.5 to 0.2 (the sign of the log error flips in run 1); the
-    # ss rows are the same in both files
+    # falls from 0.5 to 0.2 (the sign of the log error flips in run 1); ss:
+    # every run spends 2 fewer evaluations for the same estimate, which the
+    # per-field counts show as a count-only change
     before = [_row(r, 40 + r, 0.5 if r != 1 else -0.5) for r in range(5)]
     before += [_row(r, 1000, 0.1, method="ss") for r in range(3)]
     after = [_row(r, 43 + r, -0.2 if r != 1 else 0.2) for r in range(5)]
-    after += [_row(r, 1000, 0.1, method="ss") for r in range(3)]
+    after += [_row(r, 998, 0.1, method="ss") for r in range(3)]
     code = study_diff.main([_write(tmp_path, "a.csv", before), _write(tmp_path, "b.csv", after)])
     assert code == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[2] == ("| bss | cantilever | 2000 | 5 | 5 | +3.00 [+3.00, +3.00] | +3 "
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[2] == ("| bss | cantilever | 2000 | 5 | 5 | 5 | 0 | 0 | +3.00 [+3.00, +3.00] | +3 "
                       "| -0.3000 (5 pairs) |")
-    assert out[3] == ("| ss | cantilever | 2000 | 3 | 0 | +0.00 [+0.00, +0.00] | +0 "
+    assert out[3] == ("| ss | cantilever | 2000 | 3 | 3 | 0 | 0 | 0 | -2.00 [-2.00, -2.00] | -2 "
                       "| +0.0000 (3 pairs) |")
+    assert captured.err == "8 pairs compared, 8 differ: n_total 8, alpha_hat 5, error 0\n"
 
 
 def test_mixed_shift_interval_and_largest_increase(tmp_path):
@@ -55,6 +58,7 @@ def test_mixed_shift_interval_and_largest_increase(tmp_path):
     (s,) = study_diff.compare(study_diff.load_runs(_write(tmp_path, "a.csv", before)),
                               study_diff.load_runs(_write(tmp_path, "b.csv", after)))
     assert (s["pairs"], s["differ"], s["mean_dn"], s["max_dn"]) == (4, 3, 0.0, 7)
+    assert s["fields"] == {"n_total": 3, "alpha_hat": 0, "error": 0} and s["unpaired"] == 0
     lo, hi = s["ci"]
     assert -5.0 <= lo < 0.0 < hi <= 7.0  # the bootstrap means lie in [min, max]
 
@@ -66,7 +70,10 @@ def test_unpaired_and_failed_runs(tmp_path):
     (s,) = study_diff.compare(study_diff.load_runs(_write(tmp_path, "a.csv", before)),
                               study_diff.load_runs(_write(tmp_path, "b.csv", after)))
     assert (s["pairs"], s["differ"], s["max_dn"], s["n_dlog"]) == (2, 2, 1950, 1)
+    assert s["fields"] == {"n_total": 1, "alpha_hat": 1, "error": 1} and s["unpaired"] == 1
     assert s["mean_dlog"] == 0.0
+    assert study_diff.summary_line([s]) == ("2 pairs compared, 2 differ: n_total 1, "
+                                            "alpha_hat 1, error 1, in one file only 1")
 
 
 def test_unreadable_input_exit_2(tmp_path, capsys):
@@ -92,4 +99,5 @@ def test_two_studies_of_one_commit_do_not_differ(tmp_path, capsys):
     capsys.readouterr()
     assert study_diff.main(paths) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[2].startswith("| bss | cantilever | 300 | 2 | 0 | +0.00 [+0.00, +0.00] | +0 |")
+    assert out[2].startswith("| bss | cantilever | 300 | 2 | 0 | 0 | 0 | 0 "
+                             "| +0.00 [+0.00, +0.00] | +0 |")
