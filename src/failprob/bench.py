@@ -171,8 +171,8 @@ def csv_table(columns, rows) -> str:
 
 @dataclass
 class RmseRow:
-    """Statistics over the `runs` usable runs at one m; `failures` runs
-    raised or were degenerate. With no usable run the statistics are None."""
+    """Statistics over the `runs` usable runs at one m (`failures` runs raised
+    or were degenerate): None with no usable run, and `cov` None with one."""
 
     method: str
     case: str
@@ -340,7 +340,7 @@ def run_rmse_experiment(case_name: str, methods, m_values, runs: int,
         mean_est = float(est.mean())
         rel_rmse = float(np.sqrt(np.mean((est - ref) ** 2)) / ref)
         rel_abs_bias = float(abs(mean_est - ref) / ref)
-        cov = float(est.std(ddof=1) / mean_est) if mean_est > 0 else float("nan")
+        cov = float(est.std(ddof=1) / mean_est) if len(good) > 1 else None
         table.rows.append(RmseRow(
             method=method, case=case_name, m=m, runs=len(good), failures=failures,
             mean_est=mean_est, rel_rmse=rel_rmse, rel_abs_bias=rel_abs_bias, cov=cov,

@@ -41,7 +41,8 @@ from .design import maximin_lhs
 from .gp import GpModel, fit_reml
 from .smc import (DegenerateWeightsError, DrawStream, initial_log_steps, product_estimate,
                   residual_resample, reweight, rwmh_move, stage_record)
-from .sur import _LOG_FLOOR, log_coverage_g, log_misclass_tau, model_var_floor, select_next_point
+from . import sur
+from .sur import _LOG_FLOOR, log_coverage_g, select_next_point
 
 __all__ = [
     "BssConfig",
@@ -167,13 +168,10 @@ def solve_threshold(model, mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndar
     return hi
 
 
-def misclass_sum(mean: np.ndarray, sd: np.ndarray, log_g_prev: np.ndarray,
-                 u_t: float, var_floor: float) -> float:
+def misclass_sum(log_tau: np.ndarray, log_g_prev: np.ndarray) -> float:
     """sum_j tau(Y_j) / g_prev(Y_j), the stopping-rule left-hand side: a stage
-    may stop once this is at most eta * m * p0. `log_g_prev` is already
-    floored at `_LOG_FLOOR`."""
-    sd_floor = math.sqrt(var_floor)
-    log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
+    may stop once this is at most eta * m * p0. `log_tau` is the pass's
+    `sur.log_misclass_tau`, and `log_g_prev` is floored at `_LOG_FLOOR`."""
     log_terms = log_tau - log_g_prev
     terms = np.exp(np.clip(log_terms, _LOG_FLOOR, 700.0))
     terms = np.where(np.isneginf(log_terms), 0.0, terms)
@@ -209,12 +207,14 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
     Each estimation pass takes the posterior at the particles (predicted
     after each fit, or carried by the move into a stage's first pass),
     solves the threshold and checks the stopping rule, or else makes one SUR
-    evaluation and refits. The run returns the product of its recorded stage
-    estimates: after the first stage that reaches u, or with `error` set once
-    an evaluation is due with `MAX_TOTAL_EVALUATIONS` spent, the reweight raises
-    `DegenerateWeightsError`, or `MAX_STAGES` stages end below u (with no
-    move after the last). `n_final` counts the last stage's evaluations only
-    if that stage reached u; a stage cut short counts as intermediate.
+    evaluation and refits; the rule and the search read the pass's one
+    `sur.log_misclass_tau` array. The run returns the product of its
+    recorded stage estimates: after the first stage that reaches u, or with
+    `error` set once an evaluation is due with `MAX_TOTAL_EVALUATIONS` spent,
+    the reweight raises `DegenerateWeightsError`, or `MAX_STAGES` stages end
+    below u (with no move after the last). `n_final` counts the last stage's
+    evaluations only if that stage reached u; a stage cut short counts as
+    intermediate.
     """
     u = problem.threshold
     m = config.m
@@ -259,14 +259,13 @@ def run_bss(problem: Problem, config: BssConfig, seed: int) -> EstimationResult:
                 ratios = np.exp(np.clip(log_g_t - log_g_prev, None, 700.0))
                 record = stage_record(t, u_t, ratios, stages)
                 eta = ETA_FINAL_FACTOR * record.delta_hat if is_final else ETA_INTERMEDIATE
-                if n_t >= N_MIN and misclass_sum(
-                    mean_p, sd_p, log_g_prev, u_t, model_var_floor(model)
-                ) <= eta * m * p0:
+                log_tau = sur.log_misclass_tau(model, mean_p, sd_p, u_t)
+                if n_t >= N_MIN and misclass_sum(log_tau, log_g_prev) <= eta * m * p0:
                     break
                 if ledger.n_total >= MAX_TOTAL_EVALUATIONS:
                     error = f"max_total_evaluations={MAX_TOTAL_EVALUATIONS} exceeded"
                     break
-                sel = select_next_point(model, pts, mean_p, sd_p, log_g_prev, u_t)
+                sel = select_next_point(model, pts, mean_p, sd_p, log_tau, log_g_prev, u_t)
                 x_new = sel.x_new[None, :]
                 y_new = ledger.evaluate(problem.limit_state, x_new, stage=t)
                 _require_finite(y_new, x_new)

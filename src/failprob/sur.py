@@ -45,9 +45,9 @@ The bound pass and the exact pairs loop over row blocks
 from; each entry is computed on its own and the column bounds are summed in
 block order.
 
-Degenerate-variance guards: points whose posterior variance is below
-1e-12 * sigma2 count as classified; pairs with s_n^2 below the same floor
-count as uncorrelated (the candidate teaches nothing about that point).
+Degenerate-variance guards, kept in this module alone: a point whose sd is
+at or below sqrt(`model_var_floor`) counts as classified (tau = 0), and a
+pair whose s_n is at or below it, as uncorrelated (the candidate teaches nothing).
 """
 
 from __future__ import annotations
@@ -111,13 +111,13 @@ def log_coverage_g(mean, sd, u):
                     np.where(mean_b > u, 0.0, -np.inf))
 
 
-def log_misclass_tau(mean, sd, u):
-    """log of min(g, 1-g) from the posterior (both tails via log_ndtr)."""
+def log_misclass_tau(model, mean, sd, u):
+    """log min(g, 1-g) from the posterior (both tails via log_ndtr); -inf on
+    classified points, whose sd is at or below sqrt(model_var_floor(model))."""
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
-    mean_b, sd_b = np.broadcast_arrays(mean, sd)
-    pos = sd_b > 0.0
-    z = np.where(pos, (mean_b - u) / np.where(pos, sd_b, 1.0), 0.0)
+    pos = sd > math.sqrt(model_var_floor(model))
+    z = np.where(pos, (mean - u) / np.where(pos, sd, 1.0), 0.0)
     return np.where(pos, np.minimum(log_ndtr(z), log_ndtr(-z)), -np.inf)
 
 
@@ -257,19 +257,20 @@ class SurSelection:
 
 
 def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: np.ndarray,
-                      log_g_prev: np.ndarray, u_t: float) -> SurSelection:
+                      log_tau: np.ndarray, log_g_prev: np.ndarray, u_t: float) -> SurSelection:
     """Exact discrete SUR search over the pruned particle set: the minimum
     and the pick of the exhaustive search, found by branch and bound (module
     docstring).
 
     `points` is the (m, d) cloud of equally weighted particles, `mean` and
-    `sd` the posterior there, and `log_g_prev` the previous stage's log
-    coverage, already floored at `_LOG_FLOOR`. The set is pruned on the
-    scores tau(x) / (m g_prev(x)) and serves both as integration support and
-    as the candidate pool. When every score is 0, the set is the one
-    particle farthest from the design (the largest distance to its nearest
-    design point, the first such particle on ties), so the pick repeats an
-    evaluated point only when every particle is one.
+    `sd` the posterior there, `log_tau` its `log_misclass_tau` at u_t, and
+    `log_g_prev` the previous stage's log coverage, already floored at
+    `_LOG_FLOOR`. The set is pruned on the scores tau(x) / (m g_prev(x)) and
+    serves both as integration support and as the candidate pool. When every
+    score is 0, the set is the one particle farthest from the design (the
+    largest distance to its nearest design point, the first such particle on
+    ties), so the pick repeats an evaluated point only when every particle
+    is one.
     Duplicate particle locations (resampling copies) are merged: their
     integration coefficients add exactly, and the merged candidate keeps
     the lowest original particle index for tie-breaking.
@@ -279,9 +280,8 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
     m = points.shape[0]
     var_floor = model_var_floor(model)
     sd_floor = np.sqrt(var_floor)
-    log_tau = log_misclass_tau(mean, np.where(sd > sd_floor, sd, 0.0), u_t)
-    log_c = -math.log(m) - log_g_prev  # log of 1 / (m g_prev)
-    log_score = np.clip(log_c, None, 700.0) + log_tau
+    log_c = -math.log(m) - log_g_prev  # log 1/(m g_prev), in [-log m, 700 - log m]
+    log_score = log_c + log_tau
     scores = np.exp(np.clip(log_score, _LOG_FLOOR, 700.0))
     scores = np.where(np.isneginf(log_score), 0.0, scores)
     keep = prune(scores)
@@ -294,7 +294,7 @@ def select_next_point(model: GpModel, points: np.ndarray, mean: np.ndarray, sd: 
                                   return_inverse=True)
     n_u = first.shape[0]
     coeff = np.zeros(n_u)
-    np.add.at(coeff, inverse, np.exp(np.clip(log_c[keep], _LOG_FLOOR, 700.0)))
+    np.add.at(coeff, inverse, np.exp(log_c[keep]))
     rep = keep[first]
     order = np.argsort(rep, kind="stable")
     rep = rep[order]

@@ -22,7 +22,7 @@ from failprob.estimators import SubsetSimConfig, run_subset_simulation
 from failprob.gp import CovarianceHyperparams, GpModel, _neg_sq_diffs, reml_objective
 from failprob.smc import cov_recursion, kappa_hat, residual_resample, rwmh_move
 from failprob.stats import binorm_cdf
-from failprob.sur import model_var_floor, select_next_point
+from failprob.sur import log_misclass_tau, model_var_floor, select_next_point
 
 
 def _report(num, text):
@@ -298,7 +298,9 @@ def test_acceptance_5_sur_oracle(monkeypatch):
         pts = rng.uniform(-2.5, 2.5, (50, 1))
         mean, var = model.predict(pts)
         u = 0.3
-        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(50), u)
+        sd = np.sqrt(var)
+        sel = select_next_point(model, pts, mean, sd, log_misclass_tau(model, mean, sd, u),
+                                np.zeros(50), u)
 
         floor = model_var_floor(model)
         c = np.full(50, 1.0 / 50)

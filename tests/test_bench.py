@@ -317,6 +317,34 @@ class TestRmseExperiment:
         finally:
             CASES.pop("broken", None)
 
+    def test_single_usable_run_has_no_cov(self):
+        # the limit state raises on its first call, so the first of two runs
+        # fails: the row keeps its one usable run, with an empty CoV cell and
+        # no NumPy warning from a one-sample standard deviation
+        calls = []
+
+        def f(X):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("first run refused")
+            return X[:, 0]
+
+        CASES["flaky"] = lambda: BenchmarkCase(
+            "flaky", Problem(f, InputDistribution.iid_normal(1), 0.0), alpha_ref=0.5,
+            alpha_ref_cov=0.0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = run_rmse_experiment("flaky", ["mc"], [1000], runs=2, seed=3)
+        finally:
+            CASES.pop("flaky", None)
+        row = table.rows[0]
+        assert (row.runs, row.failures, row.cov) == (1, 1, None)
+        assert [r.error for r in table.per_run] == ["first run refused", None]
+        assert row.mean_est == table.per_run[1].alpha_hat
+        header, line = table.to_csv().strip().splitlines()
+        assert dict(zip(header.split(","), line.split(",")))["cov"] == ""
+
     def test_estimator_dispatch(self):
         res = _estimator("mc", 1000)(_toy_case().problem, seed=11)
         assert res.method == "mc" and 0.4 < res.alpha_hat < 0.6

@@ -2,6 +2,7 @@
 recursion, and the full driver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ def _problem(u):
 
 class _FixedPosterior:
     """Stub model: the hyperparameters, nugget and design values that
-    `solve_threshold` and `model_var_floor` read; the posterior mean and sd
-    at the particles are given to them directly."""
+    `solve_threshold` and `sur.log_misclass_tau` read; the posterior mean
+    and sd at the particles are given to them directly."""
 
     class _H:
         sigma2 = 1.0
@@ -197,8 +198,8 @@ class TestThresholdReplay:
 
 def _stops(mean, sd, eta, m, p0):
     # run_bss's stopping rule, with g_prev = 1, u_t = 0 and a zero-nugget floor
-    floor = sur.model_var_floor(_FixedPosterior())
-    return misclass_sum(mean, sd, np.zeros(m), 0.0, floor) <= eta * m * p0
+    log_tau = sur.log_misclass_tau(_FixedPosterior(), mean, sd, 0.0)
+    return misclass_sum(log_tau, np.zeros(m)) <= eta * m * p0
 
 
 class TestStoppingCheck:
@@ -382,6 +383,36 @@ class TestRunBss:
         res = run_bss(_problem(float(ndtri(1 - 1e-4))), BssConfig(m=m), seed=3)
         assert res.error is None and len(res.stages) >= 3
         assert cloud_rows.count(m) == len(res.trace) + 1
+
+    def test_tau_computed_once_per_estimation_pass(self, monkeypatch):
+        # the stopping rule and the SUR search read the one log tau array of
+        # their pass: one per SUR evaluation, plus the pass that ends each
+        # stage, wherever a module holds the name
+        real = sur.log_misclass_tau
+        computed, searched = [], []
+
+        def counting(*args):
+            computed.append(real(*args))
+            return computed[-1]
+
+        def select(model, points, mean, sd, *args):
+            searched.append(bool(computed) and args[0] is computed[-1])  # args[0]: log_tau
+            return sur.select_next_point(model, points, mean, sd, *args)
+
+        holders = [module for module in sys.modules.values()
+                   if module.__name__.startswith("failprob")
+                   and getattr(module, "log_misclass_tau", None) is real]
+        assert sur in holders
+        for module in holders:
+            monkeypatch.setattr(module, "log_misclass_tau", counting)
+        monkeypatch.setattr(bss, "select_next_point", select)
+        res = run_bss(four_branch().problem, BssConfig(m=300), seed=12)
+        assert res.error is None
+        # a stage that goes on past N_MIN checks the rule before each search
+        assert any(s.n_evals > bss.N_MIN for s in res.stages)
+        n_computed = len(computed)
+        assert n_computed == len(res.trace) + len(res.stages)
+        assert searched == [True] * len(res.trace)
 
     @pytest.mark.usefixtures("eight_design_points")
     def test_estimate_quality_1d_tail(self):

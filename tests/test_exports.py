@@ -5,22 +5,24 @@ entry points, are the ones callers set, with every other constant fixed at
 module level."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import failprob
-from failprob import bss, estimators, smc, stats, sur
+from failprob import bss, estimators, smc
 from failprob.bench import _estimator, run_rmse_experiment
-from failprob.bss import BssConfig, run_bss
+from failprob.bss import BssConfig, misclass_sum, run_bss
 from failprob.core import InputDistribution
 from failprob.design import maximin_lhs
 from failprob.estimators import SubsetSimConfig
 from failprob.gp import GpModel, fit_reml, reml_objective
 from failprob.smc import rwmh_move
-from failprob.sur import prune, select_next_point
+from failprob.sur import log_misclass_tau, prune, select_next_point
 
 # __main__ is left out: importing it runs the command line
 MODULES = [name for name in ["failprob"] + [f"failprob.{info.name}" for info in
@@ -54,12 +56,19 @@ def test_module_constants():
     assert type(smc.DRAW_AHEAD) is bool  # a switch, set at import from the usable CPUs
 
 
-def test_sur_keeps_the_binorm_cdf_name():
-    # `sur` does not call binorm_cdf, but perfbench's `stats.binorm_cdf`
-    # site traces it under `failprob.sur.binorm_cdf`. These tests do not run
-    # `pytest perfbench`, so without this check deleting the import, which
-    # looks unused, would break the benchmark's tracer unseen.
-    assert sur.binorm_cdf is stats.binorm_cdf
+def test_perfbench_trace_sites_resolve():
+    # perfbench wraps each traced name where its caller looks it up, and
+    # reports a site it cannot find as absent. These tests do not run
+    # `pytest perfbench`, so without this check a refactor that moves or
+    # renames a traced name (or deletes `sur`'s import of binorm_cdf, which
+    # only the tracer reads) would drop a benchmark metric unseen.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [site for _, sites in tracing.TIMED for site in sites] + [tracing.PREDICATE_SITE]
+    assert ("failprob.sur", "binorm_cdf") in sites
+    assert [site for site in sites if tracing._resolve(site) is None] == []
 
 
 def _parameters(fn) -> list[str]:
@@ -72,7 +81,11 @@ def test_entry_point_parameters():
     # tests set keeps a second path alive, so a new one is a deliberate change
     assert _parameters(rwmh_move) == ["points", "log_density", "log_factor", "log_sigma",
                                       "draws", "current"]
-    assert _parameters(select_next_point) == ["model", "points", "mean", "sd", "log_g_prev", "u_t"]
+    assert _parameters(select_next_point) == ["model", "points", "mean", "sd", "log_tau",
+                                              "log_g_prev", "u_t"]
+    # the stopping rule and the search read one tau array, which only `sur` computes
+    assert _parameters(log_misclass_tau) == ["model", "mean", "sd", "u"]
+    assert _parameters(misclass_sum) == ["log_tau", "log_g_prev"]
     assert _parameters(prune) == ["scores"]
     assert _parameters(reml_objective) == [
         "design_points", "design_values", "log_ranges", "neg_sq_diffs", "sigma2_bounds"]

@@ -22,6 +22,7 @@ from failprob.gp import CovarianceHyperparams, GpModel
 from failprob.stats import binorm_cdf
 from failprob.sur import (
     log_coverage_g,
+    log_misclass_tau,
     model_var_floor,
     prune,
     select_next_point,
@@ -481,7 +482,9 @@ class TestBranchAndBound:
         search = sur._misclass_matrix
         monkeypatch.setattr(sur, "owens_t", counting)
         monkeypatch.setattr(sur, "_misclass_matrix", spy)
-        sel = select_next_point(model, pts, mean, np.sqrt(var), np.zeros(1200), 1.0)
+        sd = np.sqrt(var)
+        sel = select_next_point(model, pts, mean, sd, log_misclass_tau(model, mean, sd, 1.0),
+                                np.zeros(1200), 1.0)
         assert sel.n_owens_t == sum(calls)
         assert 0 < sel.n_live < sel.n_candidates
         mean_u, sd_u, s_mat, _, u, var_floor = kernel_args[0]
@@ -520,7 +523,9 @@ class TestPrune:
 def _select(model, pts, u):
     """select_next_point on a cloud with g_prev = 1, at the model's posterior."""
     mean, var = model.predict(pts)
-    return select_next_point(model, pts, mean, np.sqrt(var), np.zeros(pts.shape[0]), u)
+    sd = np.sqrt(var)
+    return select_next_point(model, pts, mean, sd, log_misclass_tau(model, mean, sd, u),
+                             np.zeros(pts.shape[0]), u)
 
 
 class TestSelectNextPoint:
@@ -577,7 +582,8 @@ class TestSelectNextPoint:
         pts = np.vstack([model.design_points[:1], [[0.3], [0.7], [-0.5], [0.3]]])
         mean, _ = model.predict(pts)
         sd = math.sqrt(model_var_floor(model)) * np.array([0.0, 0.5, 0.9, 0.2, 0.5])
-        sel = select_next_point(model, pts, mean, sd, np.zeros(5), u)
+        sel = select_next_point(model, pts, mean, sd, log_misclass_tau(model, mean, sd, u),
+                                np.zeros(5), u)
         assert (sel.particle_index, sel.n_pruned, sel.n_candidates) == (1, 1, 1)
         np.testing.assert_array_equal(sel.x_new, pts[1])
 
